@@ -21,7 +21,7 @@ The ``sfmew`` command line exposes the same pipeline on config files.
 """
 
 from .analyzer import (
-    GridTrackingFailed,
+    MultipleRoot,
     P0Vanishes,
     RegionReport,
     RegionSpec,

@@ -17,13 +17,19 @@
 4. Real common roots (excluding roots of P0) are reconstructed into
    candidate 1-forms and verified against the full equation; a verified
    candidate yields ``AdmitsRealCandidate``, shared complex factors yield
-   ``VanishingObstructionsNoRealSolution``.
+   ``VanishingObstructionsNoRealSolution``.  Real common roots of which none
+   verifies yield ``Inconclusive``: they show neither a solution nor that
+   none exists.
 
-Verification of reconstructed candidates tracks the root across a 5x5 local
-grid (nearest-root continuation) and differentiates the candidate by central
-differences; closed-form candidates are differentiated exactly via jets.
-Everything here is deterministic and side-effect free; grid nodes are
-independent.
+A reconstructed candidate is verified by lifting its root F0 of the
+lowest-degree constraint P_k to a jet, on the invariant jets of the point
+itself: each Newton step F <- F - P_k(F) / P_k'(F) in jet arithmetic
+doubles the number of exact Taylor orders.  The candidate alpha then
+follows as a jet from the reconstruction formula, so nabla alpha and
+nabla F are exact.  A multiple root (P_k'(F0) numerically zero) has no such
+lift and stays unverified.  Closed-form candidates are differentiated
+exactly via jets of their expressions.  Everything here is deterministic
+and side-effect free; grid nodes are independent.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -31,16 +37,19 @@ from enum import Enum
 
 import numpy as np
 
-from .constraints import assemble_P0, assemble_P1, assemble_P2, assemble_P3
+from .constraints import (
+    assemble_P0,
+    assemble_P1,
+    assemble_P2,
+    assemble_P3,
+    coeffs_P1,
+    coeffs_P2,
+    coeffs_P3,
+)
 from .expr import eval_jet
 from .geometry import Frame
-from .invariants import InvariantField, SigmaZero
-from .polyalg import (
-    common_complex_roots,
-    common_real_roots,
-    real_roots,
-    resultant_report,
-)
+from .invariants import InvariantField, SigmaZero, forced_f
+from .polyalg import common_complex_roots, common_real_roots, resultant_report
 
 __all__ = [
     "VerdictTag",
@@ -52,7 +61,7 @@ __all__ = [
     "NodeVerdict",
     "RegionReport",
     "P0Vanishes",
-    "GridTrackingFailed",
+    "MultipleRoot",
     "alpha_from_F",
     "f_from_P0_branch",
     "classify_point",
@@ -60,15 +69,16 @@ __all__ = [
     "scan_region",
 ]
 
-_TRACK_ORDER = 4  # jets deep enough for constraint coefficients and alpha values
+_CLOSED_FORM_ORDER = 4  # jets of closed-form candidates: residuals need nabla alpha, nabla F
+_LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 3 -> 7
 
 
 class P0Vanishes(Exception):
     """P0(F) is numerically zero; the reconstruction formula divides by it."""
 
 
-class GridTrackingFailed(Exception):
-    """The root branch could not be continued over the verification grid."""
+class MultipleRoot(Exception):
+    """P_k'(F) is numerically zero at the root; it cannot be lifted to a jet."""
 
 
 class VerdictTag(str, Enum):
@@ -94,17 +104,19 @@ class Settings:
     tol_residual: float = 1e-6
     tol_sigma: float = 1e-9
     tol_m: float = 1e-8
-    track_step: float = 1e-3
 
     def __post_init__(self):
-        if self.jet_order < 4:
-            raise ValueError("jet_order must be >= 4 (constraint coefficients need it)")
+        if self.jet_order < 5:
+            raise ValueError(
+                "jet_order must be >= 5: the constraint coefficients keep jet_order - 4 "
+                "orders, and verifying a reconstructed candidate differentiates them once"
+            )
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if self.mode not in ("real", "complex"):
             raise ValueError("mode must be 'real' or 'complex'")
         for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high",
-                     "tol_residual", "tol_sigma", "tol_m", "track_step"):
+                     "tol_residual", "tol_sigma", "tol_m"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -129,7 +141,7 @@ class ResidualReport:
 
     point: tuple
     mode: str
-    method: str  # "jets" (closed form) | "tracked-grid" (reconstructed)
+    method: str  # "jets" (closed form) | "jet-lift" (reconstructed)
     f: complex
     res_alpha_U: float  # |alpha_a U^a + F^2 + phi|
     res_alpha_W: float  # |alpha_a W^a - ell - 5/2 rho F - 3(mu + alpha.Y) F^2|
@@ -166,21 +178,27 @@ class Verdict:
 # reconstruction formulas
 
 
-def alpha_from_F(inv, F, tol_p0=1e-9):
-    """Candidate 1-form for a given curvature scalar F (needs P0(F) != 0).
-
-    alpha_a = [L_a + 5/2 rho F Y_a + (F^2/2) grad_a rho + 3 F^4 U_a] / (sigma - 3 rho F^2)
-    """
-    denom = inv.sigma - 3.0 * inv.rho * F * F
-    scale = abs(inv.sigma) + 3.0 * inv.rho * F * F
-    if abs(denom) <= tol_p0 * max(scale, 1e-300):
-        raise P0Vanishes(f"P0({F}) = {denom:.3e} numerically zero at {inv.point}")
+def _alpha_parts(inv, F):
+    """Numerator (per component) and denominator P0(F) of the reconstruction
+    formula, on floats or jets."""
     numer = (
         inv.L
         + 2.5 * inv.rho * F * inv.Y
         + 0.5 * F * F * inv.grad_rho
         + 3.0 * F**4 * inv.U
     )
+    return numer, inv.sigma - 3.0 * inv.rho * F * F
+
+
+def alpha_from_F(inv, F, tol_p0=1e-9):
+    """Candidate 1-form for a given curvature scalar F (needs P0(F) != 0).
+
+    alpha_a = [L_a + 5/2 rho F Y_a + (F^2/2) grad_a rho + 3 F^4 U_a] / (sigma - 3 rho F^2)
+    """
+    numer, denom = _alpha_parts(inv, F)
+    scale = abs(inv.sigma) + 3.0 * inv.rho * F * F
+    if abs(denom) <= tol_p0 * max(scale, 1e-300):
+        raise P0Vanishes(f"P0({F}) = {denom:.3e} numerically zero at {inv.point}")
     return SolutionCandidate(
         F=float(F), alpha=numer / denom, source="Alpha1Formula", point=inv.point
     )
@@ -192,13 +210,7 @@ def f_from_P0_branch(inv, rel_tol=1e-6):
     F = -(2/5)(rho ell + mu sigma + tau sigma/(3 rho) + tau phi) / rho^2;
     consistency requires F^2 = sigma / (3 rho), hence sigma > 0.
     """
-    numer = (
-        inv.rho * inv.ell
-        + inv.mu * inv.sigma
-        + inv.tau * inv.sigma / (3.0 * inv.rho)
-        + inv.tau * inv.phi
-    )
-    f = -0.4 * numer / inv.rho**2
+    f = forced_f(inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell)
     if inv.sigma <= 0.0:
         return f, False
     target = inv.sigma / (3.0 * inv.rho)
@@ -264,9 +276,27 @@ def _frame_values(frame):
     }
 
 
+def _residual_report(point, mode, method, f, residuals, mismatch, tol_residual, on_root=True):
+    res_u, res_w, res_tensor, res_trace = residuals
+    max_res = max(residuals)
+    return ResidualReport(
+        point=tuple(map(float, point)),
+        mode=mode,
+        method=method,
+        f=f,
+        res_alpha_U=res_u,
+        res_alpha_W=res_w,
+        res_tensor=res_tensor,
+        res_trace=res_trace,
+        f_gradient_mismatch=mismatch,
+        passed=bool(max_res < tol_residual and on_root),
+        max_residual=max_res,
+    )
+
+
 def _verify_closed_form(structure, candidate, point, mode, settings):
     """Verify expression-form alpha via exact jet differentiation."""
-    order = _TRACK_ORDER
+    order = _CLOSED_FORM_ORDER
     frame = Frame(structure, point, order, settings.orientation)
     exprs = candidate.alpha_exprs
     comp_jets = [eval_jet(e, point, order, frame.space) for e in exprs]
@@ -322,128 +352,77 @@ def _verify_closed_form(structure, candidate, point, mode, settings):
             target = -2.0 * alpha[axis] * f_value - inv.Y[axis]
             mismatch = max(mismatch, abs(grad_f - target))
 
-    res_u, res_w, res_tensor, res_trace = _residuals_at(
-        _frame_values(frame), alpha, dalpha, f_value, inv
+    residuals = _residuals_at(_frame_values(frame), alpha, dalpha, f_value, inv)
+    f = f_value if mode == "complex" else f_value.real
+    return _residual_report(point, mode, "jets", f, residuals, mismatch, settings.tol_residual)
+
+
+_COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
+
+
+def _constraint_polys(inv):
+    return assemble_P1(inv), assemble_P2(inv), assemble_P3(inv)
+
+
+def _base_index(polys):
+    """The lowest-degree constraint, whose real roots are the witnesses."""
+    return min(range(3), key=lambda i: polys[i].degree)
+
+
+def _horner(coeffs, t):
+    """P(t) and P'(t) for coefficients lowest degree first (floats or jets)."""
+    p, dp = coeffs[-1], 0.0
+    for c in coeffs[-2::-1]:
+        dp = dp * t + p
+        p = p * t + c
+    return p, dp
+
+
+def _value(x):
+    return getattr(x, "value", x)
+
+
+def _lift_root(coeffs, f0, tol_root):
+    """Jet of the root branch F of a polynomial with coefficient jets, through f0.
+
+    Newton steps in jet arithmetic; they also polish the value against the
+    full coefficients (``Poly`` trims negligible leading ones before root
+    finding).  Raises :class:`MultipleRoot` where P'(f0) is numerically zero
+    relative to the size of its terms.
+    """
+    p, dp = _horner(coeffs, f0)
+    scale = sum(i * abs(_value(c)) * abs(f0) ** (i - 1) for i, c in enumerate(coeffs) if i)
+    if not abs(_value(dp)) > tol_root * scale:
+        raise MultipleRoot(f"P'({f0}) = {_value(dp):.3e} numerically zero")
+    F = f0
+    for step in range(_LIFT_STEPS):
+        if step:
+            p, dp = _horner(coeffs, F)
+        F = F - p / dp
+    return F
+
+
+def _verify_lifted(frame, inv, jinv, coeffs, f0, settings):
+    """Verify the reconstructed candidate of f0, a simple root of the constraint
+    with coefficient jets ``coeffs``; ``jinv`` holds the invariant jets.
+
+    The candidate fails when the lift moves F by more than ``tol_root``
+    (relative): f0 is then no root, whatever root it leads to.
+    """
+    F = _lift_root(coeffs, f0, settings.tol_root)
+    numer, denom = _alpha_parts(jinv, F)
+    alpha_jets = numer / denom
+    alpha = np.array([a.value for a in alpha_jets])
+    dalpha = [[d.value for d in row] for row in frame.cov_deriv(alpha_jets, "d")]
+    grad_f = np.array([F.d_dx().value, F.d_dy().value])
+    mismatch = float(np.max(np.abs(grad_f - (-2.0 * alpha * F.value - inv.Y))))
+    residuals = _residuals_at(
+        _frame_values(frame), alpha.astype(complex), dalpha, F.value, inv
     )
-    max_res = max(res_u, res_w, res_tensor, res_trace)
-    return ResidualReport(
-        point=tuple(map(float, point)),
-        mode=mode,
-        method="jets",
-        f=f_value if mode == "complex" else f_value.real,
-        res_alpha_U=res_u,
-        res_alpha_W=res_w,
-        res_tensor=res_tensor,
-        res_trace=res_trace,
-        f_gradient_mismatch=mismatch,
-        passed=max_res < settings.tol_residual,
-        max_residual=max_res,
-    )
-
-
-class _TrackingGrid:
-    """Shared 5x5 node data for root continuation around one point."""
-
-    OFFSETS = range(-2, 3)
-
-    def __init__(self, structure, point, settings, base_index):
-        self.settings = settings
-        self.base_index = base_index
-        h = settings.track_step
-        self.h = h
-        self.nodes = {}
-        for i in self.OFFSETS:
-            for j in self.OFFSETS:
-                pt = (point[0] + i * h, point[1] + j * h)
-                field = InvariantField(
-                    Frame(structure, pt, _TRACK_ORDER, settings.orientation),
-                    settings.tol_flat,
-                )
-                if field.flat:
-                    raise GridTrackingFailed(f"flat point {pt} inside tracking grid")
-                inv = field.point_invariants()
-                polys = (assemble_P1(inv), assemble_P2(inv), assemble_P3(inv))
-                roots = real_roots(polys[base_index], settings.tol_root)
-                if len(roots) == 0:
-                    raise GridTrackingFailed(f"root set empty at grid node {pt}")
-                self.nodes[(i, j)] = (inv, roots)
-
-    def track(self, f0):
-        """Continue the root nearest to f0 over every node; alpha per node."""
-        jump_tol = 0.25 * (1.0 + abs(f0))
-        f_field = {}
-        alpha_field = {}
-        for key, (inv, roots) in self.nodes.items():
-            idx = int(np.argmin(np.abs(roots.roots - f0)))
-            f_node = float(roots.roots[idx])
-            if abs(f_node - f0) > jump_tol:
-                raise GridTrackingFailed(
-                    f"root branch lost at offset {key}: nearest root {f_node} vs {f0}"
-                )
-            try:
-                cand = alpha_from_F(inv, f_node)
-            except P0Vanishes as err:
-                raise GridTrackingFailed(
-                    f"reconstruction denominator vanishes at offset {key}: {err}"
-                ) from err
-            f_field[key] = f_node
-            alpha_field[key] = cand.alpha
-        return f_field, alpha_field
-
-
-def _verify_tracked(structure, point, f0, settings, center_field=None, grid=None):
-    """Verify a reconstructed candidate by finite differences over the grid."""
-    if center_field is None:
-        center_field = InvariantField(
-            Frame(structure, point, settings.jet_order, settings.orientation),
-            settings.tol_flat,
-        )
-    inv = center_field.point_invariants()
-    frame = center_field.frame
-    if grid is None:
-        polys = (assemble_P1(inv), assemble_P2(inv), assemble_P3(inv))
-        base_index = min(range(3), key=lambda i: polys[i].degree)
-        grid = _TrackingGrid(structure, point, settings, base_index)
-    f_field, alpha_field = grid.track(f0)
-
-    h = grid.h
-    alpha = alpha_from_F(inv, f_field[(0, 0)]).alpha
-    f_center = f_field[(0, 0)]
-
-    def central(fieldmap, axis):
-        if axis == 0:
-            return (fieldmap[(1, 0)] - fieldmap[(-1, 0)]) / (2.0 * h)
-        return (fieldmap[(0, 1)] - fieldmap[(0, -1)]) / (2.0 * h)
-
-    gamma = [
-        [[frame.gamma[c][a][b].value for b in range(2)] for a in range(2)] for c in range(2)
-    ]
-    dalpha = [[0.0, 0.0], [0.0, 0.0]]
-    for a in range(2):
-        d = central(alpha_field, a)
-        for b in range(2):
-            dalpha[a][b] = d[b] - sum(gamma[c][a][b] * alpha[c] for c in range(2))
-
-    grad_f = np.array([central(f_field, 0), central(f_field, 1)])
-    target = -2.0 * alpha * f_center - inv.Y
-    mismatch = float(np.max(np.abs(grad_f - target)))
-
-    res_u, res_w, res_tensor, res_trace = _residuals_at(
-        _frame_values(frame), alpha.astype(complex), dalpha, f_center, inv
-    )
-    max_res = max(res_u, res_w, res_tensor, res_trace)
-    return ResidualReport(
-        point=tuple(map(float, point)),
-        mode="real",
-        method="tracked-grid",
-        f=f_center,
-        res_alpha_U=res_u,
-        res_alpha_W=res_w,
-        res_tensor=res_tensor,
-        res_trace=res_trace,
-        f_gradient_mismatch=mismatch,
-        passed=max_res < settings.tol_residual,
-        max_residual=max_res,
+    on_root = abs(F.value - f0) <= settings.tol_root * max(1.0, abs(f0))
+    return _residual_report(
+        frame.point, "real", "jet-lift", float(F.value), residuals, mismatch,
+        settings.tol_residual, on_root,
     )
 
 
@@ -451,9 +430,10 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
     """Residual report for a candidate at a point.
 
     Closed-form candidates (``alpha_exprs`` set) are differentiated exactly
-    via jets; reconstructed candidates are differenced over a tracked local
-    grid and raise :class:`GridTrackingFailed` when the root branch cannot
-    be continued.  At flat points the invariant-based algebraic residuals
+    via jets.  Reconstructed candidates are differentiated exactly too, by
+    lifting their F, a root of the lowest-degree constraint, to a jet; they
+    raise :class:`MultipleRoot` where that root is not simple.  At flat
+    points the invariant-based algebraic residuals of closed-form candidates
     are reported as zero (not applicable).
     """
     settings = settings or DEFAULT_SETTINGS
@@ -461,7 +441,14 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
         return _verify_closed_form(structure, candidate, point, mode, settings)
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
-    return _verify_tracked(structure, point, float(candidate.F.real), settings)
+    field = InvariantField(
+        Frame(structure, point, settings.jet_order, settings.orientation),
+        settings.tol_flat,
+    )
+    inv = field.point_invariants()
+    jinv = field.invariant_jets()
+    coeffs = _COEFFS[_base_index(_constraint_polys(inv))](jinv)
+    return _verify_lifted(field.frame, inv, jinv, coeffs, float(candidate.F.real), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +496,7 @@ def classify_point(structure, point, settings=None):
                 )
 
     p0 = assemble_P0(inv)
-    polys = (assemble_P1(inv), assemble_P2(inv), assemble_P3(inv))
+    polys = _constraint_polys(inv)
     if any(p.degree < 1 for p in polys):
         return Verdict(
             tag=VerdictTag.INCONCLUSIVE,
@@ -538,22 +525,17 @@ def classify_point(structure, point, settings=None):
 
     witnesses = common_real_roots(*polys, exclude=p0, tol_root=settings.tol_root)
     if len(witnesses):
-        verified, reports = [], []
-        base_index = min(range(3), key=lambda i: polys[i].degree)
-        grid = None
+        jinv = field.invariant_jets()
+        coeffs = _COEFFS[_base_index(polys)](jinv)
+        verified, reports, multiple = [], [], []
         for f0 in witnesses.roots:
             try:
                 cand = alpha_from_F(inv, float(f0))
+                rep = _verify_lifted(field.frame, inv, jinv, coeffs, float(f0), settings)
             except P0Vanishes:
                 continue
-            try:
-                if grid is None:
-                    grid = _TrackingGrid(structure, pt, settings, base_index)
-                rep = _verify_tracked(
-                    structure, pt, float(f0), settings, center_field=field, grid=grid
-                )
-            except GridTrackingFailed as err:
-                reports.append(str(err))
+            except MultipleRoot:
+                multiple.append(f"{f0:.6g}")
                 continue
             reports.append(rep)
             if rep.passed:
@@ -569,14 +551,17 @@ def classify_point(structure, point, settings=None):
                 m_norm=m_norm,
                 note="verified real common root(s)",
             )
+        note = "real common roots exist but none verified"
+        if multiple:
+            note += "; multiple root F = " + ", ".join(multiple) + " has no jet lift"
         return Verdict(
-            tag=VerdictTag.VANISHING,
+            tag=VerdictTag.INCONCLUSIVE,
             point=pt,
             resultants=resultants,
             f_candidates=list(witnesses.roots),
-            residuals=[r for r in reports if isinstance(r, ResidualReport)],
+            residuals=reports,
             m_norm=m_norm,
-            note="real common roots exist but none verified",
+            note=note,
         )
 
     complex_witnesses = common_complex_roots(*polys, exclude=p0, tol_root=settings.tol_root)

@@ -308,7 +308,11 @@ def _apply_overrides(cfg, mode, orientation, jet_order, points_opt):
         cfg.settings.orientation = int(orientation.replace("+", ""))
     if jet_order:
         cfg.settings.jet_order = jet_order
-        cfg.settings.__post_init__()
+        try:
+            cfg.settings.__post_init__()
+        except ValueError as err:
+            click.echo(f"config error: {err}", err=True)
+            sys.exit(EXIT_CONFIG)
     if points_opt:
         try:
             cfg.points = _parse_points(points_opt)

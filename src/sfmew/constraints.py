@@ -11,13 +11,20 @@ grouped form that clears the rational factor exactly::
 with A = rho ell + tau phi, B = 5/2 rho^2, C = tau + 3 mu rho, and Q the
 remaining degree-8 part.  Coefficients enter raw; normalization for root and
 resultant work happens in :mod:`sfmew.polyalg`.
+
+The ``coeffs_P*`` functions compute the coefficient lists, lowest degree
+first, from invariants given as floats or as jets; the jet form lets the
+analyzer lift a root of a constraint to a jet around the point.
 """
 
 from numpy.polynomial import polynomial as npoly
 
 from .polyalg import Poly
 
-__all__ = ["assemble_P0", "assemble_P1", "assemble_P2", "assemble_P3", "DivisionByRho"]
+__all__ = [
+    "assemble_P0", "assemble_P1", "assemble_P2", "assemble_P3",
+    "coeffs_P1", "coeffs_P2", "coeffs_P3", "DivisionByRho",
+]
 
 
 class DivisionByRho(Exception):
@@ -31,6 +38,11 @@ def assemble_P0(inv):
 
 def assemble_P1(inv):
     """First constraint polynomial (degree 8; meaningful for rho > 0)."""
+    return Poly(coeffs_P1(inv))
+
+
+def coeffs_P1(inv):
+    """Coefficients of P1, lowest degree first (floats or jets)."""
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     t3m = tau + 3.0 * mu * rho
     rlpt = rho * ell + phi * tau
@@ -63,7 +75,7 @@ def assemble_P1(inv):
         - 0.5 * phi**2 * sigma**2
         - sigma * (inv.dL_UU + sigma * inv.P_UU)
     )
-    return Poly([c0, c1, c2, c3, c4, 0.0, c6, 0.0, c8])
+    return [c0, c1, c2, c3, c4, 0.0, c6, 0.0, c8]
 
 
 def _q_part(inv):
@@ -105,17 +117,26 @@ def _q_part(inv):
 
 def assemble_P2(inv):
     """Second constraint polynomial with denominators cleared (degree 10)."""
+    return Poly(coeffs_P2(inv))
+
+
+def coeffs_P2(inv):
+    """Coefficients of P2, lowest degree first (floats or jets)."""
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     abc = [rho * ell + tau * phi, 2.5 * rho**2, tau + 3.0 * mu * rho]
     head = npoly.polymul([sigma, 0.0, -15.0 * rho], npoly.polymul(abc, abc))
-    p0 = assemble_P0(inv)
-    tail = npoly.polymul(p0.coeffs, _q_part(inv)) if not p0.is_zero else [0.0]
-    return Poly(npoly.polyadd(head, tail))
+    tail = npoly.polymul([sigma, 0.0, -3.0 * rho], _q_part(inv))
+    return npoly.polyadd(head, tail)
 
 
 def assemble_P3(inv):
     """Third constraint polynomial (degree 6; two coefficients divide by rho)."""
-    if not inv.rho > 1e-300:
+    return Poly(coeffs_P3(inv))
+
+
+def coeffs_P3(inv):
+    """Coefficients of P3, lowest degree first (floats or jets)."""
+    if not getattr(inv.rho, "value", inv.rho) > 1e-300:
         raise DivisionByRho(f"rho = {inv.rho!r} at {inv.point}")
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     rlpt = rho * ell + tau * phi
@@ -138,4 +159,4 @@ def assemble_P3(inv):
         - inv.dsigma_U * (ell + phi * tau / rho)
         - inv.curl_L * sigma
     )
-    return Poly([c0, c1, c2, c3, c4, c5, c6])
+    return [c0, c1, c2, c3, c4, c5, c6]

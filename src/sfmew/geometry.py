@@ -225,9 +225,6 @@ class Frame:
     def raise_index(self, form):
         return [self.e2u_inv * form[0], self.e2u_inv * form[1]]
 
-    def lower_index(self, vec_up):
-        return [self.e2u * vec_up[0], self.e2u * vec_up[1]]
-
     def dot(self, a_form, b_form):
         return self.e2u_inv * (a_form[0] * b_form[0] + a_form[1] * b_form[1])
 
@@ -235,11 +232,6 @@ class Frame:
         """eps_ab V^b for a covariant V: the 90-degree rotated 1-form."""
         o = float(self.orientation)
         return [o * form[1], -o * form[0]]
-
-    def rot_vector(self, form):
-        """eps^{ab} V_b, a contravariant vector."""
-        o = float(self.orientation)
-        return [o * (self.e2u_inv * form[1]), -o * (self.e2u_inv * form[0])]
 
     def metric(self):
         zero = Jet.constant(self.space, 0.0, self.point)

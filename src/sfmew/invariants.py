@@ -41,6 +41,7 @@ __all__ = [
     "cotton_york",
     "compute_invariants",
     "compute_M",
+    "forced_f",
     "DEFAULT_TOL_FLAT",
 ]
 
@@ -84,7 +85,8 @@ class PointInvariants:
 
     Vectors are covariant components unless the name says otherwise
     (``U_up``/``Y_up``).  ``m``, ``psi``, ``k`` are NaN when sigma is
-    numerically zero.
+    numerically zero.  :meth:`InvariantField.invariant_jets` fills the same
+    fields with jets.
     """
 
     point: tuple = (0.0, 0.0)
@@ -135,6 +137,32 @@ class MTensorReport:
     F: float  # forced curvature scalar of the branch
     norm: float
     scale: float
+
+
+def forced_f(rho, mu, phi, sigma, tau, ell):
+    """F forced by the degenerate branch (finite-type rearrangement).
+
+    F = -(2/5)(rho ell + mu sigma + tau sigma/(3 rho) + tau phi) / rho^2
+    """
+    numer = rho * ell + mu * sigma + tau * sigma / (3.0 * rho) + tau * phi
+    return -0.4 * numer / rho**2
+
+
+# Invariant-chain attributes of InvariantField copied into PointInvariants.
+_SCALARS = ("rho", "mu", "phi", "sigma", "tau", "ell")
+_VECTORS = ("Y", "U", "Y_up", "U_up", "W", "L", "grad_rho")
+
+
+def _values(comps):
+    """Array of the values of a list of jets (nested for a 2-tensor)."""
+    if isinstance(comps[0], list):
+        return np.array([[j.value for j in row] for row in comps])
+    return np.array([j.value for j in comps])
+
+
+def _jets(comps):
+    """Object array of a list of jets (nested for a 2-tensor)."""
+    return np.array(comps, dtype=object)
 
 
 class InvariantField:
@@ -266,35 +294,39 @@ class InvariantField:
             ]
         return self._alpha_branch
 
-    def forced_f(self):
-        """F forced by the degenerate branch (finite-type rearrangement)."""
-        rho, tau = self.rho.value, self.tau.value
-        numer = (
-            rho * self.ell.value
-            + self.mu.value * self.sigma.value
-            + tau * self.sigma.value / (3.0 * rho)
-            + tau * self.phi.value
-        )
-        return -0.4 * numer / rho**2
-
     # -- extraction -----------------------------------------------------------
+
+    def _contractions(self, arr):
+        """Directional derivatives and Rho contractions in the constraint coefficients.
+
+        ``arr`` maps a list of jets (nested for a 2-tensor) to an array: of
+        their values for :meth:`point_invariants`, of the jets themselves for
+        :meth:`invariant_jets`.
+        """
+        f = self.frame
+        U_up, Y_up, p = arr(self.U_up), arr(self.Y_up), arr(f.p)
+        dsig, hess, dY, dU, dL = (
+            arr(t) for t in (self.grad_sigma, self.hess_rho, self.dY, self.dU, self.dL)
+        )
+        curl_scale = float(f.orientation) * arr([f.e2u_inv])[0]
+        return {
+            "dsigma_U": U_up @ dsig,
+            "dsigma_Y": Y_up @ dsig,
+            "hess_rho_UU": U_up @ hess @ U_up,
+            "hess_rho_YY": Y_up @ hess @ Y_up,
+            "dY_UU": U_up @ dY @ U_up,  # U^a U^b nabla_b Y_a  (dY[b][a])
+            "dU_YY": Y_up @ dU @ Y_up,
+            "dL_UU": U_up @ dL @ U_up,
+            "dL_YY": Y_up @ dL @ Y_up,
+            "curl_L": curl_scale * (dL[1][0] - dL[0][1]),
+            "P_UU": U_up @ p @ U_up,
+            "P_YY": Y_up @ p @ Y_up,
+            "P_UY": U_up @ p @ Y_up,
+        }
 
     def point_invariants(self):
         self.require_not_flat()
         f = self.frame
-        val = lambda j: j.value
-        Y = np.array([val(j) for j in self.Y])
-        U = np.array([val(j) for j in self.U])
-        Y_up = np.array([val(j) for j in self.Y_up])
-        U_up = np.array([val(j) for j in self.U_up])
-        dsig = np.array([val(j) for j in self.grad_sigma])
-        hess = np.array([[val(self.hess_rho[a][b]) for b in range(2)] for a in range(2)])
-        dY = np.array([[val(self.dY[a][b]) for b in range(2)] for a in range(2)])
-        dU = np.array([[val(self.dU[a][b]) for b in range(2)] for a in range(2)])
-        dL = np.array([[val(self.dL[a][b]) for b in range(2)] for a in range(2)])
-        p = np.array([[val(f.p[a][b]) for b in range(2)] for a in range(2)])
-        o = float(f.orientation)
-        e2u_inv = f.e2u_inv.value
 
         if self.sigma_is_zero():
             m = psi = k = math.nan
@@ -307,34 +339,31 @@ class InvariantField:
             point=f.point,
             orientation=f.orientation,
             e2u=f.e2u.value,
-            rho=val(self.rho),
-            mu=val(self.mu),
-            phi=val(self.phi),
-            sigma=val(self.sigma),
-            tau=val(self.tau),
-            ell=val(self.ell),
-            Y=Y,
-            U=U,
-            Y_up=Y_up,
-            U_up=U_up,
-            W=np.array([val(j) for j in self.W]),
-            L=np.array([val(j) for j in self.L]),
-            grad_rho=np.array([val(j) for j in self.grad_rho]),
-            dsigma_U=float(U_up @ dsig),
-            dsigma_Y=float(Y_up @ dsig),
-            hess_rho_UU=float(U_up @ hess @ U_up),
-            hess_rho_YY=float(Y_up @ hess @ Y_up),
-            dY_UU=float(U_up @ dY @ U_up),  # U^a U^b nabla_b Y_a  (dY[b][a])
-            dU_YY=float(Y_up @ dU @ Y_up),
-            dL_UU=float(U_up @ dL @ U_up),
-            dL_YY=float(Y_up @ dL @ Y_up),
-            curl_L=float(o * e2u_inv * (dL[1][0] - dL[0][1])),
-            P_UU=float(U_up @ p @ U_up),
-            P_YY=float(Y_up @ p @ Y_up),
-            P_UY=float(U_up @ p @ Y_up),
+            **{name: getattr(self, name).value for name in _SCALARS},
+            **{name: _values(getattr(self, name)) for name in _VECTORS},
+            **{name: float(v) for name, v in self._contractions(_values).items()},
             m=m,
             psi=psi,
             k=k,
+            sigma_scale=self.sigma_scale,
+        )
+
+    def invariant_jets(self):
+        """The invariants as jets, in a :class:`PointInvariants`.
+
+        Holds what the constraint coefficients and the reconstruction
+        formula read, so that both can be differentiated; vectors are
+        object arrays of jets.  ``m``, ``psi`` and ``k`` are left NaN.
+        """
+        self.require_not_flat()
+        f = self.frame
+        return PointInvariants(
+            point=f.point,
+            orientation=f.orientation,
+            e2u=f.e2u.value,
+            **{name: getattr(self, name) for name in _SCALARS},
+            **{name: _jets(getattr(self, name)) for name in _VECTORS},
+            **self._contractions(_jets),
             sigma_scale=self.sigma_scale,
         )
 
@@ -358,7 +387,9 @@ class InvariantField:
         return MTensorReport(
             M=m_comp,
             alpha=np.array([alpha[0].value, alpha[1].value]),
-            F=self.forced_f(),
+            F=forced_f(
+                *(q.value for q in (self.rho, self.mu, self.phi, self.sigma, self.tau, self.ell))
+            ),
             norm=float(np.max(np.abs(m_comp))),
             scale=scale,
         )

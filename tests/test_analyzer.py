@@ -5,12 +5,13 @@ import pytest
 
 from sfmew import MoebiusStructure
 from sfmew.analyzer import (
-    GridTrackingFailed,
+    MultipleRoot,
     P0Vanishes,
     RegionSpec,
     Settings,
     SolutionCandidate,
     VerdictTag,
+    _lift_root,
     alpha_from_F,
     classify_point,
     f_from_P0_branch,
@@ -20,6 +21,7 @@ from sfmew.analyzer import (
 )
 from sfmew.expr import parse
 from sfmew.invariants import PointInvariants, compute_invariants
+from sfmew.jets import Jet, jet_space
 
 
 def make_candidate(*sources, mode="real"):
@@ -107,6 +109,33 @@ def test_classify_quadratic_admits(quadratic_structure):
     p0 = assemble_P0(inv)
     for f in verdict.f_candidates:
         assert abs(p0(f)) > 1e-3 * p0.norm
+
+
+def test_classify_quadratic_admits_near_flat_origin(quadratic_structure):
+    # the point lies 1e-3 from the flat origin; the root lift needs no neighbours
+    for pt in [(1e-3, 0.0), (0.0, 1e-3)]:
+        verdict = classify_point(quadratic_structure, pt)
+        assert verdict.tag == VerdictTag.ADMITS, verdict.note
+        assert sorted(verdict.f_candidates) == pytest.approx([-2.0, 2.0], abs=1e-9)
+
+
+def test_classify_rescaled_quadratic_admits_off_axis_near_flat(quadratic_structure):
+    # F = +/-2 e^{-2 omega} at an off-axis point 3e-3 from the flat origin
+    rescaled = quadratic_structure.rescaled("0.02*(x*x + y*y)")
+    pt = (0.0021, 0.0021)
+    verdict = classify_point(rescaled, pt)
+    assert verdict.tag == VerdictTag.ADMITS, verdict.note
+    f = 2.0 * math.exp(-2.0 * 0.02 * (pt[0] ** 2 + pt[1] ** 2))
+    assert sorted(verdict.f_candidates) == pytest.approx([-f, f], rel=1e-9)
+
+
+def test_classify_unverified_real_roots_inconclusive(spiral_structure):
+    # spurious real common roots near the flat origin fail the full equation;
+    # that shows no solution, but does not show that none exists
+    verdict = classify_point(spiral_structure, (0.05, 0.0))
+    assert verdict.tag == VerdictTag.INCONCLUSIVE
+    assert verdict.note == "real common roots exist but none verified"
+    assert verdict.residuals and not any(r.passed for r in verdict.residuals)
 
 
 def test_classify_opposite_vanishing_with_deflated_resultants(opposite_structure):
@@ -226,17 +255,53 @@ def test_verify_reconstructed_tracked(quadratic_structure):
     inv = compute_invariants(quadratic_structure, (0.9, -0.7))
     cand = alpha_from_F(inv, -2.0)
     rep = verify_candidate(quadratic_structure, cand, (0.9, -0.7))
-    assert rep.method == "tracked-grid"
+    assert rep.method == "jet-lift"
     assert rep.passed
     assert rep.f_gradient_mismatch < 1e-5
 
 
-def test_verify_tracked_fails_for_bogus_root(spiral_structure):
-    # no stable branch near an arbitrary F for the obstructed structure
+def test_verify_reconstructed_exact_gradient_of_varying_f(quadratic_structure):
+    # F = +/-2 e^{-2 omega} varies; its lifted jet must satisfy nabla F = -2 alpha F - Y
+    rescaled = quadratic_structure.rescaled("0.3*x + 0.1*y*y")
+    for pt in [(0.7, -0.4), (-1.2, 0.5)]:
+        inv = compute_invariants(rescaled, pt)
+        f = 2.0 * math.exp(-2.0 * (0.3 * pt[0] + 0.1 * pt[1] ** 2))
+        for sign in (-1.0, 1.0):
+            rep = verify_candidate(rescaled, alpha_from_F(inv, sign * f), pt)
+            assert rep.passed
+            assert rep.f_gradient_mismatch <= 1e-12
+
+
+def test_verify_reconstructed_fails_for_bogus_root(spiral_structure, quadratic_structure):
     inv = compute_invariants(spiral_structure, (1.0, 0.0))
-    cand = alpha_from_F(inv, 0.31)
-    with pytest.raises(GridTrackingFailed):
-        verify_candidate(spiral_structure, cand, (1.0, 0.0))
+    rep = verify_candidate(spiral_structure, alpha_from_F(inv, 0.31), (1.0, 0.0))
+    assert not rep.passed
+    # next to a true root the lift reaches it, but the candidate's F was no root
+    inv = compute_invariants(quadratic_structure, (0.9, -0.7))
+    rep = verify_candidate(quadratic_structure, alpha_from_F(inv, -2.01), (0.9, -0.7))
+    assert rep.f == pytest.approx(-2.0, abs=1e-12)
+    assert rep.max_residual < 1e-9
+    assert not rep.passed
+
+
+def test_root_lift_keeps_value_and_rejects_multiple_root():
+    space = jet_space(3)
+    x = Jet.variable(space, 0, 0.0)
+    # t^2 - (1 + x)^2 has the simple root branch t = 1 + x through t = 1
+    one_plus_x = 1.0 + x
+    lifted = _lift_root([-(one_plus_x * one_plus_x), 0.0, 1.0], 1.0, 1e-7)
+    assert lifted.value == 1.0
+    assert lifted.partial(1, 0) == pytest.approx(1.0, abs=1e-15)
+    assert lifted.partial(2, 0) == pytest.approx(0.0, abs=1e-15)
+    # (t - 1)^2 + x has a double root at x = 0
+    with pytest.raises(MultipleRoot):
+        _lift_root([1.0 + x, -2.0, 1.0], 1.0, 1e-7)
+
+
+def test_settings_jet_order_floor():
+    Settings(jet_order=5)
+    with pytest.raises(ValueError, match="jet_order must be >= 5"):
+        Settings(jet_order=4)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,11 @@ def test_analyze_config_and_expression_errors(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--config", cfg2])
     assert result.exit_code == 2
 
+    cfg3 = write(tmp_path, "q.cfg", QUADRATIC + POINTS)
+    result = runner.invoke(main, ["analyze", "--config", cfg3, "--jet-order", "4"])
+    assert result.exit_code == 2
+    assert "jet_order must be >= 5" in result.output
+
 
 def test_verify_quadratic_solution(runner, tmp_path):
     cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS)
