@@ -10,11 +10,12 @@ solutions from shared roots and verifies them against the full equation.
 
 Typical use::
 
-    from sfmew import MoebiusStructure, classify_point, scan_region, RegionSpec
+    from sfmew import MoebiusStructure, RegionSpec, classify_point, classify_points, scan_region
 
     s = MoebiusStructure.from_strings(
         u="0", p11="x*y", p12="(y*y - x*x)/2", p22="-(x*y)")
     verdict = classify_point(s, (1.0, 0.0))
+    verdicts = classify_points(s, [(1.0, 0.0), (0.5, 0.0)])
     report = scan_region(s, RegionSpec(-2, 2, -2, 2, 21, 21))
 
 The ``sfmew`` command line exposes the same pipeline on config files.
@@ -32,6 +33,7 @@ from .analyzer import (
     VerdictTag,
     alpha_from_F,
     classify_point,
+    classify_points,
     f_from_P0_branch,
     scan_region,
     summarize,

@@ -1,6 +1,7 @@
 """Pointwise decision procedure for local solvability, plus verification.
 
-``classify_point`` runs the full pipeline at one point:
+``classify_points`` runs the full pipeline at each of a list of points
+(``classify_point`` is the same on one point):
 
 1. If the Cotton-York form vanishes, the point is flat and the equation
    reduces to the conformally Einstein case (reported, not solved).
@@ -21,15 +22,24 @@
    verifies yield ``Inconclusive``: they show neither a solution nor that
    none exists.
 
-A reconstructed candidate is verified by lifting its root F0 of the
-lowest-degree constraint P_k to a jet, on the invariant jets of the point
-itself: each Newton step F <- F - P_k(F) / P_k'(F) in jet arithmetic
-doubles the number of exact Taylor orders.  The candidate alpha then
-follows as a jet from the reconstruction formula, so nabla alpha and
-nabla F are exact.  A multiple root (P_k'(F0) numerically zero) has no such
-lift and stays unverified.  Closed-form candidates are differentiated
-exactly via jets of their expressions.  Everything here is deterministic
-and side-effect free; grid nodes are independent.
+Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
+:class:`~sfmew.geometry.Frame`; the frames are stacked, and the invariant
+chain, the constraint coefficients and the resultant reports run once on
+the batch, with the flat and degenerate-branch nodes as column selections.
+Each node is then decided in a plain loop over its floats; the witness
+searches run node by node.  Every node goes through the float operations
+it would go through alone, so its verdict does not depend on its batch.
+
+A reconstructed candidate is verified by lifting its root F0 to a jet, on
+the invariant jets of the point itself: each Newton step
+F <- F - P_k(F) / P_k'(F) in jet arithmetic doubles the number of exact
+Taylor orders.  It is lifted with each constraint P_k of which F0 is a
+simple root, and the best lift kept; the roots of a batch are lifted
+together.  The candidate alpha then follows as a jet from the
+reconstruction formula, so nabla alpha and nabla F are exact.  A root that
+is simple in no constraint has no such lift and stays unverified.
+Closed-form candidates are differentiated exactly via jets of their
+expressions.  Everything here is deterministic and side-effect free.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -37,19 +47,19 @@ from enum import Enum
 
 import numpy as np
 
-from .constraints import (
-    assemble_P0,
-    assemble_P1,
-    assemble_P2,
-    assemble_P3,
-    coeffs_P1,
-    coeffs_P2,
-    coeffs_P3,
-)
+from . import jets
+from .constraints import assemble_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
-from .invariants import InvariantField, SigmaZero, forced_f
-from .polyalg import common_complex_roots, common_real_roots, resultant_report
+from .invariants import InvariantField, forced_f
+from .jets import ipow
+from .polyalg import (
+    Poly,
+    column_resultant_reports,
+    common_complex_roots,
+    common_real_roots,
+    trimmed_degrees,
+)
 
 __all__ = [
     "VerdictTag",
@@ -65,8 +75,10 @@ __all__ = [
     "alpha_from_F",
     "f_from_P0_branch",
     "classify_point",
+    "classify_points",
     "verify_candidate",
     "scan_region",
+    "region_report",
 ]
 
 _CLOSED_FORM_ORDER = 4  # jets of closed-form candidates: residuals need nabla alpha, nabla F
@@ -179,14 +191,15 @@ class Verdict:
 
 
 def _alpha_parts(inv, F):
-    """Numerator (per component) and denominator P0(F) of the reconstruction
-    formula, on floats or jets."""
-    numer = (
-        inv.L
-        + 2.5 * inv.rho * F * inv.Y
-        + 0.5 * F * F * inv.grad_rho
-        + 3.0 * F**4 * inv.U
-    )
+    """Numerators (a list over components) and denominator P0(F) of the
+    reconstruction formula, on floats or jets."""
+    numer = [
+        inv.L[a]
+        + 2.5 * inv.rho * F * inv.Y[a]
+        + 0.5 * F * F * inv.grad_rho[a]
+        + 3.0 * F**4 * inv.U[a]
+        for a in range(2)
+    ]
     return numer, inv.sigma - 3.0 * inv.rho * F * F
 
 
@@ -200,7 +213,7 @@ def alpha_from_F(inv, F, tol_p0=1e-9):
     if abs(denom) <= tol_p0 * max(scale, 1e-300):
         raise P0Vanishes(f"P0({F}) = {denom:.3e} numerically zero at {inv.point}")
     return SolutionCandidate(
-        F=float(F), alpha=numer / denom, source="Alpha1Formula", point=inv.point
+        F=float(F), alpha=np.array(numer) / denom, source="Alpha1Formula", point=inv.point
     )
 
 
@@ -267,13 +280,20 @@ def _residuals_at(frame_values, alpha, dalpha, F, inv=None):
 
 
 def _frame_values(frame):
-    return {
-        "e2u": frame.e2u.value,
-        "e2u_inv": frame.e2u_inv.value,
-        "K": frame.curvature.value,
-        "P": [[frame.p[a][b].value for b in range(2)] for a in range(2)],
-        "orientation": float(frame.orientation),
-    }
+    """Point values of the metric factors, curvature and Rho, one dict per node of the frame."""
+    e2u, e2u_inv, K, P = (
+        jets.values(getattr(frame, name)) for name in ("e2u", "e2u_inv", "curvature", "p")
+    )
+    return [
+        {
+            "e2u": e2u[i],
+            "e2u_inv": e2u_inv[i],
+            "K": K[i],
+            "P": [[P[a][b][i] for b in range(2)] for a in range(2)],
+            "orientation": float(frame.orientation),
+        }
+        for i in range(e2u.size)
+    ]
 
 
 def _residual_report(point, mode, method, f, residuals, mismatch, tol_residual, on_root=True):
@@ -352,21 +372,14 @@ def _verify_closed_form(structure, candidate, point, mode, settings):
             target = -2.0 * alpha[axis] * f_value - inv.Y[axis]
             mismatch = max(mismatch, abs(grad_f - target))
 
-    residuals = _residuals_at(_frame_values(frame), alpha, dalpha, f_value, inv)
+    residuals = _residuals_at(_frame_values(frame)[0], alpha, dalpha, f_value, inv)
     f = f_value if mode == "complex" else f_value.real
     return _residual_report(point, mode, "jets", f, residuals, mismatch, settings.tol_residual)
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
-
-
-def _constraint_polys(inv):
-    return assemble_P1(inv), assemble_P2(inv), assemble_P3(inv)
-
-
-def _base_index(polys):
-    """The lowest-degree constraint, whose real roots are the witnesses."""
-    return min(range(3), key=lambda i: polys[i].degree)
+_PAIRS = (("res12", 0, 1), ("res13", 0, 2), ("res23", 1, 2))
+_CHUNK = 24  # nodes per batch: bounds the memory a batch of jets takes (see docs/decisions.md)
 
 
 def _horner(coeffs, t):
@@ -388,12 +401,12 @@ def _lift_root(coeffs, f0, tol_root):
     Newton steps in jet arithmetic; they also polish the value against the
     full coefficients (``Poly`` trims negligible leading ones before root
     finding).  Raises :class:`MultipleRoot` where P'(f0) is numerically zero
-    relative to the size of its terms.
+    relative to the size of its terms.  On node columns ``f0`` holds one
+    root per node.
     """
     p, dp = _horner(coeffs, f0)
-    scale = sum(i * abs(_value(c)) * abs(f0) ** (i - 1) for i, c in enumerate(coeffs) if i)
-    if not abs(_value(dp)) > tol_root * scale:
-        raise MultipleRoot(f"P'({f0}) = {_value(dp):.3e} numerically zero")
+    if not np.all(_is_simple(coeffs, f0, dp, tol_root)):
+        raise MultipleRoot(f"P'({f0}) = {_value(dp)} numerically zero")
     F = f0
     for step in range(_LIFT_STEPS):
         if step:
@@ -402,28 +415,79 @@ def _lift_root(coeffs, f0, tol_root):
     return F
 
 
-def _verify_lifted(frame, inv, jinv, coeffs, f0, settings):
-    """Verify the reconstructed candidate of f0, a simple root of the constraint
-    with coefficient jets ``coeffs``; ``jinv`` holds the invariant jets.
+def _is_simple(coeffs, f0, dp, tol_root):
+    """Whether P'(f0), ``dp``, is not numerically zero next to the size of its terms."""
+    scale = sum(i * abs(_value(c)) * ipow(abs(f0), i - 1) for i, c in enumerate(coeffs) if i)
+    return abs(_value(dp)) > tol_root * scale
 
-    The candidate fails when the lift moves F by more than ``tol_root``
-    (relative): f0 is then no root, whatever root it leads to.
+
+def _lifted_reports(field, cols, roots, invs, settings):
+    """Verify the reconstructed candidates of real roots by lifting them to jets.
+
+    Root ``roots[i]`` belongs to the node ``cols[i]`` of ``field`` (an index
+    into ``field.nodes``), whose invariants are ``invs[i]``; all roots are
+    lifted together, one node column each.  A root is lifted with every
+    constraint of which it is a simple root, and the lift kept that passes,
+    else the one with the smallest residual: near flat points one constraint
+    can have its roots far less accurate than another.  A lift fails when it
+    moves F by more than ``tol_root`` (relative): f0 is then no root,
+    whatever root it leads to.  Returns a :class:`ResidualReport` per root,
+    or None where the root is simple in no constraint.
     """
-    F = _lift_root(coeffs, f0, settings.tol_root)
+    jinv = field.invariant_jets()
+    reports = []
+    for start in range(0, len(roots), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        reports += _lift_batch(field.frame, jinv, cols[part], roots[part], invs[part], settings)
+    return reports
+
+
+def _lift_batch(frame, jinv, cols, roots, invs, settings):
+    f0 = np.array(roots, dtype=float)
+    jinv, frame = jinv.take(cols), frame.take(cols)
+    best = [None] * f0.size
+    for coeffs_of in _COEFFS:
+        coeffs = coeffs_of(jinv)
+        sel = np.flatnonzero(_is_simple(coeffs, f0, _horner(coeffs, f0)[1], settings.tol_root))
+        if not sel.size:
+            continue
+        if sel.size == f0.size:
+            F = _lift_root(coeffs, f0, settings.tol_root)
+            reports = _lift_residuals(frame, jinv, invs, f0, F, settings)
+        else:
+            F = _lift_root(jets.take(coeffs, sel), f0[sel], settings.tol_root)
+            reports = _lift_residuals(
+                frame.take(sel), jinv.take(sel), [invs[i] for i in sel], f0[sel], F, settings
+            )
+        for i, rep in zip(sel, reports):
+            old = best[i]
+            if old is None or (not rep.passed, rep.max_residual) < (
+                not old.passed, old.max_residual
+            ):
+                best[i] = rep
+    return best
+
+
+def _lift_residuals(frame, jinv, invs, f0, F, settings):
+    """Residual reports of the candidates of the lifted roots ``F`` (one per node column)."""
     numer, denom = _alpha_parts(jinv, F)
-    alpha_jets = numer / denom
+    alpha_jets = [n / denom for n in numer]
     alpha = np.array([a.value for a in alpha_jets])
-    dalpha = [[d.value for d in row] for row in frame.cov_deriv(alpha_jets, "d")]
+    dalpha = np.array([[d.value for d in row] for row in frame.cov_deriv(alpha_jets, "d")])
     grad_f = np.array([F.d_dx().value, F.d_dy().value])
-    mismatch = float(np.max(np.abs(grad_f - (-2.0 * alpha * F.value - inv.Y))))
-    residuals = _residuals_at(
-        _frame_values(frame), alpha.astype(complex), dalpha, F.value, inv
-    )
-    on_root = abs(F.value - f0) <= settings.tol_root * max(1.0, abs(f0))
-    return _residual_report(
-        frame.point, "real", "jet-lift", float(F.value), residuals, mismatch,
-        settings.tol_residual, on_root,
-    )
+    Y = np.array([inv.Y for inv in invs]).T
+    mismatch = np.max(np.abs(grad_f - (-2.0 * alpha * F.value - Y)), axis=0)
+    reports = []
+    for i, (inv, fv) in enumerate(zip(invs, _frame_values(frame))):
+        residuals = _residuals_at(
+            fv, alpha[:, i].astype(complex), dalpha[:, :, i].tolist(), F.value[i], inv
+        )
+        on_root = abs(F.value[i] - f0[i]) <= settings.tol_root * max(1.0, abs(f0[i]))
+        reports.append(_residual_report(
+            frame.points[i], "real", "jet-lift", float(F.value[i]), residuals,
+            float(mismatch[i]), settings.tol_residual, on_root,
+        ))
+    return reports
 
 
 def verify_candidate(structure, candidate, point, mode="real", settings=None):
@@ -431,10 +495,11 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
 
     Closed-form candidates (``alpha_exprs`` set) are differentiated exactly
     via jets.  Reconstructed candidates are differentiated exactly too, by
-    lifting their F, a root of the lowest-degree constraint, to a jet; they
-    raise :class:`MultipleRoot` where that root is not simple.  At flat
-    points the invariant-based algebraic residuals of closed-form candidates
-    are reported as zero (not applicable).
+    lifting their F, a root of the constraints, to a jet, with each
+    constraint of which it is a simple root (the best lift is reported);
+    they raise :class:`MultipleRoot` where it is a simple root of none.  At
+    flat points the invariant-based algebraic residuals of closed-form
+    candidates are reported as zero (not applicable).
     """
     settings = settings or DEFAULT_SETTINGS
     if candidate.alpha_exprs is not None:
@@ -445,10 +510,11 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
         Frame(structure, point, settings.jet_order, settings.orientation),
         settings.tol_flat,
     )
-    inv = field.point_invariants()
-    jinv = field.invariant_jets()
-    coeffs = _COEFFS[_base_index(_constraint_polys(inv))](jinv)
-    return _verify_lifted(field.frame, inv, jinv, coeffs, float(candidate.F.real), settings)
+    f0 = float(candidate.F.real)
+    rep = _lifted_reports(field, [0], [f0], [field.point_invariants()], settings)[0]
+    if rep is None:
+        raise MultipleRoot(f"F = {f0} is a multiple root of every constraint")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -457,63 +523,120 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
 
 def classify_point(structure, point, settings=None):
     """Run the full decision procedure at one point (deterministic)."""
+    return classify_points(structure, [point], settings)[0]
+
+
+def classify_points(structure, points, settings=None):
+    """Run the decision procedure at every point; a list of verdicts in order.
+
+    Points go through the invariant chain, the constraint assembly and the
+    resultant reports in batches of ``_CHUNK`` nodes; each node's verdict is
+    bit-identical to the one it gets alone.
+    """
     settings = settings or DEFAULT_SETTINGS
-    field = InvariantField(
-        Frame(structure, point, settings.jet_order, settings.orientation),
-        settings.tol_flat,
-    )
-    pt = tuple(map(float, point))
-    if field.flat:
-        return Verdict(
+    points = [tuple(map(float, p)) for p in points]
+    verdicts = []
+    for start in range(0, len(points), _CHUNK):
+        verdicts += _classify_chunk(structure, points[start : start + _CHUNK], settings)
+    return verdicts
+
+
+def _classify_chunk(structure, points, settings):
+    frames = [Frame(structure, p, settings.jet_order, settings.orientation) for p in points]
+    field = InvariantField(Frame.stack(frames), settings.tol_flat)
+    del frames  # the stack holds copies of their jets
+    verdicts = [
+        Verdict(
             tag=VerdictTag.FLAT,
             point=pt,
             note="Cotton-York form vanishes; reduces to the conformally Einstein equation",
         )
+        if flat else None
+        for pt, flat in zip(points, field.flat)
+    ]
+    if not field.nodes.size:
+        return verdicts
 
-    inv = field.point_invariants()
-
-    m_norm = None
-    if not field.sigma_is_zero(settings.tol_sigma) and inv.sigma > 0.0:
-        try:
-            mrep = field.m_tensor()
-        except SigmaZero:
-            mrep = None
+    values = field.invariant_values()
+    invs = values.split()
+    # degenerate branch: sigma > 0, decided by the tensor M where it vanishes
+    branch = (values.sigma > 0.0) & ~field.sigma_is_zero(settings.tol_sigma)
+    mreps = field.m_tensor() if branch.any() else [None] * len(invs)
+    m_norms, rest = [None] * len(invs), []
+    for c, node in enumerate(field.nodes):
+        mrep = mreps[c] if branch[c] else None
         if mrep is not None:
-            m_norm = mrep.norm
+            m_norms[c] = mrep.norm
             if mrep.norm < settings.tol_m * mrep.scale:
-                f0, consistent = f_from_P0_branch(inv)
-                cand = SolutionCandidate(
-                    F=f0, alpha=mrep.alpha, source="MZeroFormula", point=pt
-                )
-                return Verdict(
-                    tag=VerdictTag.MZERO_ADMITS,
-                    point=pt,
-                    candidates=[cand],
-                    f_candidates=[f0],
-                    m_norm=mrep.norm,
-                    note="degenerate-branch tensor vanishes"
-                    + ("" if consistent else " (forced F consistency flag false)"),
-                )
+                verdicts[node] = _mzero_verdict(invs[c], mrep, points[node])
+                continue
+        rest.append(c)
+    if not rest:
+        return verdicts
 
-    p0 = assemble_P0(inv)
-    polys = _constraint_polys(inv)
-    if any(p.degree < 1 for p in polys):
-        return Verdict(
-            tag=VerdictTag.INCONCLUSIVE,
-            point=pt,
-            m_norm=m_norm,
-            note="degenerate constraint polynomial",
-        )
+    coeffs = [_coefficient_columns(fn(values.take(rest)), len(rest)) for fn in _COEFFS]
+    degrees = [trimmed_degrees(c)[0] for c in coeffs]
+    ok = np.flatnonzero((degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1))
+    reports = {  # pair -> {row in rest: report}, for the rows with no degenerate constraint
+        name: dict(zip(ok.tolist(), column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok])))
+        for name, i, j in _PAIRS
+    }
 
-    pairs = (("res12", 0, 1), ("res13", 0, 2), ("res23", 1, 2))
-    resultants = []
-    for name, i, j in pairs:
-        rep = resultant_report(polys[i], polys[j])
-        resultants.append(
-            ResultantTriple(pair=name, normalized=rep.normalized, value=rep.value, gap=rep.gap)
+    pending = []  # nodes with real common roots: (column, resultants, witnesses)
+    for r, c in enumerate(rest):
+        node, pt, m_norm = field.nodes[c], points[field.nodes[c]], m_norms[c]
+        if r not in reports["res12"]:  # a constraint of degree < 1
+            verdicts[node] = Verdict(
+                tag=VerdictTag.INCONCLUSIVE,
+                point=pt,
+                m_norm=m_norm,
+                note="degenerate constraint polynomial",
+            )
+            continue
+        resultants = []
+        for name, _, _ in _PAIRS:
+            rep = reports[name][r]
+            resultants.append(
+                ResultantTriple(pair=name, normalized=rep.normalized, value=rep.value, gap=rep.gap)
+            )
+        verdict = _resultant_verdict(
+            invs[c], [cs[:, r] for cs in coeffs], resultants, pt, m_norm, settings
         )
+        if isinstance(verdict, Verdict):
+            verdicts[node] = verdict
+        else:
+            pending.append((c, resultants, verdict))
+    for c, verdict in _verify_witnesses(field, invs, pending, m_norms, points, settings):
+        verdicts[field.nodes[c]] = verdict
+    return verdicts
+
+
+def _coefficient_columns(coeffs, n):
+    """Coefficient list of node arrays (or floats for all nodes) as an array (len, n)."""
+    return np.array([np.broadcast_to(c, (n,)) for c in coeffs])
+
+
+def _mzero_verdict(inv, mrep, pt):
+    f0, consistent = f_from_P0_branch(inv)
+    cand = SolutionCandidate(F=f0, alpha=mrep.alpha, source="MZeroFormula", point=pt)
+    return Verdict(
+        tag=VerdictTag.MZERO_ADMITS,
+        point=pt,
+        candidates=[cand],
+        f_candidates=[f0],
+        m_norm=mrep.norm,
+        note="degenerate-branch tensor vanishes"
+        + ("" if consistent else " (forced F consistency flag false)"),
+    )
+
+
+def _resultant_verdict(inv, coeffs, resultants, pt, m_norm, settings):
+    """The verdict the resultants and the witness searches give, or the real
+    common roots (a :class:`~sfmew.polyalg.RootSet`) that need verifying.
+
+    ``coeffs`` holds the coefficients of P1..P3 at the node.
+    """
     gaps = [r.gap for r in resultants]
-
     if max(gaps) > settings.tol_res_high:
         return Verdict(
             tag=VerdictTag.OBSTRUCTED,
@@ -523,46 +646,10 @@ def classify_point(structure, point, settings=None):
             note="at least one resultant certified nonzero",
         )
 
+    p0, polys = assemble_P0(inv), [Poly(c) for c in coeffs]
     witnesses = common_real_roots(*polys, exclude=p0, tol_root=settings.tol_root)
     if len(witnesses):
-        jinv = field.invariant_jets()
-        coeffs = _COEFFS[_base_index(polys)](jinv)
-        verified, reports, multiple = [], [], []
-        for f0 in witnesses.roots:
-            try:
-                cand = alpha_from_F(inv, float(f0))
-                rep = _verify_lifted(field.frame, inv, jinv, coeffs, float(f0), settings)
-            except P0Vanishes:
-                continue
-            except MultipleRoot:
-                multiple.append(f"{f0:.6g}")
-                continue
-            reports.append(rep)
-            if rep.passed:
-                verified.append((cand, rep))
-        if verified:
-            return Verdict(
-                tag=VerdictTag.ADMITS,
-                point=pt,
-                resultants=resultants,
-                f_candidates=[c.F for c, _ in verified],
-                candidates=[c for c, _ in verified],
-                residuals=[r for _, r in verified],
-                m_norm=m_norm,
-                note="verified real common root(s)",
-            )
-        note = "real common roots exist but none verified"
-        if multiple:
-            note += "; multiple root F = " + ", ".join(multiple) + " has no jet lift"
-        return Verdict(
-            tag=VerdictTag.INCONCLUSIVE,
-            point=pt,
-            resultants=resultants,
-            f_candidates=list(witnesses.roots),
-            residuals=reports,
-            m_norm=m_norm,
-            note=note,
-        )
+        return witnesses
 
     complex_witnesses = common_complex_roots(*polys, exclude=p0, tol_root=settings.tol_root)
     if complex_witnesses:
@@ -590,6 +677,51 @@ def classify_point(structure, point, settings=None):
         m_norm=m_norm,
         note="no common root; resultants bounded away from numerical zero",
     )
+
+
+def _verify_witnesses(field, invs, pending, m_norms, points, settings):
+    """Verdicts of the nodes with real common roots: every root's candidate,
+    at every such node, verified in one batch of lifts.  Yields (column, verdict)."""
+    roots = []  # (pending index, root, candidate)
+    for k, (c, _, witnesses) in enumerate(pending):
+        for f0 in witnesses.roots:
+            try:
+                roots.append((k, float(f0), alpha_from_F(invs[c], float(f0))))
+            except P0Vanishes:
+                continue
+    reports = _lifted_reports(
+        field, [pending[k][0] for k, _, _ in roots], [f for _, f, _ in roots],
+        [invs[pending[k][0]] for k, _, _ in roots], settings,
+    ) if roots else []
+    for k, (c, resultants, witnesses) in enumerate(pending):
+        pt, m_norm = points[field.nodes[c]], m_norms[c]
+        mine = [(cand, rep, f0) for (j, f0, cand), rep in zip(roots, reports) if j == k]
+        verified = [(cand, rep) for cand, rep, _ in mine if rep is not None and rep.passed]
+        if verified:
+            yield c, Verdict(
+                tag=VerdictTag.ADMITS,
+                point=pt,
+                resultants=resultants,
+                f_candidates=[cand.F for cand, _ in verified],
+                candidates=[cand for cand, _ in verified],
+                residuals=[rep for _, rep in verified],
+                m_norm=m_norm,
+                note="verified real common root(s)",
+            )
+            continue
+        note = "real common roots exist but none verified"
+        multiple = [f"{f0:.6g}" for _, rep, f0 in mine if rep is None]
+        if multiple:
+            note += "; multiple root F = " + ", ".join(multiple) + " has no jet lift"
+        yield c, Verdict(
+            tag=VerdictTag.INCONCLUSIVE,
+            point=pt,
+            resultants=resultants,
+            f_candidates=list(witnesses.roots),
+            residuals=[rep for _, rep, _ in mine if rep is not None],
+            m_norm=m_norm,
+            note=note,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +801,14 @@ def summarize(verdicts):
 
 def scan_region(structure, region, settings=None):
     """Classify every grid node; nodes are independent (read-only state)."""
-    settings = settings or DEFAULT_SETTINGS
+    return region_report(region, classify_points(structure, list(region.nodes()), settings))
+
+
+def region_report(region, verdicts):
+    """Histogram, summary and flags of the verdicts of a region's nodes, in node order."""
     if region.nx < 2 or region.ny < 2:
         raise ValueError("region scan needs at least a 2x2 grid")
-    nodes = [
-        NodeVerdict(x, y, classify_point(structure, (x, y), settings))
-        for (x, y) in region.nodes()
-    ]
+    nodes = [NodeVerdict(x, y, v) for (x, y), v in zip(region.nodes(), verdicts)]
     histogram = {}
     for n in nodes:
         histogram[n.verdict.tag.value] = histogram.get(n.verdict.tag.value, 0) + 1

@@ -54,8 +54,8 @@ from .analyzer import (
     RegionSpec,
     Settings,
     SolutionCandidate,
-    classify_point,
-    scan_region,
+    classify_points,
+    region_report,
     summarize,
     verify_candidate,
 )
@@ -322,6 +322,15 @@ def _apply_overrides(cfg, mode, orientation, jet_order, points_opt):
     return cfg
 
 
+def _points_or_exit(cfg, command):
+    """The configured points, else the region's nodes; exit 2 when there are neither."""
+    points = cfg.points or (list(cfg.region.nodes()) if cfg.region else [])
+    if not points:
+        click.echo(f"config error: {command} needs [points] or [region]", err=True)
+        sys.exit(EXIT_CONFIG)
+    return points
+
+
 @click.group()
 @click.version_option(version=_VERSION, prog_name="sfmew")
 def main():
@@ -345,10 +354,11 @@ def analyze(config_path, out_dir, mode, orientation, jet_order, points_opt):
         "metadata": _metadata(cfg),
         "structure": dict(cfg.structure_exprs),
     }
-    all_verdicts = []
+    grid = list(cfg.region.nodes()) if cfg.region is not None else []
+    all_verdicts = classify_points(structure, grid + cfg.points, cfg.settings)
 
     if cfg.region is not None:
-        region_report = scan_region(structure, cfg.region, cfg.settings)
+        grid_report = region_report(cfg.region, all_verdicts[: len(grid)])
         report["region"] = {
             "xmin": cfg.region.xmin,
             "xmax": cfg.region.xmax,
@@ -357,19 +367,15 @@ def analyze(config_path, out_dir, mode, orientation, jet_order, points_opt):
             "nx": cfg.region.nx,
             "ny": cfg.region.ny,
         }
-        report["grid"] = [_verdict_record(n.x, n.y, n.verdict) for n in region_report.nodes]
-        report["histogram"] = region_report.histogram
-        report["flags"] = region_report.flags
-        all_verdicts.extend(n.verdict for n in region_report.nodes)
-        (out / "grid.csv").write_text(_csv_rows(region_report.nodes))
+        report["grid"] = [_verdict_record(n.x, n.y, n.verdict) for n in grid_report.nodes]
+        report["histogram"] = grid_report.histogram
+        report["flags"] = grid_report.flags
+        (out / "grid.csv").write_text(_csv_rows(grid_report.nodes))
 
     if cfg.points:
-        point_records = []
-        for (x, y) in cfg.points:
-            v = classify_point(structure, (x, y), cfg.settings)
-            point_records.append(_verdict_record(x, y, v))
-            all_verdicts.append(v)
-        report["points"] = point_records
+        report["points"] = [
+            _verdict_record(x, y, v) for (x, y), v in zip(cfg.points, all_verdicts[len(grid) :])
+        ]
 
     report["summary"] = summarize(all_verdicts)
     (out / "report.json").write_text(_dump_json(report))
@@ -401,10 +407,7 @@ def verify(config_path, out_dir, mode, orientation, jet_order, points_opt, alpha
         sys.exit(EXIT_CONFIG)
     exprs = tuple(_parse_expr_or_exit(e) for e in alpha_exprs)
 
-    points = cfg.points or (list(cfg.region.nodes()) if cfg.region else [])
-    if not points:
-        click.echo("config error: verify needs [points] or [region]", err=True)
-        sys.exit(EXIT_CONFIG)
+    points = _points_or_exit(cfg, "verify")
 
     candidate = SolutionCandidate(
         F=0.0, alpha=np.zeros(2, dtype=complex), source="UserSupplied", alpha_exprs=exprs
@@ -451,10 +454,7 @@ def invariants(config_path, out_dir, mode, orientation, jet_order, points_opt):
     """Dump point invariants as JSON at the configured points."""
     cfg, structure = _load_or_exit(config_path)
     cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
-    points = cfg.points or (list(cfg.region.nodes()) if cfg.region else [])
-    if not points:
-        click.echo("config error: invariants needs [points] or [region]", err=True)
-        sys.exit(EXIT_CONFIG)
+    points = _points_or_exit(cfg, "invariants")
     records = []
     for pt in points:
         records.append(_invariants_record(structure, pt, cfg.settings))
@@ -510,10 +510,7 @@ def constraints(config_path, out_dir, mode, orientation, jet_order, points_opt):
     """Dump the constraint polynomials P0..P3 as JSON at the configured points."""
     cfg, structure = _load_or_exit(config_path)
     cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
-    points = cfg.points or (list(cfg.region.nodes()) if cfg.region else [])
-    if not points:
-        click.echo("config error: constraints needs [points] or [region]", err=True)
-        sys.exit(EXIT_CONFIG)
+    points = _points_or_exit(cfg, "constraints")
     records = []
     for pt in points:
         try:

@@ -16,6 +16,7 @@ re-entrant.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import jets
 from .jets import Jet, jet_space
@@ -325,57 +326,131 @@ _JET_FUNCS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "ln": jets.ln, 
 def eval_jet(e, base, order, space=None):
     """Evaluate an expression as a jet at ``base = (x, y)``.
 
+    Subtrees without x and y are folded to constants, so that sums,
+    products and quotients with them take the jet's scalar fast path.  The
+    result is bit-identical to evaluating every constant as a constant jet:
+    ``x / c`` is ``x * (1.0 / c)``, as that jet's reciprocal gives it, and
+    the zero coefficients keep the signs that jet arithmetic gives them.
     Domain failures (ln/sqrt of nonpositive values, degenerate division)
     propagate as the jet errors annotated with the offending node's source
     offset and the base point.
     """
     if space is None:
         space = jet_space(order)
-    bx, by = float(base[0]), float(base[1])
-    bpt = (bx, by)
+    bpt = (float(base[0]), float(base[1]))
+    return _as_jet(_evaluate(e, _EvalContext(space, bpt, {})), space, bpt)
 
-    def ev(node):
-        if isinstance(node, Num):
-            return Jet.constant(space, node.value, bpt)
-        if isinstance(node, Var):
-            return Jet.variable(space, 0 if node.name == "x" else 1, bx if node.name == "x" else by, bpt)
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, BinOp):
-            left, right = ev(node.left), ev(node.right)
-            try:
-                if node.op == "+":
-                    return left + right
-                if node.op == "-":
-                    return left - right
-                if node.op == "*":
-                    return left * right
-                return left / right
-            except jets.JetError as err:
-                raise _located(err, node.pos, bpt) from err
-        if isinstance(node, Pow):
-            try:
-                return jets.power(ev(node.base), node.exponent)
-            except jets.JetError as err:
-                raise _located(err, node.pos, bpt) from err
-        if isinstance(node, Call):
-            args = [ev(a) for a in node.args]
-            try:
-                if node.func == "pow":
-                    return _pow_call(args[0], args[1], node.pos, bpt)
-                return _JET_FUNCS[node.func](args[0])
-            except jets.JetError as err:
-                raise _located(err, node.pos, bpt) from err
-        raise TypeError(f"not an expression node: {node!r}")
 
-    return ev(e)
+class _EvalContext(NamedTuple):
+    space: object
+    base: tuple
+    variables: dict  # the jets of x and y, built on first use
+
+
+def _as_jet(v, space, base):
+    if isinstance(v, Jet):
+        return v
+    const = Jet.constant(space, v.value, base)
+    const.vec[1:] = v.zero
+    return const
+
+
+def _evaluate(node, ctx):
+    """A jet, or a folded constant for a subtree without x and y.
+
+    A module-level function rather than a recursive closure, which would be
+    a reference cycle holding the evaluation's jets until garbage collection.
+    """
+    if isinstance(node, Num):
+        return _Const(float(node.value), 0.0)
+    if isinstance(node, Var):
+        if node.name not in ctx.variables:
+            axis = 0 if node.name == "x" else 1
+            ctx.variables[node.name] = Jet.variable(ctx.space, axis, ctx.base[axis], ctx.base)
+        return ctx.variables[node.name]
+    if isinstance(node, Neg):
+        arg = _evaluate(node.arg, ctx)
+        return -arg if isinstance(arg, Jet) else _Const(-arg.value, -arg.zero)
+    if isinstance(node, BinOp):
+        left, right = _evaluate(node.left, ctx), _evaluate(node.right, ctx)
+        try:
+            return _binop(node.op, left, right)
+        except jets.JetError as err:
+            raise _located(err, node.pos, ctx.base) from err
+    if isinstance(node, Pow):
+        b = _evaluate(node.base, ctx)
+        try:
+            if isinstance(b, _Const):
+                return _folded(jets.power, b, node.exponent)
+            return jets.power(b, node.exponent)
+        except jets.JetError as err:
+            raise _located(err, node.pos, ctx.base) from err
+    if isinstance(node, Call):
+        args = [_evaluate(a, ctx) for a in node.args]
+        func = _pow_call if node.func == "pow" else _JET_FUNCS[node.func]
+        try:
+            if all(isinstance(a, _Const) for a in args):
+                return _folded(func, *args)
+            return func(*(_as_jet(a, ctx.space, ctx.base) for a in args))
+        except jets.JetError as err:
+            raise _located(err, node.pos, ctx.base) from err
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+class _Const(NamedTuple):
+    """A folded constant: its value, and the zero (0.0 or -0.0) that fills
+    the other coefficients of its constant jet."""
+
+    value: float
+    zero: float
+
+
+def _binop(op, left, right):
+    if isinstance(left, _Const) and isinstance(right, _Const):
+        zero = {"+": left.zero + right.zero, "-": left.zero - right.zero}.get(op, 0.0)
+        return _folded(_BINOPS[op], left, right)._replace(zero=zero)
+    if isinstance(left, Jet) and isinstance(right, Jet):
+        return _BINOPS[op](left, right)
+    if op in "+-":
+        # jet +- constant: the constant jet's zeros enter every other coefficient
+        c = right if isinstance(right, _Const) else left
+        out = _BINOPS[op](_scalar(left), _scalar(right))
+        out.vec[1:] += -c.zero if c is right and op == "-" else c.zero
+        return out
+    if op == "/" and isinstance(right, _Const):
+        if right.value == 0.0:
+            raise jets.DegenerateDivision("division by a jet with zero value")
+        out = left * (1.0 / right.value)
+    else:
+        out = _BINOPS[op](_scalar(left), _scalar(right))
+    out.vec += 0.0  # a product sums from 0.0, which turns -0.0 into 0.0
+    return out
+
+
+def _scalar(v):
+    return v.value if isinstance(v, _Const) else v
+
+
+_BINOPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+def _folded(func, *args):
+    """The folded constant ``func`` gives on the constant jets of the arguments."""
+    space = jet_space(0)
+    jet_args = (Jet.constant(space, a.value) if isinstance(a, _Const) else a for a in args)
+    return _Const(float(func(*jet_args).value), 0.0)
 
 
 def _located(err, pos, base):
     return type(err)(f"{err} (at offset {pos}, base point {base})", base=base)
 
 
-def _pow_call(a, b, pos, base):
+def _pow_call(a, b):
     rest = b.vec[1:]
     if rest.size == 0 or not rest.any():
         return jets.power(a, b.value)

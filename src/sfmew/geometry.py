@@ -125,7 +125,16 @@ class Frame:
     Evaluates the conformal factor and Rho components as jets of the given
     order and derives the metric factors, Christoffel symbols and Gauss
     curvature.  All methods are pure; a frame can be shared between threads.
+
+    :meth:`stack` places the jets of per-point frames side by side, one node
+    column per point; the calculus methods then act on every node at once.
+    A stacked frame has ``points`` (and ``point`` None); a per-point frame
+    has ``point`` (and ``points`` None).
     """
+
+    points = None
+    # jet attributes, each a jet or nested lists of jets
+    _JETS = ("u", "p", "du", "e2u", "e2u_inv", "gamma", "curvature")
 
     def __init__(self, structure, point, order=6, orientation=1):
         if order < 2:
@@ -171,6 +180,40 @@ class Frame:
         uyy = self.du[1].d_dy()
         self.curvature = -(uxx + uyy) * self.e2u_inv
 
+    @classmethod
+    def stack(cls, frames):
+        """The per-point ``frames`` side by side as one frame over their points.
+
+        Copies jets; evaluates nothing and builds no per-point frame, so an
+        expression's domain error stays with the point that raised it.
+        """
+        first = frames[0]
+        if any(f.orientation != first.orientation or f.order != first.order for f in frames):
+            raise ValueError("stacked frames need the same order and orientation")
+        stacked = cls._like(first, [f.point for f in frames])
+        for name in cls._JETS:
+            setattr(stacked, name, jets.stack([getattr(f, name) for f in frames]))
+        return stacked
+
+    def take(self, cols):
+        """The frame at some of its nodes (repeats allowed), as a stacked frame."""
+        points = self._point_list()
+        taken = self._like(self, [points[c] for c in cols])
+        for name in self._JETS:
+            setattr(taken, name, jets.take(getattr(self, name), cols))
+        return taken
+
+    def _point_list(self):
+        return [self.point] if self.points is None else self.points
+
+    @classmethod
+    def _like(cls, frame, points):
+        new = cls.__new__(cls)
+        new.structure, new.order = frame.structure, frame.order
+        new.orientation, new.space = frame.orientation, frame.space
+        new.point, new.points = None, points
+        return new
+
     # -- coordinate and covariant derivatives --------------------------------
 
     def d(self, j, axis):
@@ -185,28 +228,23 @@ class Frame:
         ``comp`` is nested lists of jets with ``len(kinds)`` indices. Output
         index order: derivative index first, original indices after.
         """
-        rank = len(kinds)
+        return [self._cov_component(comp, kinds, a, ()) for a in range(2)]
 
-        def get(indices):
-            c = comp
-            for i in indices:
-                c = c[i]
-            return c
-
-        def build(a, prefix):
-            if len(prefix) == rank:
-                term = self.d(get(prefix), a)
-                for m, kind in enumerate(kinds):
-                    for c in range(2):
-                        swapped = prefix[:m] + (c,) + prefix[m + 1 :]
-                        if kind == "d":
-                            term = term - self.gamma[c][a][prefix[m]] * get(swapped)
-                        else:
-                            term = term + self.gamma[prefix[m]][a][c] * get(swapped)
-                return term
-            return [build(a, prefix + (i,)) for i in range(2)]
-
-        return [build(a, ()) for a in range(2)]
+    def _cov_component(self, comp, kinds, a, prefix):
+        # a method, not a recursive closure: a closure that calls itself is a
+        # reference cycle, which would keep ``comp`` alive until the next
+        # garbage collection
+        if len(prefix) < len(kinds):
+            return [self._cov_component(comp, kinds, a, prefix + (i,)) for i in range(2)]
+        term = self.d(_component(comp, prefix), a)
+        for m, kind in enumerate(kinds):
+            for c in range(2):
+                swapped = _component(comp, prefix[:m] + (c,) + prefix[m + 1 :])
+                if kind == "d":
+                    term = term - self.gamma[c][a][prefix[m]] * swapped
+                else:
+                    term = term + self.gamma[prefix[m]][a][c] * swapped
+        return term
 
     def divergence(self, vec_up):
         """nabla_a V^a for a contravariant vector (Gamma trace is 2 du)."""
@@ -236,6 +274,12 @@ class Frame:
     def metric(self):
         zero = Jet.constant(self.space, 0.0, self.point)
         return [[self.e2u, zero], [zero, self.e2u]]
+
+
+def _component(comp, indices):
+    for i in indices:
+        comp = comp[i]
+    return comp
 
 
 # ---------------------------------------------------------------------------

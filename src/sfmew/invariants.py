@@ -24,11 +24,13 @@ function of (structure, point) and safe for parallel region scans.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import jets
 from .geometry import Frame
+from .jets import ipow
 
 __all__ = [
     "CONFORMAL_WEIGHTS",
@@ -85,8 +87,9 @@ class PointInvariants:
 
     Vectors are covariant components unless the name says otherwise
     (``U_up``/``Y_up``).  ``m``, ``psi``, ``k`` are NaN when sigma is
-    numerically zero.  :meth:`InvariantField.invariant_jets` fills the same
-    fields with jets.
+    numerically zero.  :meth:`InvariantField.invariant_values` fills the
+    same fields with arrays over nodes, :meth:`InvariantField.invariant_jets`
+    with jets.
     """
 
     point: tuple = (0.0, 0.0)
@@ -127,6 +130,27 @@ class PointInvariants:
 
     sigma_scale: float = 1.0  # |Y||W| Cauchy-Schwarz bound, for sign decisions
 
+    def split(self):
+        """One PointInvariants per node of invariants held as node arrays."""
+        names = [f.name for f in fields(self) if f.name not in ("point", "orientation")]
+        columns = [getattr(self, name) for name in names]
+        return [
+            PointInvariants(
+                point=point,
+                orientation=self.orientation,
+                **{name: (col[:, i] if col.ndim == 2 else col[i])
+                   for name, col in zip(names, columns)},
+            )
+            for i, point in enumerate(self.point)
+        ]
+
+    def take(self, cols):
+        """These invariants at some of their nodes, for node arrays or stacked jets."""
+        return replace(self, point=[self.point[c] for c in cols], **{
+            f.name: jets.take(getattr(self, f.name), cols)
+            for f in fields(self) if f.name not in ("point", "orientation")
+        })
+
 
 @dataclass
 class MTensorReport:
@@ -143,9 +167,11 @@ def forced_f(rho, mu, phi, sigma, tau, ell):
     """F forced by the degenerate branch (finite-type rearrangement).
 
     F = -(2/5)(rho ell + mu sigma + tau sigma/(3 rho) + tau phi) / rho^2
+
+    Takes floats or node arrays.
     """
     numer = rho * ell + mu * sigma + tau * sigma / (3.0 * rho) + tau * phi
-    return -0.4 * numer / rho**2
+    return -0.4 * numer / ipow(rho, 2)
 
 
 # Invariant-chain attributes of InvariantField copied into PointInvariants.
@@ -153,23 +179,76 @@ _SCALARS = ("rho", "mu", "phi", "sigma", "tau", "ell")
 _VECTORS = ("Y", "U", "Y_up", "U_up", "W", "L", "grad_rho")
 
 
-def _values(comps):
-    """Array of the values of a list of jets (nested for a 2-tensor)."""
-    if isinstance(comps[0], list):
-        return np.array([[j.value for j in row] for row in comps])
-    return np.array([j.value for j in comps])
+def _hypot(a, b):
+    """math.hypot of each node's pair of values (a node array for one point too)."""
+    pairs = zip(np.ravel(a).tolist(), np.ravel(b).tolist())
+    return np.array([math.hypot(x, y) for x, y in pairs])
 
 
-def _jets(comps):
-    """Object array of a list of jets (nested for a 2-tensor)."""
-    return np.array(comps, dtype=object)
+class _ValueTable:
+    """Node values of jets, scalars or 2-vectors or 2x2 tensors of them, read
+    with one array build; ``table`` has the node axis first."""
+
+    def __init__(self, trees):
+        leaves, self._slots = [], {}
+        for tree in trees:
+            if id(tree) in self._slots:
+                continue
+            if isinstance(tree, jets.Jet):
+                flat, shape = [tree], ()
+            elif isinstance(tree[0], jets.Jet):
+                flat, shape = tree, (2,)
+            else:
+                flat, shape = [j for row in tree for j in row], (2, 2)
+            self._slots[id(tree)] = (np.arange(len(leaves), len(leaves) + len(flat)), shape)
+            leaves.extend(flat)
+        self.table = np.array([j.vec[0] for j in leaves]).reshape(len(leaves), -1).T.copy()
+
+    def values(self, tree):
+        """Node values of ``tree``, node axis last."""
+        cols, shape = self._slots[id(tree)]
+        return self.table[:, cols].T.reshape(shape + (-1,))
+
+    def contract(self, terms):
+        """The contractions ``terms`` (see ``InvariantField._contraction_terms``).
+
+        Each node's contraction is a matmul of its own 2-vectors and 2x2
+        tensor, ``a @ b`` or ``a @ M @ b``, so that it rounds as that
+        product of one node's arrays does.
+        """
+        dots = [n for n, (_, m, _) in terms.items() if m is None]
+        quads = [n for n in terms if n not in dots]
+
+        def stacked(names, k, shape):  # one contiguous item per (node, name)
+            cols = np.array([self._slots[id(terms[n][k])][0] for n in names])
+            return self.table[:, cols].reshape((-1,) + shape)
+
+        n = len(self.table)
+        a, b = stacked(dots, 0, (1, 2)), stacked(dots, 2, (2, 1))
+        out = dict(zip(dots, (a @ b).reshape(n, len(dots)).T))
+        a, m, b = stacked(quads, 0, (1, 2)), stacked(quads, 1, (2, 2)), stacked(quads, 2, (2, 1))
+        out.update(zip(quads, ((a @ m) @ b).reshape(n, len(quads)).T))
+        return out
+
+
+def _dot_jets(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _quad_jets(a, m, b):
+    return _dot_jets([a[0] * m[0][j] + a[1] * m[1][j] for j in range(2)], b)
 
 
 class InvariantField:
-    """The full invariant chain at one point, kept as jets.
+    """The full invariant chain at one point, or at stacked nodes, kept as jets.
 
-    Shares one :class:`~sfmew.geometry.Frame`; build it once per point and
-    reuse it for invariants, constraint assembly and the degenerate branch.
+    ``frame`` is a per-point :class:`~sfmew.geometry.Frame` or a stack of
+    them (:meth:`~sfmew.geometry.Frame.stack`).  On a stack every jet has
+    one column per node and every value is an array over the nodes.
+    ``dP``, ``dP_scale``, ``y_norm`` and ``flat`` cover every node; the rest
+    of the chain runs on the non-flat nodes, ``nodes`` (their indices), so
+    the flatness branch is a column selection.  Build it once and reuse it
+    for invariants, constraint assembly and the degenerate branch.
     """
 
     def __init__(self, frame: Frame, tol_flat=DEFAULT_TOL_FLAT):
@@ -179,15 +258,23 @@ class InvariantField:
 
         dP = f.cov_deriv(f.p, "dd")  # dP[a][b][c] = nabla_a P_bc
         self.dP = dP
-        self.dP_scale = max(
-            1.0, max(abs(dP[a][b][c].value) for a in range(2) for b in range(2) for c in range(2))
-        )
+        dP_max = np.max(np.abs(jets.values(dP)), axis=(0, 1, 2))
+        self.dP_scale = np.maximum(1.0, dP_max)
         # Y_c = eps^{ab} (nabla_a P_bc - nabla_b P_ac) = 2 eps^{12} (nabla_1 P_2c - nabla_2 P_1c)
         self.Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
-        self.y_norm = math.hypot(self.Y[0].value, self.Y[1].value)
-        self.flat = self.y_norm < tol_flat * self.dP_scale
-        if self.flat:
+        self.y_norm = _hypot(self.Y[0].value, self.Y[1].value)
+        flat = self.y_norm < tol_flat * self.dP_scale
+        self.nodes = np.flatnonzero(~flat)
+        some_flat = self.nodes.size < flat.size
+        if frame.points is None:
+            self.dP_scale, self.y_norm, flat = self.dP_scale[0], self.y_norm[0], flat[0]
+        self.flat = flat
+        self._branch = None
+        if not self.nodes.size:
             return
+        if some_flat:
+            f = self.frame = frame.take(self.nodes)
+            self.Y = jets.take(self.Y, self.nodes)
 
         self.U = [o * self.Y[1], -o * self.Y[0]]
         self.Y_up = f.raise_index(self.Y)
@@ -222,15 +309,14 @@ class InvariantField:
         self.hess_rho = f.cov_deriv(self.grad_rho, "d")
         self.grad_sigma = f.grad(self.sigma)
 
-        yw_bound = math.hypot(self.Y[0].value, self.Y[1].value) * math.hypot(
-            self.W[0].value, self.W[1].value
-        ) * f.e2u_inv.value
-        self.sigma_scale = max(yw_bound, 1e-300)
-
-        self._m = None
-        self._psi = None
-        self._k = None
-        self._alpha_branch = None
+        yw_bound = (
+            _hypot(self.Y[0].value, self.Y[1].value)
+            * _hypot(self.W[0].value, self.W[1].value)
+            * f.e2u_inv.value
+        )
+        self.sigma_scale = np.maximum(yw_bound, 1e-300)
+        if frame.points is None:
+            self.sigma_scale = self.sigma_scale[0]
 
     def _p_contract(self, a_up, b_up):
         p = self.frame.p
@@ -241,158 +327,194 @@ class InvariantField:
         )
 
     def require_not_flat(self):
-        if self.flat:
+        if not self.nodes.size:
+            where = self.frame.point if self.frame.points is None else "every node"
             raise FlatPoint(
-                f"Cotton-York form vanishes at {self.frame.point} "
-                f"(|Y| = {self.y_norm:.3e} below threshold)"
+                f"Cotton-York form vanishes at {where} "
+                f"(|Y| = {np.max(self.y_norm):.3e} below threshold)"
             )
+
+    def _points(self):
+        return [self.frame.point] if self.frame.points is None else self.frame.points
+
+    def _split(self, items):
+        """One item per node on a stack; the item itself for one point."""
+        return items if self.frame.points is not None else items[0]
 
     # -- degenerate branch (divides by sigma) --------------------------------
 
     def sigma_is_zero(self, tol=1e-9):
+        """Whether sigma is numerically zero (at each of ``nodes`` on a stack)."""
         return abs(self.sigma.value) < tol * self.sigma_scale
 
-    def m_jet(self):
-        if self._m is None:
-            if self.sigma_is_zero():
-                raise SigmaZero(f"sigma = {self.sigma.value:.3e} numerically zero")
-            self._m = self.sigma / (3.0 * self.rho) + self.phi
-        return self._m
+    def _take(self, cols):
+        """The chain at some of ``nodes`` (indices into them), for the branch."""
+        sub = object.__new__(InvariantField)
+        for name, value in vars(self).items():
+            if name not in ("dP", "dP_scale", "y_norm", "flat"):
+                sub.__dict__[name] = jets.take(value, cols)
+        sub.frame = self.frame.take(cols)
+        sub.nodes = self.nodes[cols]
+        return sub
 
-    def psi_jet(self):
-        if self._psi is None:
-            m = self.m_jet()
-            dm = self.frame.grad(m)
-            self._psi = (
-                3.0 * (self.mu * m)
-                + self.P_UY
-                - (self.Y_up[0] * dm[0] + self.Y_up[1] * dm[1])
-            )
-        return self._psi
+    def branch(self):
+        """Degenerate-branch jets where sigma is not numerically zero.
 
-    def k_jet(self):
-        if self._k is None:
-            m, psi = self.m_jet(), self.psi_jet()
-            rho, sigma, tau = self.rho, self.sigma, self.tau
+        Returns ``(cols, field, m, psi, k)``: ``cols`` indexes ``nodes`` (on
+        one point, ``[0]`` or empty), the jets are over those columns and
+        ``field`` is this field at those columns, or None where they are all
+        of its nodes (so that the field holds no reference to itself).
+        """
+        if self._branch is None:
+            cols = np.flatnonzero(~np.atleast_1d(self.sigma_is_zero()))
+            if not cols.size:
+                self._branch = (cols, None, None, None, None)
+                return self._branch
+            src = self if cols.size == self.nodes.size else self._take(cols)
+            rho, sigma, tau, mu, phi = src.rho, src.sigma, src.tau, src.mu, src.phi
+            m = sigma / (3.0 * rho) + phi
+            dm = src.frame.grad(m)
+            psi = 3.0 * (mu * m) + src.P_UY - (src.Y_up[0] * dm[0] + src.Y_up[1] * dm[1])
             bracket = (
-                self.ell / sigma
-                + self.mu / rho
+                src.ell / sigma
+                + mu / rho
                 + tau / (3.0 * (rho * rho))
-                + (tau * self.phi) / (rho * sigma)
+                + (tau * phi) / (rho * sigma)
             )
-            self._k = (-3.0 / 20.0) * (rho * bracket) + (3.0 / 4.0) * (
-                (psi * rho + tau * m) / sigma
-            )
-        return self._k
-
-    def branch_alpha_jets(self):
-        """Candidate 1-form alpha_a = k Y_a / rho - m U_a / rho (jets)."""
-        if self._alpha_branch is None:
-            k, m = self.k_jet(), self.m_jet()
-            self._alpha_branch = [
-                (k * self.Y[a] - m * self.U[a]) / self.rho for a in range(2)
-            ]
-        return self._alpha_branch
+            k = (-3.0 / 20.0) * (rho * bracket) + (3.0 / 4.0) * ((psi * rho + tau * m) / sigma)
+            self._branch = (cols, None if src is self else src, m, psi, k)
+        return self._branch
 
     # -- extraction -----------------------------------------------------------
 
-    def _contractions(self, arr):
-        """Directional derivatives and Rho contractions in the constraint coefficients.
-
-        ``arr`` maps a list of jets (nested for a 2-tensor) to an array: of
-        their values for :meth:`point_invariants`, of the jets themselves for
-        :meth:`invariant_jets`.
-        """
-        f = self.frame
-        U_up, Y_up, p = arr(self.U_up), arr(self.Y_up), arr(f.p)
-        dsig, hess, dY, dU, dL = (
-            arr(t) for t in (self.grad_sigma, self.hess_rho, self.dY, self.dU, self.dL)
-        )
-        curl_scale = float(f.orientation) * arr([f.e2u_inv])[0]
+    def _contraction_terms(self):
+        """The directional derivatives and Rho contractions in the constraint
+        coefficients, as name -> (a, M, b) for a^i M_ij b^j, or for a^i b_i
+        where M is None."""
+        U, Y, p = self.U_up, self.Y_up, self.frame.p
         return {
-            "dsigma_U": U_up @ dsig,
-            "dsigma_Y": Y_up @ dsig,
-            "hess_rho_UU": U_up @ hess @ U_up,
-            "hess_rho_YY": Y_up @ hess @ Y_up,
-            "dY_UU": U_up @ dY @ U_up,  # U^a U^b nabla_b Y_a  (dY[b][a])
-            "dU_YY": Y_up @ dU @ Y_up,
-            "dL_UU": U_up @ dL @ U_up,
-            "dL_YY": Y_up @ dL @ Y_up,
-            "curl_L": curl_scale * (dL[1][0] - dL[0][1]),
-            "P_UU": U_up @ p @ U_up,
-            "P_YY": Y_up @ p @ Y_up,
-            "P_UY": U_up @ p @ Y_up,
+            "dsigma_U": (U, None, self.grad_sigma),
+            "dsigma_Y": (Y, None, self.grad_sigma),
+            "hess_rho_UU": (U, self.hess_rho, U),
+            "hess_rho_YY": (Y, self.hess_rho, Y),
+            "dY_UU": (U, self.dY, U),  # U^a U^b nabla_b Y_a  (dY[b][a])
+            "dU_YY": (Y, self.dU, Y),
+            "dL_UU": (U, self.dL, U),
+            "dL_YY": (Y, self.dL, Y),
+            "P_UU": (U, p, U),
+            "P_YY": (Y, p, Y),
+            "P_UY": (U, p, Y),
         }
 
-    def point_invariants(self):
+    def _curl_L(self, arr):
+        """eps^{ab} nabla_b L_a, on node values (``arr`` reads them) or jets."""
+        dL = arr(self.dL)
+        return float(self.frame.orientation) * arr(self.frame.e2u_inv) * (dL[1][0] - dL[0][1])
+
+    def invariant_values(self):
+        """The point invariants of every node of ``nodes`` as node arrays.
+
+        A :class:`PointInvariants` whose scalars have shape (N,) and whose
+        vectors have shape (2, N); ``point`` lists the nodes' points.
+        """
         self.require_not_flat()
-        f = self.frame
-
-        if self.sigma_is_zero():
-            m = psi = k = math.nan
-        else:
-            m = self.m_jet().value
-            psi = self.psi_jet().value
-            k = self.k_jet().value
-
+        m, psi, k = (np.full(self.nodes.size, math.nan) for _ in range(3))
+        cols, _, *branch = self.branch()
+        if cols.size:
+            for arr, jet in zip((m, psi, k), branch):
+                arr[cols] = jets.values(jet)
+        chain = [getattr(self, name) for name in _SCALARS + _VECTORS]
+        terms = self._contraction_terms()
+        table = _ValueTable(
+            chain + [self.frame.e2u, self.frame.e2u_inv, self.dL]
+            + [t for term in terms.values() for t in term if t is not None]
+        )
         return PointInvariants(
-            point=f.point,
-            orientation=f.orientation,
-            e2u=f.e2u.value,
-            **{name: getattr(self, name).value for name in _SCALARS},
-            **{name: _values(getattr(self, name)) for name in _VECTORS},
-            **{name: float(v) for name, v in self._contractions(_values).items()},
+            point=self._points(),
+            orientation=self.frame.orientation,
+            e2u=table.values(self.frame.e2u),
+            **{name: table.values(t) for name, t in zip(_SCALARS + _VECTORS, chain)},
+            **table.contract(terms),
+            curl_L=self._curl_L(table.values),
             m=m,
             psi=psi,
             k=k,
-            sigma_scale=self.sigma_scale,
+            sigma_scale=np.atleast_1d(self.sigma_scale),
         )
 
+    def point_invariants(self):
+        """PointInvariants of the point, or a list of them over ``nodes``."""
+        if self.frame.points is not None and not self.nodes.size:
+            return []
+        return self._split(self.invariant_values().split())
+
     def invariant_jets(self):
-        """The invariants as jets, in a :class:`PointInvariants`.
+        """The invariants over ``nodes`` as jets, in a :class:`PointInvariants`.
 
         Holds what the constraint coefficients and the reconstruction
-        formula read, so that both can be differentiated; vectors are
-        object arrays of jets.  ``m``, ``psi`` and ``k`` are left NaN.
+        formula read, so that both can be differentiated; vectors are lists
+        of jets and :meth:`PointInvariants.take` picks nodes.  ``m``,
+        ``psi`` and ``k`` are left NaN.
         """
         self.require_not_flat()
-        f = self.frame
         return PointInvariants(
-            point=f.point,
-            orientation=f.orientation,
-            e2u=f.e2u.value,
+            point=self._points(),
+            orientation=self.frame.orientation,
             **{name: getattr(self, name) for name in _SCALARS},
-            **{name: _jets(getattr(self, name)) for name in _VECTORS},
-            **self._contractions(_jets),
+            **{name: list(getattr(self, name)) for name in _VECTORS},
+            **{
+                name: _dot_jets(a, b) if m is None else _quad_jets(a, m, b)
+                for name, (a, m, b) in self._contraction_terms().items()
+            },
+            curl_L=self._curl_L(lambda jet: jet),
             sigma_scale=self.sigma_scale,
         )
 
     def m_tensor(self):
-        """The branch tensor M_ab = nabla_(a alpha_b) + alpha alpha + P - (|alpha|^2/2) g."""
+        """The branch tensor M_ab = nabla_(a alpha_b) + alpha alpha + P - (|alpha|^2/2) g.
+
+        On one point, its :class:`MTensorReport`, or :class:`SigmaZero`
+        where sigma is numerically zero.  On a stack, a list over ``nodes``
+        with None where sigma is numerically zero.
+        """
+        if self.frame.points is not None and not self.nodes.size:
+            return []
         self.require_not_flat()
-        alpha = self.branch_alpha_jets()
-        f = self.frame
-        dalpha = f.cov_deriv(alpha, "d")
-        alpha_sq = f.dot(alpha, alpha)
-        m_comp = np.zeros((2, 2))
-        scale = 1.0
-        for a in range(2):
-            for b in range(2):
-                sym = 0.5 * (dalpha[a][b].value + dalpha[b][a].value)
-                quad = alpha[a].value * alpha[b].value
-                metric = f.e2u.value if a == b else 0.0
-                pieces = (sym, quad, f.p[a][b].value, 0.5 * alpha_sq.value * metric)
-                m_comp[a, b] = pieces[0] + pieces[1] + pieces[2] - pieces[3]
-                scale = max(scale, *(abs(t) for t in pieces))
-        return MTensorReport(
-            M=m_comp,
-            alpha=np.array([alpha[0].value, alpha[1].value]),
-            F=forced_f(
-                *(q.value for q in (self.rho, self.mu, self.phi, self.sigma, self.tau, self.ell))
-            ),
-            norm=float(np.max(np.abs(m_comp))),
-            scale=scale,
-        )
+        cols, src, m, _, k = self.branch()
+        if not cols.size and self.frame.points is None:
+            raise SigmaZero(f"sigma = {self.sigma.value:.3e} numerically zero")
+        reports = [None] * self.nodes.size
+        if cols.size:
+            src = src or self
+            f = src.frame
+            # the branch's candidate 1-form alpha_a = k Y_a / rho - m U_a / rho
+            alpha = [(k * src.Y[a] - m * src.U[a]) / src.rho for a in range(2)]
+            dalpha = jets.values(f.cov_deriv(alpha, "d"))
+            alpha_v, alpha_sq = jets.values(alpha), jets.values(f.dot(alpha, alpha))
+            e2u, p = jets.values(f.e2u), jets.values(f.p)
+            m_comp = np.zeros((2, 2, cols.size))
+            scale = np.ones(cols.size)
+            for a in range(2):
+                for b in range(2):
+                    pieces = (
+                        0.5 * (dalpha[a][b] + dalpha[b][a]),
+                        alpha_v[a] * alpha_v[b],
+                        p[a][b],
+                        0.5 * alpha_sq * (e2u if a == b else 0.0),
+                    )
+                    m_comp[a, b] = pieces[0] + pieces[1] + pieces[2] - pieces[3]
+                    scale = np.maximum.reduce([scale] + [np.abs(t) for t in pieces])
+            F = forced_f(*(jets.values(getattr(self, q))[cols] for q in _SCALARS))
+            norm = np.max(np.abs(m_comp), axis=(0, 1))
+            for i, c in enumerate(cols):
+                reports[c] = MTensorReport(
+                    M=m_comp[:, :, i],
+                    alpha=alpha_v[:, i],
+                    F=F[i],
+                    norm=float(norm[i]),
+                    scale=scale[i],
+                )
+        return self._split(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,17 @@ Coefficients are kept in Taylor-normalized form (divided by factorials) to
 keep magnitudes balanced in high-order products, and stored densely over the
 triangle ``i + j <= order``.
 
+A jet may also carry one column of coefficients per node, ``vec`` of shape
+``(size, N)``: every operation then acts on the N nodes at once, and a
+per-node scalar is a float array of shape ``(N,)``.  Each column goes
+through exactly the float operations, in the same order, that a jet of one
+node goes through, so a node's coefficients do not depend on the other
+nodes of its batch.  Per-node values that the scalar path computes with the
+math library (the power series of a reciprocal) are computed value by value
+with it too, since numpy's vectorised ``pow`` can differ in the last bit.
+The analytic functions (exp, ln, sqrt, sin, cos, non-integer powers) take
+jets of one node.
+
 Jets are immutable values; every operation returns a new jet and is safe to
 call concurrently.
 """
@@ -34,6 +45,10 @@ __all__ = [
     "sin",
     "cos",
     "power",
+    "ipow",
+    "stack",
+    "take",
+    "values",
 ]
 
 
@@ -74,15 +89,8 @@ class JetSpace:
         "size",
         "pairs",
         "index",
-        "_mul_a",
-        "_mul_b",
-        "_mul_out",
-        "_dx_src",
-        "_dx_dst",
-        "_dx_fac",
-        "_dy_src",
-        "_dy_dst",
-        "_dy_fac",
+        "_mul",
+        "_deriv",
     )
 
     def __init__(self, order):
@@ -100,14 +108,16 @@ class JetSpace:
                     mul_a.append(ka)
                     mul_b.append(kb)
                     mul_out.append(self.index[(ia + ib, ja + jb)])
-        self._mul_a = np.asarray(mul_a, dtype=np.intp)
-        self._mul_b = np.asarray(mul_b, dtype=np.intp)
-        self._mul_out = np.asarray(mul_out, dtype=np.intp)
-
-        self._dx_src, self._dx_dst, self._dx_fac = self._deriv_tables(0)
-        self._dy_src, self._dy_dst, self._dy_fac = self._deriv_tables(1)
+        terms = tuple(np.asarray(t, dtype=np.intp) for t in (mul_a, mul_b, mul_out))
+        # the product terms (ka, kb) -> out of each truncation order, in the same order
+        degree = np.array([i + j for (i, j) in self.pairs])
+        term_degree = degree[terms[0]] + degree[terms[1]]
+        self._mul = [tuple(t[term_degree <= trunc] for t in terms) for trunc in range(order + 1)]
+        self._deriv = (self._deriv_tables(0), self._deriv_tables(1))
 
     def _deriv_tables(self, axis):
+        """Source and destination coefficients and factors of d/dx (axis 0) or d/dy;
+        the factors also as a column, for node columns."""
         src, dst, fac = [], [], []
         for (i, j) in self.pairs:
             if i + j >= self.order:
@@ -116,16 +126,34 @@ class JetSpace:
             src.append(self.index[shifted])
             dst.append(self.index[(i, j)])
             fac.append(shifted[axis])
-        return (
-            np.asarray(src, dtype=np.intp),
-            np.asarray(dst, dtype=np.intp),
-            np.asarray(fac, dtype=float),
-        )
+        fac = np.asarray(fac, dtype=float)
+        return np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp), (fac, fac[:, None])
 
-    def mul_vec(self, a, b):
+    def mul_vec(self, a, b, order=None):
+        """Product coefficients up to ``order``; each sums its terms in
+        enumeration order from 0.0, and those beyond ``order`` are 0.
+
+        A coefficient of total degree d <= ``order`` takes the same terms in
+        the same order whatever ``order`` is.  ``bincount`` adds the weights
+        one by one in the order given, so on node columns, flattened term by
+        term, every column sums its terms as a single jet does.
+        """
+        trunc = self.order if order is None else order
+        mul_a, mul_b, mul_out = self._mul[trunc]
+        prod = a[mul_a]
+        prod *= b[mul_b]
+        if prod.ndim == 1:
+            return np.bincount(mul_out, weights=prod, minlength=self.size)
+        n = prod.shape[1]
         return np.bincount(
-            self._mul_out, weights=a[self._mul_a] * b[self._mul_b], minlength=self.size
-        )
+            _column_bins(self, trunc, n), weights=prod.ravel(), minlength=self.size * n
+        ).reshape(self.size, n)
+
+
+@lru_cache(maxsize=8)  # a few batch widths; bounds the memory the tables take
+def _column_bins(space, trunc, n):
+    """Output bin of each (term, node) product of ``n`` node columns, term-major."""
+    return (space._mul[trunc][2][:, None] * n + np.arange(n)).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +162,10 @@ def jet_space(order):
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar at a base point."""
+    """Truncated Taylor expansion of a scalar at a base point, or at N nodes."""
 
     __slots__ = ("space", "vec", "order", "base")
+    __array_ufunc__ = None  # ndarray op jet defers to the jet's reflected method
 
     def __init__(self, space, vec, order=None, base=None):
         self.space = space
@@ -146,7 +175,8 @@ class Jet:
 
     @classmethod
     def constant(cls, space, value, base=None):
-        vec = np.zeros(space.size)
+        """Constant jet; a value array of shape (N,) gives one column per node."""
+        vec = np.zeros((space.size,) + np.shape(value))
         vec[0] = value
         return cls(space, vec, base=base)
 
@@ -162,6 +192,11 @@ class Jet:
     @property
     def value(self):
         return self.vec[0]
+
+    def take(self, cols):
+        """The jet at some of its nodes (repeats allowed); a one-node jet is node 0."""
+        vec = self.vec if self.vec.ndim == 2 else self.vec[:, None]
+        return Jet(self.space, vec[:, cols], self.order, self.base)
 
     def coeff(self, i, j):
         """Taylor-normalized coefficient for the (i, j) monomial."""
@@ -187,21 +222,20 @@ class Jet:
     def _derivative(self, axis):
         if self.order < 1:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        sp = self.space
-        vec = np.zeros(sp.size)
-        if axis == 0:
-            vec[sp._dx_dst] = self.vec[sp._dx_src] * sp._dx_fac
-        else:
-            vec[sp._dy_dst] = self.vec[sp._dy_src] * sp._dy_fac
-        return Jet(sp, vec, self.order - 1, self.base)
+        src, dst, fac = self.space._deriv[axis]
+        vec = np.zeros(self.vec.shape)
+        vec[dst] = self.vec[src] * fac[self.vec.ndim - 1]
+        return Jet(self.space, vec, self.order - 1, self.base)
 
     def _coerce(self, other):
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise ValueError("jets have different truncation orders")
             return other
-        if isinstance(other, (int, float)):
-            return None  # scalar fast path
+        if isinstance(other, (int, float)) or (
+            isinstance(other, np.ndarray) and other.dtype != object
+        ):
+            return None  # scalar fast path (an array holds one scalar per node)
         return NotImplemented
 
     def __add__(self, other):
@@ -238,12 +272,9 @@ class Jet:
             return NotImplemented
         if o is None:
             return Jet(self.space, self.vec * other, self.order, self.base)
-        return Jet(
-            self.space,
-            self.space.mul_vec(self.vec, o.vec),
-            min(self.order, o.order),
-            self.base or o.base,
-        )
+        order = min(self.order, o.order)
+        vec = self.space.mul_vec(self.vec, o.vec, order)
+        return Jet(self.space, vec, order, self.base or o.base)
 
     __rmul__ = __mul__
 
@@ -269,10 +300,53 @@ class Jet:
 
 def _reciprocal(j):
     v = j.value
-    if v == 0.0:
+    if (v == 0.0).any():
         raise DegenerateDivision("division by a jet with zero value", base=j.base)
-    series = [(-1.0) ** k / v ** (k + 1) for k in range(j.order + 1)]
+    series = [(-1.0) ** k / ipow(v, k + 1) for k in range(j.order + 1)]
     return compose_series(series, j)
+
+
+def ipow(x, n):
+    """``x ** n`` for an integer n, of a float, a jet or a node array.
+
+    A node array goes value by value through the math library's ``pow``,
+    as a single float does.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([t ** n for t in x.tolist()])
+    return x ** n
+
+
+def stack(trees):
+    """Jets of single nodes, or nested lists of them, side by side as node columns."""
+    first = trees[0]
+    if isinstance(first, Jet):
+        return Jet(first.space, np.stack([j.vec for j in trees], axis=1), first.order)
+    return [stack([t[k] for t in trees]) for k in range(len(first))]
+
+
+def values(tree):
+    """Node values of a jet, or of nested lists of jets, node axis last.
+
+    A jet of one node gives one node, so that every value array has a node axis.
+    """
+    if isinstance(tree, list):
+        return np.array([values(t) for t in tree])
+    return tree.vec[:1].reshape(-1)
+
+
+def take(tree, cols):
+    """A jet, node array or nested list of them at some of its nodes.
+
+    Floats, which hold for every node, pass through.
+    """
+    if isinstance(tree, Jet):
+        return tree.take(cols)
+    if isinstance(tree, np.ndarray):
+        return tree[..., cols]
+    if isinstance(tree, list):
+        return [take(t, cols) for t in tree]
+    return tree
 
 
 def compose_series(series, g):
@@ -288,8 +362,8 @@ def compose_series(series, g):
     shifted = g.vec.copy()
     shifted[0] = 0.0
     s = Jet(g.space, shifted, g.order, g.base)
-    acc = Jet.constant(g.space, series[n], g.base)
-    acc.order = g.order
+    acc = Jet(g.space, np.zeros(g.vec.shape), g.order, g.base)
+    acc.vec[0] = series[n]
     for c in series[n - 1 :: -1]:
         acc = acc * s + c
     return acc
@@ -365,8 +439,8 @@ def power(j, exponent):
 
 def _int_power(j, n):
     if n == 0:
-        one = Jet.constant(j.space, 1.0, j.base)
-        one.order = j.order
+        one = Jet(j.space, np.zeros(j.vec.shape), j.order, j.base)
+        one.vec[0] = 1.0
         return one
     result = None
     b = j

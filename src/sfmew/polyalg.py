@@ -4,7 +4,10 @@ Polynomials are coefficient vectors indexed by degree with trailing
 (near-)zero coefficients trimmed relative to the largest coefficient.
 Resultants are Sylvester determinants computed after per-polynomial
 max-coefficient normalization; roots come from companion-matrix eigenvalues
-polished by Newton steps.
+polished by Newton steps.  Resultant reports of many polynomial pairs, one
+pair per node of a scan, are computed together: one stacked determinant and
+one stacked SVD for all pairs of the same degrees
+(:func:`column_resultant_reports`).
 
 Thresholds (configurable per call): a resultant counts as vanishing when its
 normalized magnitude is below 1e-7, and a root is accepted when the
@@ -29,6 +32,9 @@ __all__ = [
     "sylvester_resultant",
     "sylvester_matrix",
     "resultant_report",
+    "resultant_reports",
+    "column_resultant_reports",
+    "trimmed_degrees",
     "real_roots",
     "common_real_roots",
     "common_complex_roots",
@@ -103,6 +109,22 @@ class Poly:
         return f"Poly({self.coeffs.tolist()!r})"
 
 
+def trimmed_degrees(coeffs):
+    """Degrees and norms of the polynomials in the columns of ``coeffs``.
+
+    ``coeffs`` has shape (n + 1, K), lowest degree first.  Each column is
+    trimmed by :class:`Poly`'s rule: it keeps the coefficients up to the
+    last one whose magnitude exceeds 1e-12 times its largest; its degree is
+    -1 when it is zero.  Returns the degrees and the largest magnitudes,
+    each of shape (K,).
+    """
+    mag = np.abs(coeffs)
+    norms = np.max(mag, axis=0)
+    keep = mag > _TRIM_REL * norms
+    degrees = np.where(keep.any(axis=0), len(coeffs) - 1 - np.argmax(keep[::-1], axis=0), -1)
+    return degrees, norms
+
+
 @dataclass
 class RootSet:
     """Real roots sorted ascending, with multiplicities and residuals."""
@@ -135,15 +157,27 @@ class ResultantValue(NamedTuple):
 
 def sylvester_matrix(p, q):
     """Sylvester matrix with P's coefficients filling the first deg(Q) rows."""
-    m, n = p.degree, q.degree
-    mat = np.zeros((m + n, m + n))
-    pc = p.coeffs[::-1]  # highest degree first
-    qc = q.coeffs[::-1]
+    return _sylvester_stack(p.coeffs[None], q.coeffs[None])[0]
+
+
+def _sylvester_stack(pc, qc):
+    """Sylvester matrices of K pairs: ``pc`` (K, m+1), ``qc`` (K, n+1), lowest degree first."""
+    m, n = pc.shape[1] - 1, qc.shape[1] - 1
+    mat = np.zeros((len(pc), m + n, m + n))
     for row in range(n):
-        mat[row, row : row + m + 1] = pc
+        mat[:, row, row : row + m + 1] = pc[:, ::-1]  # highest degree first
     for row in range(m):
-        mat[n + row, row : row + n + 1] = qc
+        mat[:, n + row, row : row + n + 1] = qc[:, ::-1]
     return mat
+
+
+def _normalized_pair(p, q):
+    """Both polynomials normalized, and the factor that undoes it in the resultant."""
+    if p.is_zero or q.is_zero:
+        raise ZeroPolynomial("resultant of the zero polynomial")
+    if p.degree < 1 or q.degree < 1:
+        raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
+    return p.normalized(), q.normalized(), p.norm ** q.degree * q.norm ** p.degree
 
 
 def sylvester_resultant(p, q):
@@ -153,14 +187,8 @@ def sylvester_resultant(p, q):
     :func:`sylvester_matrix`; comparisons against external closed forms
     should use absolute values.
     """
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial")
-    if p.degree < 1 or q.degree < 1:
-        raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
-    pn, qn = p.normalized(), q.normalized()
-    det = float(np.linalg.det(sylvester_matrix(pn, qn)))
-    scale = p.norm ** q.degree * q.norm ** p.degree
-    return ResultantValue(det, scale)
+    pn, qn, scale = _normalized_pair(p, q)
+    return ResultantValue(float(np.linalg.det(sylvester_matrix(pn, qn))), scale)
 
 
 class ResultantReport(NamedTuple):
@@ -184,10 +212,43 @@ class ResultantReport(NamedTuple):
 
 def resultant_report(p, q):
     """Resultant with the singular-value gap used for vanishing decisions."""
-    res = sylvester_resultant(p, q)
-    sv = np.linalg.svd(sylvester_matrix(p.normalized(), q.normalized()), compute_uv=False)
-    gap = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    return ResultantReport(res.normalized, res.scale, gap)
+    pn, qn, scale = _normalized_pair(p, q)
+    return resultant_reports(pn.coeffs[None], qn.coeffs[None], [scale])[0]
+
+
+def resultant_reports(pn, qn, scales):
+    """Reports of K polynomial pairs of the same degrees, from one Sylvester build each.
+
+    ``pn`` (K, m+1) and ``qn`` (K, n+1) hold the normalized coefficients,
+    lowest degree first, and ``scales`` the factors that undo the
+    normalization.  The determinants come from one stacked ``det`` and the
+    gaps from one stacked SVD, both of the same matrices.
+    """
+    mats = _sylvester_stack(pn, qn)
+    dets = np.linalg.det(mats)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    gaps = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+    return [ResultantReport(float(d), s, float(g)) for d, s, g in zip(dets, scales, gaps)]
+
+
+def column_resultant_reports(cp, cq):
+    """Resultant reports of the pairs of polynomials in the columns of ``cp``, ``cq``.
+
+    Columns hold coefficients lowest degree first, trimmed as :class:`Poly`
+    trims them; every trimmed pair needs degrees >= 1.  Pairs of the same
+    degrees share one :func:`resultant_reports` call.
+    """
+    (dp, np_), (dq, nq) = trimmed_degrees(cp), trimmed_degrees(cq)
+    if np.any(dp < 1) or np.any(dq < 1):
+        raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
+    reports = [None] * cp.shape[1]
+    for m, n in sorted(set(zip(dp.tolist(), dq.tolist()))):
+        cols = np.flatnonzero((dp == m) & (dq == n))
+        pn_, qn_ = (cp[: m + 1, cols] / np_[cols]).T, (cq[: n + 1, cols] / nq[cols]).T
+        scales = [a ** n * b ** m for a, b in zip(np_[cols].tolist(), nq[cols].tolist())]
+        for c, rep in zip(cols, resultant_reports(pn_, qn_, scales)):
+            reports[c] = rep
+    return reports
 
 
 def real_roots(p, tol_root=DEFAULT_TOL_ROOT):

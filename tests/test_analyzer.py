@@ -14,6 +14,7 @@ from sfmew.analyzer import (
     _lift_root,
     alpha_from_F,
     classify_point,
+    classify_points,
     f_from_P0_branch,
     scan_region,
     summarize,
@@ -127,6 +128,82 @@ def test_classify_rescaled_quadratic_admits_off_axis_near_flat(quadratic_structu
     assert verdict.tag == VerdictTag.ADMITS, verdict.note
     f = 2.0 * math.exp(-2.0 * 0.02 * (pt[0] ** 2 + pt[1] ** 2))
     assert sorted(verdict.f_candidates) == pytest.approx([-f, f], rel=1e-9)
+
+
+# quadratic rescaled by omega = a x + b y + c xy + d (x^2 - y^2) + e (x^2 + y^2), with
+# the Rho tensor P - Hess(omega) + d omega d omega - |d omega|^2/2 delta expanded into
+# dense quadratic polynomials: (a, b, c, d, e), point, (u, P11, P12, P22)
+NEAR_FLAT_RESCALED_QUADRATIC = [
+    (
+        (-0.0853, -0.0241, 0.0119, 0.01, -0.0128),
+        (0.0, 1e-3),
+        (
+            "0.0 + (-0.0853)*x + (-0.0241)*y + (-0.0028000000000000004)*x*x + (0.0119)*x*y"
+            " + (-0.0228)*y*y",
+            "0.00894764 + (0.0007644700000000002)*x + (-0.0021140300000000002)*y"
+            " + (0.499944875)*x*x + (0.000476)*x*y + (-0.500968875)*y*y",
+            "-0.00984427 + (-0.00088011)*x + (0.0036028900000000005)*y"
+            " + (-6.664000000000001e-05)*x*x + (1.00039697)*x*y + (-0.00054264)*y*y",
+            "0.04225236 + (-0.0007644700000000002)*x + (0.0021140300000000002)*y"
+            " + (-0.499944875)*x*x + (-0.000476)*x*y + (0.500968875)*y*y",
+        ),
+    ),
+    (
+        (0.0644, -0.0971, 0.0095, -0.0246, -0.0231),
+        (1e-3, 0.0),
+        (
+            "0.0 + (0.0644)*x + (-0.0971)*y + (-0.0477)*x*x + (0.0095)*x*y"
+            " + (0.0015000000000000013)*y*y",
+            "0.092759475 + (-0.00522131)*x + (0.0009031000000000002)*y"
+            " + (0.504505455)*x*x + (-0.0009348)*x*y + (-0.499959375)*y*y",
+            "-0.01575324 + (0.009875140000000001)*x + (-0.0007292499999999999)*y"
+            " + (-0.0009063)*x*x + (0.99980405)*x*y + (2.8500000000000025e-05)*y*y",
+            "-0.0003594750000000019 + (0.00522131)*x + (-0.0009031000000000002)*y"
+            " + (-0.504505455)*x*x + (0.0009348)*x*y + (0.499959375)*y*y",
+        ),
+    ),
+    (
+        (0.0452, -0.0789, 0.0224, -0.001, 0.0297),
+        (1e-3, 0.0),
+        (
+            "0.0 + (0.0452)*x + (-0.0789)*y + (0.0287)*x*x + (0.0224)*x*y + (0.0307)*y*y",
+            "-0.059491085 + (0.00436184)*x + (0.00585694)*y + (0.5013965)*x*x"
+            " + (-8.960000000000001e-05)*x*y + (-0.5016341)*y*y",
+            "-0.02596628 + (-0.0035163800000000004)*x + (0.0010079199999999998)*y"
+            " + (0.00128576)*x*x + (1.00402612)*x*y + (0.00137536)*y*y",
+            "-0.059308915000000004 + (-0.00436184)*x + (-0.00585694)*y + (-0.5013965)*x*x"
+            " + (8.960000000000001e-05)*x*y + (0.5016341)*y*y",
+        ),
+    ),
+    (
+        (-0.0615, 0.0993, 0.0266, -0.001, 0.0296),
+        (7.071e-4, 7.071e-4),
+        (
+            "0.0 + (-0.0615)*x + (0.0993)*y + (0.0286)*x*x + (0.0266)*x*y"
+            " + (0.030600000000000002)*y*y",
+            "-0.06023912 + (-0.00615918)*x + (-0.007713060000000001)*y + (0.50128214)*x*x"
+            " + (-0.00010639999999999998)*x*y + (-0.50151894)*y*y",
+            "-0.03270695 + (0.00404406)*x + (-0.0011224200000000003)*y + (0.00152152)*x*x"
+            " + (1.0042082)*x*y + (0.00162792)*y*y",
+            "-0.058160880000000005 + (0.00615918)*x + (0.007713060000000001)*y"
+            " + (-0.50128214)*x*x + (0.00010639999999999998)*x*y + (0.50151894)*y*y",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("omega, pt, sources", NEAR_FLAT_RESCALED_QUADRATIC)
+def test_classify_rescaled_quadratic_near_flat_lifts_with_best_constraint(omega, pt, sources):
+    # P3's roots lose digits this close to the flat origin; lifting with P1
+    # or P2 verifies both F = +/-2 e^{-2 omega}
+    a, b, c, d, e = omega
+    x, y = pt
+    w = a * x + b * y + c * x * y + d * (x * x - y * y) + e * (x * x + y * y)
+    verdict = classify_point(MoebiusStructure.from_strings(*sources), pt)
+    assert verdict.tag == VerdictTag.ADMITS, verdict.note
+    f = 2.0 * math.exp(-2.0 * w)
+    assert sorted(verdict.f_candidates) == pytest.approx([-f, f], rel=1e-9)
+    assert all(r.max_residual < 1e-8 for r in verdict.residuals)
 
 
 def test_classify_unverified_real_roots_inconclusive(spiral_structure):
@@ -322,6 +399,15 @@ def test_scan_quadratic_grid(quadratic_structure):
     for node in report.nodes:
         if (node.x, node.y) != (0.0, 0.0):
             assert node.verdict.tag == VerdictTag.ADMITS
+
+
+def test_classify_points_matches_scan_and_single_points(spiral_structure):
+    region = RegionSpec(-1, 1, -1, 1, 3, 3)
+    nodes = list(region.nodes())
+    batched = classify_points(spiral_structure, nodes)
+    assert [n.verdict for n in scan_region(spiral_structure, region).nodes] == batched
+    assert [classify_point(spiral_structure, p) for p in nodes] == batched
+    assert classify_points(spiral_structure, []) == []
 
 
 def test_scan_flat_everywhere():

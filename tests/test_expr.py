@@ -18,7 +18,8 @@ from sfmew.expr import (
     parse,
     to_source,
 )
-from sfmew.jets import DegenerateDivision, DomainError
+from sfmew import jets
+from sfmew.jets import DegenerateDivision, DomainError, Jet, jet_space
 
 from oracles import fd_partial, random_expression
 
@@ -133,6 +134,68 @@ def _random_ast(rng, depth):
     if kind == 5:
         return Pow(a, rng.randrange(-3, 4))
     return Call(rng.choice(["sin", "cos", "exp", "ln", "sqrt"]), (a,))
+
+
+def _eval_unfolded(e, base, order):
+    """Reference evaluator: every number is a constant jet and every
+    operation is jet arithmetic (no constant folding)."""
+    space = jet_space(order)
+    funcs = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "ln": jets.ln, "sqrt": jets.sqrt}
+
+    def ev(node):
+        if isinstance(node, Num):
+            return Jet.constant(space, node.value)
+        if isinstance(node, Var):
+            axis = 0 if node.name == "x" else 1
+            return Jet.variable(space, axis, base[axis])
+        if isinstance(node, Neg):
+            return -ev(node.arg)
+        if isinstance(node, BinOp):
+            a, b = ev(node.left), ev(node.right)
+            return {"+": a + b, "-": a - b, "*": a * b}[node.op] if node.op != "/" else a / b
+        if isinstance(node, Pow):
+            return jets.power(ev(node.base), node.exponent)
+        args = [ev(a) for a in node.args]
+        if node.func != "pow":
+            return funcs[node.func](args[0])
+        if not args[1].vec[1:].any():
+            return jets.power(args[0], args[1].value)
+        return jets.exp(args[1] * jets.ln(args[0]))
+
+    return ev(e)
+
+
+# dense quadratic strings as the benchmark writes rescaled structures, and
+# constant subtrees of every kind
+FOLDING_CASES = [
+    "0.0 + (-0.0853)*x + (-0.0241)*y + (-0.0028000000000000004)*x*x + (0.0119)*x*y"
+    " + (-0.0228)*y*y",
+    "0.00894764 + (0.0007644700000000002)*x + (-0.0021140300000000002)*y"
+    " + (0.499944875)*x*x + (0.000476)*x*y + (-0.500968875)*y*y",
+    "-0.0003594750000000019 + (0.00522131)*x + (-0.0009031000000000002)*y"
+    " + (-0.504505455)*x*x + (0.0009348)*x*y + (0.499959375)*y*y",
+    "(x*x - y*y)/2",
+    "-(x*y) + 1",
+    "x/3 - 1/3*y + (2/3)*x*y",
+    "(2*3 - 1)*x/(4 - 2) - -(-y)",
+    "pow(x, 2) + pow(2, 3)*y + pow(x + 2, 0.5) + pow(1.5, x) + pow(2, -(-1))",
+    "x^-2 + 2^-3 + (1 + 2)^2*y",
+    "sin(1)*x + cos(2/3)*exp(y) - sqrt(2)*ln(3) + exp(-(1 - 1))",
+    "3 - x + (0 - 0)*y - (1 - 1) + x*(-(2*0))",
+    "(1 + 2)*(3 - 4)/5",
+    "(-2)*x",
+    "x/(-3) - y*y",
+    "(-1)/(x + 2) - y",
+]
+
+
+@pytest.mark.parametrize("source", FOLDING_CASES)
+def test_constant_folding_is_bit_identical(source):
+    e = parse(source)
+    for base in [(0.3, -0.7), (1.2, 0.4), (-0.5, 1e-3)]:
+        folded = eval_jet(e, base, 6)
+        reference = _eval_unfolded(e, base, 6)
+        assert folded.vec.tobytes() == reference.vec.tobytes(), base
 
 
 def test_roundtrip_parse_print_parse():
