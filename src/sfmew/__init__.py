@@ -38,6 +38,7 @@ from .analyzer import (
     scan_region,
     summarize,
     verify_candidate,
+    verify_candidates,
 )
 from .constraints import (
     DivisionByRho,

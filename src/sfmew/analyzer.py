@@ -39,7 +39,10 @@ together.  The candidate alpha then follows as a jet from the
 reconstruction formula, so nabla alpha and nabla F are exact.  A root that
 is simple in no constraint has no such lift and stays unverified.
 Closed-form candidates are differentiated exactly via jets of their
-expressions.  Everything here is deterministic and side-effect free.
+expressions.  ``verify_candidates`` takes their points in batches of
+``_CHUNK`` nodes too: per-point frames and expression jets, stacked, one
+invariant chain per batch, then each node's residuals from its own floats.
+Everything here is deterministic and side-effect free.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -51,7 +54,7 @@ from . import jets
 from .constraints import assemble_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
-from .invariants import InvariantField, forced_f
+from .invariants import InvariantField, PointInvariants, forced_f
 from .jets import ipow
 from .polyalg import (
     Poly,
@@ -77,12 +80,14 @@ __all__ = [
     "classify_point",
     "classify_points",
     "verify_candidate",
+    "verify_candidates",
     "scan_region",
     "region_report",
 ]
 
 _CLOSED_FORM_ORDER = 4  # jets of closed-form candidates: residuals need nabla alpha, nabla F
 _LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 3 -> 7
+_CHUNK = 24  # nodes per batch: bounds the memory a batch of jets takes (see docs/decisions.md)
 
 
 class P0Vanishes(Exception):
@@ -314,72 +319,107 @@ def _residual_report(point, mode, method, f, residuals, mismatch, tol_residual, 
     )
 
 
-def _verify_closed_form(structure, candidate, point, mode, settings):
-    """Verify expression-form alpha via exact jet differentiation."""
-    order = _CLOSED_FORM_ORDER
-    frame = Frame(structure, point, order, settings.orientation)
+def verify_candidates(structure, candidate, points, mode="real", settings=None):
+    """Residual reports of a closed-form candidate at every point, in order.
+
+    The candidate's ``alpha_exprs`` are differentiated exactly via jets: 2
+    real components, or 4 (re1, re2, im1, im2) in complex mode.  Points are
+    taken in batches of ``_CHUNK`` nodes; each point gets its own order-4
+    :class:`~sfmew.geometry.Frame` and its own jets of the expressions, so
+    a domain error is raised at its point, and the frames and the jets are
+    then stacked.  The invariant chain, the derivatives of alpha and the
+    curl of alpha run once on the batch; each node's residuals are
+    assembled from its own floats, so its report does not depend on its
+    batch.  At flat points the invariant-based algebraic residuals are
+    reported as zero (not applicable).
+    """
+    settings = settings or DEFAULT_SETTINGS
     exprs = candidate.alpha_exprs
-    comp_jets = [eval_jet(e, point, order, frame.space) for e in exprs]
-    if mode == "complex":
-        if len(exprs) != 4:
-            raise ValueError("complex mode needs 4 components (re1, re2, im1, im2)")
-        alpha_jets = [(comp_jets[0], comp_jets[2]), (comp_jets[1], comp_jets[3])]
-    else:
-        if len(exprs) != 2:
-            raise ValueError("real mode needs 2 components")
-        zero = None
-        alpha_jets = [(comp_jets[0], zero), (comp_jets[1], zero)]
+    if exprs is None:
+        raise ValueError("verify_candidates needs closed-form alpha expressions")
+    if len(exprs) != (4 if mode == "complex" else 2):
+        raise ValueError(
+            "complex mode needs 4 components (re1, re2, im1, im2)"
+            if mode == "complex" else "real mode needs 2 components"
+        )
+    points = [tuple(map(float, p)) for p in points]
+    reports = []
+    for start in range(0, len(points), _CHUNK):
+        reports += _verify_chunk(structure, exprs, points[start : start + _CHUNK], mode, settings)
+    return reports
 
-    def cval(pair):
-        re, im = pair
-        return complex(re.value, 0.0 if im is None else im.value)
 
-    def cpartial(pair, i, j):
-        re, im = pair
-        return complex(re.partial(i, j), 0.0 if im is None else im.partial(i, j))
+# the invariants the residuals of a closed-form candidate read
+_RESIDUAL_INVARIANTS = ("Y", "U_up", "Y_up", "W", "phi", "ell", "rho", "mu")
 
-    alpha = np.array([cval(alpha_jets[0]), cval(alpha_jets[1])])
-    gamma = [
-        [[frame.gamma[c][a][b].value for b in range(2)] for a in range(2)] for c in range(2)
-    ]
-    dalpha = [[0j, 0j], [0j, 0j]]
-    for a in range(2):
-        for b in range(2):
-            partial = cpartial(alpha_jets[b], 1, 0) if a == 0 else cpartial(alpha_jets[b], 0, 1)
-            dalpha[a][b] = partial - sum(gamma[c][a][b] * alpha[c] for c in range(2))
 
-    o = float(settings.orientation)
-    f_value = o * frame.e2u_inv.value * (dalpha[0][1] - dalpha[1][0])
+def _verify_chunk(structure, exprs, points, mode, settings):
+    order, o = _CLOSED_FORM_ORDER, float(settings.orientation)
+    frames, comps = [], []
+    for p in points:
+        frames.append(Frame(structure, p, order, settings.orientation))
+        comps.append([eval_jet(e, p, order, frames[-1].space) for e in exprs])
+    frame, comps = Frame.stack(frames), jets.stack(comps)
+    del frames  # the stack holds copies of their jets
+    # alpha_b = re[b] + i im[b]; im is None in real mode
+    re, im = comps[:2], (comps[2:] if mode == "complex" else None)
 
-    # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
+    # node values, node axis last: alpha, its partials [a][b] = d_a alpha_b,
+    # Gamma^c_ab, and the partials [a] of F / o = e^{-2u} (d_x alpha_2 - d_y alpha_1)
+    ix, iy = frame.space.index[(1, 0)], frame.space.index[(0, 1)]
+    parts = [re] if im is None else [re, im]
+    alpha_v = [jets.values(part) for part in parts]
+    partials = [np.array([[j.vec[k] for j in part] for k in (ix, iy)]) for part in parts]
+    curls = [frame.e2u_inv * (part[1].d_dx() - part[0].d_dy()) for part in parts]
+    grad_curl = [np.array([c.vec[ix], c.vec[iy]]) for c in curls]
+    gamma = jets.values(frame.gamma)
+    e2u_inv = jets.values(frame.e2u_inv)
+
     field = InvariantField(frame, settings.tol_flat)
-    inv = None if field.flat else field.point_invariants()
-    mismatch = 0.0
-    if not field.flat:
-        # nabla F from jets: F is eps^{ab} times the coordinate curl of alpha
-        curl_re = frame.e2u_inv * (
-            alpha_jets[1][0].d_dx() - alpha_jets[0][0].d_dy()
-        )
-        curl_im = (
-            None
-            if alpha_jets[0][1] is None
-            else frame.e2u_inv * (alpha_jets[1][1].d_dx() - alpha_jets[0][1].d_dy())
-        )
-        for axis in range(2):
-            dfre = o * (curl_re.d_dx() if axis == 0 else curl_re.d_dy()).value
-            dfim = 0.0 if curl_im is None else o * (curl_im.d_dx() if axis == 0 else curl_im.d_dy()).value
-            grad_f = complex(dfre, dfim)
-            target = -2.0 * alpha[axis] * f_value - inv.Y[axis]
-            mismatch = max(mismatch, abs(grad_f - target))
+    invs = [None] * len(points)
+    if field.nodes.size:
+        vals = [(name, jets.values(getattr(field, name))) for name in _RESIDUAL_INVARIANTS]
+        for c, node in enumerate(field.nodes):
+            invs[node] = PointInvariants(
+                point=points[node], **{name: v[:, c] if v.ndim == 2 else v[c] for name, v in vals}
+            )
 
-    residuals = _residuals_at(_frame_values(frame)[0], alpha, dalpha, f_value, inv)
-    f = f_value if mode == "complex" else f_value.real
-    return _residual_report(point, mode, "jets", f, residuals, mismatch, settings.tol_residual)
+    def cval(arrays, *index):
+        return complex(arrays[0][index], 0.0 if im is None else arrays[1][index])
+
+    reports = []
+    for i, (point, fv, inv) in enumerate(zip(points, _frame_values(frame), invs)):
+        alpha = np.array([cval(alpha_v, b, i) for b in range(2)])
+        # nabla_a alpha_b = d_a alpha_b - (Gamma^1_ab alpha_1 + Gamma^2_ab alpha_2), on
+        # the node's floats: Frame.cov_deriv subtracts the two terms one at a
+        # time, which rounds differently
+        dalpha = [
+            [
+                cval(partials, a, b, i) - sum(gamma[c, a, b, i] * alpha[c] for c in range(2))
+                for b in range(2)
+            ]
+            for a in range(2)
+        ]
+        f_value = o * e2u_inv[i] * (dalpha[0][1] - dalpha[1][0])
+        # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
+        mismatch = 0.0
+        if inv is not None:
+            for axis in range(2):
+                grad_f = complex(
+                    o * grad_curl[0][axis, i], 0.0 if im is None else o * grad_curl[1][axis, i]
+                )
+                target = -2.0 * alpha[axis] * f_value - inv.Y[axis]
+                mismatch = max(mismatch, abs(grad_f - target))
+        residuals = _residuals_at(fv, alpha, dalpha, f_value, inv)
+        f = f_value if mode == "complex" else f_value.real
+        reports.append(
+            _residual_report(point, mode, "jets", f, residuals, mismatch, settings.tol_residual)
+        )
+    return reports
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
 _PAIRS = (("res12", 0, 1), ("res13", 0, 2), ("res23", 1, 2))
-_CHUNK = 24  # nodes per batch: bounds the memory a batch of jets takes (see docs/decisions.md)
 
 
 def _horner(coeffs, t):
@@ -493,17 +533,16 @@ def _lift_residuals(frame, jinv, invs, f0, F, settings):
 def verify_candidate(structure, candidate, point, mode="real", settings=None):
     """Residual report for a candidate at a point.
 
-    Closed-form candidates (``alpha_exprs`` set) are differentiated exactly
-    via jets.  Reconstructed candidates are differentiated exactly too, by
-    lifting their F, a root of the constraints, to a jet, with each
-    constraint of which it is a simple root (the best lift is reported);
-    they raise :class:`MultipleRoot` where it is a simple root of none.  At
-    flat points the invariant-based algebraic residuals of closed-form
-    candidates are reported as zero (not applicable).
+    A closed-form candidate (``alpha_exprs`` set) goes through
+    :func:`verify_candidates` on this one point.  Reconstructed candidates
+    are differentiated exactly too, by lifting their F, a root of the
+    constraints, to a jet, with each constraint of which it is a simple root
+    (the best lift is reported); they raise :class:`MultipleRoot` where it
+    is a simple root of none.
     """
     settings = settings or DEFAULT_SETTINGS
     if candidate.alpha_exprs is not None:
-        return _verify_closed_form(structure, candidate, point, mode, settings)
+        return verify_candidates(structure, candidate, [point], mode, settings)[0]
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
     field = InvariantField(

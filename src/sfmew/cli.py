@@ -32,9 +32,10 @@ expression values are double-quoted::
     orientation = +1
 
 Exit codes: 0 success, 1 verification failure (``verify`` only),
-2 config error, 3 expression error.  Reports are deterministic and
-byte-stable for a fixed config (no timestamps); numbers are emitted in
-round-trip-exact decimal form.
+2 config error, 3 expression error (one that does not parse, or that fails
+at a point: ``ln`` or ``sqrt`` of a nonpositive value, a zero divisor).
+Reports are deterministic and byte-stable for a fixed config (no
+timestamps); numbers are emitted in round-trip-exact decimal form.
 """
 
 import configparser
@@ -43,6 +44,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
@@ -57,12 +59,13 @@ from .analyzer import (
     classify_points,
     region_report,
     summarize,
-    verify_candidate,
+    verify_candidates,
 )
 from .constraints import assemble_P0, assemble_P1, assemble_P2, assemble_P3
 from .expr import ExprError, parse, to_source
 from .geometry import MoebiusStructure
 from .invariants import FlatPoint, compute_invariants
+from .jets import JetError
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -213,31 +216,31 @@ def _dump_json(data):
     return json.dumps(_jsonable(data), indent=2, sort_keys=False) + "\n"
 
 
+@contextmanager
+def _expression_errors_exit():
+    """Exit 3 on an expression that does not parse, or that fails where it is
+    evaluated at a point; the message gives the source offset (and the point)."""
+    try:
+        yield
+    except (ExprError, JetError) as err:
+        click.echo(f"expression error: {err}", err=True)
+        sys.exit(EXIT_EXPR)
+
+
 def _load_or_exit(config_path):
     try:
         cfg = load_config(config_path)
     except ConfigError as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(EXIT_CONFIG)
-    try:
+    with _expression_errors_exit():
         structure = MoebiusStructure.from_strings(
             cfg.structure_exprs["u"],
             cfg.structure_exprs["P11"],
             cfg.structure_exprs["P12"],
             cfg.structure_exprs["P22"],
         )
-    except ExprError as err:
-        click.echo(f"expression error: {err}", err=True)
-        sys.exit(EXIT_EXPR)
     return cfg, structure
-
-
-def _parse_expr_or_exit(source):
-    try:
-        return parse(source)
-    except ExprError as err:
-        click.echo(f"expression error: {err}", err=True)
-        sys.exit(EXIT_EXPR)
 
 
 def _metadata(cfg):
@@ -346,6 +349,13 @@ def analyze(config_path, out_dir, mode, orientation, jet_order, points_opt):
     if cfg.region is None and not cfg.points:
         click.echo("config error: analyze needs a [region] or [points] section", err=True)
         sys.exit(EXIT_CONFIG)
+    if cfg.region is not None and min(cfg.region.nx, cfg.region.ny) < 2:
+        click.echo(
+            f"config error: analyze needs a [region] of at least 2x2 nodes "
+            f"(got nx = {cfg.region.nx}, ny = {cfg.region.ny})",
+            err=True,
+        )
+        sys.exit(EXIT_CONFIG)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,7 +365,8 @@ def analyze(config_path, out_dir, mode, orientation, jet_order, points_opt):
         "structure": dict(cfg.structure_exprs),
     }
     grid = list(cfg.region.nodes()) if cfg.region is not None else []
-    all_verdicts = classify_points(structure, grid + cfg.points, cfg.settings)
+    with _expression_errors_exit():
+        all_verdicts = classify_points(structure, grid + cfg.points, cfg.settings)
 
     if cfg.region is not None:
         grid_report = region_report(cfg.region, all_verdicts[: len(grid)])
@@ -405,17 +416,19 @@ def verify(config_path, out_dir, mode, orientation, jet_order, points_opt, alpha
             err=True,
         )
         sys.exit(EXIT_CONFIG)
-    exprs = tuple(_parse_expr_or_exit(e) for e in alpha_exprs)
+    with _expression_errors_exit():
+        exprs = tuple(parse(e) for e in alpha_exprs)
 
     points = _points_or_exit(cfg, "verify")
 
     candidate = SolutionCandidate(
         F=0.0, alpha=np.zeros(2, dtype=complex), source="UserSupplied", alpha_exprs=exprs
     )
+    with _expression_errors_exit():
+        reports = verify_candidates(structure, candidate, points, run_mode, cfg.settings)
     records = []
     worst = 0.0
-    for pt in points:
-        rep = verify_candidate(structure, candidate, pt, mode=run_mode, settings=cfg.settings)
+    for pt, rep in zip(points, reports):
         worst = max(worst, rep.max_residual)
         records.append(
             {
@@ -455,9 +468,8 @@ def invariants(config_path, out_dir, mode, orientation, jet_order, points_opt):
     cfg, structure = _load_or_exit(config_path)
     cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
     points = _points_or_exit(cfg, "invariants")
-    records = []
-    for pt in points:
-        records.append(_invariants_record(structure, pt, cfg.settings))
+    with _expression_errors_exit():
+        records = [_invariants_record(structure, pt, cfg.settings) for pt in points]
     click.echo(_dump_json({"metadata": _metadata(cfg), "points": records}), nl=False)
     sys.exit(EXIT_OK)
 
@@ -512,26 +524,27 @@ def constraints(config_path, out_dir, mode, orientation, jet_order, points_opt):
     cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
     points = _points_or_exit(cfg, "constraints")
     records = []
-    for pt in points:
-        try:
-            inv = compute_invariants(
-                structure, pt, cfg.settings.jet_order, cfg.settings.orientation,
-                cfg.settings.tol_flat,
+    with _expression_errors_exit():
+        for pt in points:
+            try:
+                inv = compute_invariants(
+                    structure, pt, cfg.settings.jet_order, cfg.settings.orientation,
+                    cfg.settings.tol_flat,
+                )
+            except FlatPoint:
+                records.append({"x": pt[0], "y": pt[1], "flat": True})
+                continue
+            records.append(
+                {
+                    "x": pt[0],
+                    "y": pt[1],
+                    "flat": False,
+                    "P0": assemble_P0(inv).coeffs,
+                    "P1": assemble_P1(inv).coeffs,
+                    "P2": assemble_P2(inv).coeffs,
+                    "P3": assemble_P3(inv).coeffs,
+                }
             )
-        except FlatPoint:
-            records.append({"x": pt[0], "y": pt[1], "flat": True})
-            continue
-        records.append(
-            {
-                "x": pt[0],
-                "y": pt[1],
-                "flat": False,
-                "P0": assemble_P0(inv).coeffs,
-                "P1": assemble_P1(inv).coeffs,
-                "P2": assemble_P2(inv).coeffs,
-                "P3": assemble_P3(inv).coeffs,
-            }
-        )
     click.echo(_dump_json({"metadata": _metadata(cfg), "points": records}), nl=False)
     sys.exit(EXIT_OK)
 
@@ -543,9 +556,10 @@ def rescale(config_path, out_dir, mode, orientation, jet_order, points_opt, omeg
     """Dump the conformally rescaled structure and its invariants."""
     cfg, structure = _load_or_exit(config_path)
     cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
-    omega_expr = _parse_expr_or_exit(omega)
-    rescaled = structure.rescaled(omega_expr)
-    points = cfg.points or []
+    with _expression_errors_exit():
+        omega_expr = parse(omega)
+        rescaled = structure.rescaled(omega_expr)
+        records = [_invariants_record(rescaled, pt, cfg.settings) for pt in cfg.points or []]
     payload = {
         "metadata": _metadata(cfg),
         "omega": to_source(omega_expr),
@@ -555,7 +569,7 @@ def rescale(config_path, out_dir, mode, orientation, jet_order, points_opt, omeg
             "P12": to_source(rescaled.p12),
             "P22": to_source(rescaled.p22),
         },
-        "points": [_invariants_record(rescaled, pt, cfg.settings) for pt in points],
+        "points": records,
     }
     click.echo(_dump_json(payload), nl=False)
     sys.exit(EXIT_OK)

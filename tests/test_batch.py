@@ -1,9 +1,10 @@
-"""Batch independence: a node's verdict and invariants do not depend on its batch.
+"""Batch independence: a node's verdict, invariants and residuals do not depend on its batch.
 
 ``classify_points`` runs nodes through the invariant chain, the constraint
-assembly and the resultant reports in batches; each node must come out
-bit-identical to the same node classified alone, whatever the other nodes,
-their order and the batch boundaries.
+assembly and the resultant reports in batches, and ``verify_candidates``
+runs a closed-form candidate's jets and the invariant chain in batches;
+each node must come out bit-identical to the same node alone, whatever the
+other nodes, their order and the batch boundaries.
 """
 
 import dataclasses
@@ -16,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfmew import analyzer
-from sfmew.analyzer import classify_point, classify_points
+from sfmew.analyzer import (
+    Settings,
+    SolutionCandidate,
+    classify_point,
+    classify_points,
+    verify_candidate,
+    verify_candidates,
+)
+from sfmew.expr import parse
 from sfmew.geometry import Frame
 from sfmew.invariants import InvariantField, compute_invariants
 
@@ -97,3 +106,63 @@ def test_stacked_field_mixes_flat_sigma_zero_and_branch_nodes(
             assert rep is None
         else:
             assert canon(rep) == canon(single.m_tensor())
+
+
+def closed_form(*sources):
+    return SolutionCandidate(
+        F=0.0, alpha=None, source="UserSupplied", alpha_exprs=tuple(parse(s) for s in sources)
+    )
+
+
+@st.composite
+def verify_cases(draw, quadratic, opposite):
+    """A structure with its closed-form solution: alpha = d omega + (y, -x) for
+    the quadratic family (real mode), d omega + i (y, -x) for the opposite one."""
+    complex_mode = draw(st.booleans())
+    base = opposite if complex_mode else quadratic
+    a, b = (draw(st.floats(-0.1, 0.1)) for _ in range(2))
+    c = draw(st.floats(-0.03, 0.03))
+    if draw(st.booleans()):
+        structure, d_omega = base, ("0", "0")
+    else:
+        structure = base.rescaled(f"{a!r}*x + {b!r}*y + {c!r}*(x*x + y*y)")
+        d_omega = (f"{a!r} + {2 * c!r}*x", f"{b!r} + {2 * c!r}*y")
+    if complex_mode:
+        sources = d_omega + ("y", "-x")
+    else:
+        sources = (f"y + {d_omega[0]}", f"-x + {d_omega[1]}")
+    return structure, closed_form(*sources), "complex" if complex_mode else "real"
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_residual_reports_do_not_depend_on_the_batch(
+    data, quadratic_structure, opposite_structure
+):
+    structure, cand, mode = data.draw(verify_cases(quadratic_structure, opposite_structure))
+    run = Settings(mode=mode, orientation=data.draw(st.sampled_from([1, -1])))
+    points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=9))
+    chunk = data.draw(st.integers(1, 5))
+    with mock.patch.object(analyzer, "_CHUNK", chunk):
+        batched = verify_candidates(structure, cand, points, mode, run)
+    assert len(batched) == len(points)
+    for point, rep in zip(points, batched):
+        assert rep.passed, (point, rep)
+        alone = verify_candidates(structure, cand, [point], mode, run)[0]
+        assert canon(rep) == canon(alone), point
+
+
+def test_verify_candidate_is_verify_candidates_on_one_point(
+    quadratic_structure, opposite_structure
+):
+    cases = [
+        (quadratic_structure, closed_form("y", "-x"), "real"),
+        (opposite_structure, closed_form("0", "0", "y", "-x"), "complex"),
+    ]
+    for structure, cand, mode in cases:
+        for point in ((0.0, 0.0), (0.7, -1.3)):  # flat and non-flat
+            rep = verify_candidate(structure, cand, point, mode)
+            assert canon(rep) == canon(verify_candidates(structure, cand, [point], mode)[0])
+            assert rep.passed and rep.method == "jets"
+            if point == (0.0, 0.0):  # flat: the algebraic residuals do not apply
+                assert rep.res_alpha_U == rep.res_alpha_W == 0.0

@@ -205,3 +205,81 @@ def test_orientation_flag(runner, tmp_path):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["points"][0]["F"] == pytest.approx(2.0)
+
+
+# a structure whose conformal factor is defined for x >= 0 only
+ROOT_U = """
+[structure]
+u = "0*sqrt(x)"
+P11 = "(x*x - y*y)/2"
+P12 = "x*y"
+P22 = "(y*y - x*x)/2"
+"""
+
+
+@pytest.mark.parametrize(
+    "config, args",
+    [
+        (ROOT_U, ["analyze"]),
+        (QUADRATIC, ["verify", "--alpha", "sqrt(x)", "--alpha", "-x"]),
+        (ROOT_U, ["verify", "--alpha", "y", "--alpha", "-x"]),
+        (ROOT_U, ["invariants"]),
+        (ROOT_U, ["constraints"]),
+        (QUADRATIC, ["rescale", "--omega", "sqrt(x)"]),
+    ],
+    ids=["analyze", "verify-alpha", "verify-structure", "invariants", "constraints", "rescale"],
+)
+def test_domain_error_at_a_point_is_an_expression_error(runner, tmp_path, config, args):
+    cfg = write(tmp_path, "c.cfg", config)
+    command = [args[0], "--config", cfg, "--out", str(tmp_path / "out"), "--points", "1,0; -1,0"]
+    result = runner.invoke(main, command + args[1:])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "expression error: sqrt of nonpositive value" in result.output
+    assert "base point (-1.0, 0.0)" in result.output
+
+
+ONE_ROW = """
+[region]
+xmin = -1.0
+xmax = 1.0
+ymin = -1.0
+ymax = 1.0
+nx = 1
+ny = 3
+"""
+
+
+def test_one_row_region_is_a_config_error_for_analyze_only(runner, tmp_path):
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + ONE_ROW)
+    result = runner.invoke(main, ["analyze", "--config", cfg, "--out", str(tmp_path / "a")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error" in result.output and "nx = 1, ny = 3" in result.output
+    # the other commands take the region's nodes as a point list
+    result = runner.invoke(main, ["verify", "--config", cfg, "--alpha", "y", "--alpha", "-x"])
+    assert result.exit_code == 0, result.output
+    assert [(p["x"], p["y"]) for p in json.loads(result.output)["points"]] == [
+        (-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0)
+    ]
+    for command in ("invariants", "constraints"):
+        result = runner.invoke(main, [command, "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["points"]) == 3
+
+
+def test_verify_region_writes_the_residuals_of_the_same_point_list(runner, tmp_path):
+    region = REGION.replace("2.0", "1.0").replace("= 7", "= 3")
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + region)
+    nodes = "; ".join(f"{x!r},{y!r}" for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0))
+    outputs = []
+    for extra in ([], ["--points", nodes]):
+        out = tmp_path / f"out{len(extra)}"
+        result = runner.invoke(
+            main, ["verify", "--config", cfg, "--out", str(out), "--alpha", "y", "--alpha", "-x"]
+            + extra,
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append((out / "residuals.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["points"]) == 9
