@@ -62,7 +62,6 @@ from .geometry import (
     MoebiusStructure,
     TensorAtPoint,
     christoffel,
-    conformal_rescale,
     covariant_derivative,
     gauss_curvature,
     validate,

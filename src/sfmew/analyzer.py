@@ -41,10 +41,14 @@ is simple in no constraint has no such lift and stays unverified.
 Closed-form candidates are differentiated exactly via jets of their
 expressions.  ``verify_candidates`` takes their points in batches of
 ``_CHUNK`` nodes too: per-point frames and expression jets, stacked, one
-invariant chain per batch, then each node's residuals from its own floats.
-Everything here is deterministic and side-effect free.
+invariant chain per batch.  Both ways of verifying give node arrays of
+alpha, nabla alpha, F and nabla F to one residual assembler, which builds
+each node's report from its own floats.  Everything after the frames works
+on node columns; a single point is a batch of one node.  Everything here is
+deterministic and side-effect free.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -244,79 +248,79 @@ def _complex_dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _residuals_at(frame_values, alpha, dalpha, F, inv=None):
-    """Assemble all residuals from point values.
+_EPS = ((0.0, 1.0), (-1.0, 0.0))  # eps_ab / (orientation e^{2u})
 
-    ``frame_values``: dict with e2u, e2u_inv, K, P (2x2), orientation.
-    ``dalpha[a][b]`` = nabla_a alpha_b (already Christoffel-corrected).
+
+def _residual_reports(frame, invs, mode, method, alpha, dalpha, F, grad_F, tol_residual,
+                      on_root=None):
+    """Residual reports of candidates at the nodes of ``frame``, from each node's floats.
+
+    Node arrays, node axis last: ``alpha`` (2, N), ``dalpha[a, b]`` =
+    nabla_a alpha_b, ``F`` (N,) and ``grad_F`` (2, N).  ``invs`` holds each
+    node's invariants, None at a flat node, whose algebraic residuals and
+    gradient cross-check are reported as zero.  Nodes fail where ``on_root``
+    is false.
     """
-    e2u = frame_values["e2u"]
-    e2u_inv = frame_values["e2u_inv"]
-    o = frame_values["orientation"]
-    p = frame_values["P"]
-    alpha_sq = e2u_inv * (alpha[0] * alpha[0] + alpha[1] * alpha[1])
-
-    res_tensor = 0.0
-    for a in range(2):
-        for b in range(2):
-            eps_ab = o * e2u * (1.0 if (a, b) == (0, 1) else -1.0 if (a, b) == (1, 0) else 0.0)
-            g_ab = e2u if a == b else 0.0
-            r = (
-                dalpha[a][b]
-                + alpha[a] * alpha[b]
-                + p[a][b]
-                - 0.5 * alpha_sq * g_ab
-                - 0.5 * eps_ab * F
-            )
-            res_tensor = max(res_tensor, abs(r))
-    res_trace = abs(e2u_inv * (dalpha[0][0] + dalpha[1][1]) + frame_values["K"])
-
-    if inv is None:
-        res_u = res_w = 0.0
-    else:
-        a_dot_u = _complex_dot(alpha, inv.U_up)
-        a_dot_w = e2u_inv * _complex_dot(alpha, inv.W)
-        a_dot_y = _complex_dot(alpha, inv.Y_up)
-        res_u = abs(a_dot_u + F * F + inv.phi)
-        res_w = abs(
-            a_dot_w - inv.ell - 2.5 * inv.rho * F - 3.0 * (inv.mu + a_dot_y) * F * F
-        )
-    return res_u, res_w, res_tensor, res_trace
-
-
-def _frame_values(frame):
-    """Point values of the metric factors, curvature and Rho, one dict per node of the frame."""
     e2u, e2u_inv, K, P = (
         jets.values(getattr(frame, name)) for name in ("e2u", "e2u_inv", "curvature", "p")
     )
-    return [
-        {
-            "e2u": e2u[i],
-            "e2u_inv": e2u_inv[i],
-            "K": K[i],
-            "P": [[P[a][b][i] for b in range(2)] for a in range(2)],
-            "orientation": float(frame.orientation),
-        }
-        for i in range(e2u.size)
-    ]
+    o = float(frame.orientation)
+    reports = []
+    for i, (point, inv) in enumerate(zip(frame.points, invs)):
+        alpha_i, dalpha_i, f = alpha[:, i], dalpha[:, :, i], F[i]
+        alpha_sq = e2u_inv[i] * (alpha_i[0] * alpha_i[0] + alpha_i[1] * alpha_i[1])
+        res_tensor = 0.0
+        for a in range(2):
+            for b in range(2):
+                eps_ab = o * e2u[i] * _EPS[a][b]
+                g_ab = e2u[i] if a == b else 0.0
+                r = (
+                    dalpha_i[a, b]
+                    + alpha_i[a] * alpha_i[b]
+                    + P[a, b, i]
+                    - 0.5 * alpha_sq * g_ab
+                    - 0.5 * eps_ab * f
+                )
+                res_tensor = max(res_tensor, abs(r))
+        res_trace = abs(e2u_inv[i] * (dalpha_i[0, 0] + dalpha_i[1, 1]) + K[i])
+
+        res_u = res_w = mismatch = 0.0
+        if inv is not None:
+            a_dot_u = _complex_dot(alpha_i, inv.U_up)
+            a_dot_w = e2u_inv[i] * _complex_dot(alpha_i, inv.W)
+            a_dot_y = _complex_dot(alpha_i, inv.Y_up)
+            res_u = abs(a_dot_u + f * f + inv.phi)
+            res_w = abs(
+                a_dot_w - inv.ell - 2.5 * inv.rho * f - 3.0 * (inv.mu + a_dot_y) * f * f
+            )
+            # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
+            for axis in range(2):
+                target = -2.0 * alpha_i[axis] * f - inv.Y[axis]
+                mismatch = max(mismatch, abs(grad_F[axis, i] - target))
+
+        max_res = max(res_u, res_w, res_tensor, res_trace)
+        reports.append(ResidualReport(
+            point=tuple(map(float, point)),
+            mode=mode,
+            method=method,
+            f=f if mode == "complex" else f.real,
+            res_alpha_U=res_u,
+            res_alpha_W=res_w,
+            res_tensor=res_tensor,
+            res_trace=res_trace,
+            f_gradient_mismatch=mismatch,
+            passed=bool(max_res < tol_residual and (on_root is None or on_root[i])),
+            max_residual=max_res,
+        ))
+    return reports
 
 
-def _residual_report(point, mode, method, f, residuals, mismatch, tol_residual, on_root=True):
-    res_u, res_w, res_tensor, res_trace = residuals
-    max_res = max(residuals)
-    return ResidualReport(
-        point=tuple(map(float, point)),
-        mode=mode,
-        method=method,
-        f=f,
-        res_alpha_U=res_u,
-        res_alpha_W=res_w,
-        res_tensor=res_tensor,
-        res_trace=res_trace,
-        f_gradient_mismatch=mismatch,
-        passed=bool(max_res < tol_residual and on_root),
-        max_residual=max_res,
-    )
+def _complex(parts):
+    """The complex array ``parts[0] + i parts[1]`` (i 0 without ``parts[1]``), exactly."""
+    out = parts[0].astype(complex)
+    if len(parts) > 1:
+        out.imag = parts[1]
+    return out
 
 
 def verify_candidates(structure, candidate, points, mode="real", settings=None):
@@ -361,19 +365,29 @@ def _verify_chunk(structure, exprs, points, mode, settings):
         comps.append([eval_jet(e, p, order, frames[-1].space) for e in exprs])
     frame, comps = Frame.stack(frames), jets.stack(comps)
     del frames  # the stack holds copies of their jets
-    # alpha_b = re[b] + i im[b]; im is None in real mode
-    re, im = comps[:2], (comps[2:] if mode == "complex" else None)
+    # alpha_b = re[b] + i im[b]; one part in real mode
+    parts = [comps[:2]] if mode == "real" else [comps[:2], comps[2:]]
 
-    # node values, node axis last: alpha, its partials [a][b] = d_a alpha_b,
-    # Gamma^c_ab, and the partials [a] of F / o = e^{-2u} (d_x alpha_2 - d_y alpha_1)
+    # node values, node axis last: alpha, its partials [a][b] = d_a alpha_b, and
+    # the partials [a] of F = o e^{-2u} (d_x alpha_2 - d_y alpha_1)
     ix, iy = frame.space.index[(1, 0)], frame.space.index[(0, 1)]
-    parts = [re] if im is None else [re, im]
-    alpha_v = [jets.values(part) for part in parts]
-    partials = [np.array([[j.vec[k] for j in part] for k in (ix, iy)]) for part in parts]
+    alpha = _complex([jets.values(part) for part in parts])
+    partials = _complex([np.array([[j.vec[k] for j in part] for k in (ix, iy)]) for part in parts])
     curls = [frame.e2u_inv * (part[1].d_dx() - part[0].d_dy()) for part in parts]
-    grad_curl = [np.array([c.vec[ix], c.vec[iy]]) for c in curls]
-    gamma = jets.values(frame.gamma)
-    e2u_inv = jets.values(frame.e2u_inv)
+    grad_F = _complex([np.array([o * c.vec[ix], o * c.vec[iy]]) for c in curls])
+    gamma, e2u_inv = jets.values(frame.gamma), jets.values(frame.e2u_inv)
+
+    # nabla_a alpha_b = d_a alpha_b - (Gamma^1_ab alpha_1 + Gamma^2_ab alpha_2), on
+    # each node's floats: Frame.cov_deriv subtracts the two terms one at a
+    # time, which rounds differently
+    dalpha, F = np.empty_like(partials), np.empty_like(alpha[0])
+    for i in range(len(points)):
+        for a in range(2):
+            for b in range(2):
+                dalpha[a, b, i] = partials[a, b, i] - sum(
+                    gamma[c, a, b, i] * alpha[c, i] for c in range(2)
+                )
+        F[i] = o * e2u_inv[i] * (dalpha[0, 1, i] - dalpha[1, 0, i])
 
     field = InvariantField(frame, settings.tol_flat)
     invs = [None] * len(points)
@@ -383,39 +397,9 @@ def _verify_chunk(structure, exprs, points, mode, settings):
             invs[node] = PointInvariants(
                 point=points[node], **{name: v[:, c] if v.ndim == 2 else v[c] for name, v in vals}
             )
-
-    def cval(arrays, *index):
-        return complex(arrays[0][index], 0.0 if im is None else arrays[1][index])
-
-    reports = []
-    for i, (point, fv, inv) in enumerate(zip(points, _frame_values(frame), invs)):
-        alpha = np.array([cval(alpha_v, b, i) for b in range(2)])
-        # nabla_a alpha_b = d_a alpha_b - (Gamma^1_ab alpha_1 + Gamma^2_ab alpha_2), on
-        # the node's floats: Frame.cov_deriv subtracts the two terms one at a
-        # time, which rounds differently
-        dalpha = [
-            [
-                cval(partials, a, b, i) - sum(gamma[c, a, b, i] * alpha[c] for c in range(2))
-                for b in range(2)
-            ]
-            for a in range(2)
-        ]
-        f_value = o * e2u_inv[i] * (dalpha[0][1] - dalpha[1][0])
-        # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
-        mismatch = 0.0
-        if inv is not None:
-            for axis in range(2):
-                grad_f = complex(
-                    o * grad_curl[0][axis, i], 0.0 if im is None else o * grad_curl[1][axis, i]
-                )
-                target = -2.0 * alpha[axis] * f_value - inv.Y[axis]
-                mismatch = max(mismatch, abs(grad_f - target))
-        residuals = _residuals_at(fv, alpha, dalpha, f_value, inv)
-        f = f_value if mode == "complex" else f_value.real
-        reports.append(
-            _residual_report(point, mode, "jets", f, residuals, mismatch, settings.tol_residual)
-        )
-    return reports
+    return _residual_reports(
+        frame, invs, mode, "jets", alpha, dalpha, F, grad_F, settings.tol_residual
+    )
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
@@ -511,23 +495,13 @@ def _lift_batch(frame, jinv, cols, roots, invs, settings):
 def _lift_residuals(frame, jinv, invs, f0, F, settings):
     """Residual reports of the candidates of the lifted roots ``F`` (one per node column)."""
     numer, denom = _alpha_parts(jinv, F)
-    alpha_jets = [n / denom for n in numer]
-    alpha = np.array([a.value for a in alpha_jets])
-    dalpha = np.array([[d.value for d in row] for row in frame.cov_deriv(alpha_jets, "d")])
-    grad_f = np.array([F.d_dx().value, F.d_dy().value])
-    Y = np.array([inv.Y for inv in invs]).T
-    mismatch = np.max(np.abs(grad_f - (-2.0 * alpha * F.value - Y)), axis=0)
-    reports = []
-    for i, (inv, fv) in enumerate(zip(invs, _frame_values(frame))):
-        residuals = _residuals_at(
-            fv, alpha[:, i].astype(complex), dalpha[:, :, i].tolist(), F.value[i], inv
-        )
-        on_root = abs(F.value[i] - f0[i]) <= settings.tol_root * max(1.0, abs(f0[i]))
-        reports.append(_residual_report(
-            frame.points[i], "real", "jet-lift", float(F.value[i]), residuals,
-            float(mismatch[i]), settings.tol_residual, on_root,
-        ))
-    return reports
+    alpha = [n / denom for n in numer]
+    on_root = np.abs(F.value - f0) <= settings.tol_root * np.maximum(1.0, np.abs(f0))
+    return _residual_reports(
+        frame, invs, "real", "jet-lift", jets.values(alpha),
+        jets.values(frame.cov_deriv(alpha, "d")), F.value, jets.values(frame.grad(F)),
+        settings.tol_residual, on_root,
+    )
 
 
 def verify_candidate(structure, candidate, point, mode="real", settings=None):
@@ -549,8 +523,9 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
         Frame(structure, point, settings.jet_order, settings.orientation),
         settings.tol_flat,
     )
+    field.require_not_flat()
     f0 = float(candidate.F.real)
-    rep = _lifted_reports(field, [0], [f0], [field.point_invariants()], settings)[0]
+    rep = _lifted_reports(field, [0], [f0], field.point_invariants(), settings)[0]
     if rep is None:
         raise MultipleRoot(f"F = {f0} is a multiple root of every constraint")
     return rep
@@ -779,6 +754,8 @@ class RegionSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be >= 1")
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
+            raise ValueError("region bounds must be finite")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("need xmin < xmax and ymin < ymax")
 

@@ -107,9 +107,12 @@ def _parse_points(text):
         if len(parts) != 2:
             raise ConfigError(f"bad point {chunk!r}: expected 'x,y'")
         try:
-            pts.append((float(parts[0]), float(parts[1])))
+            pt = (float(parts[0]), float(parts[1]))
         except ValueError as err:
             raise ConfigError(f"bad point {chunk!r}: {err}") from err
+        if not all(map(math.isfinite, pt)):
+            raise ConfigError(f"bad point {chunk!r}: coordinates must be finite")
+        pts.append(pt)
     return pts
 
 

@@ -333,12 +333,12 @@ def eval_jet(e, base, order, space=None):
     the zero coefficients keep the signs that jet arithmetic gives them.
     Domain failures (ln/sqrt of nonpositive values, degenerate division)
     propagate as the jet errors annotated with the offending node's source
-    offset and the base point.
+    offset and the base point, which is also their ``base``.
     """
     if space is None:
         space = jet_space(order)
     bpt = (float(base[0]), float(base[1]))
-    return _as_jet(_evaluate(e, _EvalContext(space, bpt, {})), space, bpt)
+    return _as_jet(_evaluate(e, _EvalContext(space, bpt, {})), space)
 
 
 class _EvalContext(NamedTuple):
@@ -347,10 +347,10 @@ class _EvalContext(NamedTuple):
     variables: dict  # the jets of x and y, built on first use
 
 
-def _as_jet(v, space, base):
+def _as_jet(v, space):
     if isinstance(v, Jet):
         return v
-    const = Jet.constant(space, v.value, base)
+    const = Jet.constant(space, v.value)
     const.vec[1:] = v.zero
     return const
 
@@ -366,7 +366,7 @@ def _evaluate(node, ctx):
     if isinstance(node, Var):
         if node.name not in ctx.variables:
             axis = 0 if node.name == "x" else 1
-            ctx.variables[node.name] = Jet.variable(ctx.space, axis, ctx.base[axis], ctx.base)
+            ctx.variables[node.name] = Jet.variable(ctx.space, axis, ctx.base[axis])
         return ctx.variables[node.name]
     if isinstance(node, Neg):
         arg = _evaluate(node.arg, ctx)
@@ -391,7 +391,7 @@ def _evaluate(node, ctx):
         try:
             if all(isinstance(a, _Const) for a in args):
                 return _folded(func, *args)
-            return func(*(_as_jet(a, ctx.space, ctx.base) for a in args))
+            return func(*(_as_jet(a, ctx.space) for a in args))
         except jets.JetError as err:
             raise _located(err, node.pos, ctx.base) from err
     raise TypeError(f"not an expression node: {node!r}")

@@ -24,7 +24,6 @@ __all__ = [
     "christoffel",
     "gauss_curvature",
     "covariant_derivative",
-    "conformal_rescale",
     "validate",
     "ValidationReport",
 ]
@@ -128,11 +127,10 @@ class Frame:
 
     :meth:`stack` places the jets of per-point frames side by side, one node
     column per point; the calculus methods then act on every node at once.
-    A stacked frame has ``points`` (and ``point`` None); a per-point frame
-    has ``point`` (and ``points`` None).
+    Every frame lists its nodes' points in ``points``; a per-point frame
+    is a frame of one node, whose ``point`` is that node's (None on a stack).
     """
 
-    points = None
     # jet attributes, each a jet or nested lists of jets
     _JETS = ("u", "p", "du", "e2u", "e2u_inv", "gamma", "curvature")
 
@@ -143,6 +141,7 @@ class Frame:
             raise ValueError("orientation must be +1 or -1")
         self.structure = structure
         self.point = (float(point[0]), float(point[1]))
+        self.points = [self.point]
         self.order = order
         self.orientation = orientation
         self.space = jet_space(order)
@@ -159,7 +158,7 @@ class Frame:
 
         # gamma[c][a][b] = Gamma^c_ab for g = e^{2u} delta
         du = self.du
-        zero = Jet.constant(self.space, 0.0, self.point)
+        zero = Jet.constant(self.space, 0.0)
         zero.order = du[0].order
 
         def gamma_entry(c, a, b):
@@ -197,14 +196,10 @@ class Frame:
 
     def take(self, cols):
         """The frame at some of its nodes (repeats allowed), as a stacked frame."""
-        points = self._point_list()
-        taken = self._like(self, [points[c] for c in cols])
+        taken = self._like(self, [self.points[c] for c in cols])
         for name in self._JETS:
             setattr(taken, name, jets.take(getattr(self, name), cols))
         return taken
-
-    def _point_list(self):
-        return [self.point] if self.points is None else self.points
 
     @classmethod
     def _like(cls, frame, points):
@@ -272,7 +267,7 @@ class Frame:
         return [o * form[1], -o * form[0]]
 
     def metric(self):
-        zero = Jet.constant(self.space, 0.0, self.point)
+        zero = Jet.constant(self.space, 0.0)
         return [[self.e2u, zero], [zero, self.e2u]]
 
 
@@ -304,11 +299,6 @@ def covariant_derivative(structure, point, tensor, order=6, orientation=1):
     else:
         comp = frame.cov_deriv(tensor.comp, tensor.kinds)
     return TensorAtPoint(comp, "d" + tensor.kinds, tensor.weight)
-
-
-def conformal_rescale(structure, omega):
-    """Alias for :meth:`MoebiusStructure.rescaled`."""
-    return structure.rescaled(omega)
 
 
 @dataclass

@@ -19,12 +19,17 @@ constraint polynomials, and the degenerate-branch quantities::
         + 3 (psi rho + tau m) / (4 sigma)
 
 All quantities are computed as jets so they can be differentiated again; the
-extracted point values live in :class:`PointInvariants`.  Everything is a pure
-function of (structure, point) and safe for parallel region scans.
+extracted point values live in :class:`PointInvariants`.  An
+:class:`InvariantField` runs the chain on node columns, one per point; a
+single point is a field of one node, and the per-point functions at the end
+(:func:`cotton_york`, :func:`compute_invariants`, :func:`compute_M`) take
+its node 0.  Everything is a pure function of (structure, point) and safe
+for parallel region scans.
 """
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -180,7 +185,7 @@ _VECTORS = ("Y", "U", "Y_up", "U_up", "W", "L", "grad_rho")
 
 
 def _hypot(a, b):
-    """math.hypot of each node's pair of values (a node array for one point too)."""
+    """math.hypot of each node's pair of values, as a node array."""
     pairs = zip(np.ravel(a).tolist(), np.ravel(b).tolist())
     return np.array([math.hypot(x, y) for x, y in pairs])
 
@@ -240,15 +245,16 @@ def _quad_jets(a, m, b):
 
 
 class InvariantField:
-    """The full invariant chain at one point, or at stacked nodes, kept as jets.
+    """The full invariant chain at the nodes of a frame, kept as jets.
 
-    ``frame`` is a per-point :class:`~sfmew.geometry.Frame` or a stack of
-    them (:meth:`~sfmew.geometry.Frame.stack`).  On a stack every jet has
-    one column per node and every value is an array over the nodes.
-    ``dP``, ``dP_scale``, ``y_norm`` and ``flat`` cover every node; the rest
-    of the chain runs on the non-flat nodes, ``nodes`` (their indices), so
-    the flatness branch is a column selection.  Build it once and reuse it
-    for invariants, constraint assembly and the degenerate branch.
+    ``frame`` is a :meth:`~sfmew.geometry.Frame.stack` of per-point frames,
+    or one per-point frame, which is a frame of one node.  Every value is an
+    array over the nodes.  ``dP``, ``dP_scale``, ``y_norm`` and ``flat``
+    cover every node; the rest of the chain runs on the non-flat nodes,
+    ``nodes`` (their indices), so the flatness branch is a column selection.
+    ``dL``, ``dY``, ``hess_rho`` and ``grad_sigma``, which only the
+    contractions read, are built on first read.  Build the field once and
+    reuse it for invariants, constraint assembly and the degenerate branch.
     """
 
     def __init__(self, frame: Frame, tol_flat=DEFAULT_TOL_FLAT):
@@ -263,16 +269,12 @@ class InvariantField:
         # Y_c = eps^{ab} (nabla_a P_bc - nabla_b P_ac) = 2 eps^{12} (nabla_1 P_2c - nabla_2 P_1c)
         self.Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
         self.y_norm = _hypot(self.Y[0].value, self.Y[1].value)
-        flat = self.y_norm < tol_flat * self.dP_scale
-        self.nodes = np.flatnonzero(~flat)
-        some_flat = self.nodes.size < flat.size
-        if frame.points is None:
-            self.dP_scale, self.y_norm, flat = self.dP_scale[0], self.y_norm[0], flat[0]
-        self.flat = flat
+        self.flat = self.y_norm < tol_flat * self.dP_scale
+        self.nodes = np.flatnonzero(~self.flat)
         self._branch = None
         if not self.nodes.size:
             return
-        if some_flat:
+        if self.nodes.size < self.flat.size:
             f = self.frame = frame.take(self.nodes)
             self.Y = jets.take(self.Y, self.nodes)
 
@@ -302,12 +304,7 @@ class InvariantField:
         )
         eps_W = f.rot_form(self.W)  # eps_ab W^b
         self.L = [self.Y[a] * self.ell - eps_W[a] * self.phi for a in range(2)]
-
-        self.dL = f.cov_deriv(self.L, "d")
-        self.dY = f.cov_deriv(self.Y, "d")
         self.grad_rho = f.grad(self.rho)
-        self.hess_rho = f.cov_deriv(self.grad_rho, "d")
-        self.grad_sigma = f.grad(self.sigma)
 
         yw_bound = (
             _hypot(self.Y[0].value, self.Y[1].value)
@@ -315,8 +312,24 @@ class InvariantField:
             * f.e2u_inv.value
         )
         self.sigma_scale = np.maximum(yw_bound, 1e-300)
-        if frame.points is None:
-            self.sigma_scale = self.sigma_scale[0]
+
+    # -- read only by the contractions: built on first read -------------------
+
+    @cached_property
+    def dL(self):
+        return self.frame.cov_deriv(self.L, "d")
+
+    @cached_property
+    def dY(self):
+        return self.frame.cov_deriv(self.Y, "d")
+
+    @cached_property
+    def hess_rho(self):
+        return self.frame.cov_deriv(self.grad_rho, "d")
+
+    @cached_property
+    def grad_sigma(self):
+        return self.frame.grad(self.sigma)
 
     def _p_contract(self, a_up, b_up):
         p = self.frame.p
@@ -327,24 +340,17 @@ class InvariantField:
         )
 
     def require_not_flat(self):
+        """Raise :class:`FlatPoint` where every node is flat."""
         if not self.nodes.size:
-            where = self.frame.point if self.frame.points is None else "every node"
             raise FlatPoint(
-                f"Cotton-York form vanishes at {where} "
+                f"Cotton-York form vanishes at {', '.join(map(str, self.frame.points))} "
                 f"(|Y| = {np.max(self.y_norm):.3e} below threshold)"
             )
-
-    def _points(self):
-        return [self.frame.point] if self.frame.points is None else self.frame.points
-
-    def _split(self, items):
-        """One item per node on a stack; the item itself for one point."""
-        return items if self.frame.points is not None else items[0]
 
     # -- degenerate branch (divides by sigma) --------------------------------
 
     def sigma_is_zero(self, tol=1e-9):
-        """Whether sigma is numerically zero (at each of ``nodes`` on a stack)."""
+        """Whether sigma is numerically zero, at each of ``nodes``."""
         return abs(self.sigma.value) < tol * self.sigma_scale
 
     def _take(self, cols):
@@ -360,13 +366,13 @@ class InvariantField:
     def branch(self):
         """Degenerate-branch jets where sigma is not numerically zero.
 
-        Returns ``(cols, field, m, psi, k)``: ``cols`` indexes ``nodes`` (on
-        one point, ``[0]`` or empty), the jets are over those columns and
-        ``field`` is this field at those columns, or None where they are all
-        of its nodes (so that the field holds no reference to itself).
+        Returns ``(cols, field, m, psi, k)``: ``cols`` indexes ``nodes``, the
+        jets are over those columns and ``field`` is this field at those
+        columns, or None where they are all of its nodes (so that the field
+        holds no reference to itself).
         """
         if self._branch is None:
-            cols = np.flatnonzero(~np.atleast_1d(self.sigma_is_zero()))
+            cols = np.flatnonzero(~self.sigma_is_zero())
             if not cols.size:
                 self._branch = (cols, None, None, None, None)
                 return self._branch
@@ -430,7 +436,7 @@ class InvariantField:
             + [t for term in terms.values() for t in term if t is not None]
         )
         return PointInvariants(
-            point=self._points(),
+            point=self.frame.points,
             orientation=self.frame.orientation,
             e2u=table.values(self.frame.e2u),
             **{name: table.values(t) for name, t in zip(_SCALARS + _VECTORS, chain)},
@@ -439,14 +445,14 @@ class InvariantField:
             m=m,
             psi=psi,
             k=k,
-            sigma_scale=np.atleast_1d(self.sigma_scale),
+            sigma_scale=self.sigma_scale,
         )
 
     def point_invariants(self):
-        """PointInvariants of the point, or a list of them over ``nodes``."""
-        if self.frame.points is not None and not self.nodes.size:
+        """A list of PointInvariants, one per node of ``nodes``."""
+        if not self.nodes.size:
             return []
-        return self._split(self.invariant_values().split())
+        return self.invariant_values().split()
 
     def invariant_jets(self):
         """The invariants over ``nodes`` as jets, in a :class:`PointInvariants`.
@@ -458,7 +464,7 @@ class InvariantField:
         """
         self.require_not_flat()
         return PointInvariants(
-            point=self._points(),
+            point=self.frame.points,
             orientation=self.frame.orientation,
             **{name: getattr(self, name) for name in _SCALARS},
             **{name: list(getattr(self, name)) for name in _VECTORS},
@@ -473,16 +479,12 @@ class InvariantField:
     def m_tensor(self):
         """The branch tensor M_ab = nabla_(a alpha_b) + alpha alpha + P - (|alpha|^2/2) g.
 
-        On one point, its :class:`MTensorReport`, or :class:`SigmaZero`
-        where sigma is numerically zero.  On a stack, a list over ``nodes``
-        with None where sigma is numerically zero.
+        A list of :class:`MTensorReport` over ``nodes``, with None where
+        sigma is numerically zero.
         """
-        if self.frame.points is not None and not self.nodes.size:
+        if not self.nodes.size:
             return []
-        self.require_not_flat()
         cols, src, m, _, k = self.branch()
-        if not cols.size and self.frame.points is None:
-            raise SigmaZero(f"sigma = {self.sigma.value:.3e} numerically zero")
         reports = [None] * self.nodes.size
         if cols.size:
             src = src or self
@@ -514,7 +516,7 @@ class InvariantField:
                     norm=float(norm[i]),
                     scale=scale[i],
                 )
-        return self._split(reports)
+        return reports
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +527,19 @@ def cotton_york(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_F
     """Cotton-York 1-form Y_a and the pointwise flatness decision."""
     field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
     return CottonReport(
-        Y=np.array([j.value for j in field_.Y]),
+        Y=jets.values(field_.Y)[:, 0],
         Y_jets=field_.Y,
-        flat=field_.flat,
-        norm=field_.y_norm,
-        scale=field_.dP_scale,
+        flat=field_.flat[0],
+        norm=field_.y_norm[0],
+        scale=field_.dP_scale[0],
     )
 
 
 def compute_invariants(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
     """All point invariants; raises :class:`FlatPoint` where Y vanishes."""
     field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
-    return field_.point_invariants()
+    field_.require_not_flat()
+    return field_.point_invariants()[0]
 
 
 def compute_M(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
@@ -547,4 +550,7 @@ def compute_M(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_FLA
     """
     field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
     field_.require_not_flat()
-    return field_.m_tensor()
+    rep = field_.m_tensor()[0]
+    if rep is None:
+        raise SigmaZero(f"sigma = {jets.values(field_.sigma)[0]:.3e} numerically zero")
+    return rep

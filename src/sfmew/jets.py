@@ -10,7 +10,8 @@ Coefficients are kept in Taylor-normalized form (divided by factorials) to
 keep magnitudes balanced in high-order products, and stored densely over the
 triangle ``i + j <= order``.
 
-A jet may also carry one column of coefficients per node, ``vec`` of shape
+A jet with ``vec`` of shape ``(size,)`` is a jet of one node.  A jet may
+also carry one column of coefficients per node, ``vec`` of shape
 ``(size, N)``: every operation then acts on the N nodes at once, and a
 per-node scalar is a float array of shape ``(N,)``.  Each column goes
 through exactly the float operations, in the same order, that a jet of one
@@ -20,6 +21,9 @@ math library (the power series of a reciprocal) are computed value by value
 with it too, since numpy's vectorised ``pow`` can differ in the last bit.
 The analytic functions (exp, ln, sqrt, sin, cos, non-integer powers) take
 jets of one node.
+
+A jet does not know its point.  A :class:`JetError` says what failed;
+:func:`sfmew.expr.eval_jet` adds where, as ``JetError.base``.
 
 Jets are immutable values; every operation returns a new jet and is safe to
 call concurrently.
@@ -53,7 +57,8 @@ __all__ = [
 
 
 class JetError(Exception):
-    """Base class for jet arithmetic failures."""
+    """Base class for jet arithmetic failures; ``base`` is the point where
+    :func:`sfmew.expr.eval_jet` met it (None from bare jet arithmetic)."""
 
     def __init__(self, message, base=None):
         super().__init__(message)
@@ -162,32 +167,31 @@ def jet_space(order):
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar at a base point, or at N nodes."""
+    """Truncated Taylor expansion of a scalar at one node, or at N nodes."""
 
-    __slots__ = ("space", "vec", "order", "base")
+    __slots__ = ("space", "vec", "order")
     __array_ufunc__ = None  # ndarray op jet defers to the jet's reflected method
 
-    def __init__(self, space, vec, order=None, base=None):
+    def __init__(self, space, vec, order=None):
         self.space = space
         self.vec = vec
         self.order = space.order if order is None else order
-        self.base = base
 
     @classmethod
-    def constant(cls, space, value, base=None):
+    def constant(cls, space, value):
         """Constant jet; a value array of shape (N,) gives one column per node."""
         vec = np.zeros((space.size,) + np.shape(value))
         vec[0] = value
-        return cls(space, vec, base=base)
+        return cls(space, vec)
 
     @classmethod
-    def variable(cls, space, axis, value, base=None):
+    def variable(cls, space, axis, value):
         """Jet of the coordinate function x (axis 0) or y (axis 1)."""
         vec = np.zeros(space.size)
         vec[0] = value
         if space.order >= 1:
             vec[space.index[(1, 0) if axis == 0 else (0, 1)]] = 1.0
-        return cls(space, vec, base=base)
+        return cls(space, vec)
 
     @property
     def value(self):
@@ -196,7 +200,7 @@ class Jet:
     def take(self, cols):
         """The jet at some of its nodes (repeats allowed); a one-node jet is node 0."""
         vec = self.vec if self.vec.ndim == 2 else self.vec[:, None]
-        return Jet(self.space, vec[:, cols], self.order, self.base)
+        return Jet(self.space, vec[:, cols], self.order)
 
     def coeff(self, i, j):
         """Taylor-normalized coefficient for the (i, j) monomial."""
@@ -225,7 +229,7 @@ class Jet:
         src, dst, fac = self.space._deriv[axis]
         vec = np.zeros(self.vec.shape)
         vec[dst] = self.vec[src] * fac[self.vec.ndim - 1]
-        return Jet(self.space, vec, self.order - 1, self.base)
+        return Jet(self.space, vec, self.order - 1)
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -245,8 +249,8 @@ class Jet:
         if o is None:
             vec = self.vec.copy()
             vec[0] += other
-            return Jet(self.space, vec, self.order, self.base)
-        return Jet(self.space, self.vec + o.vec, min(self.order, o.order), self.base or o.base)
+            return Jet(self.space, vec, self.order)
+        return Jet(self.space, self.vec + o.vec, min(self.order, o.order))
 
     __radd__ = __add__
 
@@ -257,24 +261,24 @@ class Jet:
         if o is None:
             vec = self.vec.copy()
             vec[0] -= other
-            return Jet(self.space, vec, self.order, self.base)
-        return Jet(self.space, self.vec - o.vec, min(self.order, o.order), self.base or o.base)
+            return Jet(self.space, vec, self.order)
+        return Jet(self.space, self.vec - o.vec, min(self.order, o.order))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Jet(self.space, -self.vec, self.order, self.base)
+        return Jet(self.space, -self.vec, self.order)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet(self.space, self.vec * other, self.order, self.base)
+            return Jet(self.space, self.vec * other, self.order)
         order = min(self.order, o.order)
         vec = self.space.mul_vec(self.vec, o.vec, order)
-        return Jet(self.space, vec, order, self.base or o.base)
+        return Jet(self.space, vec, order)
 
     __rmul__ = __mul__
 
@@ -283,7 +287,7 @@ class Jet:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet(self.space, self.vec / other, self.order, self.base)
+            return Jet(self.space, self.vec / other, self.order)
         return self * _reciprocal(o)
 
     def __rtruediv__(self, other):
@@ -301,7 +305,7 @@ class Jet:
 def _reciprocal(j):
     v = j.value
     if (v == 0.0).any():
-        raise DegenerateDivision("division by a jet with zero value", base=j.base)
+        raise DegenerateDivision("division by a jet with zero value")
     series = [(-1.0) ** k / ipow(v, k + 1) for k in range(j.order + 1)]
     return compose_series(series, j)
 
@@ -361,8 +365,8 @@ def compose_series(series, g):
         raise ValueError(f"series too short: need {n + 1} coefficients, got {len(series)}")
     shifted = g.vec.copy()
     shifted[0] = 0.0
-    s = Jet(g.space, shifted, g.order, g.base)
-    acc = Jet(g.space, np.zeros(g.vec.shape), g.order, g.base)
+    s = Jet(g.space, shifted, g.order)
+    acc = Jet(g.space, np.zeros(g.vec.shape), g.order)
     acc.vec[0] = series[n]
     for c in series[n - 1 :: -1]:
         acc = acc * s + c
@@ -381,7 +385,7 @@ def exp(j):
 def ln(j):
     v = j.value
     if v <= 0.0:
-        raise DomainError(f"ln of nonpositive value {v!r}", base=j.base)
+        raise DomainError(f"ln of nonpositive value {v!r}")
     series = [math.log(v)]
     for k in range(1, j.order + 1):
         series.append((-1.0) ** (k - 1) / (k * v**k))
@@ -391,7 +395,7 @@ def ln(j):
 def sqrt(j):
     v = j.value
     if v <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {v!r}", base=j.base)
+        raise DomainError(f"sqrt of nonpositive value {v!r}")
     series, c = [], math.sqrt(v)
     for k in range(j.order + 1):
         series.append(c)
@@ -429,7 +433,7 @@ def power(j, exponent):
         return _int_power(j, n)
     v = j.value
     if v <= 0.0:
-        raise DomainError(f"non-integer power of nonpositive value {v!r}", base=j.base)
+        raise DomainError(f"non-integer power of nonpositive value {v!r}")
     series, c = [], v**exponent
     for k in range(j.order + 1):
         series.append(c)
@@ -439,7 +443,7 @@ def power(j, exponent):
 
 def _int_power(j, n):
     if n == 0:
-        one = Jet(j.space, np.zeros(j.vec.shape), j.order, j.base)
+        one = Jet(j.space, np.zeros(j.vec.shape), j.order)
         one.vec[0] = 1.0
         return one
     result = None

@@ -17,6 +17,7 @@ cases, which these thresholds absorb.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -144,7 +145,8 @@ class ResultantValue(NamedTuple):
     """Sylvester determinant of the normalized pair plus the scale factor.
 
     ``value`` recovers the resultant of the raw polynomials:
-    ``value = normalized * scale`` with ``scale = |P|_max^deg(Q) |Q|_max^deg(P)``.
+    ``value = normalized * scale`` with ``scale = |P|_max^deg(Q) |Q|_max^deg(P)``;
+    where the scale exceeds the float range it is inf, and so is ``value``.
     """
 
     normalized: float
@@ -171,13 +173,26 @@ def _sylvester_stack(pc, qc):
     return mat
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _resultant_scale(p_norm, p_degree, q_norm, q_degree):
+    """``|P|_max^deg(Q) |Q|_max^deg(P)``, inf beyond the float range; Python's
+    ``**`` on each value, and logarithms only where a power overflows."""
+    try:
+        return p_norm ** q_degree * q_norm ** p_degree
+    except OverflowError:
+        log_scale = q_degree * math.log(p_norm) + p_degree * math.log(q_norm)
+        return math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
+
+
 def _normalized_pair(p, q):
     """Both polynomials normalized, and the factor that undoes it in the resultant."""
     if p.is_zero or q.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
     if p.degree < 1 or q.degree < 1:
         raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
-    return p.normalized(), q.normalized(), p.norm ** q.degree * q.norm ** p.degree
+    return p.normalized(), q.normalized(), _resultant_scale(p.norm, p.degree, q.norm, q.degree)
 
 
 def sylvester_resultant(p, q):
@@ -245,7 +260,8 @@ def column_resultant_reports(cp, cq):
     for m, n in sorted(set(zip(dp.tolist(), dq.tolist()))):
         cols = np.flatnonzero((dp == m) & (dq == n))
         pn_, qn_ = (cp[: m + 1, cols] / np_[cols]).T, (cq[: n + 1, cols] / nq[cols]).T
-        scales = [a ** n * b ** m for a, b in zip(np_[cols].tolist(), nq[cols].tolist())]
+        norms = zip(np_[cols].tolist(), nq[cols].tolist())
+        scales = [_resultant_scale(a, m, b, n) for a, b in norms]
         for c, rep in zip(cols, resultant_reports(pn_, qn_, scales)):
             reports[c] = rep
     return reports

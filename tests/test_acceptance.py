@@ -266,7 +266,7 @@ def test_criterion_4_conformal_invariance(
                     weight = CONFORMAL_WEIGHTS[qty]
                     expect = v0[qty] * math.exp(weight * w)
                     floor = (
-                        f0.sigma_scale if qty in ("sigma", "tau") else np.max(np.abs(v0[qty]))
+                        f0.sigma_scale[0] if qty in ("sigma", "tau") else np.max(np.abs(v0[qty]))
                     ) * math.exp(weight * w)
                     tol = 1e-6 * max(np.max(np.abs(expect)), floor, 1e-30)
                     assert np.max(np.abs(v1[qty] - expect)) < tol, (name, qty)

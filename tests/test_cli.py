@@ -239,6 +239,47 @@ def test_domain_error_at_a_point_is_an_expression_error(runner, tmp_path, config
     assert "base point (-1.0, 0.0)" in result.output
 
 
+def test_analyze_far_spiral_points_are_obstructed(runner, tmp_path):
+    # the resultant scale leaves the float range at these points; it is inf,
+    # not an OverflowError, and the Sylvester gaps decide the verdict
+    cfg = write(tmp_path, "s.cfg", SPIRAL)
+    for x in ("1e4", "1e5", "1e6"):
+        out = tmp_path / x
+        result = runner.invoke(
+            main, ["analyze", "--config", cfg, "--out", str(out), "--points", f"{x},0"]
+        )
+        assert result.exit_code == 0, result.output
+        (record,) = json.loads((out / "report.json").read_text())["points"]
+        assert record["verdict"] == "Obstructed", x
+
+
+@pytest.mark.parametrize("point", ["nan,0", "inf,1", "0,-inf"])
+def test_non_finite_point_is_a_config_error(runner, tmp_path, point):
+    # from --points and from the config's [points]
+    cfg = write(tmp_path, "s.cfg", SPIRAL)
+    result = runner.invoke(main, ["analyze", "--config", cfg, "--points", point])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "coordinates must be finite" in result.output
+    cfg = write(tmp_path, "p.cfg", SPIRAL + f'[points]\npoints = "{point}"\n')
+    result = runner.invoke(main, ["analyze", "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert "coordinates must be finite" in result.output
+
+
+@pytest.mark.parametrize("bound", ["xmin = -inf", "ymax = inf", "xmax = nan"])
+def test_non_finite_region_bound_is_a_config_error(runner, tmp_path, bound):
+    key = bound.split()[0]
+    region = "\n".join(
+        bound if line.startswith(key + " ") else line for line in REGION.splitlines()
+    )
+    cfg = write(tmp_path, "s.cfg", SPIRAL + region + "\n")
+    result = runner.invoke(main, ["analyze", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error" in result.output
+
+
 ONE_ROW = """
 [region]
 xmin = -1.0

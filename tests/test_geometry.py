@@ -81,7 +81,7 @@ def test_covariant_derivative_of_constant_scalar():
     frame = Frame(s, (0.5, 0.5), 4)
     from sfmew.jets import Jet
 
-    const = Jet.constant(frame.space, 4.2, frame.point)
+    const = Jet.constant(frame.space, 4.2)
     grad = frame.grad(const)
     assert grad[0].value == 0.0 and grad[1].value == 0.0
 

@@ -66,7 +66,7 @@ def test_orthogonality_of_rotated_form():
     for _ in range(10):
         pt = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         f = field_at(s, pt)
-        if f.flat:
+        if f.flat[0]:
             continue
         u_dot_y = f.frame.dot(f.U, f.Y).value
         scale = max(f.rho.value, 1e-30)
@@ -112,7 +112,7 @@ def test_sigma_two_ways():
     s = MoebiusStructure.from_strings("0.1*x", "x*y", "0.2*y", "-(x*y)").rescaled("0.07*y")
     for pt in [(0.8, 0.4), (-0.5, 1.0)]:
         f = field_at(s, pt)
-        inv = f.point_invariants()
+        inv = f.point_invariants()[0]
         expanded = inv.dU_YY + inv.phi * inv.rho
         assert inv.sigma == pytest.approx(expanded, rel=1e-9)
 
@@ -140,7 +140,7 @@ def test_weight_scaling_under_rescaling(quadratic_structure):
         for _ in range(4):
             pt = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             f0, f1 = field_at(quadratic_structure, pt), field_at(rescaled, pt)
-            if f0.flat or f1.flat:
+            if f0.flat[0] or f1.flat[0]:
                 continue
             w = eval_value(omega, *pt)
             for name, get in getters.items():
@@ -149,7 +149,7 @@ def test_weight_scaling_under_rescaling(quadratic_structure):
                 expect = before * math.exp(weight * w)
                 # exact zeros (tau here) are compared against the natural
                 # magnitude of same-weight quantities, not against zero
-                floor = f0.sigma_scale if name in ("sigma", "tau") else np.max(np.abs(before))
+                floor = f0.sigma_scale[0] if name in ("sigma", "tau") else np.max(np.abs(before))
                 scale = max(np.max(np.abs(expect)), floor * math.exp(weight * w), 1e-30)
                 assert np.max(np.abs(after - expect)) < 1e-6 * scale, name
 

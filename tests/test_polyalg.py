@@ -7,6 +7,7 @@ from sfmew.invariants import compute_invariants
 from sfmew.polyalg import (
     Poly,
     ZeroPolynomial,
+    column_resultant_reports,
     common_complex_roots,
     common_real_roots,
     real_roots,
@@ -168,3 +169,22 @@ def test_resultant_report_gap_separates_scales(spiral_structure):
     rep = resultant_report(p1, p3)
     assert abs(rep.normalized) < 1e-8  # determinant alone looks tiny
     assert rep.gap > 1e-10  # but the matrix is far from singular
+
+
+def test_resultant_scale_beyond_the_float_range_is_inf():
+    # scale = |P|^deg(Q) |Q|^deg(P); 1e200^2 * 1e200 overflows, and so did
+    # Python's ** (OverflowError) before
+    p, q = Poly([-1e200, 1e200]), Poly([-4e200, 0.0, 1e200])
+    for rep in (resultant_report(p, q), column_resultant_reports(
+        p.coeffs[:, None], q.coeffs[:, None]
+    )[0]):
+        assert rep.scale == np.inf
+        assert rep.value == -np.inf  # normalized: Res(t - 1, t^2/4 - 1) = -3/4
+        assert rep.normalized == pytest.approx(-0.75)
+        assert rep.gap > 1e-5
+    # a power that overflows in a finite product; finite scales keep their bits
+    assert resultant_report(Poly([1e200, 1e200]), Poly([1e-200, 0.0, 1e-200])).scale == (
+        pytest.approx(1e200, rel=1e-12)
+    )
+    finite = column_resultant_reports(np.array([[3.0], [-2.0]]), np.array([[0.5], [1.5], [7.0]]))
+    assert finite[0].scale == 3.0 ** 2 * 7.0 ** 1
