@@ -26,9 +26,13 @@ Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
 :class:`~sfmew.geometry.Frame`; the frames are stacked, and the invariant
 chain, the constraint coefficients and the resultant reports run once on
 the batch, with the flat and degenerate-branch nodes as column selections.
-Each node is then decided in a plain loop over its floats; the witness
-searches run node by node.  Every node goes through the float operations
-it would go through alone, so its verdict does not depend on its batch.
+The nodes no gap certifies go through one common-root witness search for
+the batch (:func:`~sfmew.polyalg.column_common_roots`), which gives their
+real and complex witnesses from the same eigenvalues.  Each node is then
+decided in a plain loop over its floats.  Every node goes through the float
+operations it would go through alone, so its verdict does not depend on its
+batch.  A node whose constraint coefficients are not all finite (its
+invariants beyond the float range) is ``Inconclusive``.
 
 A reconstructed candidate is verified by lifting its root F0 to a jet, on
 the invariant jets of the point itself: each Newton step
@@ -40,8 +44,9 @@ reconstruction formula, so nabla alpha and nabla F are exact.  A root that
 is simple in no constraint has no such lift and stays unverified.
 Closed-form candidates are differentiated exactly via jets of their
 expressions.  ``verify_candidates`` takes their points in batches of
-``_CHUNK`` nodes too: per-point frames and expression jets, stacked, one
-invariant chain per batch.  Both ways of verifying give node arrays of
+``_CHUNK`` nodes too: per-point frames, stacked, the candidate's
+expressions evaluated once on the batch's node columns, and one invariant
+chain per batch.  Both ways of verifying give node arrays of
 alpha, nabla alpha, F and nabla F to one residual assembler, which builds
 each node's report from its own floats.  Everything after the frames works
 on node columns; a single point is a batch of one node.  Everything here is
@@ -55,18 +60,12 @@ from enum import Enum
 import numpy as np
 
 from . import jets
-from .constraints import assemble_P0, coeffs_P1, coeffs_P2, coeffs_P3
+from .constraints import coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
 from .invariants import InvariantField, PointInvariants, forced_f
 from .jets import ipow
-from .polyalg import (
-    Poly,
-    column_resultant_reports,
-    common_complex_roots,
-    common_real_roots,
-    trimmed_degrees,
-)
+from .polyalg import column_common_roots, column_resultant_reports, trimmed_degrees
 
 __all__ = [
     "VerdictTag",
@@ -329,10 +328,11 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
     The candidate's ``alpha_exprs`` are differentiated exactly via jets: 2
     real components, or 4 (re1, re2, im1, im2) in complex mode.  Points are
     taken in batches of ``_CHUNK`` nodes; each point gets its own order-4
-    :class:`~sfmew.geometry.Frame` and its own jets of the expressions, so
-    a domain error is raised at its point, and the frames and the jets are
-    then stacked.  The invariant chain, the derivatives of alpha and the
-    curl of alpha run once on the batch; each node's residuals are
+    :class:`~sfmew.geometry.Frame`, the frames are stacked, and each
+    expression is evaluated once on the batch's node columns.  A domain
+    error is the one a point-by-point pass meets first: a point's frame,
+    then its candidate.  The invariant chain, the derivatives of alpha and
+    the curl of alpha run once on the batch; each node's residuals are
     assembled from its own floats, so its report does not depend on its
     batch.  At flat points the invariant-based algebraic residuals are
     reported as zero (not applicable).
@@ -359,12 +359,16 @@ _RESIDUAL_INVARIANTS = ("Y", "U_up", "Y_up", "W", "phi", "ell", "rho", "mu")
 
 def _verify_chunk(structure, exprs, points, mode, settings):
     order, o = _CLOSED_FORM_ORDER, float(settings.orientation)
-    frames, comps = [], []
-    for p in points:
-        frames.append(Frame(structure, p, order, settings.orientation))
-        comps.append([eval_jet(e, p, order, frames[-1].space) for e in exprs])
-    frame, comps = Frame.stack(frames), jets.stack(comps)
-    del frames  # the stack holds copies of their jets
+    try:
+        frame = Frame.stack([Frame(structure, p, order, settings.orientation) for p in points])
+        comps = [eval_jet(e, points, order, frame.space) for e in exprs]
+    except jets.JetError:
+        # the error a point-by-point pass meets first: a point's frame, then its candidate
+        for p in points:
+            space = Frame(structure, p, order, settings.orientation).space
+            for e in exprs:
+                eval_jet(e, p, order, space)
+        raise
     # alpha_b = re[b] + i im[b]; one part in real mode
     parts = [comps[:2]] if mode == "real" else [comps[:2], comps[2:]]
 
@@ -588,38 +592,47 @@ def _classify_chunk(structure, points, settings):
     if not rest:
         return verdicts
 
-    coeffs = [_coefficient_columns(fn(values.take(rest)), len(rest)) for fn in _COEFFS]
+    vals = values.take(rest)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below: finite or Inconclusive
+        coeffs = [_coefficient_columns(fn(vals), len(rest)) for fn in _COEFFS]
+    finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
     degrees = [trimmed_degrees(c)[0] for c in coeffs]
-    ok = np.flatnonzero((degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1))
-    reports = {  # pair -> {row in rest: report}, for the rows with no degenerate constraint
-        name: dict(zip(ok.tolist(), column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok])))
-        for name, i, j in _PAIRS
+    ok = np.flatnonzero(finite & (degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1))
+    reports = [column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok]) for _, i, j in _PAIRS]
+    resultants = {  # row in rest -> ResultantTriple per pair, for the rows with proper constraints
+        r: [
+            ResultantTriple(pair=name, normalized=rep.normalized, value=rep.value, gap=rep.gap)
+            for (name, _, _), rep in zip(_PAIRS, reps)
+        ]
+        for r, *reps in zip(ok.tolist(), *reports)
     }
+    # one common-root witness search for the rows no gap certifies
+    search = [
+        r for r, res in resultants.items() if not max(t.gap for t in res) > settings.tol_res_high
+    ]
+    p0 = np.array([vals.sigma, np.zeros(len(rest)), -3.0 * vals.rho])  # P0 = sigma - 3 rho t^2
+    found = {}
+    if search:
+        cols = [c[:, search] for c in coeffs]
+        found = dict(zip(search, column_common_roots(cols, p0[:, search], settings.tol_root)))
 
     pending = []  # nodes with real common roots: (column, resultants, witnesses)
     for r, c in enumerate(rest):
         node, pt, m_norm = field.nodes[c], points[field.nodes[c]], m_norms[c]
-        if r not in reports["res12"]:  # a constraint of degree < 1
+        if r not in resultants:
             verdicts[node] = Verdict(
                 tag=VerdictTag.INCONCLUSIVE,
                 point=pt,
                 m_norm=m_norm,
-                note="degenerate constraint polynomial",
+                note="degenerate constraint polynomial" if finite[r]
+                else "constraint coefficients are not all finite",
             )
             continue
-        resultants = []
-        for name, _, _ in _PAIRS:
-            rep = reports[name][r]
-            resultants.append(
-                ResultantTriple(pair=name, normalized=rep.normalized, value=rep.value, gap=rep.gap)
-            )
-        verdict = _resultant_verdict(
-            invs[c], [cs[:, r] for cs in coeffs], resultants, pt, m_norm, settings
-        )
+        verdict = _resultant_verdict(resultants[r], found.get(r), pt, m_norm, settings)
         if isinstance(verdict, Verdict):
             verdicts[node] = verdict
         else:
-            pending.append((c, resultants, verdict))
+            pending.append((c, resultants[r], verdict))
     for c, verdict in _verify_witnesses(field, invs, pending, m_norms, points, settings):
         verdicts[field.nodes[c]] = verdict
     return verdicts
@@ -644,14 +657,16 @@ def _mzero_verdict(inv, mrep, pt):
     )
 
 
-def _resultant_verdict(inv, coeffs, resultants, pt, m_norm, settings):
-    """The verdict the resultants and the witness searches give, or the real
+def _resultant_verdict(resultants, roots, pt, m_norm, settings):
+    """The verdict the resultants and the witness search give, or the real
     common roots (a :class:`~sfmew.polyalg.RootSet`) that need verifying.
 
-    ``coeffs`` holds the coefficients of P1..P3 at the node.
+    ``roots`` holds the node's common roots, a
+    :class:`~sfmew.polyalg.CommonRoots`; None where a gap certifies a
+    resultant nonzero.
     """
     gaps = [r.gap for r in resultants]
-    if max(gaps) > settings.tol_res_high:
+    if roots is None:
         return Verdict(
             tag=VerdictTag.OBSTRUCTED,
             point=pt,
@@ -660,20 +675,16 @@ def _resultant_verdict(inv, coeffs, resultants, pt, m_norm, settings):
             note="at least one resultant certified nonzero",
         )
 
-    p0, polys = assemble_P0(inv), [Poly(c) for c in coeffs]
-    witnesses = common_real_roots(*polys, exclude=p0, tol_root=settings.tol_root)
-    if len(witnesses):
-        return witnesses
-
-    complex_witnesses = common_complex_roots(*polys, exclude=p0, tol_root=settings.tol_root)
-    if complex_witnesses:
+    if len(roots.real):
+        return roots.real
+    if roots.complex:
         return Verdict(
             tag=VerdictTag.VANISHING,
             point=pt,
             resultants=resultants,
             m_norm=m_norm,
             note="constraints share only complex roots: "
-            + ", ".join(f"{z:.6g}" for z in complex_witnesses),
+            + ", ".join(f"{z:.6g}" for z in roots.complex),
         )
 
     if max(gaps) < settings.tol_res_low:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from . import jets
 from .jets import Jet, jet_space
 
@@ -324,33 +326,51 @@ _JET_FUNCS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "ln": jets.ln, 
 
 
 def eval_jet(e, base, order, space=None):
-    """Evaluate an expression as a jet at ``base = (x, y)``.
+    """Evaluate an expression as a jet at ``base = (x, y)``, or at each of a
+    list of points ``base`` as node columns.
 
     Subtrees without x and y are folded to constants, so that sums,
     products and quotients with them take the jet's scalar fast path.  The
     result is bit-identical to evaluating every constant as a constant jet:
     ``x / c`` is ``x * (1.0 / c)``, as that jet's reciprocal gives it, and
     the zero coefficients keep the signs that jet arithmetic gives them.
-    Domain failures (ln/sqrt of nonpositive values, degenerate division)
-    propagate as the jet errors annotated with the offending node's source
-    offset and the base point, which is also their ``base``.
+    Node columns are bit-identical to the jets of the points one by one
+    (constants are broadcast over the nodes).  Domain failures (ln/sqrt of
+    nonpositive values, degenerate division) propagate as the jet errors
+    annotated with the offending node's source offset and the base point,
+    which is also their ``base``; on node columns, the error of the first
+    point that fails alone.
     """
     if space is None:
         space = jet_space(order)
-    bpt = (float(base[0]), float(base[1]))
-    return _as_jet(_evaluate(e, _EvalContext(space, bpt, {})), space)
+    if isinstance(base[0], (tuple, list, np.ndarray)):  # a list of points
+        points = [(float(x), float(y)) for x, y in base]
+        ctx = _EvalContext(space, tuple(np.array(axis) for axis in zip(*points)), {})
+        try:
+            return _as_jet(_evaluate(e, ctx), ctx)
+        except (jets.JetError, ArithmeticError, _PerPoint):
+            # point by point: the located error of the first failing point
+            return jets.stack([eval_jet(e, p, order, space) for p in points])
+    ctx = _EvalContext(space, (float(base[0]), float(base[1])), {})
+    return _as_jet(_evaluate(e, ctx), ctx)
 
 
 class _EvalContext(NamedTuple):
     space: object
-    base: tuple
+    base: tuple  # the point, or the node arrays of x and y
     variables: dict  # the jets of x and y, built on first use
 
 
-def _as_jet(v, space):
+class _PerPoint(Exception):
+    """The nodes of a batch take different paths; evaluate them one by one."""
+
+
+def _as_jet(v, ctx):
     if isinstance(v, Jet):
         return v
-    const = Jet.constant(space, v.value)
+    nodes = ctx.base[0]
+    value = np.full(nodes.shape, v.value) if isinstance(nodes, np.ndarray) else v.value
+    const = Jet.constant(ctx.space, value)
     const.vec[1:] = v.zero
     return const
 
@@ -391,7 +411,7 @@ def _evaluate(node, ctx):
         try:
             if all(isinstance(a, _Const) for a in args):
                 return _folded(func, *args)
-            return func(*(_as_jet(a, ctx.space) for a in args))
+            return func(*(_as_jet(a, ctx) for a in args))
         except jets.JetError as err:
             raise _located(err, node.pos, ctx.base) from err
     raise TypeError(f"not an expression node: {node!r}")
@@ -451,9 +471,14 @@ def _located(err, pos, base):
 
 
 def _pow_call(a, b):
-    rest = b.vec[1:]
-    if rest.size == 0 or not rest.any():
-        return jets.power(a, b.value)
+    """pow(a, b): a power where b has no derivatives, else exp(b ln a)."""
+    constant = ~b.vec[1:].any(axis=0)
+    if b.vec.ndim == 1:
+        return jets.power(a, b.value) if constant else jets.exp(b * jets.ln(a))
+    if constant.all() and (b.value == b.value[0]).all():
+        return jets.power(a, b.value[0])
+    if constant.any():
+        raise _PerPoint
     return jets.exp(b * jets.ln(a))
 
 

@@ -17,10 +17,10 @@ per-node scalar is a float array of shape ``(N,)``.  Each column goes
 through exactly the float operations, in the same order, that a jet of one
 node goes through, so a node's coefficients do not depend on the other
 nodes of its batch.  Per-node values that the scalar path computes with the
-math library (the power series of a reciprocal) are computed value by value
-with it too, since numpy's vectorised ``pow`` can differ in the last bit.
-The analytic functions (exp, ln, sqrt, sin, cos, non-integer powers) take
-jets of one node.
+math library (the power series of a reciprocal and of the analytic
+functions exp, ln, sqrt, sin, cos and non-integer powers) are computed
+value by value with it too, since numpy's vectorised functions can differ
+in the last bit.
 
 A jet does not know its point.  A :class:`JetError` says what failed;
 :func:`sfmew.expr.eval_jet` adds where, as ``JetError.base``.
@@ -186,8 +186,9 @@ class Jet:
 
     @classmethod
     def variable(cls, space, axis, value):
-        """Jet of the coordinate function x (axis 0) or y (axis 1)."""
-        vec = np.zeros(space.size)
+        """Jet of the coordinate function x (axis 0) or y (axis 1); a value
+        array of shape (N,) gives one column per node."""
+        vec = np.zeros((space.size,) + (value.shape if isinstance(value, np.ndarray) else ()))
         vec[0] = value
         if space.order >= 1:
             vec[space.index[(1, 0) if axis == 0 else (0, 1)]] = 1.0
@@ -314,11 +315,21 @@ def ipow(x, n):
     """``x ** n`` for an integer n, of a float, a jet or a node array.
 
     A node array goes value by value through the math library's ``pow``,
-    as a single float does.
+    as a single float does.  A float power beyond the float range is an
+    infinity of the power's sign, not an ``OverflowError``.
     """
     if isinstance(x, np.ndarray):
-        return np.array([t ** n for t in x.tolist()])
-    return x ** n
+        return np.array([_float_pow(t, n) for t in x.tolist()])
+    if isinstance(x, Jet):
+        return x**n
+    return _float_pow(x, n)
+
+
+def _float_pow(t, n):
+    try:
+        return t**n
+    except OverflowError:
+        return -math.inf if t < 0.0 and n % 2 else math.inf
 
 
 def stack(trees):
@@ -373,51 +384,78 @@ def compose_series(series, g):
     return acc
 
 
-def exp(j):
-    e = math.exp(j.value)
-    series, term = [], e
-    for k in range(j.order + 1):
+def _series(taylor, j, *args):
+    """The Taylor coefficients ``taylor(v, order, *args)`` gives at the value v
+    of ``j``: on node columns, node value by node value, each a node array."""
+    v = j.value
+    if not isinstance(v, np.ndarray):
+        return taylor(v, j.order, *args)
+    return [np.array(c) for c in zip(*(taylor(t, j.order, *args) for t in v))]
+
+
+def _exp_series(v, order):
+    series, term = [], math.exp(v)
+    for k in range(order + 1):
         series.append(term)
         term /= k + 1
-    return compose_series(series, j)
+    return series
 
 
-def ln(j):
-    v = j.value
+def _ln_series(v, order):
     if v <= 0.0:
         raise DomainError(f"ln of nonpositive value {v!r}")
     series = [math.log(v)]
-    for k in range(1, j.order + 1):
+    for k in range(1, order + 1):
         series.append((-1.0) ** (k - 1) / (k * v**k))
-    return compose_series(series, j)
+    return series
 
 
-def sqrt(j):
-    v = j.value
+def _sqrt_series(v, order):
     if v <= 0.0:
         raise DomainError(f"sqrt of nonpositive value {v!r}")
     series, c = [], math.sqrt(v)
-    for k in range(j.order + 1):
+    for k in range(order + 1):
         series.append(c)
         c *= (0.5 - k) / ((k + 1) * v)
-    return compose_series(series, j)
+    return series
 
 
-def _trig(j, phase):
-    v = j.value
+def _trig_series(v, order, phase):
     series, fact = [], 1.0
-    for k in range(j.order + 1):
+    for k in range(order + 1):
         series.append(math.sin(v + phase + k * math.pi / 2.0) / fact)
         fact *= k + 1
-    return compose_series(series, j)
+    return series
+
+
+def _power_series(v, order, exponent):
+    if v <= 0.0:
+        raise DomainError(f"non-integer power of nonpositive value {v!r}")
+    series, c = [], v**exponent
+    for k in range(order + 1):
+        series.append(c)
+        c *= (exponent - k) / ((k + 1) * v)
+    return series
+
+
+def exp(j):
+    return compose_series(_series(_exp_series, j), j)
+
+
+def ln(j):
+    return compose_series(_series(_ln_series, j), j)
+
+
+def sqrt(j):
+    return compose_series(_series(_sqrt_series, j), j)
 
 
 def sin(j):
-    return _trig(j, 0.0)
+    return compose_series(_series(_trig_series, j, 0.0), j)
 
 
 def cos(j):
-    return _trig(j, math.pi / 2.0)
+    return compose_series(_series(_trig_series, j, math.pi / 2.0), j)
 
 
 def power(j, exponent):
@@ -431,14 +469,7 @@ def power(j, exponent):
         if n < 0:
             return _reciprocal(_int_power(j, -n))
         return _int_power(j, n)
-    v = j.value
-    if v <= 0.0:
-        raise DomainError(f"non-integer power of nonpositive value {v!r}")
-    series, c = [], v**exponent
-    for k in range(j.order + 1):
-        series.append(c)
-        c *= (exponent - k) / ((k + 1) * v)
-    return compose_series(series, j)
+    return compose_series(_series(_power_series, j, exponent), j)
 
 
 def _int_power(j, n):

@@ -7,7 +7,11 @@ max-coefficient normalization; roots come from companion-matrix eigenvalues
 polished by Newton steps.  Resultant reports of many polynomial pairs, one
 pair per node of a scan, are computed together: one stacked determinant and
 one stacked SVD for all pairs of the same degrees
-(:func:`column_resultant_reports`).
+(:func:`column_resultant_reports`).  Common roots of many polynomial
+triples are searched together too: one stacked eigenvalue solve for all
+triples whose lowest degree is the same, which gives the real and the
+complex witnesses (:func:`column_common_roots`); the single-polynomial
+functions are that search on one column.
 
 Thresholds (configurable per call): a resultant counts as vanishing when its
 normalized magnitude is below 1e-7, and a root is accepted when the
@@ -39,6 +43,8 @@ __all__ = [
     "real_roots",
     "common_real_roots",
     "common_complex_roots",
+    "CommonRoots",
+    "column_common_roots",
     "DEFAULT_TOL_ROOT",
 ]
 
@@ -146,7 +152,8 @@ class ResultantValue(NamedTuple):
 
     ``value`` recovers the resultant of the raw polynomials:
     ``value = normalized * scale`` with ``scale = |P|_max^deg(Q) |Q|_max^deg(P)``;
-    where the scale exceeds the float range it is inf, and so is ``value``.
+    where the scale exceeds the float range it is inf, and so is ``value``,
+    unless the normalized determinant is exactly 0: then it is that zero.
     """
 
     normalized: float
@@ -154,7 +161,12 @@ class ResultantValue(NamedTuple):
 
     @property
     def value(self):
-        return self.normalized * self.scale
+        return _scaled(self.normalized, self.scale)
+
+
+def _scaled(normalized, scale):
+    """``normalized * scale``, and the normalized zero where that is 0 * inf."""
+    return normalized if normalized == 0.0 and math.isinf(scale) else normalized * scale
 
 
 def sylvester_matrix(p, q):
@@ -222,7 +234,7 @@ class ResultantReport(NamedTuple):
 
     @property
     def value(self):
-        return self.normalized * self.scale
+        return _scaled(self.normalized, self.scale)
 
 
 def resultant_report(p, q):
@@ -267,12 +279,209 @@ def column_resultant_reports(cp, cq):
     return reports
 
 
+class CommonRoots(NamedTuple):
+    """The roots the polynomials of one column share, minus the excluded ones.
+
+    ``real`` holds the real ones, with multiplicities and the largest
+    normalized value of the polynomials there as residuals; ``complex`` the
+    strictly complex ones, one per conjugate pair (positive imaginary part).
+    """
+
+    real: RootSet
+    complex: list
+
+
+def column_common_roots(polys, exclude=None, tol_root=DEFAULT_TOL_ROOT):
+    """Real and complex roots shared by the polynomials in the columns of ``polys``.
+
+    ``polys`` holds one array (n_k + 1, K) per polynomial, lowest degree
+    first, column j of each for node j; ``exclude`` (same layout, or None)
+    holds a polynomial whose roots are dropped where its column is not zero.
+    Columns are trimmed and normalized as :class:`Poly` does it.  The
+    candidates of a column are the roots of its first lowest-degree
+    polynomial, companion-matrix eigenvalues from one stacked ``eigvals`` per
+    degree.  The same eigenvalues give:
+
+    * the real witnesses: the eigenvalues near the real axis, projected onto
+      it, polished and clustered as :func:`real_roots` describes, and kept
+      where every polynomial evaluates below ``tol_root``;
+    * the complex witnesses: the eigenvalues in the upper half-plane, kept
+      on the same test, one per cluster.
+
+    Each column goes through the float operations it goes through alone, so
+    its roots do not depend on the other columns.  Returns a
+    :class:`CommonRoots` per column.
+    """
+    width = max(len(c) for c in polys)
+    degrees, rows = zip(*(_normalized_rows(c, width) for c in polys))
+    degrees, rows = np.array(degrees), np.array(rows)  # (k, K) and (k, K, width)
+    if np.any(degrees < 0):
+        raise ZeroPolynomial("common roots of the zero polynomial")
+    cols = np.arange(degrees.shape[1])
+    base = np.argmin(degrees, axis=0)  # the first polynomial of lowest degree
+    roots, valid = _companion_roots(rows[base, cols], degrees[base, cols])
+    excl = None
+    if exclude is not None:
+        excl_degrees, excl_rows = _normalized_rows(exclude, len(exclude))
+        excl = (excl_degrees >= 0, excl_rows)
+    real = _real_witnesses(rows, base, roots, valid, excl, tol_root)
+    cplx = _complex_witnesses(rows, roots, valid, excl, tol_root)
+    return [CommonRoots(r, c) for r, c in zip(real, cplx)]
+
+
+def _normalized_rows(coeffs, width):
+    """Degrees (K,) and normalized coefficients (K, width) of the columns of
+    ``coeffs``, trimmed as :class:`Poly` trims them, with zeros past each degree."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    degrees, norms = trimmed_degrees(coeffs)
+    rows = np.zeros((coeffs.shape[1], width))
+    kept = np.arange(len(coeffs))[:, None] <= degrees
+    np.divide(coeffs, norms, out=rows.T[: len(coeffs)], where=kept)
+    return degrees, rows
+
+
+def _companion_roots(rows, degrees):
+    """Roots of each row's normalized polynomial, ``npoly.polyroots``'s to the bit.
+
+    The companion matrices are numpy 2's ``polycompanion`` (unrotated), one
+    ``eigvals`` call on the stack of each degree; each row is then sorted as
+    ``polyroots`` sorts it: as real numbers where its eigenvalues are all
+    real, else as complex numbers.  Returns the roots (K, D), D the largest
+    degree, and the mask of the entries a row has (its first ``degree``).
+    """
+    width = max(int(degrees.max()), 0)
+    roots = np.zeros((len(rows), width), dtype=complex)
+    for d in sorted(set(degrees[degrees >= 1].tolist())):
+        sel = np.flatnonzero(degrees == d)
+        c = rows[sel, : d + 1]
+        if d == 1:
+            roots[sel, 0] = -c[:, 0] / c[:, 1]
+            continue
+        mat = np.zeros((sel.size, d, d))
+        mat[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        w = np.linalg.eigvals(mat)
+        real = np.all(w.imag == 0, axis=1)
+        roots[sel[real], :d] = np.sort(w[real].real, axis=1)
+        roots[sel[~real], :d] = np.sort(w[~real], axis=1)
+    return roots, np.arange(width) < degrees[:, None]
+
+
+def _horner(rows, x):
+    """Each row's polynomial (lowest degree first) at its ``x``, with the float
+    operations of ``npoly.polyval``.  Zeros above a row's degree leave its
+    values unchanged: c + (+-0) = c for c != 0, and 0 + (+-0) = 0."""
+    c0 = rows[:, -1] + x * 0
+    for i in range(2, rows.shape[1] + 1):
+        c0 = rows[:, -i] + c0 * x
+    return c0
+
+
+def _abs_values(rows, x):
+    """|P(x)| for each row's polynomial at its ``x``.  Complex points take the
+    float operations of numpy's scalar complex arithmetic and ``abs``, which
+    its array loops round differently in the last bit."""
+    if not np.iscomplexobj(x):
+        return np.abs(_horner(rows, x))
+    zr, zi = x.real, x.imag
+    re, im = rows[:, -1].copy(), np.zeros(len(x))  # polyval's c[-1] + z * 0
+    for i in range(2, rows.shape[1] + 1):
+        re, im = rows[:, -i] + (re * zr - im * zi), 0.0 + (re * zi + im * zr)
+    return np.hypot(re, im)
+
+
+def _witness_test(rows, col, x, excl, tol_root):
+    """Which points ``x`` (of the columns ``col``) every polynomial vanishes at,
+    away from the roots of ``excl``; and the largest normalized value there."""
+    values = np.max([_abs_values(r[col], x) for r in rows], axis=0)
+    keep = ~(values > tol_root)
+    if excl is not None:
+        has, excl_rows = excl
+        keep &= ~(has[col] & (_abs_values(excl_rows[col], x) < tol_root))
+    return keep, values
+
+
+def _real_witnesses(rows, base, roots, valid, excl, tol_root):
+    """The real common roots of each column, a :class:`RootSet` each."""
+    near = valid & (np.abs(roots.imag) <= 3e-4 * (1.0 + np.abs(roots.real)))
+    cands = [np.sort(r.real[m]) for r, m in zip(roots, near)]
+    col = np.repeat(np.arange(len(cands)), [c.size for c in cands])
+    t = _newton(rows[base[col], col], np.concatenate(cands))
+    # the polished candidates sorted within each column, stably as list.sort does
+    bounds = np.searchsorted(col, np.arange(len(cands) + 1))
+    t = np.concatenate([np.sort(t[a:b], kind="stable") for a, b in zip(bounds, bounds[1:])])
+
+    # clusters: runs of candidates each within 3e-4 (relative) of the one before
+    new = np.ones(t.size, dtype=bool)
+    new[1:] = (col[1:] != col[:-1]) | (
+        np.abs(t[1:] - t[:-1]) > 3e-4 * np.maximum(1.0, np.abs(t[1:]))
+    )
+    first = np.flatnonzero(new)
+    mult = np.diff(np.append(first, t.size))
+    mean = 0.0 + t[first]  # np.mean of one value
+    for g in np.flatnonzero(mult > 1).tolist():
+        mean[g] = np.mean(t[first[g] : first[g] + mult[g]])
+    col = col[first]
+    res = np.abs(_horner(rows[base[col], col], mean))
+    keep, values = _witness_test(rows, col, mean, excl, tol_root)
+    keep &= res <= tol_root
+
+    col, mean, mult, values = col[keep], mean[keep], mult[keep], values[keep]
+    bounds = np.searchsorted(col, np.arange(len(cands) + 1))
+    return [
+        RootSet(mean[a:b], mult[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _newton(rows, t0):
+    """Three Newton steps from each ``t0`` on its row's polynomial, each root
+    stopping at a slope below 1e-12 or a non-finite step; a root that runs
+    more than 0.1 (relative) away falls back to ``t0``."""
+    if not t0.size:
+        return t0
+    drows = rows[:, 1:] * np.arange(1, rows.shape[1])  # npoly.polyder
+    t, live = t0.copy(), np.arange(t0.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite steps stop a root
+        for _ in range(3):
+            slope = _horner(drows[live], t[live])
+            steep = ~(np.abs(slope) < 1e-12)
+            live, slope = live[steep], slope[steep]
+            step = _horner(rows[live], t[live]) / slope
+            finite = np.isfinite(step)
+            live = live[finite]
+            t[live] -= step[finite]
+    runaway = np.abs(t - t0) > 0.1 * np.maximum(1.0, np.abs(t0))
+    return np.where(runaway, t0, t)
+
+
+def _complex_witnesses(rows, roots, valid, excl, tol_root):
+    """The strictly complex common roots of each column: a list each, one root
+    per conjugate pair, and one per cluster of roots within 1e-6 (relative)."""
+    col, pos = np.nonzero(valid & (roots.imag > 1e-7 * (1.0 + np.abs(roots.real))))
+    z = roots[col, pos]
+    keep, _ = _witness_test(rows, col, z, excl, tol_root)
+    shared = [[] for _ in roots]
+    for c, z in zip(col[keep].tolist(), z[keep]):
+        if not any(abs(z - w) <= 1e-6 * max(1.0, abs(z)) for w in shared[c]):
+            shared[c].append(complex(z))
+    return shared
+
+
+def _one_column(polys, exclude, tol_root):
+    if any(p.is_zero for p in polys):
+        raise ZeroPolynomial("roots of the zero polynomial")
+    excl = None if exclude is None or exclude.is_zero else exclude.coeffs[:, None]
+    return column_common_roots([p.coeffs[:, None] for p in polys], excl, tol_root)[0]
+
+
 def real_roots(p, tol_root=DEFAULT_TOL_ROOT):
     """All real roots of a nonzero polynomial within working precision.
 
     Companion-matrix eigenvalues, a few Newton polish steps, then clustering
     into multiplicities.  Roots whose normalized residual exceeds
-    ``tol_root`` are dropped (RootSet invariant).
+    ``tol_root`` are dropped (RootSet invariant); the residuals are those of
+    ``p`` itself.  This is :func:`column_common_roots` on one column of one
+    polynomial.
 
     An m-fold root scatters the eigenvalues by ~eps^(1/m) (about 1e-4 for
     m = 4), so candidates with imaginary parts up to that size are projected
@@ -280,104 +489,27 @@ def real_roots(p, tol_root=DEFAULT_TOL_ROOT):
     then keeps only genuine roots.  Distinct real roots closer than ~3e-4
     are consequently reported as one root with multiplicity.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("roots of the zero polynomial")
-    if p.degree < 1:
-        return RootSet(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    pn = p.normalized()
-    roots = npoly.polyroots(pn.coeffs)
-    real = roots.real[np.abs(roots.imag) <= 3e-4 * (1.0 + np.abs(roots.real))]
-    if real.size == 0:
-        return RootSet(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-
-    dp = pn.derivative()
-    polished = []
-    for t0 in np.sort(real):
-        t = t0
-        for _ in range(3):
-            slope = dp(t)
-            if abs(slope) < 1e-12:
-                break
-            step = pn(t) / slope
-            if not math.isfinite(step):
-                break
-            t -= step
-        if abs(t - t0) > 0.1 * max(1.0, abs(t0)):
-            t = t0  # runaway Newton step (projection of a complex pair)
-        polished.append(t)
-    polished.sort()
-
-    clusters = [[polished[0]]]
-    for t in polished[1:]:
-        if abs(t - clusters[-1][-1]) <= 3e-4 * max(1.0, abs(t)):
-            clusters[-1].append(t)
-        else:
-            clusters.append([t])
-
-    roots_out, mults, residuals = [], [], []
-    for group in clusters:
-        t = float(np.mean(group))
-        res = abs(pn(t))
-        if res <= tol_root:
-            roots_out.append(t)
-            mults.append(len(group))
-            residuals.append(res * p.norm)
-    return RootSet(np.asarray(roots_out), np.asarray(mults, dtype=int), np.asarray(residuals))
+    rs = _one_column([p], None, tol_root).real
+    return RootSet(rs.roots, rs.multiplicities, rs.residuals * p.norm)
 
 
 def common_real_roots(p1, p2, p3, exclude=None, tol_root=DEFAULT_TOL_ROOT):
     """Real roots shared by three polynomials, minus roots of ``exclude``.
 
-    Scans the real roots of the lowest-degree input and keeps those where
-    all three normalized polynomials evaluate below ``tol_root``.  Shared
-    complex factors are invisible here (resultants detect those).
+    The real roots of the lowest-degree input where all three normalized
+    polynomials evaluate below ``tol_root``: :func:`column_common_roots` on
+    one column.  Shared complex factors are invisible here (resultants
+    detect those).
     """
-    polys = [p1, p2, p3]
-    if any(p.is_zero for p in polys):
-        raise ZeroPolynomial("common roots of the zero polynomial")
-    base = min(polys, key=lambda p: p.degree)
-    candidates = real_roots(base, tol_root)
-    normalized = [p.normalized() for p in polys]
-    excl = exclude.normalized() if exclude is not None and not exclude.is_zero else None
-
-    roots, mults, residuals = [], [], []
-    for t, mult in zip(candidates.roots, candidates.multiplicities):
-        values = [abs(pn(t)) for pn in normalized]
-        if max(values) > tol_root:
-            continue
-        if excl is not None and abs(excl(t)) < tol_root:
-            continue
-        roots.append(float(t))
-        mults.append(int(mult))
-        residuals.append(max(values))
-    return RootSet(np.asarray(roots), np.asarray(mults, dtype=int), np.asarray(residuals))
+    return _one_column([p1, p2, p3], exclude, tol_root).real
 
 
 def common_complex_roots(p1, p2, p3, exclude=None, tol_root=DEFAULT_TOL_ROOT):
     """Strictly complex roots shared by three polynomials, minus ``exclude``.
 
-    Scans the non-real roots of the lowest-degree input; one representative
-    per conjugate pair (positive imaginary part).  Complements
-    :func:`common_real_roots` when the shared factor has no real root.
+    The non-real roots of the lowest-degree input, one representative per
+    conjugate pair (positive imaginary part): :func:`column_common_roots` on
+    one column.  Complements :func:`common_real_roots` when the shared
+    factor has no real root.
     """
-    polys = [p1, p2, p3]
-    if any(p.is_zero for p in polys):
-        raise ZeroPolynomial("common roots of the zero polynomial")
-    base = min(polys, key=lambda p: p.degree)
-    if base.degree < 1:
-        return []
-    roots = npoly.polyroots(base.normalized().coeffs)
-    normalized = [p.normalized() for p in polys]
-    excl = exclude.normalized() if exclude is not None and not exclude.is_zero else None
-    shared = []
-    for z in roots:
-        if z.imag <= 1e-7 * (1.0 + abs(z.real)):
-            continue  # real roots and the lower conjugate half-plane
-        if max(abs(pn(z)) for pn in normalized) > tol_root:
-            continue
-        if excl is not None and abs(excl(z)) < tol_root:
-            continue
-        if any(abs(z - w) <= 1e-6 * max(1.0, abs(z)) for w in shared):
-            continue
-        shared.append(complex(z))
-    return shared
+    return _one_column([p1, p2, p3], exclude, tol_root).complex

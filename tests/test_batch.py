@@ -1,10 +1,11 @@
-"""Batch independence: a node's verdict, invariants and residuals do not depend on its batch.
+"""Batch independence: a node's verdict, invariants, common roots and residuals
+do not depend on its batch.
 
 ``classify_points`` runs nodes through the invariant chain, the constraint
-assembly and the resultant reports in batches, and ``verify_candidates``
-runs a closed-form candidate's jets and the invariant chain in batches;
-each node must come out bit-identical to the same node alone, whatever the
-other nodes, their order and the batch boundaries.
+assembly, the resultant reports and the common-root search in batches, and
+``verify_candidates`` runs a closed-form candidate's jets and the invariant
+chain in batches; each node must come out bit-identical to the same node
+alone, whatever the other nodes, their order and the batch boundaries.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from sfmew import analyzer
 from sfmew.analyzer import (
@@ -28,6 +30,7 @@ from sfmew.analyzer import (
 from sfmew.expr import parse
 from sfmew.geometry import Frame
 from sfmew.invariants import InvariantField, compute_invariants
+from sfmew.polyalg import Poly, column_common_roots, common_complex_roots, common_real_roots
 
 # the flat origin, near-flat radii on and off the axes, and ordinary nodes
 POINTS = [(0.0, 0.0)] + [
@@ -166,3 +169,50 @@ def test_verify_candidate_is_verify_candidates_on_one_point(
             assert rep.passed and rep.method == "jets"
             if point == (0.0, 0.0):  # flat: the algebraic residuals do not apply
                 assert rep.res_alpha_U == rep.res_alpha_W == 0.0
+
+
+@st.composite
+def root_triples(draw):
+    """Coefficients of P1..P3 with planted common roots, and of an excluded P0.
+
+    Shared factors: simple and double real roots and complex pairs; a common
+    root r0 that P0 = 3 r0^2 - 3 t^2 also has, which must be excluded; and
+    sometimes a degree-1 constraint, the base of the search.
+    """
+    small = st.floats(-3.0, 3.0).map(lambda v: round(v, 3))
+    shared = [1.0]
+    for kind in draw(st.lists(st.sampled_from(["simple", "double", "pair"]), max_size=3)):
+        r = draw(small)
+        if kind == "pair":
+            shared = npoly.polymul(shared, [r * r + draw(st.floats(0.1, 4.0)), -2.0 * r, 1.0])
+        else:
+            shared = npoly.polymul(shared, npoly.polypow([-r, 1.0], 2 if kind == "double" else 1))
+    r0 = draw(small)
+    if draw(st.booleans()):
+        shared = npoly.polymul(shared, [-r0, 1.0])
+    polys = []
+    for k in range(3):
+        if k == 2 and draw(st.booleans()):
+            c = [-draw(small), 1.0]  # a degree-1 constraint
+        else:
+            extra = draw(st.lists(small, max_size=4))
+            c = npoly.polymul(shared, npoly.polyfromroots(extra) if extra else [1.0])
+        polys.append(draw(st.sampled_from([1.0, -2.5, 1e-3, 40.0])) * np.asarray(c, dtype=float))
+    return polys, np.array([3.0 * r0 * r0, 0.0, -3.0])
+
+
+@given(cases=st.lists(root_triples(), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_common_roots_of_a_column_do_not_depend_on_the_batch(cases):
+    width = max(len(c) for polys, _ in cases for c in polys)
+    columns = [np.zeros((width, len(cases))) for _ in range(3)]
+    for j, (polys, _) in enumerate(cases):
+        for k, c in enumerate(polys):
+            columns[k][: len(c), j] = c
+    excluded = np.array([p0 for _, p0 in cases]).T
+    batched = column_common_roots(columns, excluded)
+    for (polys, p0_col), found in zip(cases, batched):
+        # the public one-column calls
+        alone, p0 = [Poly(c) for c in polys], Poly(p0_col)
+        assert canon(found.real) == canon(common_real_roots(*alone, exclude=p0))
+        assert canon(found.complex) == canon(common_complex_roots(*alone, exclude=p0))

@@ -253,6 +253,31 @@ def test_analyze_far_spiral_points_are_obstructed(runner, tmp_path):
         assert record["verdict"] == "Obstructed", x
 
 
+def test_analyze_far_spiral_zero_resultant_is_zero(runner, tmp_path):
+    # P2 and P3 share a factor: a normalized determinant of exactly 0 with an
+    # inf scale, whose value was 0 * inf = NaN (null in report.json)
+    cfg = write(tmp_path, "s.cfg", SPIRAL)
+    result = runner.invoke(
+        main, ["analyze", "--config", cfg, "--out", str(tmp_path), "--points", "1e4,0"]
+    )
+    assert result.exit_code == 0, result.output
+    (record,) = json.loads((tmp_path / "report.json").read_text())["points"]
+    assert record["res23_value"] == 0.0
+
+
+def test_analyze_point_with_non_finite_coefficients_is_inconclusive(runner, tmp_path):
+    # the invariants' powers leave the float range in P1's coefficients: an
+    # inf, not an OverflowError traceback, and no verdict from such a node
+    cfg = write(tmp_path, "s.cfg", SPIRAL)
+    result = runner.invoke(
+        main, ["analyze", "--config", cfg, "--out", str(tmp_path), "--points", "1e30,0"]
+    )
+    assert result.exit_code == 0, result.output
+    (record,) = json.loads((tmp_path / "report.json").read_text())["points"]
+    assert record["verdict"] == "Inconclusive"
+    assert record["note"] == "constraint coefficients are not all finite"
+
+
 @pytest.mark.parametrize("point", ["nan,0", "inf,1", "0,-inf"])
 def test_non_finite_point_is_a_config_error(runner, tmp_path, point):
     # from --points and from the config's [points]

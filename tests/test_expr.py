@@ -234,3 +234,46 @@ def test_differentiate_functions_and_quotients():
             ref = fd_partial(lambda xx, yy: eval_value(e, xx, yy), x, y, *idx)
             got = eval_value(de, x, y)
             assert got == pytest.approx(ref, rel=2e-5, abs=2e-5)
+
+
+# analytic functions, powers, and a pow() whose exponent has no derivatives
+# at some nodes only ((x - 0.3)^7 vanishes to order 6 at x = 0.3)
+NODE_CASES = FOLDING_CASES + [
+    "exp(x*y) - exp(2)*x + exp(y - 1)",
+    "ln(x + 3) + ln(2 + y*y) - ln(2)*x",
+    "sqrt(x*x + y*y + 1) + sqrt(3)",
+    "sin(x)*cos(y) + sin(2*x - y) - cos(1/2)",
+    "pow(x + 3, 0.5) + pow(y + 3, x) + pow(2, y)",
+    "pow(2 + y*y, (x - 0.3)^7) + pow(x + 3, 1 + y - y)",
+    "x^-3 + (y + 2)^-2 - (x*y + 4)^-1",
+]
+NODES = [(0.3, -0.7), (1.2, 0.4), (-0.5, 1e-3), (0.3, 0.5)]
+
+
+@pytest.mark.parametrize("source", NODE_CASES)
+def test_node_columns_are_the_jets_of_the_points(source):
+    e = parse(source)
+    for order in (0, 4, 6):
+        batch = eval_jet(e, NODES, order)
+        assert batch.vec.shape == (jet_space(order).size, len(NODES))
+        for i, point in enumerate(NODES):
+            alone = eval_jet(e, point, order)
+            assert batch.vec[:, i].tobytes() == alone.vec.tobytes(), (order, point)
+            assert batch.order == alone.order
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("ln(x - 2) + y", (1.0, 0.0)),
+    ("sqrt(x) * y", (-1.0, 0.0)),
+    ("1 / (x - 1) + exp(y)", (1.0, 5.0)),
+    ("pow(x, 0.5) + x^-1", (-2.0, 1.0)),
+])
+def test_node_column_domain_error_is_that_of_the_first_failing_point(source, bad):
+    e = parse(source)
+    with pytest.raises(jets.JetError) as alone:
+        eval_jet(e, bad, 4)
+    with pytest.raises(jets.JetError) as batch:
+        eval_jet(e, [(3.0, 0.5), bad, (4.0, -1.0), (-5.0, 2.0), (1.0, 0.0)], 4)
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.base == alone.value.base == bad

@@ -11,6 +11,7 @@ from sfmew.jets import (
     Jet,
     OrderExceeded,
     compose_series,
+    ipow,
     jet_space,
 )
 
@@ -199,3 +200,12 @@ def test_polynomial_exactness_random():
         expected = poly_shift(p, x0, y0)
         for (i, k) in jet_space(6).pairs:
             assert j.coeff(i, k) == pytest.approx(expected.get((i, k), 0.0), abs=1e-12)
+
+
+def test_ipow_beyond_the_float_range_is_a_signed_inf():
+    # Python's float ** raises OverflowError; ipow gives the power's infinity
+    assert ipow(1e200, 2) == math.inf
+    assert ipow(-1e200, 3) == -math.inf
+    assert ipow(-1e200, 2) == math.inf
+    assert ipow(1e-200, -2) == math.inf
+    assert ipow(np.array([1e200, -1e200, 3.0]), 3).tolist() == [math.inf, -math.inf, 27.0]

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from sfmew.analyzer import classify_point
 from sfmew.constraints import assemble_P0, assemble_P1, assemble_P2, assemble_P3
 from sfmew.invariants import compute_invariants
 from sfmew.polyalg import (
     Poly,
+    ResultantReport,
+    ResultantValue,
     ZeroPolynomial,
+    _companion_roots,
     column_resultant_reports,
     common_complex_roots,
     common_real_roots,
@@ -188,3 +192,45 @@ def test_resultant_scale_beyond_the_float_range_is_inf():
     )
     finite = column_resultant_reports(np.array([[3.0], [-2.0]]), np.array([[0.5], [1.5], [7.0]]))
     assert finite[0].scale == 3.0 ** 2 * 7.0 ** 1
+
+
+def test_resultant_value_at_a_zero_determinant_with_inf_scale_is_zero(spiral_structure):
+    # 0 * inf was NaN (null in report.json); the resultant is 0 there
+    for cls in (ResultantValue, lambda n, s: ResultantReport(n, s, 1e-17)):
+        assert cls(0.0, np.inf).value == 0.0
+        assert cls(-0.0, 2.0).value == 0.0  # finite scales keep the product
+        assert cls(0.5, np.inf).value == np.inf
+    # the base spiral at (1e4, 0): P2 and P3 share a factor, and the scale is inf
+    verdict = classify_point(spiral_structure, (1e4, 0.0))
+    (res23,) = [r for r in verdict.resultants if r.pair == "res23"]
+    assert res23.normalized == 0.0 and res23.value == 0.0
+
+
+def test_stacked_companion_roots_are_polyroots():
+    # one eigvals call on the companion matrices of each degree, sorted per
+    # row as polyroots sorts it: every row equals polyroots to the bit,
+    # whether its roots are all real (real-sorted) or not
+    rng = np.random.default_rng(77)
+    rows, degrees = [], []
+    for d in range(1, 11):
+        for k in range(12):
+            c = npoly.polyfromroots(rng.uniform(-3, 3, d)) if k % 3 == 0 else rng.normal(size=d + 1)
+            if k % 4 == 1:
+                c[0] = 0.0  # a root at zero
+            c = c / np.max(np.abs(c))
+            rows.append(np.concatenate([c, np.zeros(10 - d)]))
+            degrees.append(d)
+    order = rng.permutation(len(rows))
+    rows, degrees = np.array(rows)[order], np.array(degrees)[order]
+    roots, valid = _companion_roots(rows, degrees)
+    real_rows = 0
+    for row, d, got, mask in zip(rows, degrees, roots, valid):
+        assert mask.sum() == d and mask[:d].all()
+        want = npoly.polyroots(row[: d + 1])
+        if want.dtype.kind == "f":
+            real_rows += 1
+            assert not got[:d].imag.any()
+            assert got[:d].real.tobytes() == want.tobytes()
+        else:
+            assert got[:d].tobytes() == want.tobytes()
+    assert 0 < real_rows < len(rows)

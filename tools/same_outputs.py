@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Check that this tree's program writes the same outputs as another tree's.
+
+    python tools/same_outputs.py PARENT_SRC
+
+Runs ``sfmew analyze`` and ``sfmew verify`` on every member of the three
+families of ``perfbench/families.py`` at seeds 7 and 131: ``analyze`` on the
+21x21 grid over [-2, 2]^2 plus the near-flat points, in real mode, and
+``verify`` on the same points, with the family's closed-form candidate
+alpha = d omega + i (y, -x) in complex mode on the opposite family and
+alpha = d omega + (y, -x) in real mode on the other two.  The calls run
+once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
+directory of another checkout), each in a fresh interpreter, and every
+file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
+compared byte for byte, as are each call's exit code and console output.
+Exits 0 when everything is equal and 1 naming the first file that differs.
+Reads ``perfbench/families.py`` and writes nothing under ``perfbench/``.
+"""
+
+import argparse
+import contextlib
+import filecmp
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (7, 131)
+FAMILIES = ("spiral", "quadratic", "opposite")
+GRID = 21
+
+
+def config_text(member, grid, points, mode):
+    u, p11, p12, p22 = member.structure_sources()
+    lines = ["[structure]", f'u = "{u}"', f'P11 = "{p11}"', f'P12 = "{p12}"', f'P22 = "{p22}"']
+    if grid:
+        lines += ["[region]", "xmin = -2.0", "xmax = 2.0", "ymin = -2.0", "ymax = 2.0",
+                  f"nx = {grid}", f"ny = {grid}"]
+    lines += ["[points]", 'points = "' + "; ".join(f"{x!r},{y!r}" for x, y in points) + '"']
+    lines += ["[options]", f"mode = {mode}"]
+    return "\n".join(lines) + "\n"
+
+
+def calls(fam, out):
+    """Write the configs; the CLI arguments of every call, with its output directory."""
+    for seed in SEEDS:
+        for family in FAMILIES:
+            for member in fam.members(family, seed):
+                base = out / str(seed) / member.name
+                base.mkdir(parents=True)
+                (base / "analyze.cfg").write_text(
+                    config_text(member, GRID, fam.NEAR_FLAT, "real"))
+                yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
+                points = fam.grid_nodes(GRID) + list(fam.NEAR_FLAT)
+                wx, wy, *_ = fam.verify_alpha_sources(member)
+                if family == "opposite":
+                    mode, alpha = "complex", fam.verify_alpha_sources(member)
+                else:
+                    mode, alpha = "real", (f"y + {wx}", f"-x + {wy}")
+                (base / "verify.cfg").write_text(config_text(member, 0, points, mode))
+                yield base / "verify", ["verify", "--config", str(base / "verify.cfg")] + [
+                    f"--alpha={a}" for a in alpha]
+
+
+def run_all(src, out):
+    """Every call in this interpreter, with the program imported from ``src``."""
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import families as fam
+    from sfmew.cli import main
+
+    for out_dir, args in calls(fam, out):
+        console = io.StringIO()
+        with contextlib.redirect_stdout(console):
+            try:
+                main.main(args=args + ["--out", str(out_dir)], standalone_mode=False)
+                code = 0
+            except SystemExit as done:
+                code = done.code
+        (out_dir / "console.txt").write_text(f"exit {code}\n{console.getvalue()}")
+
+
+def first_difference(a, b):
+    """The first file (relative path) that differs or exists on one side only, or None."""
+    files = lambda root: sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+    mine, theirs = files(a), files(b)
+    for rel in sorted(set(mine) | set(theirs)):
+        if rel not in mine or rel not in theirs:
+            return rel
+        if not filecmp.cmp(a / rel, b / rel, shallow=False):
+            return rel
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src", type=Path, help="src directory of the tree to compare with")
+    parser.add_argument("--run", type=Path, metavar="OUT", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run is not None:  # one side, in its own interpreter
+        run_all(args.parent_src, args.run)
+        return 0
+    if not (args.parent_src / "sfmew" / "__init__.py").is_file():
+        parser.error(f"no sfmew sources under {args.parent_src}")
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for name, src in (("this", ROOT / "src"), ("parent", args.parent_src.resolve())):
+            out = Path(tmp) / name
+            subprocess.run([sys.executable, __file__, str(src), "--run", str(out)],
+                           env=env, check=True)
+            outs.append(out)
+        diff = first_difference(*outs)
+    if diff is not None:
+        print(f"outputs differ: {diff}")
+        return 1
+    print("outputs are byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
