@@ -23,9 +23,10 @@
    none exists.
 
 Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
-:class:`~sfmew.geometry.Frame`; the frames are stacked, and the invariant
-chain, the constraint coefficients and the resultant reports run once on
-the batch, with the flat and degenerate-branch nodes as column selections.
+:class:`~sfmew.geometry.Frame`; their stack evaluates the structure once on
+the batch, and the invariant chain, the constraint coefficients and the
+resultant reports run once on it, with the flat and degenerate-branch nodes
+as column selections.
 The nodes no gap certifies go through one common-root witness search for
 the batch (:func:`~sfmew.polyalg.column_common_roots`), which gives their
 real and complex witnesses from the same eigenvalues.  Each node is then
@@ -44,13 +45,13 @@ reconstruction formula, so nabla alpha and nabla F are exact.  A root that
 is simple in no constraint has no such lift and stays unverified.
 Closed-form candidates are differentiated exactly via jets of their
 expressions.  ``verify_candidates`` takes their points in batches of
-``_CHUNK`` nodes too: per-point frames, stacked, the candidate's
-expressions evaluated once on the batch's node columns, and one invariant
-chain per batch.  Both ways of verifying give node arrays of
-alpha, nabla alpha, F and nabla F to one residual assembler, which builds
-each node's report from its own floats.  Everything after the frames works
-on node columns; a single point is a batch of one node.  Everything here is
-deterministic and side-effect free.
+``_CHUNK`` nodes too: per-point frames, whose stack evaluates the
+structure once, the candidate's expressions evaluated once on the batch's
+node columns, and one invariant chain per batch.  Both ways of verifying
+give node arrays of alpha, nabla alpha, F and nabla F to one residual
+assembler, which builds each node's report from its own floats.
+Everything after the frames works on node columns; a single point is a
+batch of one node.  Everything here is deterministic and side-effect free.
 """
 
 import math
@@ -60,7 +61,7 @@ from enum import Enum
 import numpy as np
 
 from . import jets
-from .constraints import coeffs_P1, coeffs_P2, coeffs_P3
+from .constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
 from .invariants import InvariantField, PointInvariants, forced_f
@@ -328,13 +329,13 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
     The candidate's ``alpha_exprs`` are differentiated exactly via jets: 2
     real components, or 4 (re1, re2, im1, im2) in complex mode.  Points are
     taken in batches of ``_CHUNK`` nodes; each point gets its own order-4
-    :class:`~sfmew.geometry.Frame`, the frames are stacked, and each
-    expression is evaluated once on the batch's node columns.  A domain
-    error is the one a point-by-point pass meets first: a point's frame,
-    then its candidate.  The invariant chain, the derivatives of alpha and
-    the curl of alpha run once on the batch; each node's residuals are
-    assembled from its own floats, so its report does not depend on its
-    batch.  At flat points the invariant-based algebraic residuals are
+    :class:`~sfmew.geometry.Frame`, their stack evaluates the structure
+    once, and each expression is evaluated once on the batch's node
+    columns.  A domain error is the one a point-by-point pass meets first:
+    a point's frame, then its candidate.  The invariant chain, the
+    derivatives of alpha and the curl of alpha run once on the batch; each
+    node's residuals are assembled from its own floats, so its report does
+    not depend on its batch.  At flat points the invariant-based algebraic residuals are
     reported as zero (not applicable).
     """
     settings = settings or DEFAULT_SETTINGS
@@ -362,10 +363,10 @@ def _verify_chunk(structure, exprs, points, mode, settings):
     try:
         frame = Frame.stack([Frame(structure, p, order, settings.orientation) for p in points])
         comps = [eval_jet(e, points, order, frame.space) for e in exprs]
-    except jets.JetError:
+    except (jets.JetError, ArithmeticError):
         # the error a point-by-point pass meets first: a point's frame, then its candidate
         for p in points:
-            space = Frame(structure, p, order, settings.orientation).space
+            space = Frame.stack([Frame(structure, p, order, settings.orientation)]).space
             for e in exprs:
                 eval_jet(e, p, order, space)
         raise
@@ -562,7 +563,7 @@ def classify_points(structure, points, settings=None):
 def _classify_chunk(structure, points, settings):
     frames = [Frame(structure, p, settings.jet_order, settings.orientation) for p in points]
     field = InvariantField(Frame.stack(frames), settings.tol_flat)
-    del frames  # the stack holds copies of their jets
+    del frames  # handles that evaluated nothing: the stack holds the batch's jets
     verdicts = [
         Verdict(
             tag=VerdictTag.FLAT,
@@ -624,8 +625,7 @@ def _classify_chunk(structure, points, settings):
                 tag=VerdictTag.INCONCLUSIVE,
                 point=pt,
                 m_norm=m_norm,
-                note="degenerate constraint polynomial" if finite[r]
-                else "constraint coefficients are not all finite",
+                note="degenerate constraint polynomial" if finite[r] else NOT_FINITE,
             )
             continue
         verdict = _resultant_verdict(resultants[r], found.get(r), pt, m_norm, settings)

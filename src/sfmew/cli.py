@@ -61,11 +61,12 @@ from .analyzer import (
     summarize,
     verify_candidates,
 )
-from .constraints import assemble_P0, assemble_P1, assemble_P2, assemble_P3
+from .constraints import NOT_FINITE, coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import ExprError, parse, to_source
 from .geometry import MoebiusStructure
 from .invariants import FlatPoint, compute_invariants
 from .jets import JetError
+from .polyalg import Poly
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -526,30 +527,28 @@ def constraints(config_path, out_dir, mode, orientation, jet_order, points_opt):
     cfg, structure = _load_or_exit(config_path)
     cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
     points = _points_or_exit(cfg, "constraints")
-    records = []
     with _expression_errors_exit():
-        for pt in points:
-            try:
-                inv = compute_invariants(
-                    structure, pt, cfg.settings.jet_order, cfg.settings.orientation,
-                    cfg.settings.tol_flat,
-                )
-            except FlatPoint:
-                records.append({"x": pt[0], "y": pt[1], "flat": True})
-                continue
-            records.append(
-                {
-                    "x": pt[0],
-                    "y": pt[1],
-                    "flat": False,
-                    "P0": assemble_P0(inv).coeffs,
-                    "P1": assemble_P1(inv).coeffs,
-                    "P2": assemble_P2(inv).coeffs,
-                    "P3": assemble_P3(inv).coeffs,
-                }
-            )
+        records = [_constraints_record(structure, pt, cfg.settings) for pt in points]
     click.echo(_dump_json({"metadata": _metadata(cfg), "points": records}), nl=False)
     sys.exit(EXIT_OK)
+
+
+_CONSTRAINTS = (("P0", coeffs_P0), ("P1", coeffs_P1), ("P2", coeffs_P2), ("P3", coeffs_P3))
+
+
+def _constraints_record(structure, pt, settings):
+    try:
+        inv = compute_invariants(
+            structure, pt, settings.jet_order, settings.orientation, settings.tol_flat
+        )
+    except FlatPoint:
+        return {"x": pt[0], "y": pt[1], "flat": True}
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below: finite or marked
+        coeffs = [(name, fn(inv)) for name, fn in _CONSTRAINTS]
+    record = {"x": pt[0], "y": pt[1], "flat": False}
+    if not all(np.isfinite(c).all() for _, c in coeffs):
+        return {**record, "finite": False, "note": NOT_FINITE}
+    return {**record, **{name: Poly(c).coeffs for name, c in coeffs}}
 
 
 @main.command()

@@ -27,8 +27,12 @@ from .polyalg import Poly
 
 __all__ = [
     "assemble_P0", "assemble_P1", "assemble_P2", "assemble_P3",
-    "coeffs_P1", "coeffs_P2", "coeffs_P3", "DivisionByRho",
+    "coeffs_P0", "coeffs_P1", "coeffs_P2", "coeffs_P3", "DivisionByRho", "NOT_FINITE",
 ]
+
+#: The note of a point whose invariants put a constraint coefficient beyond
+#: the float range (an inf or a NaN), which decides nothing there.
+NOT_FINITE = "constraint coefficients are not all finite"
 
 
 class DivisionByRho(Exception):
@@ -37,7 +41,12 @@ class DivisionByRho(Exception):
 
 def assemble_P0(inv):
     """P0(t) = sigma - 3 rho t^2."""
-    return Poly([inv.sigma, 0.0, -3.0 * inv.rho])
+    return Poly(coeffs_P0(inv))
+
+
+def coeffs_P0(inv):
+    """Coefficients of P0, lowest degree first."""
+    return [inv.sigma, 0.0, -3.0 * inv.rho]
 
 
 def assemble_P1(inv):

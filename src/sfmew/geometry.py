@@ -11,6 +11,9 @@ Conventions: indices are raised/lowered with ``g``; the volume form has
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import expr as ex
 from . import jets
@@ -118,21 +121,71 @@ class TensorAtPoint:
         return c
 
 
+def _frame_jets(structure, base, order, space):
+    """The jet attributes of a frame at ``base``, one point or a list of points
+    (node columns, as :func:`~sfmew.expr.eval_jet` gives them).
+
+    The expressions are evaluated in a fixed order, u, P11, P12, P22, and the
+    derived jets after them, so the first failure at a point does not depend
+    on which attribute is read first.
+    """
+    u = eval_jet(structure.u, base, order, space)
+    p11, p12, p22 = (eval_jet(e, base, order, space) for e in
+                     (structure.p11, structure.p12, structure.p22))
+    du = [u.d_dx(), u.d_dy()]
+    e2u = jets.exp(2.0 * u)
+    e2u_inv = jets.exp(-2.0 * u)
+
+    # gamma[c][a][b] = Gamma^c_ab for g = e^{2u} delta; the zero has the nodes'
+    # shape, as a (size,) zero plus a column of one node would broadcast to a square
+    zero = Jet(space, np.zeros(du[0].vec.shape), du[0].order)
+
+    def gamma_entry(c, a, b):
+        term = zero
+        if c == a:
+            term = term + du[b]
+        if c == b:
+            term = term + du[a]
+        if a == b:
+            term = term - du[c]
+        return term
+
+    gamma = [[[gamma_entry(c, a, b) for b in range(2)] for a in range(2)] for c in range(2)]
+    curvature = -(du[0].d_dx() + du[1].d_dy()) * e2u_inv
+    return {
+        "u": u, "p": [[p11, p12], [p12, p22]], "du": du, "e2u": e2u, "e2u_inv": e2u_inv,
+        "gamma": gamma, "curvature": curvature,
+    }
+
+
+def _on_first_read(name):
+    """A jet attribute of a per-point frame: the first read of any evaluates them all."""
+
+    def evaluate(frame):
+        frame.__dict__.update(_frame_jets(frame.structure, frame.point, frame.order, frame.space))
+        return frame.__dict__[name]
+
+    return cached_property(evaluate)
+
+
 class Frame:
     """Jet-valued geometric data of a structure at one base point.
 
-    Evaluates the conformal factor and Rho components as jets of the given
-    order and derives the metric factors, Christoffel symbols and Gauss
-    curvature.  All methods are pure; a frame can be shared between threads.
+    Holds the conformal factor and Rho components as jets of the given order,
+    with the metric factors, Christoffel symbols and Gauss curvature derived
+    from them.  A per-point frame is a handle: its jets are evaluated on the
+    first read of any of them.  All methods are pure; a frame can be shared
+    between threads.
 
-    :meth:`stack` places the jets of per-point frames side by side, one node
-    column per point; the calculus methods then act on every node at once.
-    Every frame lists its nodes' points in ``points``; a per-point frame
-    is a frame of one node, whose ``point`` is that node's (None on a stack).
+    :meth:`stack` evaluates the jets of many points at once, one node column
+    per point; the calculus methods then act on every node at once.  Every
+    frame lists its nodes' points in ``points``; a per-point frame is a frame
+    of one node, whose ``point`` is that node's (None on a stack).
     """
 
     # jet attributes, each a jet or nested lists of jets
     _JETS = ("u", "p", "du", "e2u", "e2u_inv", "gamma", "curvature")
+    u, p, du, e2u, e2u_inv, gamma, curvature = map(_on_first_read, _JETS)
 
     def __init__(self, structure, point, order=6, orientation=1):
         if order < 2:
@@ -146,53 +199,40 @@ class Frame:
         self.orientation = orientation
         self.space = jet_space(order)
 
-        self.u = eval_jet(structure.u, self.point, order, self.space)
-        p11 = eval_jet(structure.p11, self.point, order, self.space)
-        p12 = eval_jet(structure.p12, self.point, order, self.space)
-        p22 = eval_jet(structure.p22, self.point, order, self.space)
-        self.p = [[p11, p12], [p12, p22]]
-
-        self.du = [self.u.d_dx(), self.u.d_dy()]
-        self.e2u = jets.exp(2.0 * self.u)
-        self.e2u_inv = jets.exp(-2.0 * self.u)
-
-        # gamma[c][a][b] = Gamma^c_ab for g = e^{2u} delta
-        du = self.du
-        zero = Jet.constant(self.space, 0.0)
-        zero.order = du[0].order
-
-        def gamma_entry(c, a, b):
-            term = zero
-            if c == a:
-                term = term + du[b]
-            if c == b:
-                term = term + du[a]
-            if a == b:
-                term = term - du[c]
-            return term
-
-        self.gamma = [
-            [[gamma_entry(c, a, b) for b in range(2)] for a in range(2)] for c in range(2)
-        ]
-
-        uxx = self.du[0].d_dx()
-        uyy = self.du[1].d_dy()
-        self.curvature = -(uxx + uyy) * self.e2u_inv
-
     @classmethod
     def stack(cls, frames):
         """The per-point ``frames`` side by side as one frame over their points.
 
-        Copies jets; evaluates nothing and builds no per-point frame, so an
-        expression's domain error stays with the point that raised it.
+        Evaluates the jets at once, each structure's expressions once over
+        the node columns of its frames' points, and puts the columns in the
+        order of ``frames``; the per-point frames stay unevaluated.  On a
+        ``JetError`` or an ``ArithmeticError`` the points are evaluated one
+        by one, in order, so the error raised is the located error of the
+        first point that fails alone.
         """
         first = frames[0]
         if any(f.orientation != first.orientation or f.order != first.order for f in frames):
             raise ValueError("stacked frames need the same order and orientation")
-        stacked = cls._like(first, [f.point for f in frames])
+        groups = {}
+        for i, f in enumerate(frames):
+            groups.setdefault(id(f.structure), []).append(i)
+        groups = list(groups.values())
+        try:
+            parts = [
+                _frame_jets(frames[g[0]].structure, [frames[i].point for i in g],
+                            first.order, first.space)
+                for g in groups
+            ]
+        except (jets.JetError, ArithmeticError):
+            # frame by frame, in node order: raises the first failing point's error
+            for f in frames:
+                _frame_jets(f.structure, f.point, f.order, f.space)
+            raise
+        cols = [i for g in groups for i in g]
+        stacked = cls._like(first, [frames[i].point for i in cols])
         for name in cls._JETS:
-            setattr(stacked, name, jets.stack([getattr(f, name) for f in frames]))
-        return stacked
+            setattr(stacked, name, jets.stack([part[name] for part in parts]))
+        return stacked if len(groups) == 1 else stacked.take(np.argsort(cols))
 
     def take(self, cols):
         """The frame at some of its nodes (repeats allowed), as a stacked frame."""

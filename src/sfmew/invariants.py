@@ -248,10 +248,12 @@ class InvariantField:
     """The full invariant chain at the nodes of a frame, kept as jets.
 
     ``frame`` is a :meth:`~sfmew.geometry.Frame.stack` of per-point frames,
-    or one per-point frame, which is a frame of one node.  Every value is an
-    array over the nodes.  ``dP``, ``dP_scale``, ``y_norm`` and ``flat``
-    cover every node; the rest of the chain runs on the non-flat nodes,
-    ``nodes`` (their indices), so the flatness branch is a column selection.
+    which evaluated their jets once over the nodes, or one per-point frame,
+    a frame of one node that evaluates its jets on their first read.  Every
+    value is an array over the nodes.  ``dP``, ``dP_scale``, ``y_norm`` and
+    ``flat`` cover every node; the rest of the chain runs on the non-flat
+    nodes, ``nodes`` (their indices), so the flatness branch is a column
+    selection.
     ``dL``, ``dY``, ``hess_rho`` and ``grad_sigma``, which only the
     contractions read, are built on first read.  Build the field once and
     reuse it for invariants, constraint assembly and the degenerate branch.

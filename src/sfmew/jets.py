@@ -333,10 +333,12 @@ def _float_pow(t, n):
 
 
 def stack(trees):
-    """Jets of single nodes, or nested lists of them, side by side as node columns."""
+    """Jets, or nested lists of them, side by side as node columns: the nodes
+    of each in turn, a jet of one node giving one column."""
     first = trees[0]
     if isinstance(first, Jet):
-        return Jet(first.space, np.stack([j.vec for j in trees], axis=1), first.order)
+        cols = [j.vec.reshape(j.space.size, -1) for j in trees]
+        return Jet(first.space, np.concatenate(cols, axis=1), first.order)
     return [stack([t[k] for t in trees]) for k in range(len(first))]
 
 

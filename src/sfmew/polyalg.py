@@ -95,11 +95,6 @@ class Poly:
             return self
         return Poly(self.coeffs / self.norm, trim_rel=0.0)
 
-    def derivative(self):
-        if self.degree < 1:
-            return Poly([])
-        return Poly(npoly.polyder(self.coeffs))
-
     def deflate(self, divisor):
         """Quotient and remainder of division by another polynomial."""
         if divisor.is_zero:

@@ -14,11 +14,12 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sfmew import analyzer
+from sfmew import analyzer, geometry
 from sfmew.analyzer import (
     Settings,
     SolutionCandidate,
@@ -28,8 +29,9 @@ from sfmew.analyzer import (
     verify_candidates,
 )
 from sfmew.expr import parse
-from sfmew.geometry import Frame
+from sfmew.geometry import Frame, MoebiusStructure
 from sfmew.invariants import InvariantField, compute_invariants
+from sfmew.jets import DomainError
 from sfmew.polyalg import Poly, column_common_roots, common_complex_roots, common_real_roots
 
 # the flat origin, near-flat radii on and off the axes, and ordinary nodes
@@ -109,6 +111,74 @@ def test_stacked_field_mixes_flat_sigma_zero_and_branch_nodes(
             assert rep is None
         else:
             assert canon(rep) == canon(single.m_tensor()[0])
+
+
+def leaves(tree):
+    """The jets of a jet attribute, depth first."""
+    return [j for t in tree for j in leaves(t)] if isinstance(tree, list) else [tree]
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_stacked_frame_jets_are_the_per_point_frames_jets(
+    data, spiral_structure, quadratic_structure, opposite_structure
+):
+    # a stack may mix structures and repeat points, and may hold one node
+    pool = data.draw(st.lists(
+        structures(spiral_structure, quadratic_structure, opposite_structure),
+        min_size=1, max_size=3,
+    ))
+    nodes = data.draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from(POINTS)), min_size=1, max_size=9
+    ))
+    orientation = data.draw(st.sampled_from([1, -1]))
+    stacked = Frame.stack([Frame(s, p, 5, orientation) for s, p in nodes])
+    assert stacked.points == [p for _, p in nodes]
+    for i, (structure, point) in enumerate(nodes):
+        alone = Frame(structure, point, 5, orientation)
+        for name in Frame._JETS:
+            for col, jet in zip(leaves(getattr(stacked, name)), leaves(getattr(alone, name))):
+                assert col.vec.shape == jet.vec.shape[:1] + (len(nodes),), name
+                assert col.order == jet.order, name
+                assert canon(col.vec[:, i]) == canon(jet.vec), (name, point)
+
+
+def test_stack_of_one_structure_evaluates_each_expression_once(quadratic_structure):
+    points = [(0.1 * k - 1.2, 0.05 * k) for k in range(24)]
+    with mock.patch.object(geometry, "eval_jet", wraps=geometry.eval_jet) as eval_jet:
+        frames = [Frame(quadratic_structure, p) for p in points]
+        assert eval_jet.call_count == 0  # a per-point frame evaluates on first read
+        Frame.stack(frames)
+    assert eval_jet.call_count == 4  # u, P11, P12, P22 over the 24 node columns
+
+
+# u fails at x <= 0 and P22 at y <= 0: at the first point only P22 fails, at
+# the second only u, so evaluating u over both nodes first meets the second
+# point's error, and a point-by-point pass the first point's
+LN_SQRT = MoebiusStructure.from_strings("ln(x)", "0", "0", "sqrt(y)")
+FIRST_FAILS_LATE = [(1.0, -1.0), (-1.0, 1.0)]
+
+
+def test_stack_raises_the_first_failing_points_error():
+    for call in (
+        lambda: Frame.stack([Frame(LN_SQRT, p) for p in FIRST_FAILS_LATE]),
+        lambda: classify_points(LN_SQRT, FIRST_FAILS_LATE),
+        lambda: verify_candidates(LN_SQRT, closed_form("0", "0"), FIRST_FAILS_LATE),
+    ):
+        with pytest.raises(DomainError, match="sqrt") as err:
+            call()
+        assert err.value.base == (1.0, -1.0)
+
+
+@pytest.mark.parametrize("points, failing", [
+    (FIRST_FAILS_LATE, "sqrt"),  # the first point's candidate, then the second's frame
+    ([(-1.0, -1.0)], "ln"),  # one point's frame and candidate: the frame first
+])
+def test_verify_raises_the_error_of_a_point_by_point_pass(points, failing):
+    structure = MoebiusStructure.from_strings("ln(x)", "0", "0", "0")
+    with pytest.raises(DomainError, match=failing) as err:
+        verify_candidates(structure, closed_form("sqrt(y)", "0"), points)
+    assert err.value.base == points[0]
 
 
 def closed_form(*sources):

@@ -239,6 +239,27 @@ def test_domain_error_at_a_point_is_an_expression_error(runner, tmp_path, config
     assert "base point (-1.0, 0.0)" in result.output
 
 
+# u fails at the second point only, P22 at the first point only
+LN_SQRT = """
+[structure]
+u = "ln(x)"
+P11 = "0"
+P12 = "0"
+P22 = "sqrt(y)"
+"""
+
+
+@pytest.mark.parametrize("args", [["analyze"], ["verify", "--alpha", "0", "--alpha", "0"]])
+def test_domain_error_is_the_first_failing_points(runner, tmp_path, args):
+    # evaluating u over both points first would meet the second point's ln error
+    cfg = write(tmp_path, "c.cfg", LN_SQRT)
+    command = [args[0], "--config", cfg, "--out", str(tmp_path / "out"), "--points", "1,-1; -1,1"]
+    result = runner.invoke(main, command + args[1:])
+    assert result.exit_code == 3, result.output
+    assert "expression error: sqrt of nonpositive value" in result.output
+    assert "base point (1.0, -1.0)" in result.output
+
+
 def test_analyze_far_spiral_points_are_obstructed(runner, tmp_path):
     # the resultant scale leaves the float range at these points; it is inf,
     # not an OverflowError, and the Sylvester gaps decide the verdict
@@ -276,6 +297,19 @@ def test_analyze_point_with_non_finite_coefficients_is_inconclusive(runner, tmp_
     (record,) = json.loads((tmp_path / "report.json").read_text())["points"]
     assert record["verdict"] == "Inconclusive"
     assert record["note"] == "constraint coefficients are not all finite"
+
+
+def test_constraints_marks_a_point_with_non_finite_coefficients(runner, tmp_path):
+    # as analyze calls such a point Inconclusive: no empty polynomials, no warnings
+    cfg = write(tmp_path, "s.cfg", SPIRAL)
+    result = runner.invoke(main, ["constraints", "--config", cfg, "--points", "1e30,0; 1,0"])
+    assert result.exit_code == 0, result.output
+    far, near = json.loads(result.output)["points"]
+    assert far == {
+        "x": 1e30, "y": 0.0, "flat": False, "finite": False,
+        "note": "constraint coefficients are not all finite",
+    }
+    assert "finite" not in near and all(near[p] for p in ("P0", "P1", "P2", "P3"))
 
 
 @pytest.mark.parametrize("point", ["nan,0", "inf,1", "0,-inf"])

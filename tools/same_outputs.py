@@ -8,7 +8,9 @@ families of ``perfbench/families.py`` at seeds 7 and 131: ``analyze`` on the
 21x21 grid over [-2, 2]^2 plus the near-flat points, in real mode, and
 ``verify`` on the same points, with the family's closed-form candidate
 alpha = d omega + i (y, -x) in complex mode on the opposite family and
-alpha = d omega + (y, -x) in real mode on the other two.  The calls run
+alpha = d omega + (y, -x) in real mode on the other two.  ``invariants``
+and ``constraints`` run in real mode on the near-flat points plus every
+55th grid node, nine nodes from corner to corner.  The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
@@ -31,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (7, 131)
 FAMILIES = ("spiral", "quadratic", "opposite")
 GRID = 21
+DUMP_STRIDE = 55  # grid nodes of the invariants and constraints calls
 
 
 def config_text(member, grid, points, mode):
@@ -63,6 +66,10 @@ def calls(fam, out):
                 (base / "verify.cfg").write_text(config_text(member, 0, points, mode))
                 yield base / "verify", ["verify", "--config", str(base / "verify.cfg")] + [
                     f"--alpha={a}" for a in alpha]
+                points = list(fam.NEAR_FLAT) + fam.grid_nodes(GRID)[::DUMP_STRIDE]
+                (base / "dump.cfg").write_text(config_text(member, 0, points, "real"))
+                for command in ("invariants", "constraints"):
+                    yield base / command, [command, "--config", str(base / "dump.cfg")]
 
 
 def run_all(src, out):
@@ -80,6 +87,7 @@ def run_all(src, out):
                 code = 0
             except SystemExit as done:
                 code = done.code
+        out_dir.mkdir(parents=True, exist_ok=True)  # invariants and constraints write none
         (out_dir / "console.txt").write_text(f"exit {code}\n{console.getvalue()}")
 
 
