@@ -26,7 +26,10 @@ Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
 :class:`~sfmew.geometry.Frame`; their stack evaluates the structure once on
 the batch, and the invariant chain, the constraint coefficients and the
 resultant reports run once on it, with the flat and degenerate-branch nodes
-as column selections.
+as column selections.  A batch keeps alive only what a later step reads:
+the stacked columns of flat nodes go once the chain has taken the others,
+a node's own invariants are split off only where its verdict reads them,
+and the lift takes the invariant jets of the nodes with real roots only.
 The nodes no gap certifies go through one common-root witness search for
 the batch (:func:`~sfmew.polyalg.column_common_roots`), which gives their
 real and complex witnesses from the same eigenvalues.  Each node is then
@@ -91,7 +94,10 @@ __all__ = [
 
 _CLOSED_FORM_ORDER = 4  # jets of closed-form candidates: residuals need nabla alpha, nabla F
 _LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 3 -> 7
-_CHUNK = 24  # nodes per batch: bounds the memory a batch of jets takes (see docs/decisions.md)
+# nodes per batch: wide enough to spread a batch's fixed work (stacked SVDs, eigvals,
+# product tables) over many nodes, narrow enough to bound the memory of its jets
+# (see docs/decisions.md, section 4)
+_CHUNK = 96
 
 
 class P0Vanishes(Exception):
@@ -351,6 +357,7 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
     reports = []
     for start in range(0, len(points), _CHUNK):
         reports += _verify_chunk(structure, exprs, points[start : start + _CHUNK], mode, settings)
+    jets.release_tables()
     return reports
 
 
@@ -463,6 +470,9 @@ def _lifted_reports(field, cols, roots, invs, settings):
     whatever root it leads to.  Returns a :class:`ResidualReport` per root,
     or None where the root is simple in no constraint.
     """
+    nodes, cols = np.unique(cols, return_inverse=True)
+    if nodes.size < field.nodes.size:  # the invariant jets of the roots' nodes only
+        field = field.take(nodes)
     jinv = field.invariant_jets()
     reports = []
     for start in range(0, len(roots), _CHUNK):
@@ -557,13 +567,15 @@ def classify_points(structure, points, settings=None):
     verdicts = []
     for start in range(0, len(points), _CHUNK):
         verdicts += _classify_chunk(structure, points[start : start + _CHUNK], settings)
+    jets.release_tables()  # the product tables of this scan's widths are not kept past it
     return verdicts
 
 
 def _classify_chunk(structure, points, settings):
-    frames = [Frame(structure, p, settings.jet_order, settings.orientation) for p in points]
-    field = InvariantField(Frame.stack(frames), settings.tol_flat)
-    del frames  # handles that evaluated nothing: the stack holds the batch's jets
+    field = InvariantField(  # stacked by the field, which drops the flat nodes' columns
+        [Frame(structure, p, settings.jet_order, settings.orientation) for p in points],
+        settings.tol_flat,
+    )
     verdicts = [
         Verdict(
             tag=VerdictTag.FLAT,
@@ -576,18 +588,17 @@ def _classify_chunk(structure, points, settings):
     if not field.nodes.size:
         return verdicts
 
-    values = field.invariant_values()
-    invs = values.split()
+    values = field.invariant_values()  # node arrays; a node's own only where a verdict reads them
     # degenerate branch: sigma > 0, decided by the tensor M where it vanishes
     branch = (values.sigma > 0.0) & ~field.sigma_is_zero(settings.tol_sigma)
-    mreps = field.m_tensor() if branch.any() else [None] * len(invs)
-    m_norms, rest = [None] * len(invs), []
+    mreps = field.m_tensor() if branch.any() else [None] * field.nodes.size
+    m_norms, rest = [None] * field.nodes.size, []
     for c, node in enumerate(field.nodes):
         mrep = mreps[c] if branch[c] else None
         if mrep is not None:
             m_norms[c] = mrep.norm
             if mrep.norm < settings.tol_m * mrep.scale:
-                verdicts[node] = _mzero_verdict(invs[c], mrep, points[node])
+                verdicts[node] = _mzero_verdict(values.node(c), mrep, points[node])
                 continue
         rest.append(c)
     if not rest:
@@ -633,7 +644,7 @@ def _classify_chunk(structure, points, settings):
             verdicts[node] = verdict
         else:
             pending.append((c, resultants[r], verdict))
-    for c, verdict in _verify_witnesses(field, invs, pending, m_norms, points, settings):
+    for c, verdict in _verify_witnesses(field, values, pending, m_norms, points, settings):
         verdicts[field.nodes[c]] = verdict
     return verdicts
 
@@ -704,9 +715,10 @@ def _resultant_verdict(resultants, roots, pt, m_norm, settings):
     )
 
 
-def _verify_witnesses(field, invs, pending, m_norms, points, settings):
+def _verify_witnesses(field, values, pending, m_norms, points, settings):
     """Verdicts of the nodes with real common roots: every root's candidate,
     at every such node, verified in one batch of lifts.  Yields (column, verdict)."""
+    invs = {c: values.node(c) for c, _, _ in pending}
     roots = []  # (pending index, root, candidate)
     for k, (c, _, witnesses) in enumerate(pending):
         for f0 in witnesses.roots:

@@ -133,8 +133,11 @@ def _frame_jets(structure, base, order, space):
     p11, p12, p22 = (eval_jet(e, base, order, space) for e in
                      (structure.p11, structure.p12, structure.p22))
     du = [u.d_dx(), u.d_dy()]
-    e2u = jets.exp(2.0 * u)
-    e2u_inv = jets.exp(-2.0 * u)
+    try:
+        e2u = jets.exp(2.0 * u)
+        e2u_inv = jets.exp(-2.0 * u)
+    except jets.JetError as err:  # located as eval_jet locates the errors of expressions
+        raise type(err)(f"{err} (conformal factor e^(2u), base point {base})", base=base) from err
 
     # gamma[c][a][b] = Gamma^c_ab for g = e^{2u} delta; the zero has the nodes'
     # shape, as a (size,) zero plus a column of one node would broadcast to a square
@@ -230,8 +233,9 @@ class Frame:
             raise
         cols = [i for g in groups for i in g]
         stacked = cls._like(first, [frames[i].point for i in cols])
-        for name in cls._JETS:
-            setattr(stacked, name, jets.stack([part[name] for part in parts]))
+        for name in cls._JETS:  # one structure: its columns as they are, no copy
+            setattr(stacked, name, parts[0][name] if len(parts) == 1
+                    else jets.stack([part[name] for part in parts]))
         return stacked if len(groups) == 1 else stacked.take(np.argsort(cols))
 
     def take(self, cols):

@@ -137,24 +137,25 @@ class PointInvariants:
 
     def split(self):
         """One PointInvariants per node of invariants held as node arrays."""
-        names = [f.name for f in fields(self) if f.name not in ("point", "orientation")]
-        columns = [getattr(self, name) for name in names]
-        return [
-            PointInvariants(
-                point=point,
-                orientation=self.orientation,
-                **{name: (col[:, i] if col.ndim == 2 else col[i])
-                   for name, col in zip(names, columns)},
-            )
-            for i, point in enumerate(self.point)
-        ]
+        return [self.node(i) for i in range(len(self.point))]
+
+    def node(self, i):
+        """The PointInvariants of node ``i`` of invariants held as node arrays."""
+        return PointInvariants(
+            point=self.point[i],
+            orientation=self.orientation,
+            **{name: (col[:, i] if col.ndim == 2 else col[i])
+               for name, col in ((f.name, getattr(self, f.name)) for f in _NODE_FIELDS)},
+        )
 
     def take(self, cols):
         """These invariants at some of their nodes, for node arrays or stacked jets."""
         return replace(self, point=[self.point[c] for c in cols], **{
-            f.name: jets.take(getattr(self, f.name), cols)
-            for f in fields(self) if f.name not in ("point", "orientation")
+            f.name: jets.take(getattr(self, f.name), cols) for f in _NODE_FIELDS
         })
+
+
+_NODE_FIELDS = [f for f in fields(PointInvariants) if f.name not in ("point", "orientation")]
 
 
 @dataclass
@@ -249,35 +250,38 @@ class InvariantField:
 
     ``frame`` is a :meth:`~sfmew.geometry.Frame.stack` of per-point frames,
     which evaluated their jets once over the nodes, or one per-point frame,
-    a frame of one node that evaluates its jets on their first read.  Every
-    value is an array over the nodes.  ``dP``, ``dP_scale``, ``y_norm`` and
-    ``flat`` cover every node; the rest of the chain runs on the non-flat
-    nodes, ``nodes`` (their indices), so the flatness branch is a column
-    selection.
+    a frame of one node that evaluates its jets on their first read, or a
+    list of per-point frames, which the field stacks itself: then no caller
+    holds the stack, and its columns at flat nodes are freed as soon as the
+    chain has taken the others.  Every value is an array over the nodes.
+    ``dP_scale``, ``y_norm`` and ``flat`` cover every node; the rest of the
+    chain runs on the non-flat nodes, ``nodes`` (their indices), so the
+    flatness branch is a column selection.
     ``dL``, ``dY``, ``hess_rho`` and ``grad_sigma``, which only the
     contractions read, are built on first read.  Build the field once and
     reuse it for invariants, constraint assembly and the degenerate branch.
     """
 
-    def __init__(self, frame: Frame, tol_flat=DEFAULT_TOL_FLAT):
-        self.frame = frame
-        f = frame
+    def __init__(self, frame, tol_flat=DEFAULT_TOL_FLAT):
+        if isinstance(frame, list):
+            frame = Frame.stack(frame)
+        f = self.frame = frame
         o = float(frame.orientation)
 
         dP = f.cov_deriv(f.p, "dd")  # dP[a][b][c] = nabla_a P_bc
-        self.dP = dP
         dP_max = np.max(np.abs(jets.values(dP)), axis=(0, 1, 2))
         self.dP_scale = np.maximum(1.0, dP_max)
         # Y_c = eps^{ab} (nabla_a P_bc - nabla_b P_ac) = 2 eps^{12} (nabla_1 P_2c - nabla_2 P_1c)
         self.Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
+        del dP  # nothing else reads it: not kept alive through the chain (see ``dP``)
         self.y_norm = _hypot(self.Y[0].value, self.Y[1].value)
         self.flat = self.y_norm < tol_flat * self.dP_scale
         self.nodes = np.flatnonzero(~self.flat)
         self._branch = None
         if not self.nodes.size:
             return
-        if self.nodes.size < self.flat.size:
-            f = self.frame = frame.take(self.nodes)
+        if self.nodes.size < self.flat.size:  # rebinds ``frame``: a stack no caller holds goes
+            f = self.frame = frame = frame.take(self.nodes)
             self.Y = jets.take(self.Y, self.nodes)
 
         self.U = [o * self.Y[1], -o * self.Y[0]]
@@ -314,6 +318,12 @@ class InvariantField:
             * f.e2u_inv.value
         )
         self.sigma_scale = np.maximum(yw_bound, 1e-300)
+
+    @cached_property
+    def dP(self):
+        """nabla_a P_bc as ``dP[a][b][c]``, over the nodes of ``frame``; built
+        again on read, as the chain only needs it for ``Y`` and ``dP_scale``."""
+        return self.frame.cov_deriv(self.frame.p, "dd")
 
     # -- read only by the contractions: built on first read -------------------
 
@@ -355,14 +365,16 @@ class InvariantField:
         """Whether sigma is numerically zero, at each of ``nodes``."""
         return abs(self.sigma.value) < tol * self.sigma_scale
 
-    def _take(self, cols):
-        """The chain at some of ``nodes`` (indices into them), for the branch."""
+    def take(self, cols):
+        """The chain at some of ``nodes`` (indices into them): for the branch,
+        and for the lift of the roots of some nodes."""
         sub = object.__new__(InvariantField)
         for name, value in vars(self).items():
-            if name not in ("dP", "dP_scale", "y_norm", "flat"):
+            if name not in ("dP", "dP_scale", "y_norm", "flat", "_branch"):
                 sub.__dict__[name] = jets.take(value, cols)
         sub.frame = self.frame.take(cols)
         sub.nodes = self.nodes[cols]
+        sub._branch = None
         return sub
 
     def branch(self):
@@ -378,7 +390,7 @@ class InvariantField:
             if not cols.size:
                 self._branch = (cols, None, None, None, None)
                 return self._branch
-            src = self if cols.size == self.nodes.size else self._take(cols)
+            src = self if cols.size == self.nodes.size else self.take(cols)
             rho, sigma, tau, mu, phi = src.rho, src.sigma, src.tau, src.mu, src.phi
             m = sigma / (3.0 * rho) + phi
             dm = src.frame.grad(m)

@@ -8,12 +8,14 @@ is exact for the retained orders (no finite-difference error).
 
 Coefficients are kept in Taylor-normalized form (divided by factorials) to
 keep magnitudes balanced in high-order products, and stored densely over the
-triangle ``i + j <= order``.
+triangle ``i + j <= order`` of the jet's own order, degree by degree: a
+derivative, valid to one order less, keeps one degree less.
 
-A jet with ``vec`` of shape ``(size,)`` is a jet of one node.  A jet may
-also carry one column of coefficients per node, ``vec`` of shape
-``(size, N)``: every operation then acts on the N nodes at once, and a
-per-node scalar is a float array of shape ``(N,)``.  Each column goes
+A jet with ``vec`` of shape ``(rows,)`` is a jet of one node, where
+``rows = space.rows[order]``.  A jet may also carry one column of
+coefficients per node, ``vec`` of shape ``(rows, N)``: every operation then
+acts on the N nodes at once, and a per-node scalar is a float array of
+shape ``(N,)``.  Each column goes
 through exactly the float operations, in the same order, that a jet of one
 node goes through, so a node's coefficients do not depend on the other
 nodes of its batch.  Per-node values that the scalar path computes with the
@@ -50,6 +52,7 @@ __all__ = [
     "cos",
     "power",
     "ipow",
+    "release_tables",
     "stack",
     "take",
     "values",
@@ -70,7 +73,8 @@ class DegenerateDivision(JetError):
 
 
 class DomainError(JetError):
-    """Analytic composition outside the function domain (ln/sqrt of <= 0)."""
+    """Analytic composition outside the function domain (ln/sqrt of <= 0), or
+    with a value beyond the float range (exp of more than about 709)."""
 
 
 class OrderExceeded(JetError):
@@ -85,13 +89,15 @@ class JetSpace:
 
     Holds the flat layout of the coefficient triangle plus precomputed
     gather/scatter tables for multiplication and coordinate derivatives.
-    One instance is shared by every jet of the same order (see
-    :func:`jet_space`).
+    The layout goes degree by degree, so the coefficients of a jet of a
+    lower order are the first ``rows[order]`` of it.  One instance is shared
+    by every jet of the same truncation order (see :func:`jet_space`).
     """
 
     __slots__ = (
         "order",
         "size",
+        "rows",
         "pairs",
         "index",
         "_mul",
@@ -104,6 +110,7 @@ class JetSpace:
         self.order = order
         self.pairs = [(i, d - i) for d in range(order + 1) for i in range(d, -1, -1)]
         self.size = len(self.pairs)
+        self.rows = [(d + 1) * (d + 2) // 2 for d in range(order + 1)]  # coefficients of degree <= d
         self.index = {p: k for k, p in enumerate(self.pairs)}
 
         mul_a, mul_b, mul_out = [], [], []
@@ -113,30 +120,31 @@ class JetSpace:
                     mul_a.append(ka)
                     mul_b.append(kb)
                     mul_out.append(self.index[(ia + ib, ja + jb)])
-        terms = tuple(np.asarray(t, dtype=np.intp) for t in (mul_a, mul_b, mul_out))
-        # the product terms (ka, kb) -> out of each truncation order, in the same order
+        # the product terms (ka, kb) -> out, by degree: those of a truncation
+        # order are a prefix, and each output coefficient, whose terms all
+        # have its degree, keeps them in enumeration order
         degree = np.array([i + j for (i, j) in self.pairs])
-        term_degree = degree[terms[0]] + degree[terms[1]]
-        self._mul = [tuple(t[term_degree <= trunc] for t in terms) for trunc in range(order + 1)]
+        by_degree = np.argsort(degree[mul_a] + degree[mul_b], kind="stable")
+        terms = tuple(np.asarray(t, dtype=np.intp)[by_degree] for t in (mul_a, mul_b, mul_out))
+        ends = np.searchsorted(degree[terms[2]], np.arange(order + 1), "right")
+        self._mul = [tuple(t[:end] for t in terms) for end in ends]
         self._deriv = (self._deriv_tables(0), self._deriv_tables(1))
 
     def _deriv_tables(self, axis):
-        """Source and destination coefficients and factors of d/dx (axis 0) or d/dy;
-        the factors also as a column, for node columns."""
-        src, dst, fac = [], [], []
-        for (i, j) in self.pairs:
-            if i + j >= self.order:
-                continue
+        """Source coefficient and factor of each coefficient of d/dx (axis 0) or
+        d/dy, of degree below ``order``, in layout order; the factors also as a
+        column, for node columns."""
+        src, fac = [], []
+        for (i, j) in self.pairs[: self.rows[self.order - 1]] if self.order else ():
             shifted = (i + 1, j) if axis == 0 else (i, j + 1)
             src.append(self.index[shifted])
-            dst.append(self.index[(i, j)])
             fac.append(shifted[axis])
         fac = np.asarray(fac, dtype=float)
-        return np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp), (fac, fac[:, None])
+        return np.asarray(src, dtype=np.intp), (fac, fac[:, None])
 
     def mul_vec(self, a, b, order=None):
         """Product coefficients up to ``order``; each sums its terms in
-        enumeration order from 0.0, and those beyond ``order`` are 0.
+        enumeration order from 0.0.
 
         A coefficient of total degree d <= ``order`` takes the same terms in
         the same order whatever ``order`` is.  ``bincount`` adds the weights
@@ -147,18 +155,29 @@ class JetSpace:
         mul_a, mul_b, mul_out = self._mul[trunc]
         prod = a[mul_a]
         prod *= b[mul_b]
+        rows = self.rows[trunc]
         if prod.ndim == 1:
-            return np.bincount(mul_out, weights=prod, minlength=self.size)
+            return np.bincount(mul_out, weights=prod, minlength=rows)
         n = prod.shape[1]
         return np.bincount(
-            _column_bins(self, trunc, n), weights=prod.ravel(), minlength=self.size * n
-        ).reshape(self.size, n)
+            _column_bins(self, n)[: prod.size], weights=prod.ravel(), minlength=rows * n
+        ).reshape(rows, n)
 
 
-@lru_cache(maxsize=8)  # a few batch widths; bounds the memory the tables take
-def _column_bins(space, trunc, n):
-    """Output bin of each (term, node) product of ``n`` node columns, term-major."""
-    return (space._mul[trunc][2][:, None] * n + np.arange(n)).ravel()
+@lru_cache(maxsize=4)  # the widths of a batch: all nodes, the non-flat ones, the branch, a lift
+def _column_bins(space, n):
+    """Output bin of each (term, node) product of ``n`` node columns, term-major.
+
+    The terms go by degree, so the bins of a truncation order are a prefix:
+    one table serves every order at a width.
+    """
+    return (space._mul[space.order][2][:, None] * n + np.arange(n)).ravel()
+
+
+def release_tables():
+    """Free the index tables of products on node columns; a scan calls this when
+    it is done, so that its widths' tables do not outlive it."""
+    _column_bins.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -205,8 +224,8 @@ class Jet:
 
     def coeff(self, i, j):
         """Taylor-normalized coefficient for the (i, j) monomial."""
-        if i < 0 or j < 0 or i + j > self.space.order:
-            raise OrderExceeded(f"coefficient ({i},{j}) beyond order {self.space.order}")
+        if i < 0 or j < 0 or i + j > self.order:
+            raise OrderExceeded(f"coefficient ({i},{j}) beyond order {self.order}")
         return self.vec[self.space.index[(i, j)]]
 
     def partial(self, i, j):
@@ -227,10 +246,9 @@ class Jet:
     def _derivative(self, axis):
         if self.order < 1:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        src, dst, fac = self.space._deriv[axis]
-        vec = np.zeros(self.vec.shape)
-        vec[dst] = self.vec[src] * fac[self.vec.ndim - 1]
-        return Jet(self.space, vec, self.order - 1)
+        src, fac = self.space._deriv[axis]
+        rows = self.space.rows[self.order - 1]
+        return Jet(self.space, self.vec[src[:rows]] * fac[self.vec.ndim - 1][:rows], self.order - 1)
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -251,7 +269,8 @@ class Jet:
             vec = self.vec.copy()
             vec[0] += other
             return Jet(self.space, vec, self.order)
-        return Jet(self.space, self.vec + o.vec, min(self.order, o.order))
+        a, b, order = _common(self, o)
+        return Jet(self.space, a + b, order)
 
     __radd__ = __add__
 
@@ -263,7 +282,8 @@ class Jet:
             vec = self.vec.copy()
             vec[0] -= other
             return Jet(self.space, vec, self.order)
-        return Jet(self.space, self.vec - o.vec, min(self.order, o.order))
+        a, b, order = _common(self, o)
+        return Jet(self.space, a - b, order)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -303,6 +323,15 @@ class Jet:
         return f"Jet(order={self.order}, value={self.vec[0]!r})"
 
 
+def _common(a, b):
+    """The coefficients of two jets at the lower of their orders, and that order."""
+    if a.order == b.order:
+        return a.vec, b.vec, a.order
+    order = min(a.order, b.order)
+    rows = a.space.rows[order]
+    return a.vec[:rows], b.vec[:rows], order
+
+
 def _reciprocal(j):
     v = j.value
     if (v == 0.0).any():
@@ -337,7 +366,7 @@ def stack(trees):
     of each in turn, a jet of one node giving one column."""
     first = trees[0]
     if isinstance(first, Jet):
-        cols = [j.vec.reshape(j.space.size, -1) for j in trees]
+        cols = [j.vec.reshape(len(j.vec), -1) for j in trees]
         return Jet(first.space, np.concatenate(cols, axis=1), first.order)
     return [stack([t[k] for t in trees]) for k in range(len(first))]
 
@@ -396,7 +425,11 @@ def _series(taylor, j, *args):
 
 
 def _exp_series(v, order):
-    series, term = [], math.exp(v)
+    try:
+        term = math.exp(v)
+    except OverflowError:
+        raise DomainError(f"exp of {float(v)!r} beyond the float range") from None
+    series = []
     for k in range(order + 1):
         series.append(term)
         term /= k + 1
@@ -405,7 +438,7 @@ def _exp_series(v, order):
 
 def _ln_series(v, order):
     if v <= 0.0:
-        raise DomainError(f"ln of nonpositive value {v!r}")
+        raise DomainError(f"ln of nonpositive value {float(v)!r}")
     series = [math.log(v)]
     for k in range(1, order + 1):
         series.append((-1.0) ** (k - 1) / (k * v**k))
@@ -414,7 +447,7 @@ def _ln_series(v, order):
 
 def _sqrt_series(v, order):
     if v <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {v!r}")
+        raise DomainError(f"sqrt of nonpositive value {float(v)!r}")
     series, c = [], math.sqrt(v)
     for k in range(order + 1):
         series.append(c)
@@ -432,7 +465,7 @@ def _trig_series(v, order, phase):
 
 def _power_series(v, order, exponent):
     if v <= 0.0:
-        raise DomainError(f"non-integer power of nonpositive value {v!r}")
+        raise DomainError(f"non-integer power of nonpositive value {float(v)!r}")
     series, c = [], v**exponent
     for k in range(order + 1):
         series.append(c)

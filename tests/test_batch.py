@@ -10,6 +10,7 @@ alone, whatever the other nodes, their order and the batch boundaries.
 
 import dataclasses
 import enum
+import functools
 import math
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sfmew import analyzer, geometry
+from sfmew import analyzer, geometry, jets
 from sfmew.analyzer import (
     Settings,
     SolutionCandidate,
@@ -286,3 +287,66 @@ def test_common_roots_of_a_column_do_not_depend_on_the_batch(cases):
         alone, p0 = [Poly(c) for c in polys], Poly(p0_col)
         assert canon(found.real) == canon(common_real_roots(*alone, exclude=p0))
         assert canon(found.complex) == canon(common_complex_roots(*alone, exclude=p0))
+
+
+# 2 * _CHUNK + 3 nodes or more: the grid nodes, with the flat origin and the
+# near-flat nodes among them, so that the columns off the flat nodes and the
+# lift batches of the real roots have odd widths
+GRID = [(float(x), float(y)) for x in np.linspace(-2.0, 2.0, 14) for y in np.linspace(-2.0, 2.0, 14)]
+FULL_BATCHES = GRID[: analyzer._CHUNK - 7] + POINTS[:7] + GRID[analyzer._CHUNK - 7 :] + POINTS[7:]
+OMEGA = ("0.05", "-0.08", "0.02")  # omega = a x + b y + c (x^2 + y^2)
+
+
+def _counting_tables(monkeypatch):
+    """The table builds of the batched product, in order, under the cache's own policy."""
+    builds = []
+    build = jets._column_bins.__wrapped__
+
+    def counted(space, n):
+        builds.append((space.order, n))
+        return build(space, n)
+
+    cached = functools.lru_cache(maxsize=jets._column_bins.cache_info().maxsize)(counted)
+    monkeypatch.setattr(jets, "_column_bins", cached)
+    return builds
+
+
+@pytest.mark.parametrize("family", ["spiral", "quadratic", "opposite"])
+def test_full_width_batches_are_the_points_alone(family, request, monkeypatch):
+    # spiral: sigma = 0, and spurious real roots near the flat origin, lifted;
+    # quadratic: real roots at every node, lifted; opposite: sigma > 0
+    a, b, c = OMEGA
+    structure = request.getfixturevalue(f"{family}_structure").rescaled(
+        f"{a}*x + {b}*y + {c}*(x*x + y*y)"
+    )
+    assert len(FULL_BATCHES) >= 2 * analyzer._CHUNK + 3
+    builds = _counting_tables(monkeypatch)
+    batched = classify_points(structure, FULL_BATCHES)
+    first = list(builds)
+    assert len(set(first)) == len(first), first  # no table is built twice in a scan
+    assert jets._column_bins.cache_info().currsize == 0  # nor kept past it
+    assert canon(classify_points(structure, FULL_BATCHES)) == canon(batched)
+    assert builds == first + first
+
+    tag = analyzer.VerdictTag
+    assert {v.tag for v in batched} == {
+        "spiral": {tag.FLAT, tag.OBSTRUCTED, tag.INCONCLUSIVE},  # the lifted roots fail
+        "quadratic": {tag.FLAT, tag.ADMITS},
+        "opposite": {tag.FLAT, tag.VANISHING},
+    }[family]
+    if family == "opposite":  # the degenerate branch ran: sigma > 0
+        assert all(v.m_norm is not None for v in batched if v.tag != tag.FLAT)
+    for point, verdict in zip(FULL_BATCHES, batched):
+        assert canon(verdict) == canon(classify_point(structure, point)), point
+
+    if family == "spiral":
+        return
+    d_omega = (f"{a} + 2*{c}*x", f"{b} + 2*{c}*y")
+    if family == "quadratic":
+        cand, mode = closed_form(f"y + {d_omega[0]}", f"-x + {d_omega[1]}"), "real"
+    else:
+        cand, mode = closed_form(*d_omega, "y", "-x"), "complex"
+    reports = verify_candidates(structure, cand, FULL_BATCHES, mode)
+    for point, rep in zip(FULL_BATCHES, reports):
+        assert rep.passed, (point, rep)
+        assert canon(rep) == canon(verify_candidates(structure, cand, [point], mode)[0]), point

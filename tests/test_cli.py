@@ -260,6 +260,41 @@ def test_domain_error_is_the_first_failing_points(runner, tmp_path, args):
     assert "base point (1.0, -1.0)" in result.output
 
 
+def test_domain_error_message_prints_the_value_as_a_plain_float(runner, tmp_path):
+    cfg = write(tmp_path, "c.cfg", LN_SQRT)
+    result = runner.invoke(main, ["analyze", "--config", cfg, "--out", str(tmp_path / "out"),
+                                  "--points", "1,-1"])
+    assert result.exit_code == 3, result.output
+    assert result.output == (
+        "expression error: sqrt of nonpositive value -1.0 (at offset 0, base point (1.0, -1.0))\n"
+    )
+
+
+# e^{2u} leaves the float range where 2 x^2 > 709.78, e.g. at x = 30
+HUGE_FACTOR = """
+[structure]
+u = "x*x"
+P11 = "0"
+P12 = "0"
+P22 = "0"
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "invariants"])
+def test_conformal_factor_beyond_the_float_range_is_an_expression_error(
+    runner, tmp_path, command
+):
+    cfg = write(tmp_path, "c.cfg", HUGE_FACTOR)
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out"),
+                                  "--points", "1,0; 30,0"])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)  # no OverflowError traceback
+    assert result.output == (
+        "expression error: exp of 1800.0 beyond the float range "
+        "(conformal factor e^(2u), base point (30.0, 0.0))\n"
+    )
+
+
 def test_analyze_far_spiral_points_are_obstructed(runner, tmp_path):
     # the resultant scale leaves the float range at these points; it is inf,
     # not an OverflowError, and the Sylvester gaps decide the verdict

@@ -209,3 +209,39 @@ def test_ipow_beyond_the_float_range_is_a_signed_inf():
     assert ipow(-1e200, 2) == math.inf
     assert ipow(1e-200, -2) == math.inf
     assert ipow(np.array([1e200, -1e200, 3.0]), 3).tolist() == [math.inf, -math.inf, 27.0]
+
+
+def test_exp_beyond_the_float_range_is_a_domain_error():
+    sp = jet_space(2)
+    with pytest.raises(DomainError, match=r"^exp of 800\.0 beyond the float range$"):
+        jets.exp(Jet.constant(sp, np.array([1.0, 800.0])))
+    assert jets.exp(Jet.constant(sp, -800.0)).value == 0.0  # underflow is no error
+
+
+def test_domain_errors_print_node_values_as_plain_floats():
+    sp = jet_space(2)
+    node_values = Jet.constant(sp, np.array([4.0, -1.0]))
+    for func, name in ((jets.sqrt, "sqrt"), (jets.ln, "ln"), (lambda j: jets.power(j, 0.5),
+                                                            "non-integer power")):
+        with pytest.raises(DomainError) as err:
+            func(node_values)
+        assert str(err.value) == f"{name} of nonpositive value -1.0"
+
+
+def test_a_jet_keeps_the_coefficients_of_its_own_order():
+    rng = np.random.default_rng(3)
+    sp = jet_space(6)
+    a, b = (Jet(sp, rng.uniform(-1, 1, (sp.size, 5))) for _ in range(2))
+    da = a.d_dx()
+    assert da.order == 5 and da.vec.shape == (sp.rows[5], 5)
+    dda = da.d_dy()
+    assert dda.order == 4 and dda.vec.shape == (sp.rows[4], 5)
+    # mixed orders truncate to the lower one, and give its leading coefficients
+    for lower in (a + dda, a - dda, a * dda, dda * a):
+        assert lower.order == 4 and lower.vec.shape == (sp.rows[4], 5)
+    assert np.array_equal((a * dda).vec, sp.mul_vec(a.vec, dda.vec, 4))
+    # a truncated product is the leading part of the full one, bit for bit
+    for trunc in range(7):
+        assert np.array_equal(sp.mul_vec(a.vec, b.vec, trunc), (a * b).vec[: sp.rows[trunc]])
+    with pytest.raises(OrderExceeded):
+        dda.coeff(3, 2)
