@@ -52,7 +52,9 @@ expressions.  ``verify_candidates`` takes their points in batches of
 structure once, the candidate's expressions evaluated once on the batch's
 node columns, and one invariant chain per batch.  Both ways of verifying
 give node arrays of alpha, nabla alpha, F and nabla F to one residual
-assembler, which builds each node's report from its own floats.
+assembler, which computes each residual on the node columns by the float
+operations of each node's scalar arithmetic; only the reports themselves
+are built node by node.
 Everything after the frames works on node columns; a single point is a
 batch of one node.  Everything here is deterministic and side-effect free.
 """
@@ -250,75 +252,137 @@ def f_from_P0_branch(inv, rel_tol=1e-6):
 # verification
 
 
-def _complex_dot(a, b):
-    return a[0] * b[0] + a[1] * b[1]
-
-
 _EPS = ((0.0, 1.0), (-1.0, 0.0))  # eps_ab / (orientation e^{2u})
 
 
-def _residual_reports(frame, invs, mode, method, alpha, dalpha, F, grad_F, tol_residual,
-                      on_root=None):
-    """Residual reports of candidates at the nodes of ``frame``, from each node's floats.
+class _Col:
+    """A node column of real or complex numbers whose arithmetic rounds, at
+    every node, as numpy's scalar arithmetic rounds that node's numbers.
 
-    Node arrays, node axis last: ``alpha`` (2, N), ``dalpha[a, b]`` =
-    nabla_a alpha_b, ``F`` (N,) and ``grad_F`` (2, N).  ``invs`` holds each
-    node's invariants, None at a flat node, whose algebraic residuals and
-    gradient cross-check are reported as zero.  Nodes fail where ``on_root``
-    is false.
+    A complex column is two float columns.  Products are written out as
+    ``ar*br - ai*bi, ar*bi + ai*br`` and moduli as ``np.hypot``: numpy's
+    complex array loops round some of them differently in the last bit (see
+    ``polyalg._abs_values``).  A real operand of a complex operation (a
+    float, a float array or a real column) takes imaginary part +0.0, as
+    numpy promotes a float scalar, so that infinities give the same NaNs.
+    """
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None  # an array operand defers to the reflected methods
+
+    def __init__(self, re, im=None):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(x):
+        """The column of a node array (or of a column)."""
+        if isinstance(x, _Col):
+            return x
+        return _Col(x.real, x.imag) if np.iscomplexobj(x) else _Col(x)
+
+    def array(self):
+        return self.re if self.im is None else _complex([self.re, self.im])
+
+    def __getitem__(self, cols):
+        return _Col(self.re[cols], None if self.im is None else self.im[cols])
+
+    def __add__(self, other):
+        o = other if isinstance(other, _Col) else _Col(other)
+        if self.im is None and o.im is None:
+            return _Col(self.re + o.re)
+        return _Col(self.re + o.re, _imag(self) + _imag(o))
+
+    __radd__ = __add__  # a sum rounds the same either way round
+
+    def __sub__(self, other):
+        o = other if isinstance(other, _Col) else _Col(other)
+        if self.im is None and o.im is None:
+            return _Col(self.re - o.re)
+        return _Col(self.re - o.re, _imag(self) - _imag(o))
+
+    def __mul__(self, other):
+        o = other if isinstance(other, _Col) else _Col(other)
+        if self.im is None and o.im is None:
+            return _Col(self.re * o.re)
+        ar, ai, br, bi = self.re, _imag(self), o.re, _imag(o)
+        return _Col(ar * br - ai * bi, ar * bi + ai * br)
+
+    __rmul__ = __mul__  # so does a product
+
+    def __abs__(self):
+        return np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
+
+
+def _imag(col):
+    return 0.0 if col.im is None else col.im
+
+
+def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, tol_residual,
+                      on_root=None):
+    """Residual reports of candidates at the nodes of ``frame``.
+
+    Node arrays, node axis last: ``alpha`` (2, N), ``dalpha[a][b]`` =
+    nabla_a alpha_b, ``F`` (N,) and ``grad_F`` (2, N); :class:`_Col` columns
+    are taken too.  ``inv`` holds the invariants, as node arrays, of the
+    nodes that the mask ``flat`` leaves; at a flat node the algebraic
+    residuals and the gradient cross-check are reported as zero.  Each
+    residual is computed on node columns with each node's scalar arithmetic;
+    a maximum is NaN where one of its terms is.  Nodes fail where
+    ``on_root`` is false.
     """
     e2u, e2u_inv, K, P = (
         jets.values(getattr(frame, name)) for name in ("e2u", "e2u_inv", "curvature", "p")
     )
     o = float(frame.orientation)
-    reports = []
-    for i, (point, inv) in enumerate(zip(frame.points, invs)):
-        alpha_i, dalpha_i, f = alpha[:, i], dalpha[:, :, i], F[i]
-        alpha_sq = e2u_inv[i] * (alpha_i[0] * alpha_i[0] + alpha_i[1] * alpha_i[1])
-        res_tensor = 0.0
+    n = len(frame.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = [_Col.of(alpha[a]) for a in range(2)]
+        dalpha = [[_Col.of(dalpha[a][b]) for b in range(2)] for a in range(2)]
+        f = _Col.of(F)
+        alpha_sq = e2u_inv * (alpha[0] * alpha[0] + alpha[1] * alpha[1])
+        tensor = []
         for a in range(2):
             for b in range(2):
-                eps_ab = o * e2u[i] * _EPS[a][b]
-                g_ab = e2u[i] if a == b else 0.0
-                r = (
-                    dalpha_i[a, b]
-                    + alpha_i[a] * alpha_i[b]
-                    + P[a, b, i]
+                eps_ab = o * e2u * _EPS[a][b]
+                g_ab = e2u if a == b else 0.0
+                tensor.append(abs(
+                    dalpha[a][b]
+                    + alpha[a] * alpha[b]
+                    + P[a, b]
                     - 0.5 * alpha_sq * g_ab
                     - 0.5 * eps_ab * f
-                )
-                res_tensor = max(res_tensor, abs(r))
-        res_trace = abs(e2u_inv[i] * (dalpha_i[0, 0] + dalpha_i[1, 1]) + K[i])
+                ))
+        res_tensor = np.max(tensor, axis=0)
+        res_trace = abs(e2u_inv * (dalpha[0][0] + dalpha[1][1]) + K)
 
-        res_u = res_w = mismatch = 0.0
-        if inv is not None:
-            a_dot_u = _complex_dot(alpha_i, inv.U_up)
-            a_dot_w = e2u_inv[i] * _complex_dot(alpha_i, inv.W)
-            a_dot_y = _complex_dot(alpha_i, inv.Y_up)
-            res_u = abs(a_dot_u + f * f + inv.phi)
-            res_w = abs(
-                a_dot_w - inv.ell - 2.5 * inv.rho * f - 3.0 * (inv.mu + a_dot_y) * f * f
+        res_u, res_w, mismatch = np.zeros(n), np.zeros(n), np.zeros(n)
+        cols = np.flatnonzero(~flat)
+        if cols.size:
+            al, fc = [alpha[0][cols], alpha[1][cols]], f[cols]
+            a_dot_u = al[0] * inv.U_up[0] + al[1] * inv.U_up[1]
+            a_dot_w = e2u_inv[cols] * (al[0] * inv.W[0] + al[1] * inv.W[1])
+            a_dot_y = al[0] * inv.Y_up[0] + al[1] * inv.Y_up[1]
+            res_u[cols] = abs(a_dot_u + fc * fc + inv.phi)
+            res_w[cols] = abs(
+                a_dot_w - inv.ell - 2.5 * inv.rho * fc - 3.0 * (inv.mu + a_dot_y) * fc * fc
             )
             # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
-            for axis in range(2):
-                target = -2.0 * alpha_i[axis] * f - inv.Y[axis]
-                mismatch = max(mismatch, abs(grad_F[axis, i] - target))
-
-        max_res = max(res_u, res_w, res_tensor, res_trace)
-        reports.append(ResidualReport(
-            point=tuple(map(float, point)),
-            mode=mode,
-            method=method,
-            f=f if mode == "complex" else f.real,
-            res_alpha_U=res_u,
-            res_alpha_W=res_w,
-            res_tensor=res_tensor,
-            res_trace=res_trace,
-            f_gradient_mismatch=mismatch,
-            passed=bool(max_res < tol_residual and (on_root is None or on_root[i])),
-            max_residual=max_res,
-        ))
-    return reports
+            mismatch[cols] = np.max([
+                abs(_Col.of(grad_F[axis])[cols] - (-2.0 * al[axis] * fc - inv.Y[axis]))
+                for axis in range(2)
+            ], axis=0)
+        max_res = np.max([res_u, res_w, res_tensor, res_trace], axis=0)
+    passed = max_res < tol_residual
+    if on_root is not None:
+        passed &= on_root
+    f = f.array() if mode == "complex" else f.re
+    return [
+        ResidualReport(tuple(map(float, point)), mode, method, *row)  # fields in order
+        for point, *row in zip(
+            frame.points, f.tolist(), res_u.tolist(), res_w.tolist(), res_tensor.tolist(),
+            res_trace.tolist(), mismatch.tolist(), max_res.tolist(), passed.tolist(),
+        )
+    ]
 
 
 def _complex(parts):
@@ -367,51 +431,54 @@ _RESIDUAL_INVARIANTS = ("Y", "U_up", "Y_up", "W", "phi", "ell", "rho", "mu")
 
 def _verify_chunk(structure, exprs, points, mode, settings):
     order, o = _CLOSED_FORM_ORDER, float(settings.orientation)
-    try:
-        frame = Frame.stack([Frame(structure, p, order, settings.orientation) for p in points])
-        comps = [eval_jet(e, points, order, frame.space) for e in exprs]
-    except (jets.JetError, ArithmeticError):
-        # the error a point-by-point pass meets first: a point's frame, then its candidate
-        for p in points:
-            space = Frame.stack([Frame(structure, p, order, settings.orientation)]).space
-            for e in exprs:
-                eval_jet(e, p, order, space)
-        raise
-    # alpha_b = re[b] + i im[b]; one part in real mode
-    parts = [comps[:2]] if mode == "real" else [comps[:2], comps[2:]]
+    # a candidate beyond the float range gets NaN residuals, and fails, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            frame = Frame.stack([Frame(structure, p, order, settings.orientation) for p in points])
+            comps = [eval_jet(e, points, order, frame.space) for e in exprs]
+        except (jets.JetError, ArithmeticError):
+            # the error a point-by-point pass meets first: a point's frame, then its candidate
+            for p in points:
+                space = Frame.stack([Frame(structure, p, order, settings.orientation)]).space
+                for e in exprs:
+                    eval_jet(e, p, order, space)
+            raise
+        # alpha_b = re[b] + i im[b]; one part in real mode
+        parts = [comps[:2]] if mode == "real" else [comps[:2], comps[2:]]
 
-    # node values, node axis last: alpha, its partials [a][b] = d_a alpha_b, and
-    # the partials [a] of F = o e^{-2u} (d_x alpha_2 - d_y alpha_1)
-    ix, iy = frame.space.index[(1, 0)], frame.space.index[(0, 1)]
-    alpha = _complex([jets.values(part) for part in parts])
-    partials = _complex([np.array([[j.vec[k] for j in part] for k in (ix, iy)]) for part in parts])
-    curls = [frame.e2u_inv * (part[1].d_dx() - part[0].d_dy()) for part in parts]
-    grad_F = _complex([np.array([o * c.vec[ix], o * c.vec[iy]]) for c in curls])
-    gamma, e2u_inv = jets.values(frame.gamma), jets.values(frame.e2u_inv)
+        # node values, node axis last: alpha, its partials [a][b] = d_a alpha_b, and
+        # the partials [a] of F = o e^{-2u} (d_x alpha_2 - d_y alpha_1)
+        ix, iy = frame.space.index[(1, 0)], frame.space.index[(0, 1)]
+        alpha = _complex([jets.values(part) for part in parts])
+        partials = _complex(
+            [np.array([[j.vec[k] for j in part] for k in (ix, iy)]) for part in parts]
+        )
+        curls = [frame.e2u_inv * (part[1].d_dx() - part[0].d_dy()) for part in parts]
+        grad_F = _complex([np.array([o * c.vec[ix], o * c.vec[iy]]) for c in curls])
+        dalpha, F = _nabla_alpha(
+            alpha, partials, jets.values(frame.gamma), o * jets.values(frame.e2u_inv)
+        )
+        field = InvariantField(frame, settings.tol_flat)
+        inv = PointInvariants(
+            **{name: jets.values(getattr(field, name)) for name in _RESIDUAL_INVARIANTS}
+        ) if field.nodes.size else None
+        return _residual_reports(
+            frame, inv, field.flat, mode, "jets", alpha, dalpha, F, grad_F, settings.tol_residual
+        )
 
-    # nabla_a alpha_b = d_a alpha_b - (Gamma^1_ab alpha_1 + Gamma^2_ab alpha_2), on
-    # each node's floats: Frame.cov_deriv subtracts the two terms one at a
-    # time, which rounds differently
-    dalpha, F = np.empty_like(partials), np.empty_like(alpha[0])
-    for i in range(len(points)):
-        for a in range(2):
-            for b in range(2):
-                dalpha[a, b, i] = partials[a, b, i] - sum(
-                    gamma[c, a, b, i] * alpha[c, i] for c in range(2)
-                )
-        F[i] = o * e2u_inv[i] * (dalpha[0, 1, i] - dalpha[1, 0, i])
 
-    field = InvariantField(frame, settings.tol_flat)
-    invs = [None] * len(points)
-    if field.nodes.size:
-        vals = [(name, jets.values(getattr(field, name))) for name in _RESIDUAL_INVARIANTS]
-        for c, node in enumerate(field.nodes):
-            invs[node] = PointInvariants(
-                point=points[node], **{name: v[:, c] if v.ndim == 2 else v[c] for name, v in vals}
-            )
-    return _residual_reports(
-        frame, invs, mode, "jets", alpha, dalpha, F, grad_F, settings.tol_residual
-    )
+def _nabla_alpha(alpha, partials, gamma, o_e2u_inv):
+    """nabla_a alpha_b = d_a alpha_b - (Gamma^1_ab alpha_1 + Gamma^2_ab alpha_2), as
+    columns ``[a][b]``, and F = o e^{-2u} (nabla_1 alpha_2 - nabla_2 alpha_1), on
+    node arrays with each node's scalar arithmetic: ``Frame.cov_deriv`` on jets
+    subtracts the two terms one at a time, which rounds differently."""
+    al = [_Col.of(alpha[0]), _Col.of(alpha[1])]
+    dalpha = [
+        [_Col.of(partials[a, b]) - (0 + gamma[0, a, b] * al[0] + gamma[1, a, b] * al[1])
+         for b in range(2)]
+        for a in range(2)
+    ]
+    return dalpha, o_e2u_inv * (dalpha[0][1] - dalpha[1][0])
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
@@ -457,15 +524,16 @@ def _is_simple(coeffs, f0, dp, tol_root):
     return abs(_value(dp)) > tol_root * scale
 
 
-def _lifted_reports(field, cols, roots, invs, settings):
+def _lifted_reports(field, cols, roots, inv, settings):
     """Verify the reconstructed candidates of real roots by lifting them to jets.
 
     Root ``roots[i]`` belongs to the node ``cols[i]`` of ``field`` (an index
-    into ``field.nodes``), whose invariants are ``invs[i]``; all roots are
-    lifted together, one node column each.  A root is lifted with every
-    constraint of which it is a simple root, and the lift kept that passes,
-    else the one with the smallest residual: near flat points one constraint
-    can have its roots far less accurate than another.  A lift fails when it
+    into ``field.nodes``), whose invariants are column ``i`` of the node
+    arrays ``inv``; all roots are lifted together, one node column each.  A
+    root is lifted with every constraint of which it is a simple root, and
+    the lift kept that passes, else the one with the smallest residual: near
+    flat points one constraint can have its roots far less accurate than
+    another.  A lift fails when it
     moves F by more than ``tol_root`` (relative): f0 is then no root,
     whatever root it leads to.  Returns a :class:`ResidualReport` per root,
     or None where the root is simple in no constraint.
@@ -473,16 +541,17 @@ def _lifted_reports(field, cols, roots, invs, settings):
     nodes, cols = np.unique(cols, return_inverse=True)
     if nodes.size < field.nodes.size:  # the invariant jets of the roots' nodes only
         field = field.take(nodes)
-    jinv = field.invariant_jets()
+    jinv, roots = field.invariant_jets(), np.asarray(roots, dtype=float)
     reports = []
     for start in range(0, len(roots), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        reports += _lift_batch(field.frame, jinv, cols[part], roots[part], invs[part], settings)
+        part = np.arange(start, min(start + _CHUNK, len(roots)))
+        reports += _lift_batch(
+            field.frame, jinv, cols[part], roots[part], inv.take(part), settings
+        )
     return reports
 
 
-def _lift_batch(frame, jinv, cols, roots, invs, settings):
-    f0 = np.array(roots, dtype=float)
+def _lift_batch(frame, jinv, cols, f0, inv, settings):
     jinv, frame = jinv.take(cols), frame.take(cols)
     best = [None] * f0.size
     for coeffs_of in _COEFFS:
@@ -492,11 +561,11 @@ def _lift_batch(frame, jinv, cols, roots, invs, settings):
             continue
         if sel.size == f0.size:
             F = _lift_root(coeffs, f0, settings.tol_root)
-            reports = _lift_residuals(frame, jinv, invs, f0, F, settings)
+            reports = _lift_residuals(frame, jinv, inv, f0, F, settings)
         else:
             F = _lift_root(jets.take(coeffs, sel), f0[sel], settings.tol_root)
             reports = _lift_residuals(
-                frame.take(sel), jinv.take(sel), [invs[i] for i in sel], f0[sel], F, settings
+                frame.take(sel), jinv.take(sel), inv.take(sel), f0[sel], F, settings
             )
         for i, rep in zip(sel, reports):
             old = best[i]
@@ -507,13 +576,13 @@ def _lift_batch(frame, jinv, cols, roots, invs, settings):
     return best
 
 
-def _lift_residuals(frame, jinv, invs, f0, F, settings):
+def _lift_residuals(frame, jinv, inv, f0, F, settings):
     """Residual reports of the candidates of the lifted roots ``F`` (one per node column)."""
     numer, denom = _alpha_parts(jinv, F)
     alpha = [n / denom for n in numer]
     on_root = np.abs(F.value - f0) <= settings.tol_root * np.maximum(1.0, np.abs(f0))
     return _residual_reports(
-        frame, invs, "real", "jet-lift", jets.values(alpha),
+        frame, inv, np.zeros(f0.size, dtype=bool), "real", "jet-lift", jets.values(alpha),
         jets.values(frame.cov_deriv(alpha, "d")), F.value, jets.values(frame.grad(F)),
         settings.tol_residual, on_root,
     )
@@ -540,7 +609,7 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
     )
     field.require_not_flat()
     f0 = float(candidate.F.real)
-    rep = _lifted_reports(field, [0], [f0], field.point_invariants(), settings)[0]
+    rep = _lifted_reports(field, [0], [f0], field.invariant_values(), settings)[0]
     if rep is None:
         raise MultipleRoot(f"F = {f0} is a multiple root of every constraint")
     return rep
@@ -718,17 +787,17 @@ def _resultant_verdict(resultants, roots, pt, m_norm, settings):
 def _verify_witnesses(field, values, pending, m_norms, points, settings):
     """Verdicts of the nodes with real common roots: every root's candidate,
     at every such node, verified in one batch of lifts.  Yields (column, verdict)."""
-    invs = {c: values.node(c) for c, _, _ in pending}
     roots = []  # (pending index, root, candidate)
     for k, (c, _, witnesses) in enumerate(pending):
+        inv = values.node(c)
         for f0 in witnesses.roots:
             try:
-                roots.append((k, float(f0), alpha_from_F(invs[c], float(f0))))
+                roots.append((k, float(f0), alpha_from_F(inv, float(f0))))
             except P0Vanishes:
                 continue
+    cols = [pending[k][0] for k, _, _ in roots]
     reports = _lifted_reports(
-        field, [pending[k][0] for k, _, _ in roots], [f for _, f, _ in roots],
-        [invs[pending[k][0]] for k, _, _ in roots], settings,
+        field, cols, [f for _, f, _ in roots], values.take(cols), settings
     ) if roots else []
     for k, (c, resultants, witnesses) in enumerate(pending):
         pt, m_norm = points[field.nodes[c]], m_norms[c]

@@ -41,12 +41,12 @@ timestamps); numbers are emitted in round-trip-exact decimal form.
 import configparser
 import csv
 import io
-import json
 import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError, version
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import click
@@ -185,39 +185,114 @@ def load_config(path):
     return RunConfig(structure_exprs, region, points, settings)
 
 
-def _fmt(value):
-    """Round-trip-exact decimal rendering of one number."""
-    if isinstance(value, complex):
-        return f"{_fmt(value.real)}{'+' if value.imag >= 0 else '-'}{_fmt(abs(value.imag))}j"
-    if value is None:
-        return ""
-    f = float(value)
-    if math.isnan(f):
-        return "nan"
-    return repr(f)
+# -- report writing ---------------------------------------------------------
+#
+# ``_dump_json(x)`` gives the bytes of ``json.dumps(x, indent=2) + "\n"`` for x
+# with its numpy values read as Python values and a NaN float as null (the
+# parts of a complex number {"re", "im"} are written as json writes them), in
+# one walk and without a copy: with ``indent``, ``json`` takes its pure-Python
+# encoder.  A float's text is ``float.__repr__``; report keys are strings.
 
 
-def _jsonable(value):
+def _float_text(value, level=0):
+    text = float.__repr__(value)
+    return _NAN_AS_NULL.get(text, text)
+
+
+def _part_text(value):
+    text = float.__repr__(value)
+    return _NAN_AS_JSON.get(text, text)
+
+
+_NAN_AS_NULL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_NAN_AS_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _complex_text(value, level):
+    inner = "\n" + "  " * (level + 1)
+    return (
+        "{" + inner + '"re": ' + _part_text(value.real) + "," + inner + '"im": '
+        + _part_text(value.imag) + "\n" + "  " * level + "}"
+    )
+
+
+def _dict_text(value, level, templates=None):
+    """The JSON text of a dict; ``templates`` holds the %-template of each key
+    sequence met so far, which the records of one list share."""
+    if not value:
+        return "{}"
+    keys, templates = tuple(value), {} if templates is None else templates
+    if keys not in templates:
+        templates[keys] = _dict_template(keys, level)
+    level += 1
+    return templates[keys] % tuple(  # _text inlined: this is the writer's inner loop
+        [(_WRITERS.get(type(v)) or _writer_of(v))(v, level) for v in value.values()]
+    )
+
+
+def _dict_template(keys, level):
+    inner = "\n" + "  " * (level + 1)
+    fields = []
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"report keys are str, not {type(key).__name__}")
+        fields.append(inner + _json_str(key).replace("%", "%%") + ": %s")
+    return "{" + ",".join(fields) + "\n" + "  " * level + "}"
+
+
+def _list_text(items, level):
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    templates = {}
+    texts = [
+        _dict_text(v, level + 1, templates) if type(v) is dict else _text(v, level + 1)
+        for v in items
+    ]
+    return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * level + "]"
+
+
+_WRITERS = {  # by exact type; _writer_of covers subclasses and other numpy types
+    float: _float_text,
+    np.float64: _float_text,
+    int: lambda value, level: int.__repr__(value),
+    bool: lambda value, level: "true" if value else "false",
+    type(None): lambda value, level: "null",
+    str: lambda value, level: _json_str(value),
+    complex: _complex_text,
+    list: _list_text,
+    tuple: _list_text,
+    dict: _dict_text,
+}
+
+
+def _writer_of(value):
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        return None if math.isnan(f) else f
-    if isinstance(value, np.integer):
-        return int(value)
+        return _WRITERS[bool]
+    if isinstance(value, (float, np.floating)):
+        return lambda v, level: _float_text(float(v))
+    if isinstance(value, (int, np.integer)):
+        return lambda v, level: int.__repr__(int(v))
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return _complex_text
+    if isinstance(value, str):
+        return _WRITERS[str]
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        return lambda v, level: _list_text(v.tolist(), level)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return _list_text
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+        return _dict_text
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _text(value, level):
+    """The JSON text of ``value``, nested ``level`` deep."""
+    return (_WRITERS.get(type(value)) or _writer_of(value))(value, level)
 
 
 def _dump_json(data):
-    return json.dumps(_jsonable(data), indent=2, sort_keys=False) + "\n"
+    return _text(data, 0) + "\n"
 
 
 @contextmanager
@@ -263,7 +338,7 @@ def _verdict_record(x, y, verdict):
         "y": y,
         "verdict": verdict.tag.value,
         "note": verdict.note,
-        "f_candidates": [_jsonable(f) for f in verdict.f_candidates],
+        "f_candidates": verdict.f_candidates,
         "residual": min((r.max_residual for r in verdict.residuals), default=None),
         "m_norm": verdict.m_norm,
     }
@@ -274,27 +349,36 @@ def _verdict_record(x, y, verdict):
     return rec
 
 
+def _csv_text(value):
+    """Round-trip-exact decimal text of a number in ``grid.csv``; None is empty."""
+    if value is None:
+        return ""
+    if isinstance(value, complex):
+        sign = "+" if value.imag >= 0 else "-"
+        return f"{_csv_text(value.real)}{sign}{_csv_text(abs(value.imag))}j"
+    return float.__repr__(float(value))
+
+
+def _csv_row(node):
+    v = node.verdict
+    res = {r.pair: _csv_text(r.normalized) for r in v.resultants}
+    return [
+        _csv_text(node.x),
+        _csv_text(node.y),
+        v.tag.value,
+        res.get("res12", ""),
+        res.get("res13", ""),
+        res.get("res23", ""),
+        ";".join([_csv_text(f) for f in v.f_candidates]),
+        _csv_text(min([r.max_residual for r in v.residuals])) if v.residuals else "",
+    ]
+
+
 def _csv_rows(nodes):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "y", "verdict", "res12", "res13", "res23", "F_candidates", "residual"])
-    for n in nodes:
-        v = n.verdict
-        res = {r.pair: r.normalized for r in v.resultants}
-        writer.writerow(
-            [
-                _fmt(n.x),
-                _fmt(n.y),
-                v.tag.value,
-                _fmt(res.get("res12")) if "res12" in res else "",
-                _fmt(res.get("res13")) if "res13" in res else "",
-                _fmt(res.get("res23")) if "res23" in res else "",
-                ";".join(_fmt(f) for f in v.f_candidates),
-                _fmt(min((r.max_residual for r in v.residuals), default=None))
-                if v.residuals
-                else "",
-            ]
-        )
+    writer.writerows([_csv_row(n) for n in nodes])
     return buf.getvalue()
 
 
@@ -313,7 +397,7 @@ def _apply_overrides(cfg, mode, orientation, jet_order, points_opt):
         cfg.settings.mode = mode
     if orientation:
         cfg.settings.orientation = int(orientation.replace("+", ""))
-    if jet_order:
+    if jet_order is not None:
         cfg.settings.jet_order = jet_order
         try:
             cfg.settings.__post_init__()
@@ -430,30 +514,28 @@ def verify(config_path, out_dir, mode, orientation, jet_order, points_opt, alpha
     )
     with _expression_errors_exit():
         reports = verify_candidates(structure, candidate, points, run_mode, cfg.settings)
-    records = []
-    worst = 0.0
-    for pt, rep in zip(points, reports):
-        worst = max(worst, rep.max_residual)
-        records.append(
-            {
-                "x": pt[0],
-                "y": pt[1],
-                "F": rep.f,
-                "res_alpha_U": rep.res_alpha_U,
-                "res_alpha_W": rep.res_alpha_W,
-                "res_tensor": rep.res_tensor,
-                "res_trace": rep.res_trace,
-                "f_gradient_mismatch": rep.f_gradient_mismatch,
-                "max_residual": rep.max_residual,
-                "passed": rep.passed,
-            }
-        )
+    records = [
+        {
+            "x": pt[0],
+            "y": pt[1],
+            "F": rep.f,
+            "res_alpha_U": rep.res_alpha_U,
+            "res_alpha_W": rep.res_alpha_W,
+            "res_tensor": rep.res_tensor,
+            "res_trace": rep.res_trace,
+            "f_gradient_mismatch": rep.f_gradient_mismatch,
+            "max_residual": rep.max_residual,
+            "passed": rep.passed,
+        }
+        for pt, rep in zip(points, reports)
+    ]
+    passed = all(rep.passed for rep in reports)
     payload = {
         "metadata": _metadata(cfg),
         "alpha": [to_source(e) for e in exprs],
         "tol_residual": cfg.settings.tol_residual,
-        "max_residual": worst,
-        "passed": worst < cfg.settings.tol_residual,
+        "max_residual": float(np.max([rep.max_residual for rep in reports])),  # NaN if one is
+        "passed": passed,
         "points": records,
     }
     text = _dump_json(payload)
@@ -462,7 +544,7 @@ def verify(config_path, out_dir, mode, orientation, jet_order, points_opt, alpha
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "residuals.json").write_text(text)
-    sys.exit(EXIT_OK if worst < cfg.settings.tol_residual else EXIT_RESIDUAL)
+    sys.exit(EXIT_OK if passed else EXIT_RESIDUAL)
 
 
 @main.command()

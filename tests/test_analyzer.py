@@ -1,9 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sfmew import MoebiusStructure
+from sfmew import MoebiusStructure, analyzer
 from sfmew.analyzer import (
     MultipleRoot,
     P0Vanishes,
@@ -21,6 +25,7 @@ from sfmew.analyzer import (
     verify_candidate,
 )
 from sfmew.expr import parse
+from sfmew.geometry import Frame
 from sfmew.invariants import PointInvariants, compute_invariants
 from sfmew.jets import Jet, jet_space
 
@@ -425,3 +430,154 @@ def test_scan_requires_grid(quadratic_structure):
 def test_summarize_mixed():
     v1 = classify_point(MoebiusStructure.from_strings("0", "0", "0", "0"), (0, 0))
     assert summarize([v1]) == "FLAT"
+
+
+# -- residuals on node columns -------------------------------------------------
+
+
+def _per_node_residual_reports(frame, invs, mode, method, alpha, dalpha, F, grad_F,
+                               tol_residual, on_root=None):
+    """The residual assembler that built each node's report from its own numpy
+    scalars, kept as the oracle of the column arithmetic.  ``invs`` holds each
+    node's invariants, None at a flat node."""
+    from sfmew import jets
+    from sfmew.analyzer import ResidualReport
+
+    eps = ((0.0, 1.0), (-1.0, 0.0))
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1]
+    e2u, e2u_inv, K, P = (
+        jets.values(getattr(frame, name)) for name in ("e2u", "e2u_inv", "curvature", "p")
+    )
+    o = float(frame.orientation)
+    reports = []
+    for i, (point, inv) in enumerate(zip(frame.points, invs)):
+        alpha_i, dalpha_i, f = alpha[:, i], dalpha[:, :, i], F[i]
+        alpha_sq = e2u_inv[i] * (alpha_i[0] * alpha_i[0] + alpha_i[1] * alpha_i[1])
+        res_tensor = 0.0
+        for a in range(2):
+            for b in range(2):
+                eps_ab = o * e2u[i] * eps[a][b]
+                g_ab = e2u[i] if a == b else 0.0
+                r = (
+                    dalpha_i[a, b]
+                    + alpha_i[a] * alpha_i[b]
+                    + P[a, b, i]
+                    - 0.5 * alpha_sq * g_ab
+                    - 0.5 * eps_ab * f
+                )
+                res_tensor = max(res_tensor, abs(r))
+        res_trace = abs(e2u_inv[i] * (dalpha_i[0, 0] + dalpha_i[1, 1]) + K[i])
+        res_u = res_w = mismatch = 0.0
+        if inv is not None:
+            a_dot_u = dot(alpha_i, inv.U_up)
+            a_dot_w = e2u_inv[i] * dot(alpha_i, inv.W)
+            a_dot_y = dot(alpha_i, inv.Y_up)
+            res_u = abs(a_dot_u + f * f + inv.phi)
+            res_w = abs(
+                a_dot_w - inv.ell - 2.5 * inv.rho * f - 3.0 * (inv.mu + a_dot_y) * f * f
+            )
+            for axis in range(2):
+                target = -2.0 * alpha_i[axis] * f - inv.Y[axis]
+                mismatch = max(mismatch, abs(grad_F[axis, i] - target))
+        max_res = max(res_u, res_w, res_tensor, res_trace)
+        reports.append(ResidualReport(
+            point=tuple(map(float, point)), mode=mode, method=method,
+            f=f if mode == "complex" else f.real,
+            res_alpha_U=res_u, res_alpha_W=res_w, res_tensor=res_tensor,
+            res_trace=res_trace, f_gradient_mismatch=mismatch,
+            passed=bool(max_res < tol_residual and (on_root is None or on_root[i])),
+            max_residual=max_res,
+        ))
+    return reports
+
+
+def _bits(report):
+    """Every field of a residual report, floats by their bits (-0.0 apart from 0.0)."""
+    def bits(x):
+        if isinstance(x, complex):
+            return (float(x.real).hex(), float(x.imag).hex())
+        return float(x).hex() if isinstance(x, float) else x
+    return tuple((name, bits(getattr(report, name))) for name in vars(report))
+
+
+_RESIDUAL_POINTS = [(0.0, 0.0), (1.0, 0.0), (-0.5, 1.2), (0.3, -0.8), (1e-3, 0.0), (2.0, 2.0)]
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
+    st.floats(-1e4, 1e4, allow_nan=False),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_residuals_are_the_per_node_residuals(data, quadratic_structure):
+    """Column residuals equal the per-node assembler bit for bit: real (the lift)
+    and complex (closed form, both modes) inputs, flat nodes, signed zeros."""
+    structure = quadratic_structure.rescaled("0.3*x - 0.2*y + 0.1*(x*x + y*y)")
+    points = data.draw(st.lists(st.sampled_from(_RESIDUAL_POINTS), min_size=1, max_size=6))
+    orientation = data.draw(st.sampled_from([1, -1]))
+    frame = Frame.stack([Frame(structure, p, 4, orientation) for p in points])
+    n = len(points)
+    mode = data.draw(st.sampled_from(["real", "complex"]))
+    complex_inputs = mode == "complex" or data.draw(st.booleans())
+
+    def node_array(*shape):
+        re = data.draw(arrays(np.float64, shape + (n,), elements=_NUMBERS))
+        if not complex_inputs:
+            return re
+        out = re.astype(complex)
+        out.imag = data.draw(arrays(np.float64, shape + (n,), elements=_NUMBERS))
+        return out
+
+    alpha, dalpha, F, grad_F = node_array(2), node_array(2, 2), node_array(), node_array(2)
+    flat = data.draw(arrays(np.bool_, (n,)))
+    on_root = data.draw(st.none() | arrays(np.bool_, (n,)))
+    inv = {name: data.draw(arrays(np.float64, (2, n), elements=_NUMBERS))
+           for name in ("Y", "U_up", "Y_up", "W")}
+    inv.update({name: data.draw(arrays(np.float64, (n,), elements=_NUMBERS))
+                for name in ("phi", "ell", "rho", "mu")})
+    cols = np.flatnonzero(~flat)
+    invs = [None if flat[i] else SimpleNamespace(**{k: v[..., i] for k, v in inv.items()})
+            for i in range(n)]
+    tol = data.draw(st.sampled_from([1e-6, 1e3]))
+    method = "jets" if complex_inputs else "jet-lift"
+
+    new = analyzer._residual_reports(
+        frame, PointInvariants(**{k: v[..., cols] for k, v in inv.items()}), flat, mode,
+        method, alpha, dalpha, F, grad_F, tol, on_root,
+    )
+    old = _per_node_residual_reports(
+        frame, invs, mode, method, alpha, dalpha, F, grad_F, tol, on_root
+    )
+    assert [_bits(r) for r in new] == [_bits(r) for r in old]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_nabla_alpha_is_the_per_node_loop(data):
+    """nabla alpha and F of a closed-form candidate on node columns equal the
+    per-node loop that built them from each node's numpy scalars, bit for bit."""
+    n = data.draw(st.integers(1, 6))
+
+    def node_array(*shape, dtype=complex):
+        re = data.draw(arrays(np.float64, shape + (n,), elements=_NUMBERS))
+        if dtype is float:
+            return re
+        out = re.astype(complex)
+        out.imag = data.draw(arrays(np.float64, shape + (n,), elements=_NUMBERS))
+        return out
+
+    alpha, partials = node_array(2), node_array(2, 2)
+    gamma, o_e2u_inv = node_array(2, 2, 2, dtype=float), node_array(dtype=float)
+    dalpha, F = analyzer._nabla_alpha(alpha, partials, gamma, o_e2u_inv)
+
+    old_dalpha, old_F = np.empty_like(partials), np.empty_like(alpha[0])
+    for i in range(n):
+        for a in range(2):
+            for b in range(2):
+                old_dalpha[a, b, i] = partials[a, b, i] - sum(
+                    gamma[c, a, b, i] * alpha[c, i] for c in range(2)
+                )
+        old_F[i] = o_e2u_inv[i] * (old_dalpha[0, 1, i] - old_dalpha[1, 0, i])
+    new_dalpha = np.array([[d.array() for d in row] for row in dalpha])
+    assert new_dalpha.tobytes() == old_dalpha.tobytes()
+    assert F.array().tobytes() == old_F.tobytes()

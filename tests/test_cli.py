@@ -1,10 +1,15 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from sfmew.cli import main
+from sfmew.cli import _dump_json, main
 
 SPIRAL = """
 [structure]
@@ -418,3 +423,99 @@ def test_verify_region_writes_the_residuals_of_the_same_point_list(runner, tmp_p
         outputs.append((out / "residuals.json").read_bytes())
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[0])["points"]) == 9
+
+
+def test_jet_order_zero_is_a_config_error(runner, tmp_path):
+    """``--jet-order 0`` is checked like any other order, not read as unset."""
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS)
+    for args in (["analyze"], ["verify", "--alpha", "y", "--alpha", "-x"]):
+        result = runner.invoke(main, args + ["--config", cfg, "--jet-order", "0"])
+        assert result.exit_code == 2, result.output
+        assert "jet_order must be >= 5" in result.output
+
+
+def test_verify_fails_where_every_residual_is_nan(runner, tmp_path):
+    """A candidate beyond the float range: every residual maximum is NaN (null),
+    no point passes, and neither does the run (exit 1), without numpy warnings."""
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + '[points]\npoints = "1,0; 0.5,-0.5; 0,0"\n')
+    result = runner.invoke(
+        main, ["verify", "--config", cfg, "--alpha", "1e200*1e200*x", "--alpha", "y"]
+    )
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.output)
+    assert payload["passed"] is False
+    assert payload["max_residual"] is None
+    for rec in payload["points"]:
+        assert rec["passed"] is False
+        assert rec["max_residual"] is None
+        assert rec["res_tensor"] is None
+
+
+# -- the report writer ----------------------------------------------------------
+
+
+def _jsonable(value):
+    """The deep copy that the report writer once made before ``json.dumps``,
+    kept as the oracle of its output."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (np.floating, float)):
+        f = float(value)
+        return None if math.isnan(f) else f
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
+
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-320])
+_STRINGS = st.text() | st.sampled_from(["%s", "100%", 'a"b', "back\\slash", "é", " ", "\x00"])
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOATS,
+    _STRINGS,
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers().map(np.complex128),
+    arrays(st.sampled_from([np.float64, np.int64, np.bool_, complex]), array_shapes(max_dims=2)),
+)
+
+
+def _containers(children):
+    records = st.lists(_STRINGS, unique=True, max_size=4).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=4)
+    )
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, children, max_size=4),
+        records,
+    )
+
+
+@given(st.recursive(_LEAVES, _containers, max_leaves=30))
+@settings(max_examples=300, deadline=None)
+def test_report_writer_is_json_dumps_of_the_copy(value):
+    assert _dump_json(value) == json.dumps(_jsonable(value), indent=2) + "\n"
+
+
+def test_report_writer_rejects_what_json_rejects_and_keys_that_are_not_str():
+    for value in (object(), {(1, 2): 3}, {np.int64(1): 2}, np.complex64(1), {"a": [set()]}):
+        with pytest.raises(TypeError):
+            json.dumps(_jsonable(value), indent=2)
+        with pytest.raises(TypeError):
+            _dump_json(value)
+    with pytest.raises(TypeError, match="report keys are str"):
+        _dump_json({"a": [{1: 2.0}]})

@@ -8,7 +8,9 @@ families of ``perfbench/families.py`` at seeds 7 and 131: ``analyze`` on the
 21x21 grid over [-2, 2]^2 plus the near-flat points, in real mode, and
 ``verify`` on the same points, with the family's closed-form candidate
 alpha = d omega + i (y, -x) in complex mode on the opposite family and
-alpha = d omega + (y, -x) in real mode on the other two.  ``invariants``
+alpha = d omega + (y, -x) in real mode on the other two, and again with a
+wrong candidate, 1.5 (y, -x) without d omega (1.5 i (y, -x) on the
+opposite family), whose residuals are nonzero and fail.  ``invariants``
 and ``constraints`` run in real mode on the near-flat points plus every
 55th grid node, nine nodes from corner to corner.  The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
@@ -63,9 +65,11 @@ def calls(fam, out):
                     mode, alpha = "complex", fam.verify_alpha_sources(member)
                 else:
                     mode, alpha = "real", (f"y + {wx}", f"-x + {wy}")
+                wrong = ("1.5*y", "-1.5*x") if mode == "real" else ("0", "0", "1.5*y", "-1.5*x")
                 (base / "verify.cfg").write_text(config_text(member, 0, points, mode))
-                yield base / "verify", ["verify", "--config", str(base / "verify.cfg")] + [
-                    f"--alpha={a}" for a in alpha]
+                for name, candidate in (("verify", alpha), ("verify-wrong", wrong)):
+                    yield base / name, ["verify", "--config", str(base / "verify.cfg")] + [
+                        f"--alpha={a}" for a in candidate]
                 points = list(fam.NEAR_FLAT) + fam.grid_nodes(GRID)[::DUMP_STRIDE]
                 (base / "dump.cfg").write_text(config_text(member, 0, points, "real"))
                 for command in ("invariants", "constraints"):
