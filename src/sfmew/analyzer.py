@@ -35,8 +35,10 @@ the batch (:func:`~sfmew.polyalg.column_common_roots`), which gives their
 real and complex witnesses from the same eigenvalues.  Each node is then
 decided in a plain loop over its floats.  Every node goes through the float
 operations it would go through alone, so its verdict does not depend on its
-batch.  A node whose constraint coefficients are not all finite (its
-invariants beyond the float range) is ``Inconclusive``.
+batch.  A node whose invariants, degenerate-branch tensor or constraint
+coefficients are not all finite (beyond the float range) is ``Inconclusive``.
+Frames have the lowest jet order their path reads: 5 in a scan
+(:data:`~sfmew.invariants.SCAN_ORDER`), 3 for a closed-form candidate.
 
 A reconstructed candidate is verified by lifting its root F0 to a jet, on
 the invariant jets of the point itself: each Newton step
@@ -69,7 +71,7 @@ from . import jets
 from .constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
-from .invariants import InvariantField, PointInvariants, forced_f
+from .invariants import SCAN_ORDER, InvariantField, PointInvariants, forced_f
 from .jets import ipow
 from .polyalg import column_common_roots, column_resultant_reports, trimmed_degrees
 
@@ -94,7 +96,7 @@ __all__ = [
     "region_report",
 ]
 
-_CLOSED_FORM_ORDER = 4  # jets of closed-form candidates: residuals need nabla alpha, nabla F
+_CLOSED_FORM_ORDER = 3  # closed-form jets: residuals read 3 orders of P, nabla F 2 of alpha
 _LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 3 -> 7
 # nodes per batch: wide enough to spread a batch's fixed work (stacked SVDs, eigvals,
 # product tables) over many nodes, narrow enough to bound the memory of its jets
@@ -123,7 +125,6 @@ class VerdictTag(str, Enum):
 class Settings:
     """Tolerances and conventions of the decision procedure."""
 
-    jet_order: int = 6
     orientation: int = 1
     mode: str = "real"
     tol_flat: float = 1e-10
@@ -135,11 +136,6 @@ class Settings:
     tol_m: float = 1e-8
 
     def __post_init__(self):
-        if self.jet_order < 5:
-            raise ValueError(
-                "jet_order must be >= 5: the constraint coefficients keep jet_order - 4 "
-                "orders, and verifying a reconstructed candidate differentiates them once"
-            )
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if self.mode not in ("real", "complex"):
@@ -398,7 +394,7 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
 
     The candidate's ``alpha_exprs`` are differentiated exactly via jets: 2
     real components, or 4 (re1, re2, im1, im2) in complex mode.  Points are
-    taken in batches of ``_CHUNK`` nodes; each point gets its own order-4
+    taken in batches of ``_CHUNK`` nodes; each point gets its own order-3
     :class:`~sfmew.geometry.Frame`, their stack evaluates the structure
     once, and each expression is evaluated once on the batch's node
     columns.  A domain error is the one a point-by-point pass meets first:
@@ -482,6 +478,9 @@ def _nabla_alpha(alpha, partials, gamma, o_e2u_inv):
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
+# notes of nodes beyond the float range, as constraints.NOT_FINITE for the coefficients
+_NOT_FINITE_INVARIANTS = "invariants are not all finite"
+_NOT_FINITE_BRANCH = "degenerate-branch tensor is not all finite"
 _PAIRS = (("res12", 0, 1), ("res13", 0, 2), ("res23", 1, 2))
 
 
@@ -604,7 +603,7 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
     field = InvariantField(
-        Frame(structure, point, settings.jet_order, settings.orientation),
+        Frame(structure, point, SCAN_ORDER, settings.orientation),
         settings.tol_flat,
     )
     field.require_not_flat()
@@ -642,7 +641,7 @@ def classify_points(structure, points, settings=None):
 
 def _classify_chunk(structure, points, settings):
     field = InvariantField(  # stacked by the field, which drops the flat nodes' columns
-        [Frame(structure, p, settings.jet_order, settings.orientation) for p in points],
+        [Frame(structure, p, SCAN_ORDER, settings.orientation) for p in points],
         settings.tol_flat,
     )
     verdicts = [
@@ -658,18 +657,27 @@ def _classify_chunk(structure, points, settings):
         return verdicts
 
     values = field.invariant_values()  # node arrays; a node's own only where a verdict reads them
+    finite = values.finite()  # beyond the float range, a node decides nothing
     # degenerate branch: sigma > 0, decided by the tensor M where it vanishes
-    branch = (values.sigma > 0.0) & ~field.sigma_is_zero(settings.tol_sigma)
+    branch = finite & (values.sigma > 0.0) & ~field.sigma_is_zero(settings.tol_sigma)
     mreps = field.m_tensor() if branch.any() else [None] * field.nodes.size
     m_norms, rest = [None] * field.nodes.size, []
     for c, node in enumerate(field.nodes):
         mrep = mreps[c] if branch[c] else None
         if mrep is not None:
             m_norms[c] = mrep.norm
-            if mrep.norm < settings.tol_m * mrep.scale:
-                verdicts[node] = _mzero_verdict(values.node(c), mrep, points[node])
-                continue
-        rest.append(c)
+            finite[c] = np.isfinite([mrep.norm, mrep.scale, *mrep.alpha]).all()
+        if not finite[c]:
+            verdicts[node] = Verdict(
+                tag=VerdictTag.INCONCLUSIVE,
+                point=points[node],
+                m_norm=m_norms[c],
+                note=_NOT_FINITE_BRANCH if mrep is not None else _NOT_FINITE_INVARIANTS,
+            )
+        elif mrep is not None and mrep.norm < settings.tol_m * mrep.scale:
+            verdicts[node] = _mzero_verdict(values.node(c), mrep, points[node])
+        else:
+            rest.append(c)
     if not rest:
         return verdicts
 

@@ -21,7 +21,6 @@ expression values are double-quoted::
     points = "1,0; 0.5,0"
 
     [tolerances]
-    jet_order = 6
     tol_root = 1e-7
     tol_res_low = 1e-12
     tol_res_high = 1e-5
@@ -34,6 +33,8 @@ expression values are double-quoted::
 Exit codes: 0 success, 1 verification failure (``verify`` only),
 2 config error, 3 expression error (one that does not parse, or that fails
 at a point: ``ln`` or ``sqrt`` of a nonpositive value, a zero divisor).
+The jet order is no setting (each path evaluates its frames at the order
+it reads), and a config that still sets ``jet_order`` is a config error.
 Reports are deterministic and byte-stable for a fixed config (no
 timestamps); numbers are emitted in round-trip-exact decimal form.
 """
@@ -155,13 +156,14 @@ def load_config(path):
     kwargs = {}
     if "tolerances" in parser:
         tl = parser["tolerances"]
+        if "jet_order" in tl:  # not ignored: the run would not be the one the config asks for
+            raise ConfigError("'jet_order' in [tolerances] is no longer a setting; remove the key")
         for key, cast in (
             ("tol_root", float),
             ("tol_res_low", float),
             ("tol_res_high", float),
             ("tol_residual", float),
             ("tol_flat", float),
-            ("jet_order", int),
         ):
             if key in tl:
                 try:
@@ -306,7 +308,8 @@ def _expression_errors_exit():
         sys.exit(EXIT_EXPR)
 
 
-def _load_or_exit(config_path):
+def _load_or_exit(config_path, mode, orientation, points_opt):
+    """The run config, with the command line's overrides, and its structure."""
     try:
         cfg = load_config(config_path)
     except ConfigError as err:
@@ -319,6 +322,16 @@ def _load_or_exit(config_path):
             cfg.structure_exprs["P12"],
             cfg.structure_exprs["P22"],
         )
+    if mode:
+        cfg.settings.mode = mode
+    if orientation:
+        cfg.settings.orientation = int(orientation.replace("+", ""))
+    if points_opt:
+        try:
+            cfg.points = _parse_points(points_opt)
+        except ConfigError as err:
+            click.echo(f"config error: {err}", err=True)
+            sys.exit(EXIT_CONFIG)
     return cfg, structure
 
 
@@ -328,7 +341,6 @@ def _metadata(cfg):
         "version": _VERSION,
         "mode": cfg.settings.mode,
         "orientation": cfg.settings.orientation,
-        "jet_order": cfg.settings.jet_order,
     }
 
 
@@ -387,30 +399,8 @@ def _common_options(fn):
     fn = click.option("--out", "out_dir", default=".", help="output directory")(fn)
     fn = click.option("--mode", type=click.Choice(["real", "complex"]), default=None)(fn)
     fn = click.option("--orientation", type=click.Choice(["+1", "-1"]), default=None)(fn)
-    fn = click.option("--jet-order", type=int, default=None)(fn)
     fn = click.option("--points", "points_opt", default=None, help='extra points "x,y;x,y"')(fn)
     return fn
-
-
-def _apply_overrides(cfg, mode, orientation, jet_order, points_opt):
-    if mode:
-        cfg.settings.mode = mode
-    if orientation:
-        cfg.settings.orientation = int(orientation.replace("+", ""))
-    if jet_order is not None:
-        cfg.settings.jet_order = jet_order
-        try:
-            cfg.settings.__post_init__()
-        except ValueError as err:
-            click.echo(f"config error: {err}", err=True)
-            sys.exit(EXIT_CONFIG)
-    if points_opt:
-        try:
-            cfg.points = _parse_points(points_opt)
-        except ConfigError as err:
-            click.echo(f"config error: {err}", err=True)
-            sys.exit(EXIT_CONFIG)
-    return cfg
 
 
 def _points_or_exit(cfg, command):
@@ -430,10 +420,9 @@ def main():
 
 @main.command()
 @_common_options
-def analyze(config_path, out_dir, mode, orientation, jet_order, points_opt):
+def analyze(config_path, out_dir, mode, orientation, points_opt):
     """Classify a region grid and/or explicit points; write report.json + grid.csv."""
-    cfg, structure = _load_or_exit(config_path)
-    cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
+    cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
     if cfg.region is None and not cfg.points:
         click.echo("config error: analyze needs a [region] or [points] section", err=True)
         sys.exit(EXIT_CONFIG)
@@ -491,10 +480,9 @@ def analyze(config_path, out_dir, mode, orientation, jet_order, points_opt):
     required=True,
     help="candidate components: 2 in real mode, 4 (re1 re2 im1 im2) in complex mode",
 )
-def verify(config_path, out_dir, mode, orientation, jet_order, points_opt, alpha_exprs):
+def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
     """Verify a closed-form candidate; exit 0 when all residuals pass."""
-    cfg, structure = _load_or_exit(config_path)
-    cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
+    cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
     run_mode = cfg.settings.mode
     expected = 4 if run_mode == "complex" else 2
     if len(alpha_exprs) != expected:
@@ -549,10 +537,9 @@ def verify(config_path, out_dir, mode, orientation, jet_order, points_opt, alpha
 
 @main.command()
 @_common_options
-def invariants(config_path, out_dir, mode, orientation, jet_order, points_opt):
+def invariants(config_path, out_dir, mode, orientation, points_opt):
     """Dump point invariants as JSON at the configured points."""
-    cfg, structure = _load_or_exit(config_path)
-    cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
+    cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
     points = _points_or_exit(cfg, "invariants")
     with _expression_errors_exit():
         records = [_invariants_record(structure, pt, cfg.settings) for pt in points]
@@ -560,10 +547,18 @@ def invariants(config_path, out_dir, mode, orientation, jet_order, points_opt):
     sys.exit(EXIT_OK)
 
 
+# the invariants of an ``invariants`` record, in order
+_RECORD_INVARIANTS = (
+    "rho", "mu", "phi", "sigma", "tau", "ell", "Y", "U", "W", "L", "grad_rho", "dsigma_U",
+    "dsigma_Y", "hess_rho_UU", "hess_rho_YY", "dY_UU", "dU_YY", "dL_UU", "dL_YY", "curl_L",
+    "P_UU", "P_YY", "P_UY", "m", "psi", "k",
+)
+
+
 def _invariants_record(structure, pt, settings):
     try:
         inv = compute_invariants(
-            structure, pt, settings.jet_order, settings.orientation, settings.tol_flat
+            structure, pt, orientation=settings.orientation, tol_flat=settings.tol_flat
         )
     except FlatPoint:
         return {"x": pt[0], "y": pt[1], "flat": True}
@@ -573,41 +568,15 @@ def _invariants_record(structure, pt, settings):
         "flat": False,
         # (1,2,c) components of the full Cotton-York tensor: rescale-invariant
         "Y_abc_12": [0.5 * inv.orientation * inv.e2u * y for y in inv.Y],
-        "rho": inv.rho,
-        "mu": inv.mu,
-        "phi": inv.phi,
-        "sigma": inv.sigma,
-        "tau": inv.tau,
-        "ell": inv.ell,
-        "Y": inv.Y,
-        "U": inv.U,
-        "W": inv.W,
-        "L": inv.L,
-        "grad_rho": inv.grad_rho,
-        "dsigma_U": inv.dsigma_U,
-        "dsigma_Y": inv.dsigma_Y,
-        "hess_rho_UU": inv.hess_rho_UU,
-        "hess_rho_YY": inv.hess_rho_YY,
-        "dY_UU": inv.dY_UU,
-        "dU_YY": inv.dU_YY,
-        "dL_UU": inv.dL_UU,
-        "dL_YY": inv.dL_YY,
-        "curl_L": inv.curl_L,
-        "P_UU": inv.P_UU,
-        "P_YY": inv.P_YY,
-        "P_UY": inv.P_UY,
-        "m": inv.m,
-        "psi": inv.psi,
-        "k": inv.k,
+        **{name: getattr(inv, name) for name in _RECORD_INVARIANTS},
     }
 
 
 @main.command()
 @_common_options
-def constraints(config_path, out_dir, mode, orientation, jet_order, points_opt):
+def constraints(config_path, out_dir, mode, orientation, points_opt):
     """Dump the constraint polynomials P0..P3 as JSON at the configured points."""
-    cfg, structure = _load_or_exit(config_path)
-    cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
+    cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
     points = _points_or_exit(cfg, "constraints")
     with _expression_errors_exit():
         records = [_constraints_record(structure, pt, cfg.settings) for pt in points]
@@ -621,7 +590,7 @@ _CONSTRAINTS = (("P0", coeffs_P0), ("P1", coeffs_P1), ("P2", coeffs_P2), ("P3", 
 def _constraints_record(structure, pt, settings):
     try:
         inv = compute_invariants(
-            structure, pt, settings.jet_order, settings.orientation, settings.tol_flat
+            structure, pt, orientation=settings.orientation, tol_flat=settings.tol_flat
         )
     except FlatPoint:
         return {"x": pt[0], "y": pt[1], "flat": True}
@@ -636,10 +605,9 @@ def _constraints_record(structure, pt, settings):
 @main.command()
 @_common_options
 @click.option("--omega", required=True, help="log rescaling factor expression")
-def rescale(config_path, out_dir, mode, orientation, jet_order, points_opt, omega):
+def rescale(config_path, out_dir, mode, orientation, points_opt, omega):
     """Dump the conformally rescaled structure and its invariants."""
-    cfg, structure = _load_or_exit(config_path)
-    cfg = _apply_overrides(cfg, mode, orientation, jet_order, points_opt)
+    cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
     with _expression_errors_exit():
         omega_expr = parse(omega)
         rescaled = structure.rescaled(omega_expr)

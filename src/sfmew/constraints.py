@@ -59,33 +59,34 @@ def coeffs_P1(inv):
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     t3m = tau + 3.0 * mu * rho
     rlpt = rho * ell + phi * tau
-    c8 = 31.5 * ipow(rho, 2)
+    rho2, phi2, sigma2 = ipow(rho, 2), ipow(phi, 2), ipow(sigma, 2)
+    c8 = 31.5 * rho2
     c6 = -12.0 * rho * sigma
     c4 = (
         12.0 * rho * sigma * phi
-        - 63.0 * ipow(rho, 2) * ipow(phi, 2)
+        - 63.0 * rho2 * phi2
         + 3.0 * rho * inv.dsigma_U
         + 0.5 * ipow(t3m, 2)
         + 0.5 * ipow(3.0 * rho * phi - sigma, 2)
         + 1.5 * rho * inv.hess_rho_UU
-        - 9.0 * ipow(rho, 2) * inv.P_UU
+        - 9.0 * rho2 * inv.P_UU
     )
-    c3 = 7.5 * ipow(rho, 3) * mu + 2.5 * tau * ipow(rho, 2) + 7.5 * ipow(rho, 2) * inv.dY_UU
+    c3 = 7.5 * ipow(rho, 3) * mu + 2.5 * tau * rho2 + 7.5 * rho2 * inv.dY_UU
     c2 = (
         (3.0 * rho * phi - sigma) * inv.dsigma_U
-        + 21.0 * rho * ipow(phi, 2) * sigma
-        - 3.0 * phi * ipow(sigma, 2)
+        + 21.0 * rho * phi2 * sigma
+        - 3.0 * phi * sigma2
         + rlpt * t3m
         + 25.0 / 8.0 * ipow(rho, 4)
         + 3.0 * rho * inv.dL_UU
         + 6.0 * rho * sigma * inv.P_UU
         - 0.5 * sigma * inv.hess_rho_UU
     )
-    c1 = 2.5 * ipow(rho, 2) * rlpt - 2.5 * inv.dY_UU * sigma * rho
+    c1 = 2.5 * rho2 * rlpt - 2.5 * inv.dY_UU * sigma * rho
     c0 = (
         -sigma * phi * inv.dsigma_U
         + 0.5 * ipow(rlpt, 2)
-        - 0.5 * ipow(phi, 2) * ipow(sigma, 2)
+        - 0.5 * phi2 * sigma2
         - sigma * (inv.dL_UU + sigma * inv.P_UU)
     )
     return [c0, c1, c2, c3, c4, 0.0, c6, 0.0, c8]
@@ -96,17 +97,18 @@ def _q_part(inv):
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     t3m = tau + 3.0 * mu * rho
     rlpt = rho * ell + phi * tau
-    q8 = -4.5 * ipow(rho, 2)
+    rho2, sigma2 = ipow(rho, 2), ipow(sigma, 2)
+    q8 = -4.5 * rho2
     q6 = -(9.0 * inv.dU_YY * rho + 3.0 * rho * (3.0 * phi * rho - sigma))
     q4 = (
         3.0 * inv.dU_YY * sigma
         - 1.5 * rho * inv.hess_rho_YY
         + 1.5 * ipow(t3m, 2)
-        + 9.0 * ipow(rho, 2) * inv.P_YY
+        + 9.0 * rho2 * inv.P_YY
         + 3.0 * phi * sigma * rho
         - 0.5 * ipow(3.0 * phi * rho - sigma, 2)
     )
-    q3 = -25.0 * ipow(rho, 2) * t3m
+    q3 = -25.0 * rho2 * t3m
     q2 = (
         0.5 * inv.hess_rho_YY * sigma
         - 185.0 / 8.0 * ipow(rho, 4)
@@ -118,15 +120,15 @@ def _q_part(inv):
     )
     q1 = (
         5.5 * rho * sigma * t3m
-        - 13.5 * ipow(rho, 2) * rlpt
-        - 2.5 * ipow(rho, 2) * inv.dsigma_Y
+        - 13.5 * rho2 * rlpt
+        - 2.5 * rho2 * inv.dsigma_Y
     )
     q0 = (
         inv.dL_YY * sigma
         - 2.5 * sigma * ipow(rho, 3)
-        + inv.P_YY * ipow(sigma, 2)
+        + inv.P_YY * sigma2
         - 0.5 * ipow(rlpt, 2)
-        - 0.5 * ipow(phi, 2) * ipow(sigma, 2)
+        - 0.5 * ipow(phi, 2) * sigma2
         - rlpt * inv.dsigma_Y
     )
     return [q0, q1, q2, q3, q4, 0.0, q6, 0.0, q8]

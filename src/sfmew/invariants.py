@@ -50,6 +50,7 @@ __all__ = [
     "compute_M",
     "forced_f",
     "DEFAULT_TOL_FLAT",
+    "SCAN_ORDER",
 ]
 
 #: Conformal weights w: under g -> e^{2 omega} g the quantity scales by e^{w omega}.
@@ -65,6 +66,10 @@ CONFORMAL_WEIGHTS = {
 }
 
 DEFAULT_TOL_FLAT = 1e-10
+
+#: Jet order of a scan's frames: the constraint coefficients read four orders of
+#: the structure and the lift of a root one more (docs/decisions.md, section 6).
+SCAN_ORDER = 5
 
 
 class FlatPoint(Exception):
@@ -134,6 +139,14 @@ class PointInvariants:
     k: float = math.nan
 
     sigma_scale: float = 1.0  # |Y||W| Cauchy-Schwarz bound, for sign decisions
+
+    def finite(self):
+        """Whether each node's invariants are finite (node arrays; ``m``, ``psi``
+        and ``k``, NaN where sigma is numerically zero, aside)."""
+        return np.all([
+            np.isfinite(getattr(self, f.name)).reshape(-1, len(self.point)).all(axis=0)
+            for f in _NODE_FIELDS if f.name not in ("m", "psi", "k")
+        ], axis=0)
 
     def split(self):
         """One PointInvariants per node of invariants held as node arrays."""
@@ -431,11 +444,13 @@ class InvariantField:
         dL = arr(self.dL)
         return float(self.frame.orientation) * arr(self.frame.e2u_inv) * (dL[1][0] - dL[0][1])
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf or NaN
     def invariant_values(self):
         """The point invariants of every node of ``nodes`` as node arrays.
 
         A :class:`PointInvariants` whose scalars have shape (N,) and whose
-        vectors have shape (2, N); ``point`` lists the nodes' points.
+        vectors have shape (2, N), an inf or a NaN beyond the float range;
+        ``point`` lists the nodes' points.
         """
         self.require_not_flat()
         m, psi, k = (np.full(self.nodes.size, math.nan) for _ in range(3))
@@ -490,11 +505,12 @@ class InvariantField:
             sigma_scale=self.sigma_scale,
         )
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf or NaN
     def m_tensor(self):
         """The branch tensor M_ab = nabla_(a alpha_b) + alpha alpha + P - (|alpha|^2/2) g.
 
         A list of :class:`MTensorReport` over ``nodes``, with None where
-        sigma is numerically zero.
+        sigma is numerically zero; inf or NaN beyond the float range.
         """
         if not self.nodes.size:
             return []
@@ -537,7 +553,7 @@ class InvariantField:
 # public operations
 
 
-def cotton_york(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
+def cotton_york(structure, point, order=SCAN_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
     """Cotton-York 1-form Y_a and the pointwise flatness decision."""
     field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
     return CottonReport(
@@ -549,14 +565,16 @@ def cotton_york(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_F
     )
 
 
-def compute_invariants(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
+def compute_invariants(
+    structure, point, order=SCAN_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT
+):
     """All point invariants; raises :class:`FlatPoint` where Y vanishes."""
     field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
     field_.require_not_flat()
     return field_.point_invariants()[0]
 
 
-def compute_M(structure, point, order=6, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
+def compute_M(structure, point, order=SCAN_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
     """Degenerate-branch tensor M_ab and candidate alpha.
 
     Requires rho > 0 and sigma != 0 at the point; raises :class:`SigmaZero`

@@ -380,12 +380,6 @@ def test_root_lift_keeps_value_and_rejects_multiple_root():
         _lift_root([1.0 + x, -2.0, 1.0], 1.0, 1e-7)
 
 
-def test_settings_jet_order_floor():
-    Settings(jet_order=5)
-    with pytest.raises(ValueError, match="jet_order must be >= 5"):
-        Settings(jet_order=4)
-
-
 # ---------------------------------------------------------------------------
 # region scans
 

@@ -117,11 +117,6 @@ def test_analyze_config_and_expression_errors(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--config", cfg2])
     assert result.exit_code == 2
 
-    cfg3 = write(tmp_path, "q.cfg", QUADRATIC + POINTS)
-    result = runner.invoke(main, ["analyze", "--config", cfg3, "--jet-order", "4"])
-    assert result.exit_code == 2
-    assert "jet_order must be >= 5" in result.output
-
 
 def test_verify_quadratic_solution(runner, tmp_path):
     cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS)
@@ -425,13 +420,28 @@ def test_verify_region_writes_the_residuals_of_the_same_point_list(runner, tmp_p
     assert len(json.loads(outputs[0])["points"]) == 9
 
 
-def test_jet_order_zero_is_a_config_error(runner, tmp_path):
-    """``--jet-order 0`` is checked like any other order, not read as unset."""
+_EVERY_COMMAND = (
+    ["analyze"], ["verify", "--alpha", "y", "--alpha", "-x"], ["invariants"], ["constraints"],
+    ["rescale", "--omega", "0.1*x"],
+)
+
+
+def test_jet_order_option_is_rejected(runner, tmp_path):
+    """The jet order is no setting: ``--jet-order`` is an unknown option (exit 2)."""
     cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS)
-    for args in (["analyze"], ["verify", "--alpha", "y", "--alpha", "-x"]):
-        result = runner.invoke(main, args + ["--config", cfg, "--jet-order", "0"])
+    for args in _EVERY_COMMAND:
+        result = runner.invoke(main, args + ["--config", cfg, "--jet-order", "6"])
         assert result.exit_code == 2, result.output
-        assert "jet_order must be >= 5" in result.output
+        assert "No such option" in result.output and "--jet-order" in result.output
+
+
+def test_config_that_sets_jet_order_is_a_config_error(runner, tmp_path):
+    """A leftover ``[tolerances] jet_order`` is not ignored: exit 2, naming the key."""
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS + "[tolerances]\njet_order = 6\n")
+    for args in _EVERY_COMMAND:
+        result = runner.invoke(main, args + ["--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "config error: 'jet_order' in [tolerances]" in result.output
 
 
 def test_verify_fails_where_every_residual_is_nan(runner, tmp_path):

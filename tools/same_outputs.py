@@ -5,7 +5,8 @@
 
 Runs ``sfmew analyze`` and ``sfmew verify`` on every member of the three
 families of ``perfbench/families.py`` at seeds 7 and 131: ``analyze`` on the
-21x21 grid over [-2, 2]^2 plus the near-flat points, in real mode, and
+21x21 grid over [-2, 2]^2 plus the near-flat points and the far field (24
+points each on the circles r = 20 and r = 30), in real mode, and
 ``verify`` on the same points, with the family's closed-form candidate
 alpha = d omega + i (y, -x) in complex mode on the opposite family and
 alpha = d omega + (y, -x) in real mode on the other two, and again with a
@@ -17,7 +18,7 @@ once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
 compared byte for byte, as are each call's exit code and console output.
-Exits 0 when everything is equal and 1 naming the first file that differs.
+Exits 0 when everything is equal and 1 naming every file that differs.
 Reads ``perfbench/families.py`` and writes nothing under ``perfbench/``.
 """
 
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import filecmp
 import io
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +38,9 @@ SEEDS = (7, 131)
 FAMILIES = ("spiral", "quadratic", "opposite")
 GRID = 21
 DUMP_STRIDE = 55  # grid nodes of the invariants and constraints calls
+# the far field, where the rescaled members' invariants approach the float range
+FAR_FIELD = [(r * math.cos(2.0 * math.pi * k / 24), r * math.sin(2.0 * math.pi * k / 24))
+             for r in (20.0, 30.0) for k in range(24)]
 
 
 def config_text(member, grid, points, mode):
@@ -57,7 +62,7 @@ def calls(fam, out):
                 base = out / str(seed) / member.name
                 base.mkdir(parents=True)
                 (base / "analyze.cfg").write_text(
-                    config_text(member, GRID, fam.NEAR_FLAT, "real"))
+                    config_text(member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real"))
                 yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
                 points = fam.grid_nodes(GRID) + list(fam.NEAR_FLAT)
                 wx, wy, *_ = fam.verify_alpha_sources(member)
@@ -95,16 +100,15 @@ def run_all(src, out):
         (out_dir / "console.txt").write_text(f"exit {code}\n{console.getvalue()}")
 
 
-def first_difference(a, b):
-    """The first file (relative path) that differs or exists on one side only, or None."""
+def differences(a, b):
+    """The files (relative paths) that differ or exist on one side only."""
     files = lambda root: sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
     mine, theirs = files(a), files(b)
-    for rel in sorted(set(mine) | set(theirs)):
-        if rel not in mine or rel not in theirs:
-            return rel
-        if not filecmp.cmp(a / rel, b / rel, shallow=False):
-            return rel
-    return None
+    return [
+        rel for rel in sorted(set(mine) | set(theirs))
+        if rel not in mine or rel not in theirs
+        or not filecmp.cmp(a / rel, b / rel, shallow=False)
+    ]
 
 
 def main(argv=None):
@@ -126,9 +130,9 @@ def main(argv=None):
             subprocess.run([sys.executable, __file__, str(src), "--run", str(out)],
                            env=env, check=True)
             outs.append(out)
-        diff = first_difference(*outs)
-    if diff is not None:
-        print(f"outputs differ: {diff}")
+        diffs = differences(*outs)
+    if diffs:
+        print("outputs differ:", *diffs, sep="\n  ")
         return 1
     print("outputs are byte-identical")
     return 0
