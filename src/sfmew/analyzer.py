@@ -37,16 +37,19 @@ decided in a plain loop over its floats.  Every node goes through the float
 operations it would go through alone, so its verdict does not depend on its
 batch.  A node whose invariants, degenerate-branch tensor or constraint
 coefficients are not all finite (beyond the float range) is ``Inconclusive``.
-Frames have the lowest jet order their path reads: 5 in a scan
-(:data:`~sfmew.invariants.SCAN_ORDER`), 3 for a closed-form candidate.
+Frames have the lowest jet order their path reads: 4 in a scan
+(:data:`~sfmew.invariants.SCAN_ORDER`), 5 for the nodes whose roots are
+lifted (:data:`~sfmew.invariants.LIFT_ORDER`), 3 for a closed-form
+candidate.
 
 A reconstructed candidate is verified by lifting its root F0 to a jet, on
 the invariant jets of the point itself: each Newton step
 F <- F - P_k(F) / P_k'(F) in jet arithmetic doubles the number of exact
 Taylor orders.  It is lifted with each constraint P_k of which F0 is a
 simple root, and the best lift kept; the roots of a batch are lifted
-together.  The candidate alpha then follows as a jet from the
-reconstruction formula, so nabla alpha and nabla F are exact.  A root that
+together, on one order-5 invariant chain over the frames of their nodes.
+The candidate alpha then follows as a jet from the reconstruction formula,
+so nabla alpha and nabla F are exact.  A root that
 is simple in no constraint has no such lift and stays unverified.
 Closed-form candidates are differentiated exactly via jets of their
 expressions.  ``verify_candidates`` takes their points in batches of
@@ -71,7 +74,7 @@ from . import jets
 from .constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
-from .invariants import SCAN_ORDER, InvariantField, PointInvariants, forced_f
+from .invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f
 from .jets import ipow
 from .polyalg import column_common_roots, column_resultant_reports, trimmed_degrees
 
@@ -528,7 +531,9 @@ def _lifted_reports(field, cols, roots, inv, settings):
 
     Root ``roots[i]`` belongs to the node ``cols[i]`` of ``field`` (an index
     into ``field.nodes``), whose invariants are column ``i`` of the node
-    arrays ``inv``; all roots are lifted together, one node column each.  A
+    arrays ``inv``; all roots are lifted together, one node column each, on
+    an invariant chain of order ``LIFT_ORDER`` over the frames of their
+    nodes (``field`` itself where it is that chain).  A
     root is lifted with every constraint of which it is a simple root, and
     the lift kept that passes, else the one with the smallest residual: near
     flat points one constraint can have its roots far less accurate than
@@ -538,8 +543,12 @@ def _lifted_reports(field, cols, roots, inv, settings):
     or None where the root is simple in no constraint.
     """
     nodes, cols = np.unique(cols, return_inverse=True)
-    if nodes.size < field.nodes.size:  # the invariant jets of the roots' nodes only
-        field = field.take(nodes)
+    if field.frame.order != LIFT_ORDER or nodes.size < field.nodes.size:
+        f = field.frame  # the frames of the roots' nodes only, at the lift's order
+        field = InvariantField(
+            [Frame(f.structure, f.points[c], LIFT_ORDER, f.orientation) for c in nodes],
+            settings.tol_flat,
+        )
     jinv, roots = field.invariant_jets(), np.asarray(roots, dtype=float)
     reports = []
     for start in range(0, len(roots), _CHUNK):
@@ -603,7 +612,7 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
     field = InvariantField(
-        Frame(structure, point, SCAN_ORDER, settings.orientation),
+        Frame(structure, point, LIFT_ORDER, settings.orientation),
         settings.tol_flat,
     )
     field.require_not_flat()

@@ -265,20 +265,25 @@ class Frame:
         """Covariant derivative; prepends one covariant index.
 
         ``comp`` is nested lists of jets with ``len(kinds)`` indices. Output
-        index order: derivative index first, original indices after.
+        index order: derivative index first, original indices after.  A
+        derivative is valid to one order less than ``comp``, so the
+        Christoffel products are computed to that order only.
         """
-        return [self._cov_component(comp, kinds, a, ()) for a in range(2)]
+        return [self.cov_component(comp, kinds, a) for a in range(2)]
 
-    def _cov_component(self, comp, kinds, a, prefix):
+    def cov_component(self, comp, kinds, a, prefix=()):
+        """The components of the covariant derivative along ``a`` whose leading
+        original indices are ``prefix``: nested lists over the remaining ones."""
         # a method, not a recursive closure: a closure that calls itself is a
         # reference cycle, which would keep ``comp`` alive until the next
         # garbage collection
         if len(prefix) < len(kinds):
-            return [self._cov_component(comp, kinds, a, prefix + (i,)) for i in range(2)]
+            return [self.cov_component(comp, kinds, a, prefix + (i,)) for i in range(2)]
         term = self.d(_component(comp, prefix), a)
         for m, kind in enumerate(kinds):
             for c in range(2):
                 swapped = _component(comp, prefix[:m] + (c,) + prefix[m + 1 :])
+                swapped = jets.truncate(swapped, term.order)
                 if kind == "d":
                     term = term - self.gamma[c][a][prefix[m]] * swapped
                 else:
@@ -286,12 +291,11 @@ class Frame:
         return term
 
     def divergence(self, vec_up):
-        """nabla_a V^a for a contravariant vector (Gamma trace is 2 du)."""
-        return (
-            self.d(vec_up[0], 0)
-            + self.d(vec_up[1], 1)
-            + 2.0 * (self.du[0] * vec_up[0] + self.du[1] * vec_up[1])
-        )
+        """nabla_a V^a for a contravariant vector (Gamma trace is 2 du); the
+        products to the order of the derivatives only."""
+        partials = self.d(vec_up[0], 0) + self.d(vec_up[1], 1)
+        v = jets.truncate(vec_up, partials.order)
+        return partials + 2.0 * (self.du[0] * v[0] + self.du[1] * v[1])
 
     def hessian(self, scalar):
         ds = self.grad(scalar)

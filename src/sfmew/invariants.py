@@ -51,6 +51,7 @@ __all__ = [
     "forced_f",
     "DEFAULT_TOL_FLAT",
     "SCAN_ORDER",
+    "LIFT_ORDER",
 ]
 
 #: Conformal weights w: under g -> e^{2 omega} g the quantity scales by e^{w omega}.
@@ -68,8 +69,11 @@ CONFORMAL_WEIGHTS = {
 DEFAULT_TOL_FLAT = 1e-10
 
 #: Jet order of a scan's frames: the constraint coefficients read four orders of
-#: the structure and the lift of a root one more (docs/decisions.md, section 6).
-SCAN_ORDER = 5
+#: the structure (docs/decisions.md, section 6).
+SCAN_ORDER = 4
+#: Jet order of the frames of a lifted root: its candidate is differentiated
+#: once more than the coefficients read, 4 + 1 = 5.
+LIFT_ORDER = 5
 
 
 class FlatPoint(Exception):
@@ -273,15 +277,30 @@ class InvariantField:
     ``dL``, ``dY``, ``hess_rho`` and ``grad_sigma``, which only the
     contractions read, are built on first read.  Build the field once and
     reuse it for invariants, constraint assembly and the degenerate branch.
+
+    Each quantity is computed from its inputs truncated to the order its
+    readers take, relative to the frame order k: the contractions and the
+    coefficients read order k - 4 of the chain (values in a scan, k = 4; one
+    order for the lift of a root, k = 5).  A truncation drops coefficients
+    that no reader takes, so every value keeps its bits (docs/decisions.md,
+    section 6).  Values beyond the float range are inf or NaN, without
+    warnings.
     """
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf or NaN
     def __init__(self, frame, tol_flat=DEFAULT_TOL_FLAT):
         if isinstance(frame, list):
             frame = Frame.stack(frame)
         f = self.frame = frame
         o = float(frame.orientation)
 
-        dP = f.cov_deriv(f.p, "dd")  # dP[a][b][c] = nabla_a P_bc
+        # dP[a][b][c] = nabla_a P_bc: Y reads the components a != b, and only the
+        # values of the others (for dP_scale), which P at order 1 gives
+        p_value = jets.truncate(f.p, 1)
+        dP = [
+            [f.cov_component(f.p if a != b else p_value, "dd", a, (b,)) for b in range(2)]
+            for a in range(2)
+        ]
         dP_max = np.max(np.abs(jets.values(dP)), axis=(0, 1, 2))
         self.dP_scale = np.maximum(1.0, dP_max)
         # Y_c = eps^{ab} (nabla_a P_bc - nabla_b P_ac) = 2 eps^{12} (nabla_1 P_2c - nabla_2 P_1c)
@@ -300,7 +319,9 @@ class InvariantField:
         self.U = [o * self.Y[1], -o * self.Y[0]]
         self.Y_up = f.raise_index(self.Y)
         self.U_up = f.raise_index(self.U)
-        self.rho = self.Y[0] * self.Y_up[0] + self.Y[1] * self.Y_up[1]
+        # rho is read to order k - 2: by hess_rho, through grad_rho
+        y, y_up = (jets.truncate(v, frame.order - 2) for v in (self.Y, self.Y_up))
+        self.rho = y[0] * y_up[0] + y[1] * y_up[1]
         self.mu = 0.5 * f.divergence(self.Y_up)
         self.phi = 0.5 * f.divergence(self.U_up)
 
@@ -312,17 +333,21 @@ class InvariantField:
             for a in range(2)
         ]
         self.sigma = f.dot(self.Y, self.W)
-        self.tau = f.dot(self.U, self.W)
+        # tau, P_UY, ell and L are read to order k - 3: by dL, and by the branch's k
+        U, W, mu, phi, U_up, Y_up = jets.truncate(
+            [self.U, self.W, self.mu, self.phi, self.U_up, self.Y_up], frame.order - 3
+        )
+        self.tau = f.dot(U, W)
 
         dphi = f.grad(self.phi)
-        self.P_UY = self._p_contract(self.U_up, self.Y_up)
+        self.P_UY = self._p_contract(U_up, Y_up)
         self.ell = (
-            3.0 * (self.mu * self.phi)
+            3.0 * (mu * phi)
             + self.P_UY
             - (self.Y_up[0] * dphi[0] + self.Y_up[1] * dphi[1])
         )
-        eps_W = f.rot_form(self.W)  # eps_ab W^b
-        self.L = [self.Y[a] * self.ell - eps_W[a] * self.phi for a in range(2)]
+        eps_W = f.rot_form(W)  # eps_ab W^b
+        self.L = [self.Y[a] * self.ell - eps_W[a] * phi for a in range(2)]
         self.grad_rho = f.grad(self.rho)
 
         yw_bound = (
@@ -344,13 +369,15 @@ class InvariantField:
     def dL(self):
         return self.frame.cov_deriv(self.L, "d")
 
+    # like dL, read to order k - 4
+
     @cached_property
     def dY(self):
-        return self.frame.cov_deriv(self.Y, "d")
+        return self.frame.cov_deriv(jets.truncate(self.Y, self.frame.order - 3), "d")
 
     @cached_property
     def hess_rho(self):
-        return self.frame.cov_deriv(self.grad_rho, "d")
+        return self.frame.cov_deriv(jets.truncate(self.grad_rho, self.frame.order - 3), "d")
 
     @cached_property
     def grad_sigma(self):
@@ -379,8 +406,7 @@ class InvariantField:
         return abs(self.sigma.value) < tol * self.sigma_scale
 
     def take(self, cols):
-        """The chain at some of ``nodes`` (indices into them): for the branch,
-        and for the lift of the roots of some nodes."""
+        """The chain at some of ``nodes`` (indices into them), for the branch."""
         sub = object.__new__(InvariantField)
         for name, value in vars(self).items():
             if name not in ("dP", "dP_scale", "y_norm", "flat", "_branch"):
@@ -404,17 +430,20 @@ class InvariantField:
                 self._branch = (cols, None, None, None, None)
                 return self._branch
             src = self if cols.size == self.nodes.size else self.take(cols)
-            rho, sigma, tau, mu, phi = src.rho, src.sigma, src.tau, src.mu, src.phi
-            m = sigma / (3.0 * rho) + phi
+            m = src.sigma / (3.0 * src.rho) + src.phi
             dm = src.frame.grad(m)
-            psi = 3.0 * (mu * m) + src.P_UY - (src.Y_up[0] * dm[0] + src.Y_up[1] * dm[1])
+            # psi and k are read to the frame's order - 3, by the candidate in m_tensor
+            rho, sigma, tau, mu, phi, m_low = jets.truncate(
+                [src.rho, src.sigma, src.tau, src.mu, src.phi, m], src.frame.order - 3
+            )
+            psi = 3.0 * (mu * m_low) + src.P_UY - (src.Y_up[0] * dm[0] + src.Y_up[1] * dm[1])
             bracket = (
                 src.ell / sigma
                 + mu / rho
                 + tau / (3.0 * (rho * rho))
                 + (tau * phi) / (rho * sigma)
             )
-            k = (-3.0 / 20.0) * (rho * bracket) + (3.0 / 4.0) * ((psi * rho + tau * m) / sigma)
+            k = (-3.0 / 20.0) * (rho * bracket) + (3.0 / 4.0) * ((psi * rho + tau * m_low) / sigma)
             self._branch = (cols, None if src is self else src, m, psi, k)
         return self._branch
 
@@ -492,13 +521,15 @@ class InvariantField:
         ``psi`` and ``k`` are left NaN.
         """
         self.require_not_flat()
+        low = self.frame.order - 4  # the order of dL: the coefficients' order
         return PointInvariants(
             point=self.frame.points,
             orientation=self.frame.orientation,
             **{name: getattr(self, name) for name in _SCALARS},
             **{name: list(getattr(self, name)) for name in _VECTORS},
             **{
-                name: _dot_jets(a, b) if m is None else _quad_jets(a, m, b)
+                name: _dot_jets(*jets.truncate([a, b], low)) if m is None
+                else _quad_jets(*jets.truncate([a, m, b], low))
                 for name, (a, m, b) in self._contraction_terms().items()
             },
             curl_L=self._curl_L(lambda jet: jet),
@@ -519,8 +550,10 @@ class InvariantField:
         if cols.size:
             src = src or self
             f = src.frame
-            # the branch's candidate 1-form alpha_a = k Y_a / rho - m U_a / rho
-            alpha = [(k * src.Y[a] - m * src.U[a]) / src.rho for a in range(2)]
+            # the branch's candidate 1-form alpha_a = k Y_a / rho - m U_a / rho, read
+            # to the frame's order - 3 (nabla alpha, values)
+            m, U, rho = jets.truncate([m, src.U, src.rho], f.order - 3)
+            alpha = [(k * src.Y[a] - m * U[a]) / rho for a in range(2)]
             dalpha = jets.values(f.cov_deriv(alpha, "d"))
             alpha_v, alpha_sq = jets.values(alpha), jets.values(f.dot(alpha, alpha))
             e2u, p = jets.values(f.e2u), jets.values(f.p)
@@ -553,8 +586,12 @@ class InvariantField:
 # public operations
 
 
-def cotton_york(structure, point, order=SCAN_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
-    """Cotton-York 1-form Y_a and the pointwise flatness decision."""
+def cotton_york(structure, point, order=LIFT_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
+    """Cotton-York 1-form Y_a and the pointwise flatness decision.
+
+    ``Y_jets`` are of order ``order - 1``: the default keeps the four orders
+    of Y that a lifted root's chain has.
+    """
     field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
     return CottonReport(
         Y=jets.values(field_.Y)[:, 0],

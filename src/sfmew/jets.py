@@ -55,6 +55,7 @@ __all__ = [
     "release_tables",
     "stack",
     "take",
+    "truncate",
     "values",
 ]
 
@@ -164,7 +165,9 @@ class JetSpace:
         ).reshape(rows, n)
 
 
-@lru_cache(maxsize=4)  # the widths of a batch: all nodes, the non-flat ones, the branch, a lift
+# the widths of a batch in its two spaces: the scan's all nodes, non-flat ones and
+# branch, and the lift's nodes and (node, root) columns
+@lru_cache(maxsize=8)
 def _column_bins(space, n):
     """Output bin of each (term, node) product of ``n`` node columns, term-major.
 
@@ -343,12 +346,16 @@ def _reciprocal(j):
 def ipow(x, n):
     """``x ** n`` for an integer n, of a float, a jet or a node array.
 
-    A node array goes value by value through the math library's ``pow``,
-    as a single float does.  A float power beyond the float range is an
-    infinity of the power's sign, not an ``OverflowError``.
+    A node array goes value by value through Python's float ``**`` (numpy's
+    object loop calls it), as a single float does: ``np.power`` can differ
+    in the last bit.  A float power beyond the float range is an infinity
+    of the power's sign, not an ``OverflowError``.
     """
     if isinstance(x, np.ndarray):
-        return np.array([_float_pow(t, n) for t in x.tolist()])
+        try:
+            return (x.astype(object) ** n).astype(float)
+        except OverflowError:
+            return np.array([_float_pow(t, n) for t in x.tolist()])
     if isinstance(x, Jet):
         return x**n
     return _float_pow(x, n)
@@ -369,6 +376,16 @@ def stack(trees):
         cols = [j.vec.reshape(len(j.vec), -1) for j in trees]
         return Jet(first.space, np.concatenate(cols, axis=1), first.order)
     return [stack([t[k] for t in trees]) for k in range(len(first))]
+
+
+def truncate(tree, order):
+    """A jet, or nested lists of jets, at most of the given order: a view of
+    the leading coefficients, no copy.  A jet of a lower order passes through."""
+    if isinstance(tree, list):
+        return [truncate(t, order) for t in tree]
+    if tree.order <= order:
+        return tree
+    return Jet(tree.space, tree.vec[: tree.space.rows[order]], order)
 
 
 def values(tree):

@@ -31,7 +31,7 @@ from sfmew.analyzer import (
 )
 from sfmew.expr import parse
 from sfmew.geometry import Frame, MoebiusStructure
-from sfmew.invariants import InvariantField, compute_invariants
+from sfmew.invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, compute_invariants
 from sfmew.jets import DomainError
 from sfmew.polyalg import Poly, column_common_roots, common_complex_roots, common_real_roots
 
@@ -350,3 +350,30 @@ def test_full_width_batches_are_the_points_alone(family, request, monkeypatch):
     for point, rep in zip(FULL_BATCHES, reports):
         assert rep.passed, (point, rep)
         assert canon(rep) == canon(verify_candidates(structure, cand, [point], mode)[0]), point
+
+
+def test_scans_build_frames_at_the_order_their_readers_take(
+    opposite_structure, quadratic_structure, monkeypatch
+):
+    # no real roots: each expression once per batch, at the scan order
+    batches = -(-len(FULL_BATCHES) // analyzer._CHUNK)
+    with mock.patch.object(geometry, "eval_jet", wraps=geometry.eval_jet) as eval_jet:
+        classify_points(opposite_structure, FULL_BATCHES)
+    assert [c.args[2] for c in eval_jet.call_args_list] == [SCAN_ORDER] * 4 * batches
+
+    # real roots at every node that is not flat: one frame per node at the scan
+    # order, and one more at the lift order per node whose roots are lifted
+    frames = []
+    init = Frame.__init__
+
+    def counted(self, structure, point, order=6, orientation=1):
+        frames.append((order, tuple(point)))
+        init(self, structure, point, order, orientation)
+
+    monkeypatch.setattr(Frame, "__init__", counted)
+    verdicts = classify_points(quadratic_structure, FULL_BATCHES)
+    lifted = [v.point for v in verdicts if v.tag == analyzer.VerdictTag.ADMITS]
+    assert len(lifted) == sum(v.tag != analyzer.VerdictTag.FLAT for v in verdicts)
+    assert sorted(p for o, p in frames if o == SCAN_ORDER) == sorted(FULL_BATCHES)
+    assert sorted(p for o, p in frames if o == LIFT_ORDER) == sorted(lifted)
+    assert len(frames) == len(FULL_BATCHES) + len(lifted)

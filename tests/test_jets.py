@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfmew import jets
 from sfmew.jets import (
@@ -209,6 +211,38 @@ def test_ipow_beyond_the_float_range_is_a_signed_inf():
     assert ipow(-1e200, 2) == math.inf
     assert ipow(1e-200, -2) == math.inf
     assert ipow(np.array([1e200, -1e200, 3.0]), 3).tolist() == [math.inf, -math.inf, 27.0]
+
+
+def _pow_of_each_value(xs, n):
+    """The node-array ipow of before numpy's object loop: Python's float ** value
+    by value, an overflow the power's signed infinity."""
+    def power(t):
+        try:
+            return t**n
+        except OverflowError:
+            return -math.inf if t < 0.0 and n % 2 else math.inf
+
+    return np.array([power(t) for t in xs], dtype=float)
+
+
+@given(xs=st.lists(st.floats(allow_subnormal=True), max_size=40), n=st.integers(1, 10))
+@settings(max_examples=200, deadline=None)
+def test_ipow_of_a_node_array_is_the_float_power_of_each_value(xs, n):
+    # np.power and x * x differ from Python's ** in the last bit; ipow must not
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308]
+    xs = xs + edges
+    assert ipow(np.array(xs), n).tobytes() == _pow_of_each_value(xs, n).tobytes()
+
+
+def test_truncate_is_a_view_of_the_leading_coefficients():
+    sp = jet_space(5)
+    j = Jet(sp, np.arange(sp.size * 3.0).reshape(sp.size, 3))
+    low, nested = jets.truncate([j, [j]], 2)
+    assert low.order == 2 and nested[0].order == 2
+    assert np.shares_memory(low.vec, j.vec)
+    assert low.vec.tolist() == j.vec[: sp.rows[2]].tolist()
+    assert jets.truncate(low, 4) is low  # a jet of a lower order passes through
+    assert (low * low).vec.tolist() == (j * j).vec[: sp.rows[2]].tolist()
 
 
 def test_exp_beyond_the_float_range_is_a_domain_error():

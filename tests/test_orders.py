@@ -1,17 +1,22 @@
-"""Frame orders: every path evaluates its frames at the lowest jet order it reads.
+"""Jet orders: every path evaluates its jets at the lowest order their readers take.
 
-A scan's frames are of order ``invariants.SCAN_ORDER``: the constraint
-coefficients read four orders of the structure and the lift of a root one
-more.  A closed-form candidate's frames are of order
-``analyzer._CLOSED_FORM_ORDER``: its residuals read three.  A jet keeps only
-its own order and sums each coefficient's terms in one fixed order, so a
-higher order only adds coefficients that nothing reads: the verdicts, point
-invariants, constraint coefficients and residual reports of every higher
-order must come out bit-identical.  The last tests pin far-field points:
-values beyond the float range, which a scan decides without numpy warnings,
-and a point where a higher order's unread power series left the float range.
+A scan's frames are of order ``invariants.SCAN_ORDER`` = 4: the constraint
+coefficients read four orders of the structure.  The nodes whose roots are
+lifted get frames of order ``invariants.LIFT_ORDER`` = 5: a lifted
+candidate is differentiated once more.  A closed-form candidate's frames are
+of order ``analyzer._CLOSED_FORM_ORDER`` = 3: its residuals read three.
+Within the invariant chain each quantity is computed from inputs truncated
+to the order its readers take.  A jet keeps only its own order and sums each
+coefficient's terms in one fixed order, so a higher order only adds
+coefficients that nothing reads: the verdicts, point invariants, constraint
+coefficients and residual reports of every higher order, and of the
+untruncated chain, must come out bit-identical.  The last tests pin
+far-field points: values beyond the float range, which a scan decides
+without numpy warnings, and a point where a higher order's unread power
+series left the float range.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,13 +24,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfmew import analyzer
-from sfmew.analyzer import Settings, VerdictTag, classify_point, classify_points, verify_candidates
+from sfmew import analyzer, jets
+from sfmew.analyzer import (
+    Settings,
+    VerdictTag,
+    classify_point,
+    classify_points,
+    verify_candidate,
+    verify_candidates,
+)
 from sfmew.constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from sfmew.geometry import Frame, MoebiusStructure
-from sfmew.invariants import SCAN_ORDER, InvariantField
+from sfmew.invariants import LIFT_ORDER, SCAN_ORDER, InvariantField
 
 from test_batch import POINTS, canon, closed_form, structures, verify_cases
+
+_COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
 
 
 def _chain(structure, points, order, orientation):
@@ -34,7 +48,7 @@ def _chain(structure, points, order, orientation):
     if not field.nodes.size:
         return field.flat.tolist()
     values = field.invariant_values()
-    return field.flat.tolist(), values, [fn(values) for fn in (coeffs_P1, coeffs_P2, coeffs_P3)]
+    return field.flat.tolist(), values, [fn(values) for fn in _COEFFS]
 
 
 @given(data=st.data())
@@ -42,8 +56,9 @@ def _chain(structure, points, order, orientation):
 def test_scan_order_gives_the_reports_of_higher_orders(
     data, spiral_structure, quadratic_structure, opposite_structure
 ):
-    # flat and near-flat nodes; sigma = 0 (spiral), real roots lifted to jets
-    # (quadratic) and sigma > 0, the degenerate branch (opposite)
+    # scan frames of orders 5..10 against 4: flat and near-flat nodes; sigma = 0
+    # (spiral), real roots (quadratic, lifted at LIFT_ORDER either way) and
+    # sigma > 0, the degenerate branch (opposite)
     structure = data.draw(structures(spiral_structure, quadratic_structure, opposite_structure))
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
     order = data.draw(st.integers(SCAN_ORDER + 1, 10))
@@ -55,6 +70,72 @@ def test_scan_order_gives_the_reports_of_higher_orders(
     assert canon(_chain(structure, points, order, orientation)) == canon(
         _chain(structure, points, SCAN_ORDER, orientation)
     )
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_lift_order_gives_the_lifted_reports_of_higher_orders(
+    data, spiral_structure, quadratic_structure
+):
+    # lifted roots at orders 6..10 against 5: the quadratic family's true roots,
+    # which verify, and the spiral's spurious roots near the flat origin, which fail
+    structure = data.draw(structures(spiral_structure, quadratic_structure, quadratic_structure))
+    points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
+    order = data.draw(st.integers(LIFT_ORDER + 1, 10))
+    run = Settings(orientation=data.draw(st.sampled_from([1, -1])))
+    verdicts = classify_points(structure, points, run)
+    candidates = [(v.point, c) for v in verdicts for c in v.candidates]
+    reports = [verify_candidate(structure, c, p, settings=run) for p, c in candidates]
+    with mock.patch.object(analyzer, "LIFT_ORDER", order):
+        assert canon(classify_points(structure, points, run)) == canon(verdicts)
+        assert canon(
+            [verify_candidate(structure, c, p, settings=run) for p, c in candidates]
+        ) == canon(reports)
+
+
+def _at_common_order(a, b):
+    """The coefficients of two jets at the lower of their orders."""
+    order = min(a.order, b.order)
+    return canon(jets.truncate(a, order).vec), canon(jets.truncate(b, order).vec)
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_chain_truncations_keep_every_value(
+    data, spiral_structure, quadratic_structure, opposite_structure
+):
+    structure = data.draw(structures(spiral_structure, quadratic_structure, opposite_structure))
+    points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
+    order = data.draw(st.sampled_from([SCAN_ORDER, LIFT_ORDER]))
+    orientation = data.draw(st.sampled_from([1, -1]))
+    frame = Frame.stack([Frame(structure, p, order, orientation) for p in points])
+    field = InvariantField(frame)
+    # the oracle: every truncation left out, so that rho = Y_a Y^a, dY = nabla Y,
+    # hess_rho = nabla grad_rho, the rest of the chain and the Christoffel
+    # products are computed at the orders their inputs have
+    with mock.patch.object(jets, "truncate", lambda tree, order: tree):
+        dP = frame.cov_deriv(frame.p, "dd")
+        dP_scale = np.maximum(1.0, np.max(np.abs(jets.values(dP)), axis=(0, 1, 2)))
+        oracle = InvariantField(frame)
+        if oracle.nodes.size:  # what the field builds on first read, too
+            expected, mreps, jinv = (
+                oracle.invariant_values(), oracle.m_tensor(), oracle.invariant_jets()
+            )
+    assert canon(field.dP_scale) == canon(dP_scale)
+    assert field.flat.tolist() == oracle.flat.tolist()
+    if not field.nodes.size:
+        return
+    values = field.invariant_values()
+    assert canon(values) == canon(expected)
+    assert canon([fn(values) for fn in _COEFFS]) == canon([fn(expected) for fn in _COEFFS])
+    assert canon(field.m_tensor()) == canon(mreps)
+    # the coefficient jets the lift differentiates: one order at LIFT_ORDER
+    for fn in _COEFFS:
+        for a, b in zip(fn(field.invariant_jets()), fn(jinv)):
+            if isinstance(a, jets.Jet):
+                assert a.order >= order - 4
+                mine, full = _at_common_order(a, b)
+                assert mine == full
 
 
 @given(data=st.data())
@@ -129,10 +210,40 @@ def test_invariants_beyond_the_float_range_are_inconclusive_without_warnings():
 
 
 def test_far_field_branch_tensor_is_finite_at_the_scan_order():
-    # omega = 10.5: at order 6 and above the unread top power of a reciprocal
-    # series underflows to 0, 1/0 = inf and inf * 0 = NaN spreads into k, so
-    # m_norm was NaN (null in report.json), with numpy warnings
+    # omega = 10.5: where the frames' order leaves the branch's jets too many
+    # orders, the unread top power of a reciprocal series underflows to 0,
+    # 1/0 = inf and inf * 0 = NaN spreads into k: m_norm was NaN (null in
+    # report.json), with numpy warnings, with scan frames of order 6 before the
+    # branch was truncated to order k - 3, and still is from order 7 on; scan
+    # frames of orders 4 to 6 give the same finite tensor
     verdict = classify_point(OPPOSITE_7, (17.3205, 10.0))
     assert verdict.m_norm == pytest.approx(173.19838452199656, rel=1e-9)
-    with np.errstate(all="ignore"), mock.patch.object(analyzer, "SCAN_ORDER", 6):
+    for order in (LIFT_ORDER, 6):
+        with mock.patch.object(analyzer, "SCAN_ORDER", order):
+            assert canon(classify_point(OPPOSITE_7, (17.3205, 10.0))) == canon(verdict)
+    with np.errstate(all="ignore"), mock.patch.object(analyzer, "SCAN_ORDER", 7):
         assert np.isnan(classify_point(OPPOSITE_7, (17.3205, 10.0)).m_norm)
+
+
+# seed 131, first rescaling
+SPIRAL_131_1 = MoebiusStructure.from_strings(
+    "0.0 + (0.0721)*x + (0.0496)*y + (0.052000000000000005)*x*x + (0.0297)*x*y"
+    " + (-0.0072000000000000015)*y*y",
+    "-0.10263087500000001 + (0.006025280000000001)*x + (0.00285561)*y"
+    " + (0.004966955000000001)*x*x + (1.00351648)*x*y + (0.000337365)*y*y",
+    "-0.026123840000000002 + (0.0072997700000000006)*x + (0.0004348799999999999)*y"
+    " + (-0.4969112)*x*x + (-0.0006155100000000003)*x*y + (0.49957232)*y*y",
+    "0.013030875000000003 + (-0.006025280000000001)*x + (-0.00285561)*y"
+    " + (-0.004966955000000001)*x*x + (-1.00351648)*x*y + (-0.000337365)*y*y",
+)
+
+
+def test_invariant_chain_beyond_the_float_range_raises_no_warning():
+    # r = 100: the chain's own products overflow (Frame.raise_index, Frame.dot)
+    point = (-25.881904510252063, 96.59258262890683)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        InvariantField(Frame(SPIRAL_131_1, point, SCAN_ORDER))
+        verdict = classify_point(SPIRAL_131_1, point)
+    assert verdict.tag == VerdictTag.INCONCLUSIVE
+    assert verdict.note == "invariants are not all finite"
