@@ -42,10 +42,10 @@ from .analyzer import (
 )
 from .constraints import (
     DivisionByRho,
-    assemble_P0,
-    assemble_P1,
-    assemble_P2,
-    assemble_P3,
+    coeffs_P0,
+    coeffs_P1,
+    coeffs_P2,
+    coeffs_P3,
 )
 from .expr import (
     ExprError,
@@ -86,17 +86,13 @@ from .jets import (
     jet_space,
 )
 from .polyalg import (
-    Poly,
+    CommonRoots,
     ResultantReport,
-    ResultantValue,
     RootSet,
     ZeroPolynomial,
-    common_complex_roots,
-    common_real_roots,
-    real_roots,
-    resultant_report,
-    sylvester_matrix,
-    sylvester_resultant,
+    column_common_roots,
+    column_resultant_reports,
+    trimmed_degrees,
 )
 
 __version__ = "0.1.0"

@@ -145,8 +145,8 @@ class Settings:
             raise ValueError("mode must be 'real' or 'complex'")
         for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high",
                      "tol_residual", "tol_sigma", "tol_m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 DEFAULT_SETTINGS = Settings()
@@ -504,10 +504,10 @@ def _lift_root(coeffs, f0, tol_root):
     """Jet of the root branch F of a polynomial with coefficient jets, through f0.
 
     Newton steps in jet arithmetic; they also polish the value against the
-    full coefficients (``Poly`` trims negligible leading ones before root
-    finding).  Raises :class:`MultipleRoot` where P'(f0) is numerically zero
-    relative to the size of its terms.  On node columns ``f0`` holds one
-    root per node.
+    full coefficients (:func:`~sfmew.polyalg.trimmed_degrees` drops
+    negligible leading ones before the root search).  Raises
+    :class:`MultipleRoot` where P'(f0) is numerically zero relative to the
+    size of its terms.  On node columns ``f0`` holds one root per node.
     """
     p, dp = _horner(coeffs, f0)
     if not np.all(_is_simple(coeffs, f0, dp, tol_root)):

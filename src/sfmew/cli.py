@@ -33,8 +33,8 @@ expression values are double-quoted::
 Exit codes: 0 success, 1 verification failure (``verify`` only),
 2 config error, 3 expression error (one that does not parse, or that fails
 at a point: ``ln`` or ``sqrt`` of a nonpositive value, a zero divisor).
-The jet order is no setting (each path evaluates its frames at the order
-it reads), and a config that still sets ``jet_order`` is a config error.
+Each section and key of a config must be one read here; any other (a typo,
+or ``jet_order``: the jet order is no setting) is a config error naming it.
 Reports are deterministic and byte-stable for a fixed config (no
 timestamps); numbers are emitted in round-trip-exact decimal form.
 """
@@ -67,7 +67,7 @@ from .expr import ExprError, parse, to_source
 from .geometry import MoebiusStructure
 from .invariants import FlatPoint, compute_invariants
 from .jets import JetError
-from .polyalg import Poly
+from .polyalg import trimmed_degrees
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -118,18 +118,45 @@ def _parse_points(text):
     return pts
 
 
+#: The keys that :func:`load_config` reads, by section.
+_CONFIG_KEYS = {
+    "structure": ("u", "P11", "P12", "P22"),
+    "region": ("xmin", "xmax", "ymin", "ymax", "nx", "ny"),
+    "points": ("points",),
+    "tolerances": ("tol_root", "tol_res_low", "tol_res_high", "tol_residual", "tol_flat"),
+    "options": ("mode", "orientation"),
+}
+
+
+def _check_keys(parser):
+    """Raise :class:`ConfigError` naming the first section or key that is not read."""
+    if parser.defaults():
+        raise ConfigError(f"[{parser.default_section}] is not a config section; remove it")
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"[{section}] is not a config section; remove it")
+        known = {parser.optionxform(key) for key in _CONFIG_KEYS[section]}
+        for key in parser[section]:
+            if key not in known:
+                raise ConfigError(f"{key!r} in [{section}] is not a setting; remove the key")
+
+
 def load_config(path):
     """Parse a run config; raises :class:`ConfigError` on structural problems."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:  # a duplicate, a line outside any section
+        raise ConfigError(f"unreadable config: {err}") from err
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    _check_keys(parser)
 
     if "structure" not in parser:
         raise ConfigError("missing [structure] section")
     st = parser["structure"]
     structure_exprs = {}
-    for key in ("u", "P11", "P12", "P22"):
+    for key in _CONFIG_KEYS["structure"]:
         if key not in st:
             raise ConfigError(f"missing structure key {key!r}")
         structure_exprs[key] = _unquote(st[key])
@@ -156,18 +183,10 @@ def load_config(path):
     kwargs = {}
     if "tolerances" in parser:
         tl = parser["tolerances"]
-        if "jet_order" in tl:  # not ignored: the run would not be the one the config asks for
-            raise ConfigError("'jet_order' in [tolerances] is no longer a setting; remove the key")
-        for key, cast in (
-            ("tol_root", float),
-            ("tol_res_low", float),
-            ("tol_res_high", float),
-            ("tol_residual", float),
-            ("tol_flat", float),
-        ):
+        for key in _CONFIG_KEYS["tolerances"]:
             if key in tl:
                 try:
-                    kwargs[key] = cast(_unquote(tl[key]))
+                    kwargs[key] = float(_unquote(tl[key]))
                 except ValueError as err:
                     raise ConfigError(f"bad tolerance {key!r}: {err}") from err
     if "options" in parser:
@@ -599,7 +618,14 @@ def _constraints_record(structure, pt, settings):
     record = {"x": pt[0], "y": pt[1], "flat": False}
     if not all(np.isfinite(c).all() for _, c in coeffs):
         return {**record, "finite": False, "note": NOT_FINITE}
-    return {**record, **{name: Poly(c).coeffs for name, c in coeffs}}
+    return {**record, **{name: _trimmed(c) for name, c in coeffs}}
+
+
+def _trimmed(coeffs):
+    """The coefficients up to the polynomial's degree (none for the zero one)."""
+    column = np.asarray(coeffs, dtype=float)[:, None]
+    (degree,), _ = trimmed_degrees(column)
+    return column[: degree + 1, 0]
 
 
 @main.command()

@@ -9,24 +9,24 @@ grouped form that clears the rational factor exactly::
     P2(t) = (sigma - 15 rho t^2) (A + B t + C t^2)^2 + P0(t) Q(t)
 
 with A = rho ell + tau phi, B = 5/2 rho^2, C = tau + 3 mu rho, and Q the
-remaining degree-8 part.  Coefficients enter raw; normalization for root and
-resultant work happens in :mod:`sfmew.polyalg`.
+remaining degree-8 part.
 
 The ``coeffs_P*`` functions compute the coefficient lists, lowest degree
 first, from invariants given as floats, as node arrays (one value per node,
 see :meth:`~sfmew.invariants.InvariantField.invariant_values`) or as jets;
 the jet form lets the analyzer lift a root of a constraint to a jet around
 the point.  Integer powers go through :func:`~sfmew.jets.ipow`, so a node
-array gives each node the coefficients its floats give.
+array gives each node the coefficients its floats give.  Coefficients come
+out raw, untrimmed: stacked as rows of node arrays they are the coefficient
+columns of :mod:`sfmew.polyalg`, which trims and normalizes them for root
+and resultant work.
 """
 
 import numpy as np
 
 from .jets import ipow
-from .polyalg import Poly
 
 __all__ = [
-    "assemble_P0", "assemble_P1", "assemble_P2", "assemble_P3",
     "coeffs_P0", "coeffs_P1", "coeffs_P2", "coeffs_P3", "DivisionByRho", "NOT_FINITE",
 ]
 
@@ -39,23 +39,14 @@ class DivisionByRho(Exception):
     """rho is too small to divide by (flat point reached the assembler)."""
 
 
-def assemble_P0(inv):
-    """P0(t) = sigma - 3 rho t^2."""
-    return Poly(coeffs_P0(inv))
-
-
 def coeffs_P0(inv):
-    """Coefficients of P0, lowest degree first."""
+    """Coefficients of P0(t) = sigma - 3 rho t^2, lowest degree first."""
     return [inv.sigma, 0.0, -3.0 * inv.rho]
 
 
-def assemble_P1(inv):
-    """First constraint polynomial (degree 8; meaningful for rho > 0)."""
-    return Poly(coeffs_P1(inv))
-
-
 def coeffs_P1(inv):
-    """Coefficients of P1, lowest degree first (floats or jets)."""
+    """Coefficients of the first constraint P1 (degree 8; meaningful for rho > 0),
+    lowest degree first (floats or jets)."""
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     t3m = tau + 3.0 * mu * rho
     rlpt = rho * ell + phi * tau
@@ -134,13 +125,9 @@ def _q_part(inv):
     return [q0, q1, q2, q3, q4, 0.0, q6, 0.0, q8]
 
 
-def assemble_P2(inv):
-    """Second constraint polynomial with denominators cleared (degree 10)."""
-    return Poly(coeffs_P2(inv))
-
-
 def coeffs_P2(inv):
-    """Coefficients of P2, lowest degree first (floats or jets)."""
+    """Coefficients of the second constraint P2 with denominators cleared
+    (degree 10), lowest degree first (floats or jets)."""
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     abc = [rho * ell + tau * phi, 2.5 * ipow(rho, 2), tau + 3.0 * mu * rho]
     head = _polymul([sigma, 0.0, -15.0 * rho], _polymul(abc, abc))
@@ -169,13 +156,9 @@ def _is_zero(c):
     return isinstance(c, float) and c == 0.0
 
 
-def assemble_P3(inv):
-    """Third constraint polynomial (degree 6; two coefficients divide by rho)."""
-    return Poly(coeffs_P3(inv))
-
-
 def coeffs_P3(inv):
-    """Coefficients of P3, lowest degree first (floats or jets)."""
+    """Coefficients of the third constraint P3 (degree 6; two coefficients
+    divide by rho), lowest degree first (floats or jets)."""
     if not np.all(getattr(inv.rho, "value", inv.rho) > 1e-300):
         raise DivisionByRho(f"rho = {inv.rho!r} at {inv.point}")
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell

@@ -1,23 +1,24 @@
-"""Real univariate polynomials: resultants, root isolation, common roots.
+"""Real univariate polynomials as coefficient columns: resultants and common roots.
 
-Polynomials are coefficient vectors indexed by degree with trailing
-(near-)zero coefficients trimmed relative to the largest coefficient.
-Resultants are Sylvester determinants computed after per-polynomial
-max-coefficient normalization; roots come from companion-matrix eigenvalues
-polished by Newton steps.  Resultant reports of many polynomial pairs, one
-pair per node of a scan, are computed together: one stacked determinant and
-one stacked SVD for all pairs of the same degrees
-(:func:`column_resultant_reports`).  Common roots of many polynomial
-triples are searched together too: one stacked eigenvalue solve for all
-triples whose lowest degree is the same, which gives the real and the
-complex witnesses (:func:`column_common_roots`); the single-polynomial
-functions are that search on one column.
+A polynomial is a column of coefficients, lowest degree first: an array of
+shape (n + 1, K) holds K polynomials, one per node of a scan, and a single
+polynomial is a column of one.  One rule trims a column
+(:func:`trimmed_degrees`): it keeps the coefficients up to the last one
+whose magnitude exceeds 1e-12 times its largest.  One division normalizes
+it, by that largest magnitude (:func:`_normalized_rows`).
 
-Thresholds (configurable per call): a resultant counts as vanishing when its
-normalized magnitude is below 1e-7, and a root is accepted when the
-normalized polynomial evaluates below 1e-7 there.  Double precision with
-degrees up to 10 and 18x18 determinants loses at most ~6 digits in bad
-cases, which these thresholds absorb.
+* Resultant reports of pairs of columns (:func:`column_resultant_reports`)
+  come from the Sylvester matrices of the normalized pairs: one stacked
+  determinant and one stacked SVD for all pairs of the same degrees.  The
+  SVD gives the gap, the smallest singular value over the largest.
+* The common roots of triples of columns (:func:`column_common_roots`) come
+  from one stacked eigenvalue solve for all triples whose lowest degree is
+  the same, which gives the real and the complex witnesses.  A root is kept
+  where every normalized polynomial evaluates below ``tol_root`` there.
+
+This module decides nothing: the analyzer compares the gaps with its
+``tol_res_low`` and ``tol_res_high`` and reads the witnesses
+(:mod:`sfmew.analyzer`).
 """
 
 import math
@@ -26,23 +27,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
-    "Poly",
     "RootSet",
-    "ResultantValue",
     "ResultantReport",
     "ZeroPolynomial",
-    "sylvester_resultant",
-    "sylvester_matrix",
-    "resultant_report",
-    "resultant_reports",
     "column_resultant_reports",
     "trimmed_degrees",
-    "real_roots",
-    "common_real_roots",
-    "common_complex_roots",
     "CommonRoots",
     "column_common_roots",
     "DEFAULT_TOL_ROOT",
@@ -56,75 +47,31 @@ class ZeroPolynomial(Exception):
     """Operation undefined for the zero polynomial (or degree 0 resultants)."""
 
 
-class Poly:
-    """Real polynomial as a coefficient vector, index = degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, trim_rel=_TRIM_REL):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        scale = np.max(np.abs(c)) if c.size else 0.0
-        if scale == 0.0:
-            c = np.zeros(0)
-        else:
-            keep = np.nonzero(np.abs(c) > trim_rel * scale)[0]
-            c = c[: keep[-1] + 1] if keep.size else np.zeros(0)
-        self.coeffs = c
-
-    @property
-    def is_zero(self):
-        return self.coeffs.size == 0
-
-    @property
-    def degree(self):
-        return self.coeffs.size - 1  # -1 for the zero polynomial
-
-    @property
-    def norm(self):
-        """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def __call__(self, t):
-        if self.is_zero:
-            return 0.0 * t
-        return npoly.polyval(t, self.coeffs)
-
-    def normalized(self):
-        """Coefficients divided by the max magnitude."""
-        if self.is_zero:
-            return self
-        return Poly(self.coeffs / self.norm, trim_rel=0.0)
-
-    def deflate(self, divisor):
-        """Quotient and remainder of division by another polynomial."""
-        if divisor.is_zero:
-            raise ZeroPolynomial("division by the zero polynomial")
-        if self.is_zero:
-            return Poly([]), Poly([])
-        quo, rem = npoly.polydiv(self.coeffs, divisor.coeffs)
-        return Poly(quo), Poly(rem)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __repr__(self):
-        return f"Poly({self.coeffs.tolist()!r})"
-
-
 def trimmed_degrees(coeffs):
     """Degrees and norms of the polynomials in the columns of ``coeffs``.
 
-    ``coeffs`` has shape (n + 1, K), lowest degree first.  Each column is
-    trimmed by :class:`Poly`'s rule: it keeps the coefficients up to the
-    last one whose magnitude exceeds 1e-12 times its largest; its degree is
-    -1 when it is zero.  Returns the degrees and the largest magnitudes,
-    each of shape (K,).
+    ``coeffs`` has shape (n + 1, K), lowest degree first.  Each column keeps
+    the coefficients up to the last one whose magnitude exceeds 1e-12 times
+    its largest; its degree is -1 when it is zero or not all finite.  Returns
+    the degrees and the largest magnitudes, each of shape (K,).
     """
     mag = np.abs(coeffs)
     norms = np.max(mag, axis=0)
     keep = mag > _TRIM_REL * norms
     degrees = np.where(keep.any(axis=0), len(coeffs) - 1 - np.argmax(keep[::-1], axis=0), -1)
     return degrees, norms
+
+
+def _normalized_rows(coeffs, width):
+    """Degrees (K,), norms (K,) and normalized coefficients (K, width) of the
+    columns of ``coeffs``, trimmed by :func:`trimmed_degrees`, with zeros past
+    each degree."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    degrees, norms = trimmed_degrees(coeffs)
+    rows = np.zeros((coeffs.shape[1], width))
+    kept = np.arange(len(coeffs))[:, None] <= degrees
+    np.divide(coeffs, norms, out=rows.T[: len(coeffs)], where=kept)
+    return degrees, norms, rows
 
 
 @dataclass
@@ -142,35 +89,14 @@ class RootSet:
         return iter(self.roots)
 
 
-class ResultantValue(NamedTuple):
-    """Sylvester determinant of the normalized pair plus the scale factor.
-
-    ``value`` recovers the resultant of the raw polynomials:
-    ``value = normalized * scale`` with ``scale = |P|_max^deg(Q) |Q|_max^deg(P)``;
-    where the scale exceeds the float range it is inf, and so is ``value``,
-    unless the normalized determinant is exactly 0: then it is that zero.
-    """
-
-    normalized: float
-    scale: float
-
-    @property
-    def value(self):
-        return _scaled(self.normalized, self.scale)
-
-
 def _scaled(normalized, scale):
     """``normalized * scale``, and the normalized zero where that is 0 * inf."""
     return normalized if normalized == 0.0 and math.isinf(scale) else normalized * scale
 
 
-def sylvester_matrix(p, q):
-    """Sylvester matrix with P's coefficients filling the first deg(Q) rows."""
-    return _sylvester_stack(p.coeffs[None], q.coeffs[None])[0]
-
-
 def _sylvester_stack(pc, qc):
-    """Sylvester matrices of K pairs: ``pc`` (K, m+1), ``qc`` (K, n+1), lowest degree first."""
+    """Sylvester matrices of K pairs: ``pc`` (K, m+1), ``qc`` (K, n+1), lowest
+    degree first; P's coefficients fill the first n rows, highest degree first."""
     m, n = pc.shape[1] - 1, qc.shape[1] - 1
     mat = np.zeros((len(pc), m + n, m + n))
     for row in range(n):
@@ -193,28 +119,16 @@ def _resultant_scale(p_norm, p_degree, q_norm, q_degree):
         return math.exp(log_scale) if log_scale < _LOG_FLOAT_MAX else math.inf
 
 
-def _normalized_pair(p, q):
-    """Both polynomials normalized, and the factor that undoes it in the resultant."""
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial")
-    if p.degree < 1 or q.degree < 1:
-        raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
-    return p.normalized(), q.normalized(), _resultant_scale(p.norm, p.degree, q.norm, q.degree)
-
-
-def sylvester_resultant(p, q):
-    """Resultant of two nonzero polynomials of degree >= 1.
-
-    Sign convention fixed by the canonical row layout of
-    :func:`sylvester_matrix`; comparisons against external closed forms
-    should use absolute values.
-    """
-    pn, qn, scale = _normalized_pair(p, q)
-    return ResultantValue(float(np.linalg.det(sylvester_matrix(pn, qn))), scale)
-
-
 class ResultantReport(NamedTuple):
     """Resultant value plus its numerical-vanishing indicator.
+
+    ``normalized`` is the Sylvester determinant of the normalized pair, and
+    ``scale = |P|_max^deg(Q) |Q|_max^deg(P)`` the factor that undoes the
+    normalization: ``value = normalized * scale`` is the resultant of the
+    raw pair.  Where the scale exceeds the float range it is inf, and so is
+    ``value``, unless the normalized determinant is exactly 0: then it is
+    that zero.  The sign follows the row layout of the Sylvester matrix (P's
+    rows first); comparisons against closed forms should use magnitudes.
 
     ``gap`` is the smallest singular value of the normalized Sylvester
     matrix relative to the largest one: an exactly vanishing resultant makes
@@ -232,45 +146,28 @@ class ResultantReport(NamedTuple):
         return _scaled(self.normalized, self.scale)
 
 
-def resultant_report(p, q):
-    """Resultant with the singular-value gap used for vanishing decisions."""
-    pn, qn, scale = _normalized_pair(p, q)
-    return resultant_reports(pn.coeffs[None], qn.coeffs[None], [scale])[0]
-
-
-def resultant_reports(pn, qn, scales):
-    """Reports of K polynomial pairs of the same degrees, from one Sylvester build each.
-
-    ``pn`` (K, m+1) and ``qn`` (K, n+1) hold the normalized coefficients,
-    lowest degree first, and ``scales`` the factors that undo the
-    normalization.  The determinants come from one stacked ``det`` and the
-    gaps from one stacked SVD, both of the same matrices.
-    """
-    mats = _sylvester_stack(pn, qn)
-    dets = np.linalg.det(mats)
-    sv = np.linalg.svd(mats, compute_uv=False)
-    gaps = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
-    return [ResultantReport(float(d), s, float(g)) for d, s, g in zip(dets, scales, gaps)]
-
-
 def column_resultant_reports(cp, cq):
     """Resultant reports of the pairs of polynomials in the columns of ``cp``, ``cq``.
 
-    Columns hold coefficients lowest degree first, trimmed as :class:`Poly`
-    trims them; every trimmed pair needs degrees >= 1.  Pairs of the same
-    degrees share one :func:`resultant_reports` call.
+    Columns hold coefficients lowest degree first, trimmed and normalized by
+    :func:`_normalized_rows`; every trimmed pair needs degrees >= 1.  The
+    pairs of the same degrees share one stacked ``det`` and one stacked SVD
+    of their Sylvester matrices.  Returns a :class:`ResultantReport` per
+    column.
     """
-    (dp, np_), (dq, nq) = trimmed_degrees(cp), trimmed_degrees(cq)
+    (dp, np_, rp), (dq, nq, rq) = _normalized_rows(cp, len(cp)), _normalized_rows(cq, len(cq))
     if np.any(dp < 1) or np.any(dq < 1):
         raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
-    reports = [None] * cp.shape[1]
+    reports = [None] * len(dp)
     for m, n in sorted(set(zip(dp.tolist(), dq.tolist()))):
         cols = np.flatnonzero((dp == m) & (dq == n))
-        pn_, qn_ = (cp[: m + 1, cols] / np_[cols]).T, (cq[: n + 1, cols] / nq[cols]).T
+        mats = _sylvester_stack(rp[cols, : m + 1], rq[cols, : n + 1])
+        dets = np.linalg.det(mats)
+        sv = np.linalg.svd(mats, compute_uv=False)
+        gaps = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
         norms = zip(np_[cols].tolist(), nq[cols].tolist())
-        scales = [_resultant_scale(a, m, b, n) for a, b in norms]
-        for c, rep in zip(cols, resultant_reports(pn_, qn_, scales)):
-            reports[c] = rep
+        for c, d, (a, b), g in zip(cols.tolist(), dets, norms, gaps):
+            reports[c] = ResultantReport(float(d), _resultant_scale(a, m, b, n), float(g))
     return reports
 
 
@@ -292,23 +189,30 @@ def column_common_roots(polys, exclude=None, tol_root=DEFAULT_TOL_ROOT):
     ``polys`` holds one array (n_k + 1, K) per polynomial, lowest degree
     first, column j of each for node j; ``exclude`` (same layout, or None)
     holds a polynomial whose roots are dropped where its column is not zero.
-    Columns are trimmed and normalized as :class:`Poly` does it.  The
+    Columns are trimmed and normalized by :func:`_normalized_rows`.  The
     candidates of a column are the roots of its first lowest-degree
     polynomial, companion-matrix eigenvalues from one stacked ``eigvals`` per
     degree.  The same eigenvalues give:
 
     * the real witnesses: the eigenvalues near the real axis, projected onto
-      it, polished and clustered as :func:`real_roots` describes, and kept
-      where every polynomial evaluates below ``tol_root``;
+      it, polished by Newton steps, clustered into roots with
+      multiplicities, and kept where that polynomial and every other one
+      evaluates below ``tol_root``;
     * the complex witnesses: the eigenvalues in the upper half-plane, kept
       on the same test, one per cluster.
+
+    An m-fold root scatters the eigenvalues by ~eps^(1/m) (about 1e-4 for
+    m = 4), so candidates with imaginary parts up to 3e-4 (relative) are
+    projected onto the real axis and clustered at the same scale; the
+    residual test then keeps only genuine roots.  Distinct real roots closer
+    than ~3e-4 are consequently reported as one root with multiplicity.
 
     Each column goes through the float operations it goes through alone, so
     its roots do not depend on the other columns.  Returns a
     :class:`CommonRoots` per column.
     """
     width = max(len(c) for c in polys)
-    degrees, rows = zip(*(_normalized_rows(c, width) for c in polys))
+    degrees, _, rows = zip(*(_normalized_rows(c, width) for c in polys))
     degrees, rows = np.array(degrees), np.array(rows)  # (k, K) and (k, K, width)
     if np.any(degrees < 0):
         raise ZeroPolynomial("common roots of the zero polynomial")
@@ -317,22 +221,11 @@ def column_common_roots(polys, exclude=None, tol_root=DEFAULT_TOL_ROOT):
     roots, valid = _companion_roots(rows[base, cols], degrees[base, cols])
     excl = None
     if exclude is not None:
-        excl_degrees, excl_rows = _normalized_rows(exclude, len(exclude))
+        excl_degrees, _, excl_rows = _normalized_rows(exclude, len(exclude))
         excl = (excl_degrees >= 0, excl_rows)
     real = _real_witnesses(rows, base, roots, valid, excl, tol_root)
     cplx = _complex_witnesses(rows, roots, valid, excl, tol_root)
     return [CommonRoots(r, c) for r, c in zip(real, cplx)]
-
-
-def _normalized_rows(coeffs, width):
-    """Degrees (K,) and normalized coefficients (K, width) of the columns of
-    ``coeffs``, trimmed as :class:`Poly` trims them, with zeros past each degree."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    degrees, norms = trimmed_degrees(coeffs)
-    rows = np.zeros((coeffs.shape[1], width))
-    kept = np.arange(len(coeffs))[:, None] <= degrees
-    np.divide(coeffs, norms, out=rows.T[: len(coeffs)], where=kept)
-    return degrees, rows
 
 
 def _companion_roots(rows, degrees):
@@ -460,51 +353,3 @@ def _complex_witnesses(rows, roots, valid, excl, tol_root):
         if not any(abs(z - w) <= 1e-6 * max(1.0, abs(z)) for w in shared[c]):
             shared[c].append(complex(z))
     return shared
-
-
-def _one_column(polys, exclude, tol_root):
-    if any(p.is_zero for p in polys):
-        raise ZeroPolynomial("roots of the zero polynomial")
-    excl = None if exclude is None or exclude.is_zero else exclude.coeffs[:, None]
-    return column_common_roots([p.coeffs[:, None] for p in polys], excl, tol_root)[0]
-
-
-def real_roots(p, tol_root=DEFAULT_TOL_ROOT):
-    """All real roots of a nonzero polynomial within working precision.
-
-    Companion-matrix eigenvalues, a few Newton polish steps, then clustering
-    into multiplicities.  Roots whose normalized residual exceeds
-    ``tol_root`` are dropped (RootSet invariant); the residuals are those of
-    ``p`` itself.  This is :func:`column_common_roots` on one column of one
-    polynomial.
-
-    An m-fold root scatters the eigenvalues by ~eps^(1/m) (about 1e-4 for
-    m = 4), so candidates with imaginary parts up to that size are projected
-    onto the real axis and clustered at the same scale; the residual test
-    then keeps only genuine roots.  Distinct real roots closer than ~3e-4
-    are consequently reported as one root with multiplicity.
-    """
-    rs = _one_column([p], None, tol_root).real
-    return RootSet(rs.roots, rs.multiplicities, rs.residuals * p.norm)
-
-
-def common_real_roots(p1, p2, p3, exclude=None, tol_root=DEFAULT_TOL_ROOT):
-    """Real roots shared by three polynomials, minus roots of ``exclude``.
-
-    The real roots of the lowest-degree input where all three normalized
-    polynomials evaluate below ``tol_root``: :func:`column_common_roots` on
-    one column.  Shared complex factors are invisible here (resultants
-    detect those).
-    """
-    return _one_column([p1, p2, p3], exclude, tol_root).real
-
-
-def common_complex_roots(p1, p2, p3, exclude=None, tol_root=DEFAULT_TOL_ROOT):
-    """Strictly complex roots shared by three polynomials, minus ``exclude``.
-
-    The non-real roots of the lowest-degree input, one representative per
-    conjugate pair (positive imaginary part): :func:`column_common_roots` on
-    one column.  Complements :func:`common_real_roots` when the shared
-    factor has no real root.
-    """
-    return _one_column([p1, p2, p3], exclude, tol_root).complex

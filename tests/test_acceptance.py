@@ -24,12 +24,13 @@ from sfmew.analyzer import (
     scan_region,
     verify_candidate,
 )
-from sfmew.constraints import assemble_P0, assemble_P1, assemble_P2, assemble_P3
+from sfmew.constraints import coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from sfmew.expr import eval_jet, eval_value, parse
 from sfmew.geometry import Frame, MoebiusStructure as MS, validate
 from sfmew.invariants import CONFORMAL_WEIGHTS, InvariantField, compute_invariants
-from sfmew.polyalg import Poly, common_real_roots, sylvester_resultant
+from sfmew.polyalg import column_common_roots, column_resultant_reports
 
+from columns import column, trimmed
 from oracles import fd_partial, random_expression
 
 
@@ -54,17 +55,17 @@ def test_criterion_1_spiral_reproduction(spiral_structure):
     start = time.perf_counter()
     for r, pt in [(0.25, (0.5, 0.0)), (1.0, (1.0, 0.0)), (4.0, (2.0, 0.0))]:
         inv = compute_invariants(spiral_structure, pt)
-        p1, p3 = assemble_P1(inv), assemble_P3(inv)
+        p1, p3 = trimmed(coeffs_P1(inv)), trimmed(coeffs_P3(inv))
 
         expected_p1 = 256.0 * r**2 * np.array(
             [32 * r**4, 320 * r**3, 672 * r**2, -640 * r, 56, 0, 0, 0, 31.5]
         )
         scale1 = np.max(np.abs(expected_p1))
-        assert np.allclose(p1.coeffs, expected_p1, rtol=1e-6, atol=1e-6 * scale1)
+        assert np.allclose(p1, expected_p1, rtol=1e-6, atol=1e-6 * scale1)
 
         expected_p3 = np.array(npoly.polymul([0, 0, 0, 0, -768.0 * r], [-4 * r**2, -6 * r, 1]))
         scale3 = np.max(np.abs(expected_p3))
-        assert np.allclose(p3.coeffs, expected_p3[: p3.coeffs.size], rtol=1e-6, atol=1e-6 * scale3)
+        assert np.allclose(p3, expected_p3[: p3.size], rtol=1e-6, atol=1e-6 * scale3)
 
         # P2 against the printed reduced form, up to the P0 factor and an
         # overall constant; the printed t^2 coefficient needs the +75/2 rho^4
@@ -74,14 +75,14 @@ def test_criterion_1_spiral_reproduction(spiral_structure):
             [288 * r**4, 1472 * r**3, -7392 * r**2, 0, 56, 0, 0, 0, -4.5]
         )
         reduced[2] += 37.5 * inv.rho**4
-        expected_p2 = np.array(npoly.polymul(assemble_P0(inv).coeffs, reduced))
-        got_p2 = assemble_P2(inv).coeffs
+        expected_p2 = np.array(npoly.polymul(trimmed(coeffs_P0(inv)), reduced))
+        got_p2 = trimmed(coeffs_P2(inv))
         idx = int(np.argmax(np.abs(expected_p2)))
         c = got_p2[idx] / expected_p2[idx]
         assert np.allclose(got_p2, c * expected_p2[: got_p2.size], rtol=1e-6,
                            atol=1e-6 * np.max(np.abs(got_p2)))
 
-        res13 = sylvester_resultant(p1, p3)
+        (res13,) = column_resultant_reports(column(p1), column(p3))
         closed = (
             2.0**142
             * 3**10
@@ -109,8 +110,8 @@ def test_criterion_1_spiral_reproduction(spiral_structure):
 def test_criterion_1_spiral_p2_display_verbatim(spiral_structure):
     inv = compute_invariants(spiral_structure, (1.0, 0.0))
     reduced = 256.0 * np.array([288, 1472, -7392, 0, 56, 0, 0, 0, -4.5])
-    expected = np.array(npoly.polymul(assemble_P0(inv).coeffs, reduced))
-    got = assemble_P2(inv).coeffs
+    expected = np.array(npoly.polymul(trimmed(coeffs_P0(inv)), reduced))
+    got = trimmed(coeffs_P2(inv))
     idx = int(np.argmax(np.abs(expected)))
     c = got[idx] / expected[idx]
     assert np.allclose(got, c * expected[: got.size], rtol=1e-6,
@@ -124,10 +125,11 @@ def test_criterion_1_spiral_p2_display_verbatim(spiral_structure):
 def test_criterion_2_quadratic_reproduction(quadratic_structure):
     start = time.perf_counter()
     inv = compute_invariants(quadratic_structure, (1.0, 0.0))
-    roots = common_real_roots(
-        assemble_P1(inv), assemble_P2(inv), assemble_P3(inv), exclude=assemble_P0(inv)
+    (found,) = column_common_roots(
+        [column(coeffs_P1(inv)), column(coeffs_P2(inv)), column(coeffs_P3(inv))],
+        exclude=column(coeffs_P0(inv)),
     )
-    assert sorted(roots.roots) == pytest.approx([-2.0, 2.0], abs=1e-9)
+    assert sorted(found.real.roots) == pytest.approx([-2.0, 2.0], abs=1e-9)
 
     rng = np.random.default_rng(2024)
     for _ in range(6):
@@ -165,19 +167,19 @@ def test_criterion_3_opposite_reproduction(opposite_structure):
     assert abs(inv.tau) < 1e-10 * scale
     assert abs(inv.ell) < 1e-10 * scale
 
-    shared = Poly([4.0, 0.0, 1.0])  # t^2 + 4
-    p1, p2, p3 = assemble_P1(inv), assemble_P2(inv), assemble_P3(inv)
-    s1, rem1 = p1.deflate(shared)
-    s2, rem2 = p2.deflate(shared)
-    s3, rem3 = p3.deflate(shared)
+    shared = [4.0, 0.0, 1.0]  # t^2 + 4
+    p1, p2, p3 = (trimmed(c(inv)) for c in (coeffs_P1, coeffs_P2, coeffs_P3))
+    s1, rem1 = npoly.polydiv(p1, shared)
+    s2, rem2 = npoly.polydiv(p2, shared)
+    s3, rem3 = npoly.polydiv(p3, shared)
     for p, rem in ((p1, rem1), (p2, rem2), (p3, rem3)):
-        assert rem.is_zero or np.max(np.abs(rem.coeffs)) < 1e-7 * p.norm
+        assert np.max(np.abs(rem)) < 1e-7 * np.max(np.abs(p))
 
     # normalizations matching the printed reduced polynomials: the second
     # constraint carries an extra factor rho (decisions ledger)
-    s1 = Poly(s1.coeffs / rho**2)
-    s2 = Poly(s2.coeffs / rho**3)
-    s3 = Poly(s3.coeffs / rho**2)
+    s1 = s1 / rho**2
+    s2 = s2 / rho**3
+    s3 = s3 / rho**2
     closed = {
         ("s1", "s2"): 1076168025.0 / 67108864.0 * rho**8
         * (243 * rho**6 + 12704256 * rho**4 + 131135897600 * rho**2 + 251658240000) ** 2,
@@ -186,7 +188,7 @@ def test_criterion_3_opposite_reproduction(opposite_structure):
     }
     pairs = {("s1", "s2"): (s1, s2), ("s1", "s3"): (s1, s3), ("s2", "s3"): (s2, s3)}
     for key, (a, b) in pairs.items():
-        got = abs(sylvester_resultant(a, b).value)
+        got = abs(column_resultant_reports(column(a), column(b))[0].value)
         assert got == pytest.approx(abs(closed[key]), rel=1e-4), key
 
     rng = np.random.default_rng(7)
@@ -337,7 +339,7 @@ def test_criterion_5_kernel_oracles():
             p_coeffs = npoly.polymul(p_coeffs, [-root, 1.0])
         for root in qr:
             q_coeffs = npoly.polymul(q_coeffs, [-root, 1.0])
-        got = sylvester_resultant(Poly(lp * p_coeffs), Poly(lq * q_coeffs)).value
+        got = column_resultant_reports(column(lp * p_coeffs), column(lq * q_coeffs))[0].value
         oracle = lp**dq * lq**dp * np.prod(pr[:, None] - qr[None, :])
         assert abs(got) == pytest.approx(abs(oracle), rel=1e-8)
         checked += 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial import polynomial as npoly
 
 from sfmew import MoebiusStructure, analyzer
 from sfmew.analyzer import (
@@ -28,6 +29,8 @@ from sfmew.expr import parse
 from sfmew.geometry import Frame
 from sfmew.invariants import PointInvariants, compute_invariants
 from sfmew.jets import Jet, jet_space
+
+from columns import column, trimmed
 
 
 def make_candidate(*sources, mode="real"):
@@ -109,12 +112,12 @@ def test_classify_quadratic_admits(quadratic_structure):
     assert sorted(verdict.f_candidates) == pytest.approx([-2.0, 2.0], abs=1e-9)
     assert all(r.passed for r in verdict.residuals)
     # reconstructed F satisfies all three polynomials but not P0
-    from sfmew.constraints import assemble_P0
+    from sfmew.constraints import coeffs_P0
 
     inv = compute_invariants(quadratic_structure, (1.0, 0.0))
-    p0 = assemble_P0(inv)
+    p0 = trimmed(coeffs_P0(inv))
     for f in verdict.f_candidates:
-        assert abs(p0(f)) > 1e-3 * p0.norm
+        assert abs(npoly.polyval(f, p0)) > 1e-3 * np.max(np.abs(p0))
 
 
 def test_classify_quadratic_admits_near_flat_origin(quadratic_structure):
@@ -227,24 +230,23 @@ def test_classify_opposite_vanishing_with_deflated_resultants(opposite_structure
 
     # deflating the shared quadratic factor leaves pairwise resultants that
     # match closed forms in rho (extra rho on the second constraint)
-    from sfmew.constraints import assemble_P1, assemble_P2, assemble_P3
-    from sfmew.polyalg import Poly, sylvester_resultant
+    from sfmew.constraints import coeffs_P1, coeffs_P2, coeffs_P3
+    from sfmew.polyalg import column_resultant_reports
 
     inv = compute_invariants(opposite_structure, (1.0, 0.0))
     rho = inv.rho
     assert rho == pytest.approx(16.0)
-    shared = Poly([4.0, 0.0, 1.0])
-    s1, rem1 = assemble_P1(inv).deflate(shared)
-    s2, rem2 = assemble_P2(inv).deflate(shared)
-    s3, rem3 = assemble_P3(inv).deflate(shared)
-    for p, rem in ((assemble_P1(inv), rem1), (assemble_P2(inv), rem2), (assemble_P3(inv), rem3)):
-        assert rem.is_zero or np.max(np.abs(rem.coeffs)) < 1e-7 * p.norm
-    s1 = Poly(s1.coeffs / rho**2)
-    s2 = Poly(s2.coeffs / rho**3)
-    s3 = Poly(s3.coeffs / rho**2)
-    res12 = abs(sylvester_resultant(s1, s2).value)
-    res13 = abs(sylvester_resultant(s1, s3).value)
-    res23 = abs(sylvester_resultant(s2, s3).value)
+    shared = [4.0, 0.0, 1.0]
+    p1, p2, p3 = (trimmed(c(inv)) for c in (coeffs_P1, coeffs_P2, coeffs_P3))
+    s1, rem1 = npoly.polydiv(p1, shared)
+    s2, rem2 = npoly.polydiv(p2, shared)
+    s3, rem3 = npoly.polydiv(p3, shared)
+    for p, rem in ((p1, rem1), (p2, rem2), (p3, rem3)):
+        assert np.max(np.abs(rem)) < 1e-7 * np.max(np.abs(p))
+    s1, s2, s3 = column(s1 / rho**2), column(s2 / rho**3), column(s3 / rho**2)
+    res12 = abs(column_resultant_reports(s1, s2)[0].value)
+    res13 = abs(column_resultant_reports(s1, s3)[0].value)
+    res23 = abs(column_resultant_reports(s2, s3)[0].value)
     closed12 = abs(
         1076168025.0
         / 67108864.0

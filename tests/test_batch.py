@@ -33,7 +33,9 @@ from sfmew.expr import parse
 from sfmew.geometry import Frame, MoebiusStructure
 from sfmew.invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, compute_invariants
 from sfmew.jets import DomainError
-from sfmew.polyalg import Poly, column_common_roots, common_complex_roots, common_real_roots
+from sfmew.polyalg import column_common_roots
+
+from columns import column
 
 # the flat origin, near-flat radii on and off the axes, and ordinary nodes
 POINTS = [(0.0, 0.0)] + [
@@ -283,10 +285,10 @@ def test_common_roots_of_a_column_do_not_depend_on_the_batch(cases):
     excluded = np.array([p0 for _, p0 in cases]).T
     batched = column_common_roots(columns, excluded)
     for (polys, p0_col), found in zip(cases, batched):
-        # the public one-column calls
-        alone, p0 = [Poly(c) for c in polys], Poly(p0_col)
-        assert canon(found.real) == canon(common_real_roots(*alone, exclude=p0))
-        assert canon(found.complex) == canon(common_complex_roots(*alone, exclude=p0))
+        # the same call on a column of one
+        (alone,) = column_common_roots([column(c) for c in polys], column(p0_col))
+        assert canon(found.real) == canon(alone.real)
+        assert canon(found.complex) == canon(alone.complex)
 
 
 # 2 * _CHUNK + 3 nodes or more: the grid nodes, with the flat origin and the

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from sfmew.analyzer import Settings
 from sfmew.cli import _dump_json, main
 
 SPIRAL = """
@@ -442,6 +443,51 @@ def test_config_that_sets_jet_order_is_a_config_error(runner, tmp_path):
         result = runner.invoke(main, args + ["--config", cfg])
         assert result.exit_code == 2, result.output
         assert "config error: 'jet_order' in [tolerances]" in result.output
+
+
+@pytest.mark.parametrize("extra, named", [
+    ("[tolerances]\ntol_residul = 1e-3\n", "'tol_residul' in [tolerances]"),  # a typo
+    ("[tolerances]\ntol_sigma = 5\n", "'tol_sigma' in [tolerances]"),  # a field no loader reads
+    ("[options]\nfoo = bar\n", "'foo' in [options]"),
+    (REGION + "nz = 7\n", "'nz' in [region]"),
+    ("[output]\ndir = out\n", "[output] is not a config section"),
+    ("[DEFAULT]\ntol_root = 1e-6\n", "[DEFAULT] is not a config section"),
+], ids=["typo", "unread-field", "options", "region", "section", "default-section"])
+def test_config_keys_that_are_not_read_are_config_errors(runner, tmp_path, extra, named):
+    """A key or section that no loader reads is not silently dropped: exit 2, naming it."""
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS + extra)
+    for args in _EVERY_COMMAND:
+        result = runner.invoke(main, args + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (args, result.output)
+        assert f"config error: {named}" in result.output
+
+
+@pytest.mark.parametrize("text", [
+    QUADRATIC + POINTS + POINTS,  # a duplicate section
+    QUADRATIC + "u = \"1\"\n",  # a duplicate key
+    "u = \"0\"\n" + QUADRATIC,  # a key outside any section
+], ids=["duplicate-section", "duplicate-key", "no-section"])
+def test_config_that_does_not_parse_is_a_config_error(runner, tmp_path, text):
+    cfg = write(tmp_path, "q.cfg", text)
+    for args in _EVERY_COMMAND:
+        result = runner.invoke(main, args + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (args, result.output)
+        assert "config error: unreadable config" in result.output
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_tolerances_must_be_finite_and_positive(runner, tmp_path, value):
+    """With tol_residual = inf, verify passed a candidate that is no solution."""
+    cfg = write(tmp_path, "s.cfg", SPIRAL + f"[tolerances]\ntol_residual = {value}\n")
+    result = runner.invoke(
+        main, ["verify", "--config", cfg, "--points", "1,0", "--alpha", "x", "--alpha", "y"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "config error: tol_residual must be finite and positive" in result.output
+    for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual",
+                 "tol_sigma", "tol_m"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            Settings(**{name: float(value)})
 
 
 def test_verify_fails_where_every_residual_is_nan(runner, tmp_path):

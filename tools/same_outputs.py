@@ -11,9 +11,10 @@ points each on the circles r = 20 and r = 30), in real mode, and
 alpha = d omega + i (y, -x) in complex mode on the opposite family and
 alpha = d omega + (y, -x) in real mode on the other two, and again with a
 wrong candidate, 1.5 (y, -x) without d omega (1.5 i (y, -x) on the
-opposite family), whose residuals are nonzero and fail.  ``invariants``
-and ``constraints`` run in real mode on the near-flat points plus every
-55th grid node, nine nodes from corner to corner.  The calls run
+opposite family), whose residuals are nonzero and fail.  ``invariants``,
+``constraints`` and ``rescale`` (with omega = 0.1 x - 0.05 y^2) run in
+real mode on the near-flat points plus every 55th grid node, nine nodes
+from corner to corner.  The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
@@ -37,7 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (7, 131)
 FAMILIES = ("spiral", "quadratic", "opposite")
 GRID = 21
-DUMP_STRIDE = 55  # grid nodes of the invariants and constraints calls
+DUMP_STRIDE = 55  # grid nodes of the invariants, constraints and rescale calls
+OMEGA = "0.1*x - 0.05*y*y"  # the log rescaling factor of the rescale calls
 # the far field, where the rescaled members' invariants approach the float range
 FAR_FIELD = [(r * math.cos(2.0 * math.pi * k / 24), r * math.sin(2.0 * math.pi * k / 24))
              for r in (20.0, 30.0) for k in range(24)]
@@ -79,6 +81,8 @@ def calls(fam, out):
                 (base / "dump.cfg").write_text(config_text(member, 0, points, "real"))
                 for command in ("invariants", "constraints"):
                     yield base / command, [command, "--config", str(base / "dump.cfg")]
+                yield base / "rescale", ["rescale", "--config", str(base / "dump.cfg"),
+                                         f"--omega={OMEGA}"]
 
 
 def run_all(src, out):
@@ -96,7 +100,7 @@ def run_all(src, out):
                 code = 0
             except SystemExit as done:
                 code = done.code
-        out_dir.mkdir(parents=True, exist_ok=True)  # invariants and constraints write none
+        out_dir.mkdir(parents=True, exist_ok=True)  # the console commands write none
         (out_dir / "console.txt").write_text(f"exit {code}\n{console.getvalue()}")
 
 
