@@ -65,7 +65,7 @@ batch of one node.  Everything here is deterministic and side-effect free.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from enum import Enum
 
 import numpy as np
@@ -74,9 +74,13 @@ from . import jets
 from .constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
-from .invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f
+from .invariants import (
+    DEFAULT_TOL_FLAT, LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f,
+)
 from .jets import ipow
-from .polyalg import column_common_roots, column_resultant_reports, trimmed_degrees
+from .polyalg import (
+    DEFAULT_TOL_ROOT, column_common_roots, column_resultant_reports, trimmed_degrees,
+)
 
 __all__ = [
     "VerdictTag",
@@ -84,6 +88,7 @@ __all__ = [
     "SolutionCandidate",
     "ResidualReport",
     "Settings",
+    "RESULTANT_PAIRS",
     "RegionSpec",
     "NodeVerdict",
     "RegionReport",
@@ -105,6 +110,9 @@ _LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 
 # product tables) over many nodes, narrow enough to bound the memory of its jets
 # (see docs/decisions.md, section 4)
 _CHUNK = 96
+_TOL_P0 = 1e-9  # |P0(F)| below this share of |sigma| + 3 rho F^2: the formula has no alpha
+_TOL_FORCED_F = 1e-6  # relative mismatch of F^2 and sigma / (3 rho) on the branch
+_TOL_M = 1e-8  # |M| below this share of its terms' size: the branch tensor vanishes
 
 
 class P0Vanishes(Exception):
@@ -126,30 +134,32 @@ class VerdictTag(str, Enum):
 
 @dataclass
 class Settings:
-    """Tolerances and conventions of the decision procedure."""
+    """The orientation and the tolerances that a run config sets."""
 
     orientation: int = 1
-    mode: str = "real"
-    tol_flat: float = 1e-10
-    tol_root: float = 1e-7
+    tol_flat: float = DEFAULT_TOL_FLAT
+    tol_root: float = DEFAULT_TOL_ROOT
     tol_res_low: float = 1e-12  # Sylvester gap below: resultant numerically zero
     tol_res_high: float = 1e-5  # Sylvester gap above: certified nonzero
     tol_residual: float = 1e-6
-    tol_sigma: float = 1e-9
-    tol_m: float = 1e-8
 
     def __post_init__(self):
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if self.mode not in ("real", "complex"):
-            raise ValueError("mode must be 'real' or 'complex'")
-        for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high",
-                     "tol_residual", "tol_sigma", "tol_m"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        for f in fields(self)[1:]:  # every field after orientation is a tolerance
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and positive")
 
 
 DEFAULT_SETTINGS = Settings()
+
+MODES = ("real", "complex")  # of verification: a real candidate, or a complex one
+
+
+def check_mode(mode):
+    """Raise ValueError, naming ``mode``, unless it is one of :data:`MODES`."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be 'real' or 'complex', not {mode!r}")
 
 
 @dataclass
@@ -181,20 +191,12 @@ class ResidualReport:
 
 
 @dataclass
-class ResultantTriple:
-    pair: str
-    normalized: float
-    value: float
-    gap: float
-
-
-@dataclass
 class Verdict:
     """Classification of one point, with the evidence that produced it."""
 
     tag: VerdictTag
     point: tuple
-    resultants: list = dc_field(default_factory=list)  # ResultantTriple per pair
+    resultants: dict = dc_field(default_factory=dict)  # pair name -> ResultantReport
     f_candidates: list = dc_field(default_factory=list)
     candidates: list = dc_field(default_factory=list)  # SolutionCandidate
     residuals: list = dc_field(default_factory=list)  # ResidualReport per candidate
@@ -219,21 +221,21 @@ def _alpha_parts(inv, F):
     return numer, inv.sigma - 3.0 * inv.rho * F * F
 
 
-def alpha_from_F(inv, F, tol_p0=1e-9):
+def alpha_from_F(inv, F):
     """Candidate 1-form for a given curvature scalar F (needs P0(F) != 0).
 
     alpha_a = [L_a + 5/2 rho F Y_a + (F^2/2) grad_a rho + 3 F^4 U_a] / (sigma - 3 rho F^2)
     """
     numer, denom = _alpha_parts(inv, F)
     scale = abs(inv.sigma) + 3.0 * inv.rho * F * F
-    if abs(denom) <= tol_p0 * max(scale, 1e-300):
+    if abs(denom) <= _TOL_P0 * max(scale, 1e-300):
         raise P0Vanishes(f"P0({F}) = {denom:.3e} numerically zero at {inv.point}")
     return SolutionCandidate(
         F=float(F), alpha=np.array(numer) / denom, source="Alpha1Formula", point=inv.point
     )
 
 
-def f_from_P0_branch(inv, rel_tol=1e-6):
+def f_from_P0_branch(inv):
     """Forced F of the degenerate branch, with its consistency flag.
 
     F = -(2/5)(rho ell + mu sigma + tau sigma/(3 rho) + tau phi) / rho^2;
@@ -243,7 +245,7 @@ def f_from_P0_branch(inv, rel_tol=1e-6):
     if inv.sigma <= 0.0:
         return f, False
     target = inv.sigma / (3.0 * inv.rho)
-    consistent = abs(f * f - target) <= rel_tol * max(f * f, target)
+    consistent = abs(f * f - target) <= _TOL_FORCED_F * max(f * f, target)
     return f, consistent
 
 
@@ -405,8 +407,10 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
     derivatives of alpha and the curl of alpha run once on the batch; each
     node's residuals are assembled from its own floats, so its report does
     not depend on its batch.  At flat points the invariant-based algebraic residuals are
-    reported as zero (not applicable).
+    reported as zero (not applicable).  ``mode`` is one of :data:`MODES`;
+    any other raises ValueError.
     """
+    check_mode(mode)
     settings = settings or DEFAULT_SETTINGS
     exprs = candidate.alpha_exprs
     if exprs is None:
@@ -484,7 +488,8 @@ _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
 # notes of nodes beyond the float range, as constraints.NOT_FINITE for the coefficients
 _NOT_FINITE_INVARIANTS = "invariants are not all finite"
 _NOT_FINITE_BRANCH = "degenerate-branch tensor is not all finite"
-_PAIRS = (("res12", 0, 1), ("res13", 0, 2), ("res23", 1, 2))
+#: The resultants of a verdict, in order: pair name -> its constraints (P1..P3 as 0..2).
+RESULTANT_PAIRS = {"res12": (0, 1), "res13": (0, 2), "res23": (1, 2)}
 
 
 def _horner(coeffs, t):
@@ -606,6 +611,7 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
     (the best lift is reported); they raise :class:`MultipleRoot` where it
     is a simple root of none.
     """
+    check_mode(mode)
     settings = settings or DEFAULT_SETTINGS
     if candidate.alpha_exprs is not None:
         return verify_candidates(structure, candidate, [point], mode, settings)[0]
@@ -667,8 +673,11 @@ def _classify_chunk(structure, points, settings):
 
     values = field.invariant_values()  # node arrays; a node's own only where a verdict reads them
     finite = values.finite()  # beyond the float range, a node decides nothing
-    # degenerate branch: sigma > 0, decided by the tensor M where it vanishes
-    branch = finite & (values.sigma > 0.0) & ~field.sigma_is_zero(settings.tol_sigma)
+    # degenerate branch: sigma > 0 and not numerically zero (the field's branch
+    # columns), decided by the tensor M where it vanishes
+    branch = np.zeros(field.nodes.size, dtype=bool)
+    branch[field.branch()[0]] = True
+    branch &= finite & (values.sigma > 0.0)
     mreps = field.m_tensor() if branch.any() else [None] * field.nodes.size
     m_norms, rest = [None] * field.nodes.size, []
     for c, node in enumerate(field.nodes):
@@ -683,7 +692,7 @@ def _classify_chunk(structure, points, settings):
                 m_norm=m_norms[c],
                 note=_NOT_FINITE_BRANCH if mrep is not None else _NOT_FINITE_INVARIANTS,
             )
-        elif mrep is not None and mrep.norm < settings.tol_m * mrep.scale:
+        elif mrep is not None and mrep.norm < _TOL_M * mrep.scale:
             verdicts[node] = _mzero_verdict(values.node(c), mrep, points[node])
         else:
             rest.append(c)
@@ -696,17 +705,16 @@ def _classify_chunk(structure, points, settings):
     finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
     degrees = [trimmed_degrees(c)[0] for c in coeffs]
     ok = np.flatnonzero(finite & (degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1))
-    reports = [column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok]) for _, i, j in _PAIRS]
-    resultants = {  # row in rest -> ResultantTriple per pair, for the rows with proper constraints
-        r: [
-            ResultantTriple(pair=name, normalized=rep.normalized, value=rep.value, gap=rep.gap)
-            for (name, _, _), rep in zip(_PAIRS, reps)
-        ]
-        for r, *reps in zip(ok.tolist(), *reports)
-    }
+    reports = [
+        column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok])
+        for i, j in RESULTANT_PAIRS.values()
+    ]
+    # row in rest -> pair name -> ResultantReport, for the rows with proper constraints
+    resultants = {r: dict(zip(RESULTANT_PAIRS, reps)) for r, *reps in zip(ok.tolist(), *reports)}
     # one common-root witness search for the rows no gap certifies
     search = [
-        r for r, res in resultants.items() if not max(t.gap for t in res) > settings.tol_res_high
+        r for r, res in resultants.items()
+        if not max(rep.gap for rep in res.values()) > settings.tol_res_high
     ]
     p0 = np.array([vals.sigma, np.zeros(len(rest)), -3.0 * vals.rho])  # P0 = sigma - 3 rho t^2
     found = {}
@@ -762,43 +770,22 @@ def _resultant_verdict(resultants, roots, pt, m_norm, settings):
     :class:`~sfmew.polyalg.CommonRoots`; None where a gap certifies a
     resultant nonzero.
     """
-    gaps = [r.gap for r in resultants]
-    if roots is None:
-        return Verdict(
-            tag=VerdictTag.OBSTRUCTED,
-            point=pt,
-            resultants=resultants,
-            m_norm=m_norm,
-            note="at least one resultant certified nonzero",
-        )
-
-    if len(roots.real):
+    if roots is not None and len(roots.real):
         return roots.real
-    if roots.complex:
-        return Verdict(
-            tag=VerdictTag.VANISHING,
-            point=pt,
-            resultants=resultants,
-            m_norm=m_norm,
-            note="constraints share only complex roots: "
-            + ", ".join(f"{z:.6g}" for z in roots.complex),
+    if roots is None:
+        tag, note = VerdictTag.OBSTRUCTED, "at least one resultant certified nonzero"
+    elif roots.complex:
+        tag = VerdictTag.VANISHING
+        note = "constraints share only complex roots: " + ", ".join(
+            f"{z:.6g}" for z in roots.complex
         )
-
-    if max(gaps) < settings.tol_res_low:
-        return Verdict(
-            tag=VerdictTag.INCONCLUSIVE,
-            point=pt,
-            resultants=resultants,
-            m_norm=m_norm,
-            note="resultants at numerical zero without a common-root witness",
-        )
-    return Verdict(
-        tag=VerdictTag.OBSTRUCTED,
-        point=pt,
-        resultants=resultants,
-        m_norm=m_norm,
-        note="no common root; resultants bounded away from numerical zero",
-    )
+    elif max(rep.gap for rep in resultants.values()) < settings.tol_res_low:
+        tag = VerdictTag.INCONCLUSIVE
+        note = "resultants at numerical zero without a common-root witness"
+    else:
+        tag = VerdictTag.OBSTRUCTED
+        note = "no common root; resultants bounded away from numerical zero"
+    return Verdict(tag=tag, point=pt, resultants=resultants, m_norm=m_norm, note=note)
 
 
 def _verify_witnesses(field, values, pending, m_norms, points, settings):
@@ -816,9 +803,11 @@ def _verify_witnesses(field, values, pending, m_norms, points, settings):
     reports = _lifted_reports(
         field, cols, [f for _, f, _ in roots], values.take(cols), settings
     ) if roots else []
-    for k, (c, resultants, witnesses) in enumerate(pending):
+    by_node = [[] for _ in pending]  # per pending node: (candidate, report, root)
+    for (k, f0, cand), rep in zip(roots, reports):
+        by_node[k].append((cand, rep, f0))
+    for (c, resultants, witnesses), mine in zip(pending, by_node):
         pt, m_norm = points[field.nodes[c]], m_norms[c]
-        mine = [(cand, rep, f0) for (j, f0, cand), rep in zip(roots, reports) if j == k]
         verified = [(cand, rep) for cand, rep, _ in mine if rep is not None and rep.passed]
         if verified:
             yield c, Verdict(

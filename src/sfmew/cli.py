@@ -21,6 +21,7 @@ expression values are double-quoted::
     points = "1,0; 0.5,0"
 
     [tolerances]
+    tol_flat = 1e-10
     tol_root = 1e-7
     tol_res_low = 1e-12
     tol_res_high = 1e-5
@@ -54,9 +55,12 @@ import click
 import numpy as np
 
 from .analyzer import (
+    MODES,
+    RESULTANT_PAIRS,
     RegionSpec,
     Settings,
     SolutionCandidate,
+    check_mode,
     classify_points,
     region_report,
     summarize,
@@ -90,6 +94,7 @@ class RunConfig:
     region: RegionSpec | None
     points: list  # [(x, y), ...]
     settings: Settings
+    mode: str  # of verify: a real candidate, or a complex one
 
 
 def _unquote(raw):
@@ -180,7 +185,7 @@ def load_config(path):
     if "points" in parser and "points" in parser["points"]:
         points = _parse_points(_unquote(parser["points"]["points"]))
 
-    kwargs = {}
+    kwargs, mode = {}, "real"
     if "tolerances" in parser:
         tl = parser["tolerances"]
         for key in _CONFIG_KEYS["tolerances"]:
@@ -192,7 +197,7 @@ def load_config(path):
     if "options" in parser:
         op = parser["options"]
         if "mode" in op:
-            kwargs["mode"] = _unquote(op["mode"])
+            mode = _unquote(op["mode"])
         if "orientation" in op:
             raw = _unquote(op["orientation"]).replace("+", "")
             try:
@@ -201,9 +206,10 @@ def load_config(path):
                 raise ConfigError(f"bad orientation: {err}") from err
     try:
         settings = Settings(**kwargs)
+        check_mode(mode)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return RunConfig(structure_exprs, region, points, settings)
+    return RunConfig(structure_exprs, region, points, settings, mode)
 
 
 # -- report writing ---------------------------------------------------------
@@ -342,7 +348,7 @@ def _load_or_exit(config_path, mode, orientation, points_opt):
             cfg.structure_exprs["P22"],
         )
     if mode:
-        cfg.settings.mode = mode
+        cfg.mode = mode
     if orientation:
         cfg.settings.orientation = int(orientation.replace("+", ""))
     if points_opt:
@@ -358,7 +364,7 @@ def _metadata(cfg):
     return {
         "tool": "sfmew",
         "version": _VERSION,
-        "mode": cfg.settings.mode,
+        "mode": cfg.mode,
         "orientation": cfg.settings.orientation,
     }
 
@@ -373,10 +379,10 @@ def _verdict_record(x, y, verdict):
         "residual": min((r.max_residual for r in verdict.residuals), default=None),
         "m_norm": verdict.m_norm,
     }
-    for r in verdict.resultants:
-        rec[r.pair] = r.normalized
-        rec[r.pair + "_value"] = r.value
-        rec[r.pair + "_gap"] = r.gap
+    for pair in RESULTANT_PAIRS:
+        if pair in verdict.resultants:
+            rep = verdict.resultants[pair]
+            rec[pair], rec[pair + "_value"], rec[pair + "_gap"] = rep.normalized, rep.value, rep.gap
     return rec
 
 
@@ -392,14 +398,12 @@ def _csv_text(value):
 
 def _csv_row(node):
     v = node.verdict
-    res = {r.pair: _csv_text(r.normalized) for r in v.resultants}
+    res = {pair: _csv_text(rep.normalized) for pair, rep in v.resultants.items()}
     return [
         _csv_text(node.x),
         _csv_text(node.y),
         v.tag.value,
-        res.get("res12", ""),
-        res.get("res13", ""),
-        res.get("res23", ""),
+        *(res.get(pair, "") for pair in RESULTANT_PAIRS),
         ";".join([_csv_text(f) for f in v.f_candidates]),
         _csv_text(min([r.max_residual for r in v.residuals])) if v.residuals else "",
     ]
@@ -408,7 +412,7 @@ def _csv_row(node):
 def _csv_rows(nodes):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "verdict", "res12", "res13", "res23", "F_candidates", "residual"])
+    writer.writerow(["x", "y", "verdict", *RESULTANT_PAIRS, "F_candidates", "residual"])
     writer.writerows([_csv_row(n) for n in nodes])
     return buf.getvalue()
 
@@ -416,7 +420,7 @@ def _csv_rows(nodes):
 def _common_options(fn):
     fn = click.option("--config", "config_path", required=True, help="run config path")(fn)
     fn = click.option("--out", "out_dir", default=".", help="output directory")(fn)
-    fn = click.option("--mode", type=click.Choice(["real", "complex"]), default=None)(fn)
+    fn = click.option("--mode", type=click.Choice(MODES), default=None)(fn)
     fn = click.option("--orientation", type=click.Choice(["+1", "-1"]), default=None)(fn)
     fn = click.option("--points", "points_opt", default=None, help='extra points "x,y;x,y"')(fn)
     return fn
@@ -502,7 +506,7 @@ def analyze(config_path, out_dir, mode, orientation, points_opt):
 def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
     """Verify a closed-form candidate; exit 0 when all residuals pass."""
     cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
-    run_mode = cfg.settings.mode
+    run_mode = cfg.mode
     expected = 4 if run_mode == "complex" else 2
     if len(alpha_exprs) != expected:
         click.echo(

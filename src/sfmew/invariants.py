@@ -67,6 +67,7 @@ CONFORMAL_WEIGHTS = {
 }
 
 DEFAULT_TOL_FLAT = 1e-10
+_TOL_SIGMA = 1e-9  # |sigma| below this share of its bound |Y||W|: numerically zero
 
 #: Jet order of a scan's frames: the constraint coefficients read four orders of
 #: the structure (docs/decisions.md, section 6).
@@ -401,9 +402,9 @@ class InvariantField:
 
     # -- degenerate branch (divides by sigma) --------------------------------
 
-    def sigma_is_zero(self, tol=1e-9):
+    def sigma_is_zero(self):
         """Whether sigma is numerically zero, at each of ``nodes``."""
-        return abs(self.sigma.value) < tol * self.sigma_scale
+        return abs(self.sigma.value) < _TOL_SIGMA * self.sigma_scale
 
     def take(self, cols):
         """The chain at some of ``nodes`` (indices into them), for the branch."""

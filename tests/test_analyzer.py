@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +25,11 @@ from sfmew.analyzer import (
     scan_region,
     summarize,
     verify_candidate,
+    verify_candidates,
 )
 from sfmew.expr import parse
 from sfmew.geometry import Frame
-from sfmew.invariants import PointInvariants, compute_invariants
+from sfmew.invariants import SCAN_ORDER, InvariantField, PointInvariants, compute_invariants
 from sfmew.jets import Jet, jet_space
 
 from columns import column, trimmed
@@ -96,7 +98,7 @@ def test_classify_spiral_obstructed_with_closed_form_resultant(spiral_structure)
     for r, pt in [(0.25, (0.5, 0.0)), (1.0, (1.0, 0.0)), (4.0, (2.0, 0.0))]:
         verdict = classify_point(spiral_structure, pt)
         assert verdict.tag == VerdictTag.OBSTRUCTED
-        res13 = next(t for t in verdict.resultants if t.pair == "res13")
+        res13 = verdict.resultants["res13"]
         closed = (
             2.0**142
             * 3**10
@@ -272,7 +274,7 @@ def test_classify_deterministic(quadratic_structure):
     b = classify_point(quadratic_structure, (0.8, -0.3))
     assert a.tag == b.tag
     assert a.f_candidates == b.f_candidates
-    assert [r.value for r in a.resultants] == [r.value for r in b.resultants]
+    assert [r.value for r in a.resultants.values()] == [r.value for r in b.resultants.values()]
 
 
 def test_orientation_flip_negates_f_and_preserves_tags(
@@ -292,8 +294,83 @@ def test_orientation_flip_negates_f_and_preserves_tags(
     assert rep_plus.passed and rep_minus.passed
 
 
+# seed-7 members of the benchmark's families (perfbench/families.py), and the
+# nodes of its analyze calls: the 21x21 grid over [-2, 2]^2 plus six near-flat points
+SPIRAL_7_1 = MoebiusStructure.from_strings(
+    "0.0 + (-0.0765)*x + (-0.0359)*y + (0.0031999999999999997)*x*x + (0.0095)*x*y"
+    " + (0.0186)*y*y",
+    "-0.004118279999999999 + (-0.00014854999999999995)*x + (0.00060873)*y"
+    " + (-2.4645000000000002e-05)*x*x + (0.9997074)*x*y + (-0.0006467949999999998)*y*y",
+    "-0.00675365 + (-0.0009565099999999999)*x + (-0.0031868499999999998)*y"
+    " + (-0.4999392)*x*x + (0.00032832999999999994)*x*y + (0.5003534)*y*y",
+    "-0.03948172 + (0.00014854999999999995)*x + (-0.00060873)*y"
+    " + (2.4645000000000002e-05)*x*x + (-0.9997074)*x*y + (0.0006467949999999998)*y*y",
+)
+OPPOSITE_7_MEMBERS = [
+    MoebiusStructure.from_strings(
+        "0", "(-0.5)*x*x + (0.5)*y*y", "(-1.0)*x*y", "(0.5)*x*x + (-0.5)*y*y"
+    ),
+    MoebiusStructure.from_strings(
+        "0.0 + (-0.0765)*x + (-0.0359)*y + (0.0031999999999999997)*x*x + (0.0095)*x*y"
+        " + (0.0186)*y*y",
+        "-0.004118279999999999 + (-0.00014854999999999995)*x + (0.00060873)*y"
+        " + (-0.500024645)*x*x + (-0.00029259999999999996)*x*y + (0.499353205)*y*y",
+        "-0.00675365 + (-0.0009565099999999999)*x + (-0.0031868499999999998)*y"
+        " + (6.0799999999999994e-05)*x*x + (-0.99967167)*x*y + (0.00035339999999999997)*y*y",
+        "-0.03948172 + (0.00014854999999999995)*x + (-0.00060873)*y"
+        " + (0.500024645)*x*x + (0.00029259999999999996)*x*y + (-0.499353205)*y*y",
+    ),
+    MoebiusStructure.from_strings(
+        "0.0 + (0.0118)*x + (0.0038)*y + (0.020999999999999998)*x*x + (0.0237)*x*y"
+        " + (-0.0009999999999999992)*y*y",
+        "-0.0419376 + (0.0004055399999999999)*x + (0.00028725999999999996)*y"
+        " + (-0.499398845)*x*x + (0.0010427999999999998)*x*y + (0.500278845)*y*y",
+        "-0.023655159999999998 + (0.00043925999999999997)*x + (6.646000000000002e-05)*y"
+        " + (0.0009953999999999998)*x*x + (-0.99952231)*x*y + (-4.739999999999996e-05)*y*y",
+        "0.0019375999999999983 + (-0.0004055399999999999)*x + (-0.00028725999999999996)*y"
+        " + (0.499398845)*x*x + (-0.0010427999999999998)*x*y + (-0.500278845)*y*y",
+    ),
+]
+MEMBER_NODES = [(float(x), float(y)) for x in np.linspace(-2.0, 2.0, 21)
+                for y in np.linspace(-2.0, 2.0, 21)]
+MEMBER_NODES += [p for r in (1e-3, 1e-2, 1e-1) for p in ((r, 0.0), (0.0, r))]
+
+
+def test_degenerate_branch_follows_the_one_sigma_rule():
+    """sigma ~ 0 is decided once, by the field's branch columns: a node where
+    sigma > 0 only through rounding does not enter the branch, a node where
+    sigma is well above zero does, with the field's own tensor."""
+    field = InvariantField([Frame(SPIRAL_7_1, p, SCAN_ORDER) for p in MEMBER_NODES])
+    assert np.count_nonzero(field.invariant_values().sigma > 0.0) == 143
+    assert all(v.m_norm is None for v in classify_points(SPIRAL_7_1, MEMBER_NODES))
+    for structure in OPPOSITE_7_MEMBERS:
+        verdicts = classify_points(structure, MEMBER_NODES)
+        nonflat = [v for v in verdicts if v.tag != VerdictTag.FLAT]
+        assert len(nonflat) == 446
+        field = InvariantField([Frame(structure, p, SCAN_ORDER) for p in MEMBER_NODES])
+        assert [v.m_norm for v in nonflat] == [rep.norm for rep in field.m_tensor()]
+
+
+def test_settings_are_the_orientation_and_the_tolerances_a_config_sets():
+    assert [f.name for f in fields(Settings)] == [
+        "orientation", "tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # verification
+
+
+def test_verify_candidates_rejects_an_unknown_mode(quadratic_structure):
+    """A mode is checked where verification reads it: a ValueError that names it,
+    for a closed-form candidate and a reconstructed one alike."""
+    inv = compute_invariants(quadratic_structure, (0.9, -0.7))
+    closed, reconstructed = make_candidate("y", "-x"), alpha_from_F(inv, -2.0)
+    with pytest.raises(ValueError, match="mode must be 'real' or 'complex', not 'foo'"):
+        verify_candidates(quadratic_structure, closed, [(0.9, -0.7)], mode="foo")
+    for cand in (closed, reconstructed):
+        with pytest.raises(ValueError, match="not 'foo'"):
+            verify_candidate(quadratic_structure, cand, (0.9, -0.7), mode="foo")
 
 
 def test_verify_closed_form_solution_everywhere(quadratic_structure):

@@ -216,7 +216,7 @@ def test_residual_reports_do_not_depend_on_the_batch(
     data, quadratic_structure, opposite_structure
 ):
     structure, cand, mode = data.draw(verify_cases(quadratic_structure, opposite_structure))
-    run = Settings(mode=mode, orientation=data.draw(st.sampled_from([1, -1])))
+    run = Settings(orientation=data.draw(st.sampled_from([1, -1])))
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=9))
     chunk = data.draw(st.integers(1, 5))
     with mock.patch.object(analyzer, "_CHUNK", chunk):

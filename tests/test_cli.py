@@ -462,6 +462,15 @@ def test_config_keys_that_are_not_read_are_config_errors(runner, tmp_path, extra
         assert f"config error: {named}" in result.output
 
 
+def test_mode_must_be_real_or_complex(runner, tmp_path):
+    """A bad ``[options] mode`` is a config error for every command (exit 2), naming it."""
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS + "[options]\nmode = quantum\n")
+    for args in _EVERY_COMMAND:
+        result = runner.invoke(main, args + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (args, result.output)
+        assert "config error: mode must be 'real' or 'complex', not 'quantum'" in result.output
+
+
 @pytest.mark.parametrize("text", [
     QUADRATIC + POINTS + POINTS,  # a duplicate section
     QUADRATIC + "u = \"1\"\n",  # a duplicate key
@@ -484,8 +493,7 @@ def test_tolerances_must_be_finite_and_positive(runner, tmp_path, value):
     )
     assert result.exit_code == 2, result.output
     assert "config error: tol_residual must be finite and positive" in result.output
-    for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual",
-                 "tol_sigma", "tol_m"):
+    for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual"):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             Settings(**{name: float(value)})
 

@@ -146,7 +146,7 @@ def test_closed_form_order_gives_the_reports_of_higher_orders(
     structure, cand, mode = data.draw(verify_cases(quadratic_structure, opposite_structure))
     if data.draw(st.booleans()):  # a wrong candidate: nonzero residuals, which fail
         cand = closed_form(*(["0", "0"] if mode == "complex" else []), "1.5*y", "-1.5*x")
-    run = Settings(mode=mode, orientation=data.draw(st.sampled_from([1, -1])))
+    run = Settings(orientation=data.draw(st.sampled_from([1, -1])))
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
     order = data.draw(st.integers(analyzer._CLOSED_FORM_ORDER + 1, 8))
     reports = verify_candidates(structure, cand, points, mode, run)

@@ -201,7 +201,7 @@ def test_resultant_value_at_a_zero_determinant_with_inf_scale_is_zero(spiral_str
     assert ResultantReport(0.5, np.inf, 1e-17).value == np.inf
     # the base spiral at (1e4, 0): P2 and P3 share a factor, and the scale is inf
     verdict = classify_point(spiral_structure, (1e4, 0.0))
-    (res23,) = [r for r in verdict.resultants if r.pair == "res23"]
+    res23 = verdict.resultants["res23"]
     assert res23.normalized == 0.0 and res23.value == 0.0
 
 

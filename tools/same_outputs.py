@@ -14,7 +14,11 @@ wrong candidate, 1.5 (y, -x) without d omega (1.5 i (y, -x) on the
 opposite family), whose residuals are nonzero and fail.  ``invariants``,
 ``constraints`` and ``rescale`` (with omega = 0.1 x - 0.05 y^2) run in
 real mode on the near-flat points plus every 55th grid node, nine nodes
-from corner to corner.  The calls run
+from corner to corner.  On the first rescaled member of each family at
+seed 7, ``analyze`` and ``verify`` run twice more: once with a config that
+sets all five ``[tolerances]`` keys to values other than their defaults,
+and once with ``--mode`` and ``--orientation -1`` overriding the config
+(``verify``'s config names the other mode).  The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
@@ -40,20 +44,33 @@ FAMILIES = ("spiral", "quadratic", "opposite")
 GRID = 21
 DUMP_STRIDE = 55  # grid nodes of the invariants, constraints and rescale calls
 OMEGA = "0.1*x - 0.05*y*y"  # the log rescaling factor of the rescale calls
+# the calls that set every tolerance and override the mode and orientation run on
+# this member (seed, index) of each family, with these tolerances
+OVERRIDDEN = (7, 1)
+TOLERANCES = {"tol_flat": "1e-9", "tol_root": "1e-6", "tol_res_low": "1e-11",
+              "tol_res_high": "1e-4", "tol_residual": "1e-5"}
 # the far field, where the rescaled members' invariants approach the float range
 FAR_FIELD = [(r * math.cos(2.0 * math.pi * k / 24), r * math.sin(2.0 * math.pi * k / 24))
              for r in (20.0, 30.0) for k in range(24)]
 
 
-def config_text(member, grid, points, mode):
+def config_text(member, grid, points, mode, tolerances=None):
     u, p11, p12, p22 = member.structure_sources()
     lines = ["[structure]", f'u = "{u}"', f'P11 = "{p11}"', f'P12 = "{p12}"', f'P22 = "{p22}"']
     if grid:
         lines += ["[region]", "xmin = -2.0", "xmax = 2.0", "ymin = -2.0", "ymax = 2.0",
                   f"nx = {grid}", f"ny = {grid}"]
     lines += ["[points]", 'points = "' + "; ".join(f"{x!r},{y!r}" for x, y in points) + '"']
+    if tolerances:
+        lines += ["[tolerances]"] + [f"{key} = {value}" for key, value in tolerances.items()]
     lines += ["[options]", f"mode = {mode}"]
     return "\n".join(lines) + "\n"
+
+
+def write_config(path, member, *rest):
+    """Write a config (``config_text`` of ``member`` and ``rest``); its CLI arguments."""
+    path.write_text(config_text(member, *rest))
+    return ["--config", str(path)]
 
 
 def calls(fam, out):
@@ -63,9 +80,9 @@ def calls(fam, out):
             for member in fam.members(family, seed):
                 base = out / str(seed) / member.name
                 base.mkdir(parents=True)
-                (base / "analyze.cfg").write_text(
-                    config_text(member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real"))
-                yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
+                config = lambda name, *rest: write_config(base / name, member, *rest)
+                far = list(fam.NEAR_FLAT) + FAR_FIELD
+                yield base / "analyze", ["analyze"] + config("analyze.cfg", GRID, far, "real")
                 points = fam.grid_nodes(GRID) + list(fam.NEAR_FLAT)
                 wx, wy, *_ = fam.verify_alpha_sources(member)
                 if family == "opposite":
@@ -73,16 +90,27 @@ def calls(fam, out):
                 else:
                     mode, alpha = "real", (f"y + {wx}", f"-x + {wy}")
                 wrong = ("1.5*y", "-1.5*x") if mode == "real" else ("0", "0", "1.5*y", "-1.5*x")
-                (base / "verify.cfg").write_text(config_text(member, 0, points, mode))
+                verify = ["verify"] + config("verify.cfg", 0, points, mode)
                 for name, candidate in (("verify", alpha), ("verify-wrong", wrong)):
-                    yield base / name, ["verify", "--config", str(base / "verify.cfg")] + [
-                        f"--alpha={a}" for a in candidate]
+                    yield base / name, verify + [f"--alpha={a}" for a in candidate]
+                if (seed, member.index) == OVERRIDDEN:
+                    alpha_args = [f"--alpha={a}" for a in alpha]
+                    yield base / "analyze-tol", ["analyze"] + config(
+                        "analyze-tol.cfg", GRID, far, "real", TOLERANCES)
+                    yield base / "verify-tol", ["verify"] + config(
+                        "verify-tol.cfg", 0, points, mode, TOLERANCES) + alpha_args
+                    other = "real" if mode == "complex" else "complex"
+                    yield base / "verify-overrides", ["verify"] + config(
+                        "verify-other.cfg", 0, points, other
+                    ) + [f"--mode={mode}", "--orientation=-1"] + alpha_args
+                    yield base / "analyze-overrides", [
+                        "analyze", "--config", str(base / "analyze.cfg"), "--mode=complex",
+                        "--orientation=-1"]
                 points = list(fam.NEAR_FLAT) + fam.grid_nodes(GRID)[::DUMP_STRIDE]
-                (base / "dump.cfg").write_text(config_text(member, 0, points, "real"))
+                dump = config("dump.cfg", 0, points, "real")
                 for command in ("invariants", "constraints"):
-                    yield base / command, [command, "--config", str(base / "dump.cfg")]
-                yield base / "rescale", ["rescale", "--config", str(base / "dump.cfg"),
-                                         f"--omega={OMEGA}"]
+                    yield base / command, [command] + dump
+                yield base / "rescale", ["rescale"] + dump + [f"--omega={OMEGA}"]
 
 
 def run_all(src, out):
