@@ -65,7 +65,7 @@ batch of one node.  Everything here is deterministic and side-effect free.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
@@ -146,9 +146,9 @@ class Settings:
     def __post_init__(self):
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        for f in fields(self)[1:]:  # every field after orientation is a tolerance
-            if not 0 < getattr(self, f.name) < math.inf:
-                raise ValueError(f"{f.name} must be finite and positive")
+        for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 DEFAULT_SETTINGS = Settings()

@@ -379,10 +379,8 @@ def _verdict_record(x, y, verdict):
         "residual": min((r.max_residual for r in verdict.residuals), default=None),
         "m_norm": verdict.m_norm,
     }
-    for pair in RESULTANT_PAIRS:
-        if pair in verdict.resultants:
-            rep = verdict.resultants[pair]
-            rec[pair], rec[pair + "_value"], rec[pair + "_gap"] = rep.normalized, rep.value, rep.gap
+    for pair, rep in verdict.resultants.items():
+        rec[pair], rec[pair + "_value"], rec[pair + "_gap"] = rep.normalized, rep.value, rep.gap
     return rec
 
 
@@ -398,12 +396,11 @@ def _csv_text(value):
 
 def _csv_row(node):
     v = node.verdict
-    res = {pair: _csv_text(rep.normalized) for pair, rep in v.resultants.items()}
     return [
         _csv_text(node.x),
         _csv_text(node.y),
         v.tag.value,
-        *(res.get(pair, "") for pair in RESULTANT_PAIRS),
+        *(_csv_text(v.resultants[p].normalized) if v.resultants else "" for p in RESULTANT_PAIRS),
         ";".join([_csv_text(f) for f in v.f_candidates]),
         _csv_text(min([r.max_residual for r in v.residuals])) if v.residuals else "",
     ]

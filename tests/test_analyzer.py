@@ -33,6 +33,7 @@ from sfmew.invariants import SCAN_ORDER, InvariantField, PointInvariants, comput
 from sfmew.jets import Jet, jet_space
 
 from columns import column, trimmed
+from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, SPIRAL_7_1
 
 
 def make_candidate(*sources, mode="real"):
@@ -292,48 +293,6 @@ def test_orientation_flip_negates_f_and_preserves_tags(
     assert rep_plus.f == pytest.approx(-2.0)
     assert rep_minus.f == pytest.approx(2.0)
     assert rep_plus.passed and rep_minus.passed
-
-
-# seed-7 members of the benchmark's families (perfbench/families.py), and the
-# nodes of its analyze calls: the 21x21 grid over [-2, 2]^2 plus six near-flat points
-SPIRAL_7_1 = MoebiusStructure.from_strings(
-    "0.0 + (-0.0765)*x + (-0.0359)*y + (0.0031999999999999997)*x*x + (0.0095)*x*y"
-    " + (0.0186)*y*y",
-    "-0.004118279999999999 + (-0.00014854999999999995)*x + (0.00060873)*y"
-    " + (-2.4645000000000002e-05)*x*x + (0.9997074)*x*y + (-0.0006467949999999998)*y*y",
-    "-0.00675365 + (-0.0009565099999999999)*x + (-0.0031868499999999998)*y"
-    " + (-0.4999392)*x*x + (0.00032832999999999994)*x*y + (0.5003534)*y*y",
-    "-0.03948172 + (0.00014854999999999995)*x + (-0.00060873)*y"
-    " + (2.4645000000000002e-05)*x*x + (-0.9997074)*x*y + (0.0006467949999999998)*y*y",
-)
-OPPOSITE_7_MEMBERS = [
-    MoebiusStructure.from_strings(
-        "0", "(-0.5)*x*x + (0.5)*y*y", "(-1.0)*x*y", "(0.5)*x*x + (-0.5)*y*y"
-    ),
-    MoebiusStructure.from_strings(
-        "0.0 + (-0.0765)*x + (-0.0359)*y + (0.0031999999999999997)*x*x + (0.0095)*x*y"
-        " + (0.0186)*y*y",
-        "-0.004118279999999999 + (-0.00014854999999999995)*x + (0.00060873)*y"
-        " + (-0.500024645)*x*x + (-0.00029259999999999996)*x*y + (0.499353205)*y*y",
-        "-0.00675365 + (-0.0009565099999999999)*x + (-0.0031868499999999998)*y"
-        " + (6.0799999999999994e-05)*x*x + (-0.99967167)*x*y + (0.00035339999999999997)*y*y",
-        "-0.03948172 + (0.00014854999999999995)*x + (-0.00060873)*y"
-        " + (0.500024645)*x*x + (0.00029259999999999996)*x*y + (-0.499353205)*y*y",
-    ),
-    MoebiusStructure.from_strings(
-        "0.0 + (0.0118)*x + (0.0038)*y + (0.020999999999999998)*x*x + (0.0237)*x*y"
-        " + (-0.0009999999999999992)*y*y",
-        "-0.0419376 + (0.0004055399999999999)*x + (0.00028725999999999996)*y"
-        " + (-0.499398845)*x*x + (0.0010427999999999998)*x*y + (0.500278845)*y*y",
-        "-0.023655159999999998 + (0.00043925999999999997)*x + (6.646000000000002e-05)*y"
-        " + (0.0009953999999999998)*x*x + (-0.99952231)*x*y + (-4.739999999999996e-05)*y*y",
-        "0.0019375999999999983 + (-0.0004055399999999999)*x + (-0.00028725999999999996)*y"
-        " + (0.499398845)*x*x + (-0.0010427999999999998)*x*y + (-0.500278845)*y*y",
-    ),
-]
-MEMBER_NODES = [(float(x), float(y)) for x in np.linspace(-2.0, 2.0, 21)
-                for y in np.linspace(-2.0, 2.0, 21)]
-MEMBER_NODES += [p for r in (1e-3, 1e-2, 1e-1) for p in ((r, 0.0), (0.0, r))]
 
 
 def test_degenerate_branch_follows_the_one_sigma_rule():

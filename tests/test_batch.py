@@ -55,6 +55,8 @@ def canon(obj):
         return (obj.dtype.str, obj.shape, obj.tobytes())
     if isinstance(obj, (list, tuple)):
         return tuple(canon(x) for x in obj)
+    if isinstance(obj, dict):
+        return tuple((k, canon(v)) for k, v in obj.items())
     if isinstance(obj, (float, np.floating)):
         return float(obj).hex()
     if isinstance(obj, complex):

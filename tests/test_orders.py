@@ -37,6 +37,7 @@ from sfmew.constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from sfmew.geometry import Frame, MoebiusStructure
 from sfmew.invariants import LIFT_ORDER, SCAN_ORDER, InvariantField
 
+from seed7 import OPPOSITE_7_MEMBERS
 from test_batch import POINTS, canon, closed_form, structures, verify_cases
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
@@ -178,16 +179,7 @@ SPIRAL_131 = MoebiusStructure.from_strings(
     "-0.001997004999999996 + (-0.0036120400000000004)*x + (-0.00024624000000000016)*y"
     " + (-0.0030132)*x*x + (-1.00147136)*x*y + (-0.00014688000000000003)*y*y",
 )
-OPPOSITE_7 = MoebiusStructure.from_strings(
-    "0.0 + (0.0118)*x + (0.0038)*y + (0.020999999999999998)*x*x + (0.0237)*x*y"
-    " + (-0.0009999999999999992)*y*y",
-    "-0.0419376 + (0.0004055399999999999)*x + (0.00028725999999999996)*y"
-    " + (-0.499398845)*x*x + (0.0010427999999999998)*x*y + (0.500278845)*y*y",
-    "-0.023655159999999998 + (0.00043925999999999997)*x + (6.646000000000002e-05)*y"
-    " + (0.0009953999999999998)*x*x + (-0.99952231)*x*y + (-4.739999999999996e-05)*y*y",
-    "0.0019375999999999983 + (-0.0004055399999999999)*x + (-0.00028725999999999996)*y"
-    " + (0.499398845)*x*x + (-0.0010427999999999998)*x*y + (-0.500278845)*y*y",
-)
+OPPOSITE_7 = OPPOSITE_7_MEMBERS[2]
 
 
 def test_branch_value_beyond_the_float_range_raises_no_warning():

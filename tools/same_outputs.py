@@ -67,12 +67,6 @@ def config_text(member, grid, points, mode, tolerances=None):
     return "\n".join(lines) + "\n"
 
 
-def write_config(path, member, *rest):
-    """Write a config (``config_text`` of ``member`` and ``rest``); its CLI arguments."""
-    path.write_text(config_text(member, *rest))
-    return ["--config", str(path)]
-
-
 def calls(fam, out):
     """Write the configs; the CLI arguments of every call, with its output directory."""
     for seed in SEEDS:
@@ -80,9 +74,9 @@ def calls(fam, out):
             for member in fam.members(family, seed):
                 base = out / str(seed) / member.name
                 base.mkdir(parents=True)
-                config = lambda name, *rest: write_config(base / name, member, *rest)
-                far = list(fam.NEAR_FLAT) + FAR_FIELD
-                yield base / "analyze", ["analyze"] + config("analyze.cfg", GRID, far, "real")
+                (base / "analyze.cfg").write_text(
+                    config_text(member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real"))
+                yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
                 points = fam.grid_nodes(GRID) + list(fam.NEAR_FLAT)
                 wx, wy, *_ = fam.verify_alpha_sources(member)
                 if family == "opposite":
@@ -90,27 +84,34 @@ def calls(fam, out):
                 else:
                     mode, alpha = "real", (f"y + {wx}", f"-x + {wy}")
                 wrong = ("1.5*y", "-1.5*x") if mode == "real" else ("0", "0", "1.5*y", "-1.5*x")
-                verify = ["verify"] + config("verify.cfg", 0, points, mode)
+                (base / "verify.cfg").write_text(config_text(member, 0, points, mode))
                 for name, candidate in (("verify", alpha), ("verify-wrong", wrong)):
-                    yield base / name, verify + [f"--alpha={a}" for a in candidate]
+                    yield base / name, ["verify", "--config", str(base / "verify.cfg")] + [
+                        f"--alpha={a}" for a in candidate]
                 if (seed, member.index) == OVERRIDDEN:
                     alpha_args = [f"--alpha={a}" for a in alpha]
-                    yield base / "analyze-tol", ["analyze"] + config(
-                        "analyze-tol.cfg", GRID, far, "real", TOLERANCES)
-                    yield base / "verify-tol", ["verify"] + config(
-                        "verify-tol.cfg", 0, points, mode, TOLERANCES) + alpha_args
                     other = "real" if mode == "complex" else "complex"
-                    yield base / "verify-overrides", ["verify"] + config(
-                        "verify-other.cfg", 0, points, other
-                    ) + [f"--mode={mode}", "--orientation=-1"] + alpha_args
+                    (base / "analyze-tol.cfg").write_text(config_text(
+                        member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real", TOLERANCES))
+                    (base / "verify-tol.cfg").write_text(
+                        config_text(member, 0, points, mode, TOLERANCES))
+                    (base / "verify-other.cfg").write_text(config_text(member, 0, points, other))
+                    yield base / "analyze-tol", [
+                        "analyze", "--config", str(base / "analyze-tol.cfg")]
+                    yield base / "verify-tol", [
+                        "verify", "--config", str(base / "verify-tol.cfg")] + alpha_args
+                    yield base / "verify-overrides", [
+                        "verify", "--config", str(base / "verify-other.cfg"), f"--mode={mode}",
+                        "--orientation=-1"] + alpha_args
                     yield base / "analyze-overrides", [
                         "analyze", "--config", str(base / "analyze.cfg"), "--mode=complex",
                         "--orientation=-1"]
                 points = list(fam.NEAR_FLAT) + fam.grid_nodes(GRID)[::DUMP_STRIDE]
-                dump = config("dump.cfg", 0, points, "real")
+                (base / "dump.cfg").write_text(config_text(member, 0, points, "real"))
                 for command in ("invariants", "constraints"):
-                    yield base / command, [command] + dump
-                yield base / "rescale", ["rescale"] + dump + [f"--omega={OMEGA}"]
+                    yield base / command, [command, "--config", str(base / "dump.cfg")]
+                yield base / "rescale", ["rescale", "--config", str(base / "dump.cfg"),
+                                         f"--omega={OMEGA}"]
 
 
 def run_all(src, out):
