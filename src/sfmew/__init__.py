@@ -27,7 +27,6 @@ from .analyzer import (
     RegionReport,
     RegionSpec,
     ResidualReport,
-    Settings,
     SolutionCandidate,
     Verdict,
     VerdictTag,

@@ -74,20 +74,15 @@ from . import jets
 from .constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
-from .invariants import (
-    DEFAULT_TOL_FLAT, LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f,
-)
+from .invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f
 from .jets import ipow
-from .polyalg import (
-    DEFAULT_TOL_ROOT, column_common_roots, column_resultant_reports, trimmed_degrees,
-)
+from .polyalg import TOL_ROOT, column_common_roots, column_resultant_reports, trimmed_degrees
 
 __all__ = [
     "VerdictTag",
     "Verdict",
     "SolutionCandidate",
     "ResidualReport",
-    "Settings",
     "RESULTANT_PAIRS",
     "RegionSpec",
     "NodeVerdict",
@@ -113,6 +108,9 @@ _CHUNK = 96
 _TOL_P0 = 1e-9  # |P0(F)| below this share of |sigma| + 3 rho F^2: the formula has no alpha
 _TOL_FORCED_F = 1e-6  # relative mismatch of F^2 and sigma / (3 rho) on the branch
 _TOL_M = 1e-8  # |M| below this share of its terms' size: the branch tensor vanishes
+_TOL_RES_LOW = 1e-12  # every Sylvester gap below this: the resultants are numerically zero
+_TOL_RES_HIGH = 1e-5  # a Sylvester gap above this: that resultant is certified nonzero
+TOL_RESIDUAL = 1e-6  # a residual report passes where every residual is below this
 
 
 class P0Vanishes(Exception):
@@ -131,27 +129,6 @@ class VerdictTag(str, Enum):
     VANISHING = "VanishingObstructionsNoRealSolution"
     INCONCLUSIVE = "Inconclusive"
 
-
-@dataclass
-class Settings:
-    """The orientation and the tolerances that a run config sets."""
-
-    orientation: int = 1
-    tol_flat: float = DEFAULT_TOL_FLAT
-    tol_root: float = DEFAULT_TOL_ROOT
-    tol_res_low: float = 1e-12  # Sylvester gap below: resultant numerically zero
-    tol_res_high: float = 1e-5  # Sylvester gap above: certified nonzero
-    tol_residual: float = 1e-6
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-
-
-DEFAULT_SETTINGS = Settings()
 
 MODES = ("real", "complex")  # of verification: a real candidate, or a complex one
 
@@ -318,8 +295,7 @@ def _imag(col):
     return 0.0 if col.im is None else col.im
 
 
-def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, tol_residual,
-                      on_root=None):
+def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, on_root=None):
     """Residual reports of candidates at the nodes of ``frame``.
 
     Node arrays, node axis last: ``alpha`` (2, N), ``dalpha[a][b]`` =
@@ -373,7 +349,7 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
                 for axis in range(2)
             ], axis=0)
         max_res = np.max([res_u, res_w, res_tensor, res_trace], axis=0)
-    passed = max_res < tol_residual
+    passed = max_res < TOL_RESIDUAL
     if on_root is not None:
         passed &= on_root
     f = f.array() if mode == "complex" else f.re
@@ -394,7 +370,7 @@ def _complex(parts):
     return out
 
 
-def verify_candidates(structure, candidate, points, mode="real", settings=None):
+def verify_candidates(structure, candidate, points, mode="real", orientation=1):
     """Residual reports of a closed-form candidate at every point, in order.
 
     The candidate's ``alpha_exprs`` are differentiated exactly via jets: 2
@@ -408,10 +384,9 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
     node's residuals are assembled from its own floats, so its report does
     not depend on its batch.  At flat points the invariant-based algebraic residuals are
     reported as zero (not applicable).  ``mode`` is one of :data:`MODES`;
-    any other raises ValueError.
+    any other raises ValueError.  ``orientation`` (+1 or -1) flips F.
     """
     check_mode(mode)
-    settings = settings or DEFAULT_SETTINGS
     exprs = candidate.alpha_exprs
     if exprs is None:
         raise ValueError("verify_candidates needs closed-form alpha expressions")
@@ -423,7 +398,9 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
     points = [tuple(map(float, p)) for p in points]
     reports = []
     for start in range(0, len(points), _CHUNK):
-        reports += _verify_chunk(structure, exprs, points[start : start + _CHUNK], mode, settings)
+        reports += _verify_chunk(
+            structure, exprs, points[start : start + _CHUNK], mode, orientation
+        )
     jets.release_tables()
     return reports
 
@@ -432,17 +409,17 @@ def verify_candidates(structure, candidate, points, mode="real", settings=None):
 _RESIDUAL_INVARIANTS = ("Y", "U_up", "Y_up", "W", "phi", "ell", "rho", "mu")
 
 
-def _verify_chunk(structure, exprs, points, mode, settings):
-    order, o = _CLOSED_FORM_ORDER, float(settings.orientation)
+def _verify_chunk(structure, exprs, points, mode, orientation):
+    order, o = _CLOSED_FORM_ORDER, float(orientation)
     # a candidate beyond the float range gets NaN residuals, and fails, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            frame = Frame.stack([Frame(structure, p, order, settings.orientation) for p in points])
+            frame = Frame.stack([Frame(structure, p, order, orientation) for p in points])
             comps = [eval_jet(e, points, order, frame.space) for e in exprs]
         except (jets.JetError, ArithmeticError):
             # the error a point-by-point pass meets first: a point's frame, then its candidate
             for p in points:
-                space = Frame.stack([Frame(structure, p, order, settings.orientation)]).space
+                space = Frame.stack([Frame(structure, p, order, orientation)]).space
                 for e in exprs:
                     eval_jet(e, p, order, space)
             raise
@@ -461,13 +438,11 @@ def _verify_chunk(structure, exprs, points, mode, settings):
         dalpha, F = _nabla_alpha(
             alpha, partials, jets.values(frame.gamma), o * jets.values(frame.e2u_inv)
         )
-        field = InvariantField(frame, settings.tol_flat)
+        field = InvariantField(frame)
         inv = PointInvariants(
             **{name: jets.values(getattr(field, name)) for name in _RESIDUAL_INVARIANTS}
         ) if field.nodes.size else None
-        return _residual_reports(
-            frame, inv, field.flat, mode, "jets", alpha, dalpha, F, grad_F, settings.tol_residual
-        )
+        return _residual_reports(frame, inv, field.flat, mode, "jets", alpha, dalpha, F, grad_F)
 
 
 def _nabla_alpha(alpha, partials, gamma, o_e2u_inv):
@@ -505,18 +480,15 @@ def _value(x):
     return getattr(x, "value", x)
 
 
-def _lift_root(coeffs, f0, tol_root):
-    """Jet of the root branch F of a polynomial with coefficient jets, through f0.
+def _lift_root(coeffs, f0, p, dp):
+    """Jet of the root branch F of a polynomial with coefficient jets, through
+    a simple root f0, from P(f0) and P'(f0) (``p``, ``dp``).
 
     Newton steps in jet arithmetic; they also polish the value against the
     full coefficients (:func:`~sfmew.polyalg.trimmed_degrees` drops
-    negligible leading ones before the root search).  Raises
-    :class:`MultipleRoot` where P'(f0) is numerically zero relative to the
-    size of its terms.  On node columns ``f0`` holds one root per node.
+    negligible leading ones before the root search).  On node columns ``f0``
+    holds one root per node.
     """
-    p, dp = _horner(coeffs, f0)
-    if not np.all(_is_simple(coeffs, f0, dp, tol_root)):
-        raise MultipleRoot(f"P'({f0}) = {_value(dp)} numerically zero")
     F = f0
     for step in range(_LIFT_STEPS):
         if step:
@@ -525,13 +497,13 @@ def _lift_root(coeffs, f0, tol_root):
     return F
 
 
-def _is_simple(coeffs, f0, dp, tol_root):
+def _is_simple(coeffs, f0, dp):
     """Whether P'(f0), ``dp``, is not numerically zero next to the size of its terms."""
     scale = sum(i * abs(_value(c)) * ipow(abs(f0), i - 1) for i, c in enumerate(coeffs) if i)
-    return abs(_value(dp)) > tol_root * scale
+    return abs(_value(dp)) > TOL_ROOT * scale
 
 
-def _lifted_reports(field, cols, roots, inv, settings):
+def _lifted_reports(field, cols, roots, inv):
     """Verify the reconstructed candidates of real roots by lifting them to jets.
 
     Root ``roots[i]`` belongs to the node ``cols[i]`` of ``field`` (an index
@@ -543,7 +515,7 @@ def _lifted_reports(field, cols, roots, inv, settings):
     the lift kept that passes, else the one with the smallest residual: near
     flat points one constraint can have its roots far less accurate than
     another.  A lift fails when it
-    moves F by more than ``tol_root`` (relative): f0 is then no root,
+    moves F by more than :data:`~sfmew.polyalg.TOL_ROOT` (relative): f0 is then no root,
     whatever root it leads to.  Returns a :class:`ResidualReport` per root,
     or None where the root is simple in no constraint.
     """
@@ -551,35 +523,31 @@ def _lifted_reports(field, cols, roots, inv, settings):
     if field.frame.order != LIFT_ORDER or nodes.size < field.nodes.size:
         f = field.frame  # the frames of the roots' nodes only, at the lift's order
         field = InvariantField(
-            [Frame(f.structure, f.points[c], LIFT_ORDER, f.orientation) for c in nodes],
-            settings.tol_flat,
+            [Frame(f.structure, f.points[c], LIFT_ORDER, f.orientation) for c in nodes]
         )
     jinv, roots = field.invariant_jets(), np.asarray(roots, dtype=float)
     reports = []
     for start in range(0, len(roots), _CHUNK):
         part = np.arange(start, min(start + _CHUNK, len(roots)))
-        reports += _lift_batch(
-            field.frame, jinv, cols[part], roots[part], inv.take(part), settings
-        )
+        reports += _lift_batch(field.frame, jinv, cols[part], roots[part], inv.take(part))
     return reports
 
 
-def _lift_batch(frame, jinv, cols, f0, inv, settings):
+def _lift_batch(frame, jinv, cols, f0, inv):
     jinv, frame = jinv.take(cols), frame.take(cols)
     best = [None] * f0.size
     for coeffs_of in _COEFFS:
         coeffs = coeffs_of(jinv)
-        sel = np.flatnonzero(_is_simple(coeffs, f0, _horner(coeffs, f0)[1], settings.tol_root))
+        p, dp = _horner(coeffs, f0)
+        sel = np.flatnonzero(_is_simple(coeffs, f0, dp))
         if not sel.size:
             continue
         if sel.size == f0.size:
-            F = _lift_root(coeffs, f0, settings.tol_root)
-            reports = _lift_residuals(frame, jinv, inv, f0, F, settings)
-        else:
-            F = _lift_root(jets.take(coeffs, sel), f0[sel], settings.tol_root)
-            reports = _lift_residuals(
-                frame.take(sel), jinv.take(sel), inv.take(sel), f0[sel], F, settings
-            )
+            F = _lift_root(coeffs, f0, p, dp)
+            reports = _lift_residuals(frame, jinv, inv, f0, F)
+        else:  # columns are independent: P(f0) and P'(f0) at ``sel`` keep their bits
+            F = _lift_root(jets.take(coeffs, sel), f0[sel], *jets.take([p, dp], sel))
+            reports = _lift_residuals(frame.take(sel), jinv.take(sel), inv.take(sel), f0[sel], F)
         for i, rep in zip(sel, reports):
             old = best[i]
             if old is None or (not rep.passed, rep.max_residual) < (
@@ -589,19 +557,18 @@ def _lift_batch(frame, jinv, cols, f0, inv, settings):
     return best
 
 
-def _lift_residuals(frame, jinv, inv, f0, F, settings):
+def _lift_residuals(frame, jinv, inv, f0, F):
     """Residual reports of the candidates of the lifted roots ``F`` (one per node column)."""
     numer, denom = _alpha_parts(jinv, F)
     alpha = [n / denom for n in numer]
-    on_root = np.abs(F.value - f0) <= settings.tol_root * np.maximum(1.0, np.abs(f0))
+    on_root = np.abs(F.value - f0) <= TOL_ROOT * np.maximum(1.0, np.abs(f0))
     return _residual_reports(
         frame, inv, np.zeros(f0.size, dtype=bool), "real", "jet-lift", jets.values(alpha),
-        jets.values(frame.cov_deriv(alpha, "d")), F.value, jets.values(frame.grad(F)),
-        settings.tol_residual, on_root,
+        jets.values(frame.cov_deriv(alpha, "d")), F.value, jets.values(frame.grad(F)), on_root,
     )
 
 
-def verify_candidate(structure, candidate, point, mode="real", settings=None):
+def verify_candidate(structure, candidate, point, mode="real", orientation=1):
     """Residual report for a candidate at a point.
 
     A closed-form candidate (``alpha_exprs`` set) goes through
@@ -609,21 +576,17 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
     are differentiated exactly too, by lifting their F, a root of the
     constraints, to a jet, with each constraint of which it is a simple root
     (the best lift is reported); they raise :class:`MultipleRoot` where it
-    is a simple root of none.
+    is a simple root of none.  ``orientation`` (+1 or -1) flips F.
     """
     check_mode(mode)
-    settings = settings or DEFAULT_SETTINGS
     if candidate.alpha_exprs is not None:
-        return verify_candidates(structure, candidate, [point], mode, settings)[0]
+        return verify_candidates(structure, candidate, [point], mode, orientation)[0]
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
-    field = InvariantField(
-        Frame(structure, point, LIFT_ORDER, settings.orientation),
-        settings.tol_flat,
-    )
+    field = InvariantField(Frame(structure, point, LIFT_ORDER, orientation))
     field.require_not_flat()
     f0 = float(candidate.F.real)
-    rep = _lifted_reports(field, [0], [f0], field.invariant_values(), settings)[0]
+    rep = _lifted_reports(field, [0], [f0], field.invariant_values())[0]
     if rep is None:
         raise MultipleRoot(f"F = {f0} is a multiple root of every constraint")
     return rep
@@ -633,31 +596,30 @@ def verify_candidate(structure, candidate, point, mode="real", settings=None):
 # classification
 
 
-def classify_point(structure, point, settings=None):
+def classify_point(structure, point, orientation=1):
     """Run the full decision procedure at one point (deterministic)."""
-    return classify_points(structure, [point], settings)[0]
+    return classify_points(structure, [point], orientation)[0]
 
 
-def classify_points(structure, points, settings=None):
+def classify_points(structure, points, orientation=1):
     """Run the decision procedure at every point; a list of verdicts in order.
 
     Points go through the invariant chain, the constraint assembly and the
     resultant reports in batches of ``_CHUNK`` nodes; each node's verdict is
-    bit-identical to the one it gets alone.
+    bit-identical to the one it gets alone.  ``orientation`` (+1 or -1)
+    flips F.
     """
-    settings = settings or DEFAULT_SETTINGS
     points = [tuple(map(float, p)) for p in points]
     verdicts = []
     for start in range(0, len(points), _CHUNK):
-        verdicts += _classify_chunk(structure, points[start : start + _CHUNK], settings)
+        verdicts += _classify_chunk(structure, points[start : start + _CHUNK], orientation)
     jets.release_tables()  # the product tables of this scan's widths are not kept past it
     return verdicts
 
 
-def _classify_chunk(structure, points, settings):
+def _classify_chunk(structure, points, orientation):
     field = InvariantField(  # stacked by the field, which drops the flat nodes' columns
-        [Frame(structure, p, SCAN_ORDER, settings.orientation) for p in points],
-        settings.tol_flat,
+        [Frame(structure, p, SCAN_ORDER, orientation) for p in points]
     )
     verdicts = [
         Verdict(
@@ -714,13 +676,13 @@ def _classify_chunk(structure, points, settings):
     # one common-root witness search for the rows no gap certifies
     search = [
         r for r, res in resultants.items()
-        if not max(rep.gap for rep in res.values()) > settings.tol_res_high
+        if not max(rep.gap for rep in res.values()) > _TOL_RES_HIGH
     ]
     p0 = np.array([vals.sigma, np.zeros(len(rest)), -3.0 * vals.rho])  # P0 = sigma - 3 rho t^2
     found = {}
     if search:
         cols = [c[:, search] for c in coeffs]
-        found = dict(zip(search, column_common_roots(cols, p0[:, search], settings.tol_root)))
+        found = dict(zip(search, column_common_roots(cols, p0[:, search])))
 
     pending = []  # nodes with real common roots: (column, resultants, witnesses)
     for r, c in enumerate(rest):
@@ -733,12 +695,12 @@ def _classify_chunk(structure, points, settings):
                 note="degenerate constraint polynomial" if finite[r] else NOT_FINITE,
             )
             continue
-        verdict = _resultant_verdict(resultants[r], found.get(r), pt, m_norm, settings)
+        verdict = _resultant_verdict(resultants[r], found.get(r), pt, m_norm)
         if isinstance(verdict, Verdict):
             verdicts[node] = verdict
         else:
             pending.append((c, resultants[r], verdict))
-    for c, verdict in _verify_witnesses(field, values, pending, m_norms, points, settings):
+    for c, verdict in _verify_witnesses(field, values, pending, m_norms, points):
         verdicts[field.nodes[c]] = verdict
     return verdicts
 
@@ -762,7 +724,7 @@ def _mzero_verdict(inv, mrep, pt):
     )
 
 
-def _resultant_verdict(resultants, roots, pt, m_norm, settings):
+def _resultant_verdict(resultants, roots, pt, m_norm):
     """The verdict the resultants and the witness search give, or the real
     common roots (a :class:`~sfmew.polyalg.RootSet`) that need verifying.
 
@@ -779,7 +741,7 @@ def _resultant_verdict(resultants, roots, pt, m_norm, settings):
         note = "constraints share only complex roots: " + ", ".join(
             f"{z:.6g}" for z in roots.complex
         )
-    elif max(rep.gap for rep in resultants.values()) < settings.tol_res_low:
+    elif max(rep.gap for rep in resultants.values()) < _TOL_RES_LOW:
         tag = VerdictTag.INCONCLUSIVE
         note = "resultants at numerical zero without a common-root witness"
     else:
@@ -788,7 +750,7 @@ def _resultant_verdict(resultants, roots, pt, m_norm, settings):
     return Verdict(tag=tag, point=pt, resultants=resultants, m_norm=m_norm, note=note)
 
 
-def _verify_witnesses(field, values, pending, m_norms, points, settings):
+def _verify_witnesses(field, values, pending, m_norms, points):
     """Verdicts of the nodes with real common roots: every root's candidate,
     at every such node, verified in one batch of lifts.  Yields (column, verdict)."""
     roots = []  # (pending index, root, candidate)
@@ -801,7 +763,7 @@ def _verify_witnesses(field, values, pending, m_norms, points, settings):
                 continue
     cols = [pending[k][0] for k, _, _ in roots]
     reports = _lifted_reports(
-        field, cols, [f for _, f, _ in roots], values.take(cols), settings
+        field, cols, [f for _, f, _ in roots], values.take(cols)
     ) if roots else []
     by_node = [[] for _ in pending]  # per pending node: (candidate, report, root)
     for (k, f0, cand), rep in zip(roots, reports):
@@ -913,9 +875,9 @@ def summarize(verdicts):
     return "MIXED (" + ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())) + ")"
 
 
-def scan_region(structure, region, settings=None):
+def scan_region(structure, region, orientation=1):
     """Classify every grid node; nodes are independent (read-only state)."""
-    return region_report(region, classify_points(structure, list(region.nodes()), settings))
+    return region_report(region, classify_points(structure, list(region.nodes()), orientation))
 
 
 def region_report(region, verdicts):

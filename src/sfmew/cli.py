@@ -20,13 +20,6 @@ expression values are double-quoted::
     [points]
     points = "1,0; 0.5,0"
 
-    [tolerances]
-    tol_flat = 1e-10
-    tol_root = 1e-7
-    tol_res_low = 1e-12
-    tol_res_high = 1e-5
-    tol_residual = 1e-6
-
     [options]
     mode = real
     orientation = +1
@@ -35,7 +28,8 @@ Exit codes: 0 success, 1 verification failure (``verify`` only),
 2 config error, 3 expression error (one that does not parse, or that fails
 at a point: ``ln`` or ``sqrt`` of a nonpositive value, a zero divisor).
 Each section and key of a config must be one read here; any other (a typo,
-or ``jet_order``: the jet order is no setting) is a config error naming it.
+``[tolerances]`` or ``jet_order``) is a config error naming it: a config sets
+the problem, and the numerical thresholds are constants of the program.
 Reports are deterministic and byte-stable for a fixed config (no
 timestamps); numbers are emitted in round-trip-exact decimal form.
 """
@@ -57,8 +51,8 @@ import numpy as np
 from .analyzer import (
     MODES,
     RESULTANT_PAIRS,
+    TOL_RESIDUAL,
     RegionSpec,
-    Settings,
     SolutionCandidate,
     check_mode,
     classify_points,
@@ -93,7 +87,7 @@ class RunConfig:
     structure_exprs: dict  # raw strings: u, P11, P12, P22
     region: RegionSpec | None
     points: list  # [(x, y), ...]
-    settings: Settings
+    orientation: int  # +1 or -1
     mode: str  # of verify: a real candidate, or a complex one
 
 
@@ -128,7 +122,6 @@ _CONFIG_KEYS = {
     "structure": ("u", "P11", "P12", "P22"),
     "region": ("xmin", "xmax", "ymin", "ymax", "nx", "ny"),
     "points": ("points",),
-    "tolerances": ("tol_root", "tol_res_low", "tol_res_high", "tol_residual", "tol_flat"),
     "options": ("mode", "orientation"),
 }
 
@@ -185,15 +178,7 @@ def load_config(path):
     if "points" in parser and "points" in parser["points"]:
         points = _parse_points(_unquote(parser["points"]["points"]))
 
-    kwargs, mode = {}, "real"
-    if "tolerances" in parser:
-        tl = parser["tolerances"]
-        for key in _CONFIG_KEYS["tolerances"]:
-            if key in tl:
-                try:
-                    kwargs[key] = float(_unquote(tl[key]))
-                except ValueError as err:
-                    raise ConfigError(f"bad tolerance {key!r}: {err}") from err
+    orientation, mode = 1, "real"
     if "options" in parser:
         op = parser["options"]
         if "mode" in op:
@@ -201,15 +186,16 @@ def load_config(path):
         if "orientation" in op:
             raw = _unquote(op["orientation"]).replace("+", "")
             try:
-                kwargs["orientation"] = int(raw)
+                orientation = int(raw)
             except ValueError as err:
                 raise ConfigError(f"bad orientation: {err}") from err
+    if orientation not in (1, -1):
+        raise ConfigError("orientation must be +1 or -1")
     try:
-        settings = Settings(**kwargs)
         check_mode(mode)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return RunConfig(structure_exprs, region, points, settings, mode)
+    return RunConfig(structure_exprs, region, points, orientation, mode)
 
 
 # -- report writing ---------------------------------------------------------
@@ -350,7 +336,7 @@ def _load_or_exit(config_path, mode, orientation, points_opt):
     if mode:
         cfg.mode = mode
     if orientation:
-        cfg.settings.orientation = int(orientation.replace("+", ""))
+        cfg.orientation = int(orientation.replace("+", ""))
     if points_opt:
         try:
             cfg.points = _parse_points(points_opt)
@@ -365,7 +351,7 @@ def _metadata(cfg):
         "tool": "sfmew",
         "version": _VERSION,
         "mode": cfg.mode,
-        "orientation": cfg.settings.orientation,
+        "orientation": cfg.orientation,
     }
 
 
@@ -463,7 +449,7 @@ def analyze(config_path, out_dir, mode, orientation, points_opt):
     }
     grid = list(cfg.region.nodes()) if cfg.region is not None else []
     with _expression_errors_exit():
-        all_verdicts = classify_points(structure, grid + cfg.points, cfg.settings)
+        all_verdicts = classify_points(structure, grid + cfg.points, cfg.orientation)
 
     if cfg.region is not None:
         grid_report = region_report(cfg.region, all_verdicts[: len(grid)])
@@ -521,7 +507,7 @@ def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
         F=0.0, alpha=np.zeros(2, dtype=complex), source="UserSupplied", alpha_exprs=exprs
     )
     with _expression_errors_exit():
-        reports = verify_candidates(structure, candidate, points, run_mode, cfg.settings)
+        reports = verify_candidates(structure, candidate, points, run_mode, cfg.orientation)
     records = [
         {
             "x": pt[0],
@@ -541,7 +527,7 @@ def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
     payload = {
         "metadata": _metadata(cfg),
         "alpha": [to_source(e) for e in exprs],
-        "tol_residual": cfg.settings.tol_residual,
+        "tol_residual": TOL_RESIDUAL,
         "max_residual": float(np.max([rep.max_residual for rep in reports])),  # NaN if one is
         "passed": passed,
         "points": records,
@@ -562,7 +548,7 @@ def invariants(config_path, out_dir, mode, orientation, points_opt):
     cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
     points = _points_or_exit(cfg, "invariants")
     with _expression_errors_exit():
-        records = [_invariants_record(structure, pt, cfg.settings) for pt in points]
+        records = [_invariants_record(structure, pt, cfg.orientation) for pt in points]
     click.echo(_dump_json({"metadata": _metadata(cfg), "points": records}), nl=False)
     sys.exit(EXIT_OK)
 
@@ -575,11 +561,9 @@ _RECORD_INVARIANTS = (
 )
 
 
-def _invariants_record(structure, pt, settings):
+def _invariants_record(structure, pt, orientation):
     try:
-        inv = compute_invariants(
-            structure, pt, orientation=settings.orientation, tol_flat=settings.tol_flat
-        )
+        inv = compute_invariants(structure, pt, orientation=orientation)
     except FlatPoint:
         return {"x": pt[0], "y": pt[1], "flat": True}
     return {
@@ -599,7 +583,7 @@ def constraints(config_path, out_dir, mode, orientation, points_opt):
     cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
     points = _points_or_exit(cfg, "constraints")
     with _expression_errors_exit():
-        records = [_constraints_record(structure, pt, cfg.settings) for pt in points]
+        records = [_constraints_record(structure, pt, cfg.orientation) for pt in points]
     click.echo(_dump_json({"metadata": _metadata(cfg), "points": records}), nl=False)
     sys.exit(EXIT_OK)
 
@@ -607,11 +591,9 @@ def constraints(config_path, out_dir, mode, orientation, points_opt):
 _CONSTRAINTS = (("P0", coeffs_P0), ("P1", coeffs_P1), ("P2", coeffs_P2), ("P3", coeffs_P3))
 
 
-def _constraints_record(structure, pt, settings):
+def _constraints_record(structure, pt, orientation):
     try:
-        inv = compute_invariants(
-            structure, pt, orientation=settings.orientation, tol_flat=settings.tol_flat
-        )
+        inv = compute_invariants(structure, pt, orientation=orientation)
     except FlatPoint:
         return {"x": pt[0], "y": pt[1], "flat": True}
     with np.errstate(over="ignore", invalid="ignore"):  # checked below: finite or marked
@@ -638,7 +620,7 @@ def rescale(config_path, out_dir, mode, orientation, points_opt, omega):
     with _expression_errors_exit():
         omega_expr = parse(omega)
         rescaled = structure.rescaled(omega_expr)
-        records = [_invariants_record(rescaled, pt, cfg.settings) for pt in cfg.points or []]
+        records = [_invariants_record(rescaled, pt, cfg.orientation) for pt in cfg.points or []]
     payload = {
         "metadata": _metadata(cfg),
         "omega": to_source(omega_expr),

@@ -49,7 +49,6 @@ __all__ = [
     "compute_invariants",
     "compute_M",
     "forced_f",
-    "DEFAULT_TOL_FLAT",
     "SCAN_ORDER",
     "LIFT_ORDER",
 ]
@@ -66,7 +65,7 @@ CONFORMAL_WEIGHTS = {
     "L": -10,
 }
 
-DEFAULT_TOL_FLAT = 1e-10
+_TOL_FLAT = 1e-10  # |Y| below this share of the local size of nabla P: the point is flat
 _TOL_SIGMA = 1e-9  # |sigma| below this share of its bound |Y||W|: numerically zero
 
 #: Jet order of a scan's frames: the constraint coefficients read four orders of
@@ -182,7 +181,6 @@ class MTensorReport:
 
     M: np.ndarray  # 2x2 symmetric, values
     alpha: np.ndarray  # covariant components of the candidate
-    F: float  # forced curvature scalar of the branch
     norm: float
     scale: float
 
@@ -289,7 +287,7 @@ class InvariantField:
     """
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf or NaN
-    def __init__(self, frame, tol_flat=DEFAULT_TOL_FLAT):
+    def __init__(self, frame):
         if isinstance(frame, list):
             frame = Frame.stack(frame)
         f = self.frame = frame
@@ -308,7 +306,7 @@ class InvariantField:
         self.Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
         del dP  # nothing else reads it: not kept alive through the chain (see ``dP``)
         self.y_norm = _hypot(self.Y[0].value, self.Y[1].value)
-        self.flat = self.y_norm < tol_flat * self.dP_scale
+        self.flat = self.y_norm < _TOL_FLAT * self.dP_scale
         self.nodes = np.flatnonzero(~self.flat)
         self._branch = None
         if not self.nodes.size:
@@ -570,13 +568,11 @@ class InvariantField:
                     )
                     m_comp[a, b] = pieces[0] + pieces[1] + pieces[2] - pieces[3]
                     scale = np.maximum.reduce([scale] + [np.abs(t) for t in pieces])
-            F = forced_f(*(jets.values(getattr(self, q))[cols] for q in _SCALARS))
             norm = np.max(np.abs(m_comp), axis=(0, 1))
             for i, c in enumerate(cols):
                 reports[c] = MTensorReport(
                     M=m_comp[:, :, i],
                     alpha=alpha_v[:, i],
-                    F=F[i],
                     norm=float(norm[i]),
                     scale=scale[i],
                 )
@@ -587,13 +583,13 @@ class InvariantField:
 # public operations
 
 
-def cotton_york(structure, point, order=LIFT_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
+def cotton_york(structure, point, order=LIFT_ORDER, orientation=1):
     """Cotton-York 1-form Y_a and the pointwise flatness decision.
 
     ``Y_jets`` are of order ``order - 1``: the default keeps the four orders
     of Y that a lifted root's chain has.
     """
-    field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
+    field_ = InvariantField(Frame(structure, point, order, orientation))
     return CottonReport(
         Y=jets.values(field_.Y)[:, 0],
         Y_jets=field_.Y,
@@ -603,22 +599,20 @@ def cotton_york(structure, point, order=LIFT_ORDER, orientation=1, tol_flat=DEFA
     )
 
 
-def compute_invariants(
-    structure, point, order=SCAN_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT
-):
+def compute_invariants(structure, point, order=SCAN_ORDER, orientation=1):
     """All point invariants; raises :class:`FlatPoint` where Y vanishes."""
-    field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
+    field_ = InvariantField(Frame(structure, point, order, orientation))
     field_.require_not_flat()
     return field_.point_invariants()[0]
 
 
-def compute_M(structure, point, order=SCAN_ORDER, orientation=1, tol_flat=DEFAULT_TOL_FLAT):
+def compute_M(structure, point, order=SCAN_ORDER, orientation=1):
     """Degenerate-branch tensor M_ab and candidate alpha.
 
     Requires rho > 0 and sigma != 0 at the point; raises :class:`SigmaZero`
     otherwise (the branch needs sigma = 3 rho F^2 > 0).
     """
-    field_ = InvariantField(Frame(structure, point, order, orientation), tol_flat)
+    field_ = InvariantField(Frame(structure, point, order, orientation))
     field_.require_not_flat()
     rep = field_.m_tensor()[0]
     if rep is None:

@@ -14,11 +14,10 @@ it, by that largest magnitude (:func:`_normalized_rows`).
 * The common roots of triples of columns (:func:`column_common_roots`) come
   from one stacked eigenvalue solve for all triples whose lowest degree is
   the same, which gives the real and the complex witnesses.  A root is kept
-  where every normalized polynomial evaluates below ``tol_root`` there.
+  where every normalized polynomial evaluates below :data:`TOL_ROOT` there.
 
-This module decides nothing: the analyzer compares the gaps with its
-``tol_res_low`` and ``tol_res_high`` and reads the witnesses
-(:mod:`sfmew.analyzer`).
+This module decides nothing: the analyzer compares the gaps with its own
+thresholds and reads the witnesses (:mod:`sfmew.analyzer`).
 """
 
 import math
@@ -36,10 +35,12 @@ __all__ = [
     "trimmed_degrees",
     "CommonRoots",
     "column_common_roots",
-    "DEFAULT_TOL_ROOT",
+    "TOL_ROOT",
 ]
 
-DEFAULT_TOL_ROOT = 1e-7
+#: A common root's normalized polynomials evaluate below this; the analyzer's root
+#: lift takes it as the relative size of a numerically zero slope and of a moved root.
+TOL_ROOT = 1e-7
 _TRIM_REL = 1e-12
 
 
@@ -183,7 +184,7 @@ class CommonRoots(NamedTuple):
     complex: list
 
 
-def column_common_roots(polys, exclude=None, tol_root=DEFAULT_TOL_ROOT):
+def column_common_roots(polys, exclude=None):
     """Real and complex roots shared by the polynomials in the columns of ``polys``.
 
     ``polys`` holds one array (n_k + 1, K) per polynomial, lowest degree
@@ -197,7 +198,7 @@ def column_common_roots(polys, exclude=None, tol_root=DEFAULT_TOL_ROOT):
     * the real witnesses: the eigenvalues near the real axis, projected onto
       it, polished by Newton steps, clustered into roots with
       multiplicities, and kept where that polynomial and every other one
-      evaluates below ``tol_root``;
+      evaluates below :data:`TOL_ROOT`;
     * the complex witnesses: the eigenvalues in the upper half-plane, kept
       on the same test, one per cluster.
 
@@ -223,8 +224,8 @@ def column_common_roots(polys, exclude=None, tol_root=DEFAULT_TOL_ROOT):
     if exclude is not None:
         excl_degrees, _, excl_rows = _normalized_rows(exclude, len(exclude))
         excl = (excl_degrees >= 0, excl_rows)
-    real = _real_witnesses(rows, base, roots, valid, excl, tol_root)
-    cplx = _complex_witnesses(rows, roots, valid, excl, tol_root)
+    real = _real_witnesses(rows, base, roots, valid, excl)
+    cplx = _complex_witnesses(rows, roots, valid, excl)
     return [CommonRoots(r, c) for r, c in zip(real, cplx)]
 
 
@@ -278,18 +279,18 @@ def _abs_values(rows, x):
     return np.hypot(re, im)
 
 
-def _witness_test(rows, col, x, excl, tol_root):
+def _witness_test(rows, col, x, excl):
     """Which points ``x`` (of the columns ``col``) every polynomial vanishes at,
     away from the roots of ``excl``; and the largest normalized value there."""
     values = np.max([_abs_values(r[col], x) for r in rows], axis=0)
-    keep = ~(values > tol_root)
+    keep = ~(values > TOL_ROOT)
     if excl is not None:
         has, excl_rows = excl
-        keep &= ~(has[col] & (_abs_values(excl_rows[col], x) < tol_root))
+        keep &= ~(has[col] & (_abs_values(excl_rows[col], x) < TOL_ROOT))
     return keep, values
 
 
-def _real_witnesses(rows, base, roots, valid, excl, tol_root):
+def _real_witnesses(rows, base, roots, valid, excl):
     """The real common roots of each column, a :class:`RootSet` each."""
     near = valid & (np.abs(roots.imag) <= 3e-4 * (1.0 + np.abs(roots.real)))
     cands = [np.sort(r.real[m]) for r, m in zip(roots, near)]
@@ -311,8 +312,8 @@ def _real_witnesses(rows, base, roots, valid, excl, tol_root):
         mean[g] = np.mean(t[first[g] : first[g] + mult[g]])
     col = col[first]
     res = np.abs(_horner(rows[base[col], col], mean))
-    keep, values = _witness_test(rows, col, mean, excl, tol_root)
-    keep &= res <= tol_root
+    keep, values = _witness_test(rows, col, mean, excl)
+    keep &= res <= TOL_ROOT
 
     col, mean, mult, values = col[keep], mean[keep], mult[keep], values[keep]
     bounds = np.searchsorted(col, np.arange(len(cands) + 1))
@@ -342,12 +343,12 @@ def _newton(rows, t0):
     return np.where(runaway, t0, t)
 
 
-def _complex_witnesses(rows, roots, valid, excl, tol_root):
+def _complex_witnesses(rows, roots, valid, excl):
     """The strictly complex common roots of each column: a list each, one root
     per conjugate pair, and one per cluster of roots within 1e-6 (relative)."""
     col, pos = np.nonzero(valid & (roots.imag > 1e-7 * (1.0 + np.abs(roots.real))))
     z = roots[col, pos]
-    keep, _ = _witness_test(rows, col, z, excl, tol_root)
+    keep, _ = _witness_test(rows, col, z, excl)
     shared = [[] for _ in roots]
     for c, z in zip(col[keep].tolist(), z[keep]):
         if not any(abs(z - w) <= 1e-6 * max(1.0, abs(z)) for w in shared[c]):

@@ -1,6 +1,6 @@
 import math
-from dataclasses import fields
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +11,12 @@ from numpy.polynomial import polynomial as npoly
 
 from sfmew import MoebiusStructure, analyzer
 from sfmew.analyzer import (
-    MultipleRoot,
     P0Vanishes,
     RegionSpec,
-    Settings,
     SolutionCandidate,
     VerdictTag,
+    _horner,
+    _is_simple,
     _lift_root,
     alpha_from_F,
     classify_point,
@@ -281,15 +281,14 @@ def test_classify_deterministic(quadratic_structure):
 def test_orientation_flip_negates_f_and_preserves_tags(
     spiral_structure, quadratic_structure, opposite_structure
 ):
-    flipped = Settings(orientation=-1)
     for s in (spiral_structure, quadratic_structure, opposite_structure):
         v_plus = classify_point(s, (1.0, 0.0))
-        v_minus = classify_point(s, (1.0, 0.0), flipped)
+        v_minus = classify_point(s, (1.0, 0.0), orientation=-1)
         assert v_plus.tag == v_minus.tag
     # closed-form candidate: computed F flips sign with the orientation
     cand = make_candidate("y", "-x")
     rep_plus = verify_candidate(quadratic_structure, cand, (0.6, 0.2))
-    rep_minus = verify_candidate(quadratic_structure, cand, (0.6, 0.2), settings=flipped)
+    rep_minus = verify_candidate(quadratic_structure, cand, (0.6, 0.2), orientation=-1)
     assert rep_plus.f == pytest.approx(-2.0)
     assert rep_minus.f == pytest.approx(2.0)
     assert rep_plus.passed and rep_minus.passed
@@ -308,12 +307,6 @@ def test_degenerate_branch_follows_the_one_sigma_rule():
         assert len(nonflat) == 446
         field = InvariantField([Frame(structure, p, SCAN_ORDER) for p in MEMBER_NODES])
         assert [v.m_norm for v in nonflat] == [rep.norm for rep in field.m_tensor()]
-
-
-def test_settings_are_the_orientation_and_the_tolerances_a_config_sets():
-    assert [f.name for f in fields(Settings)] == [
-        "orientation", "tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual",
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +402,16 @@ def test_root_lift_keeps_value_and_rejects_multiple_root():
     x = Jet.variable(space, 0, 0.0)
     # t^2 - (1 + x)^2 has the simple root branch t = 1 + x through t = 1
     one_plus_x = 1.0 + x
-    lifted = _lift_root([-(one_plus_x * one_plus_x), 0.0, 1.0], 1.0, 1e-7)
+    coeffs = [-(one_plus_x * one_plus_x), 0.0, 1.0]
+    p, dp = _horner(coeffs, 1.0)
+    assert _is_simple(coeffs, 1.0, dp)
+    lifted = _lift_root(coeffs, 1.0, p, dp)
     assert lifted.value == 1.0
     assert lifted.partial(1, 0) == pytest.approx(1.0, abs=1e-15)
     assert lifted.partial(2, 0) == pytest.approx(0.0, abs=1e-15)
-    # (t - 1)^2 + x has a double root at x = 0
-    with pytest.raises(MultipleRoot):
-        _lift_root([1.0 + x, -2.0, 1.0], 1.0, 1e-7)
+    # (t - 1)^2 + x has a double root at x = 0: no lift
+    coeffs = [1.0 + x, -2.0, 1.0]
+    assert not _is_simple(coeffs, 1.0, _horner(coeffs, 1.0)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +566,14 @@ def test_column_residuals_are_the_per_node_residuals(data, quadratic_structure):
     cols = np.flatnonzero(~flat)
     invs = [None if flat[i] else SimpleNamespace(**{k: v[..., i] for k, v in inv.items()})
             for i in range(n)]
-    tol = data.draw(st.sampled_from([1e-6, 1e3]))
+    tol = data.draw(st.sampled_from([analyzer.TOL_RESIDUAL, 1e3]))  # both pass outcomes
     method = "jets" if complex_inputs else "jet-lift"
 
-    new = analyzer._residual_reports(
-        frame, PointInvariants(**{k: v[..., cols] for k, v in inv.items()}), flat, mode,
-        method, alpha, dalpha, F, grad_F, tol, on_root,
-    )
+    with mock.patch.object(analyzer, "TOL_RESIDUAL", tol):
+        new = analyzer._residual_reports(
+            frame, PointInvariants(**{k: v[..., cols] for k, v in inv.items()}), flat, mode,
+            method, alpha, dalpha, F, grad_F, on_root,
+        )
     old = _per_node_residual_reports(
         frame, invs, mode, method, alpha, dalpha, F, grad_F, tol, on_root
     )

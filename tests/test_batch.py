@@ -22,7 +22,6 @@ from numpy.polynomial import polynomial as npoly
 
 from sfmew import analyzer, geometry, jets
 from sfmew.analyzer import (
-    Settings,
     SolutionCandidate,
     classify_point,
     classify_points,
@@ -218,15 +217,15 @@ def test_residual_reports_do_not_depend_on_the_batch(
     data, quadratic_structure, opposite_structure
 ):
     structure, cand, mode = data.draw(verify_cases(quadratic_structure, opposite_structure))
-    run = Settings(orientation=data.draw(st.sampled_from([1, -1])))
+    orientation = data.draw(st.sampled_from([1, -1]))
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=9))
     chunk = data.draw(st.integers(1, 5))
     with mock.patch.object(analyzer, "_CHUNK", chunk):
-        batched = verify_candidates(structure, cand, points, mode, run)
+        batched = verify_candidates(structure, cand, points, mode, orientation)
     assert len(batched) == len(points)
     for point, rep in zip(points, batched):
         assert rep.passed, (point, rep)
-        alone = verify_candidates(structure, cand, [point], mode, run)[0]
+        alone = verify_candidates(structure, cand, [point], mode, orientation)[0]
         assert canon(rep) == canon(alone), point
 
 

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from sfmew.analyzer import Settings
-from sfmew.cli import _dump_json, main
+from sfmew.cli import _CONFIG_KEYS, _dump_json, main
 
 SPIRAL = """
 [structure]
@@ -437,17 +436,26 @@ def test_jet_order_option_is_rejected(runner, tmp_path):
 
 
 def test_config_that_sets_jet_order_is_a_config_error(runner, tmp_path):
-    """A leftover ``[tolerances] jet_order`` is not ignored: exit 2, naming the key."""
+    """A leftover ``[tolerances] jet_order`` is not ignored: exit 2, naming the section."""
     cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS + "[tolerances]\njet_order = 6\n")
     for args in _EVERY_COMMAND:
         result = runner.invoke(main, args + ["--config", cfg])
         assert result.exit_code == 2, result.output
-        assert "config error: 'jet_order' in [tolerances]" in result.output
+        assert "config error: [tolerances] is not a config section" in result.output
+
+
+def test_config_sets_the_structure_region_points_and_options():
+    assert _CONFIG_KEYS == {
+        "structure": ("u", "P11", "P12", "P22"),
+        "region": ("xmin", "xmax", "ymin", "ymax", "nx", "ny"),
+        "points": ("points",),
+        "options": ("mode", "orientation"),
+    }
 
 
 @pytest.mark.parametrize("extra, named", [
-    ("[tolerances]\ntol_residul = 1e-3\n", "'tol_residul' in [tolerances]"),  # a typo
-    ("[tolerances]\ntol_sigma = 5\n", "'tol_sigma' in [tolerances]"),  # a field no loader reads
+    ("[options]\norientaton = -1\n", "'orientaton' in [options]"),  # a typo
+    ("[options]\ntol_residual = 1e-6\n", "'tol_residual' in [options]"),  # a field no loader reads
     ("[options]\nfoo = bar\n", "'foo' in [options]"),
     (REGION + "nz = 7\n", "'nz' in [region]"),
     ("[output]\ndir = out\n", "[output] is not a config section"),
@@ -484,18 +492,33 @@ def test_config_that_does_not_parse_is_a_config_error(runner, tmp_path, text):
         assert "config error: unreadable config" in result.output
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
-def test_tolerances_must_be_finite_and_positive(runner, tmp_path, value):
-    """With tol_residual = inf, verify passed a candidate that is no solution."""
-    cfg = write(tmp_path, "s.cfg", SPIRAL + f"[tolerances]\ntol_residual = {value}\n")
-    result = runner.invoke(
-        main, ["verify", "--config", cfg, "--points", "1,0", "--alpha", "x", "--alpha", "y"]
-    )
-    assert result.exit_code == 2, result.output
-    assert "config error: tol_residual must be finite and positive" in result.output
-    for name in ("tol_flat", "tol_root", "tol_res_low", "tol_res_high", "tol_residual"):
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            Settings(**{name: float(value)})
+@pytest.mark.parametrize("key, value", [
+    ("tol_flat", "1e-10"), ("tol_root", "1e-7"), ("tol_res_low", "1e-12"),
+    ("tol_res_high", "1e-5"), ("tol_residual", "1e-6"),
+    ("tol_residual", "inf"),  # once made verify pass a candidate that is no solution
+])
+def test_tolerances_section_is_a_config_error(runner, tmp_path, key, value):
+    """The numerical thresholds are constants, not config keys: a ``[tolerances]``
+    section is a config error for every command (exit 2), naming the section."""
+    cfg = write(tmp_path, "s.cfg", SPIRAL + POINTS + f"[tolerances]\n{key} = {value}\n")
+    for args in _EVERY_COMMAND:
+        result = runner.invoke(main, args + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (args, result.output)
+        assert "config error: [tolerances] is not a config section; remove it" in result.output
+
+
+def test_orientation_must_be_plus_or_minus_one(runner, tmp_path):
+    """A bad ``[options] orientation`` is a config error for every command (exit 2);
+    a good one is read."""
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS + "[options]\norientation = 2\n")
+    for args in _EVERY_COMMAND:
+        result = runner.invoke(main, args + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (args, result.output)
+        assert "config error: orientation must be +1 or -1" in result.output
+    cfg = write(tmp_path, "q.cfg", QUADRATIC + POINTS + "[options]\norientation = -1\n")
+    result = runner.invoke(main, ["verify", "--config", cfg, "--alpha", "y", "--alpha", "-x"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["points"][0]["F"] == pytest.approx(2.0)
 
 
 def test_verify_fails_where_every_residual_is_nan(runner, tmp_path):

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from sfmew import analyzer, jets
 from sfmew.analyzer import (
-    Settings,
     VerdictTag,
     classify_point,
     classify_points,
@@ -64,10 +63,9 @@ def test_scan_order_gives_the_reports_of_higher_orders(
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
     order = data.draw(st.integers(SCAN_ORDER + 1, 10))
     orientation = data.draw(st.sampled_from([1, -1]))
-    run = Settings(orientation=orientation)
-    verdicts = classify_points(structure, points, run)
+    verdicts = classify_points(structure, points, orientation)
     with mock.patch.object(analyzer, "SCAN_ORDER", order):
-        assert canon(classify_points(structure, points, run)) == canon(verdicts)
+        assert canon(classify_points(structure, points, orientation)) == canon(verdicts)
     assert canon(_chain(structure, points, order, orientation)) == canon(
         _chain(structure, points, SCAN_ORDER, orientation)
     )
@@ -83,14 +81,14 @@ def test_lift_order_gives_the_lifted_reports_of_higher_orders(
     structure = data.draw(structures(spiral_structure, quadratic_structure, quadratic_structure))
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
     order = data.draw(st.integers(LIFT_ORDER + 1, 10))
-    run = Settings(orientation=data.draw(st.sampled_from([1, -1])))
-    verdicts = classify_points(structure, points, run)
+    orientation = data.draw(st.sampled_from([1, -1]))
+    verdicts = classify_points(structure, points, orientation)
     candidates = [(v.point, c) for v in verdicts for c in v.candidates]
-    reports = [verify_candidate(structure, c, p, settings=run) for p, c in candidates]
+    reports = [verify_candidate(structure, c, p, orientation=orientation) for p, c in candidates]
     with mock.patch.object(analyzer, "LIFT_ORDER", order):
-        assert canon(classify_points(structure, points, run)) == canon(verdicts)
+        assert canon(classify_points(structure, points, orientation)) == canon(verdicts)
         assert canon(
-            [verify_candidate(structure, c, p, settings=run) for p, c in candidates]
+            [verify_candidate(structure, c, p, orientation=orientation) for p, c in candidates]
         ) == canon(reports)
 
 
@@ -147,12 +145,14 @@ def test_closed_form_order_gives_the_reports_of_higher_orders(
     structure, cand, mode = data.draw(verify_cases(quadratic_structure, opposite_structure))
     if data.draw(st.booleans()):  # a wrong candidate: nonzero residuals, which fail
         cand = closed_form(*(["0", "0"] if mode == "complex" else []), "1.5*y", "-1.5*x")
-    run = Settings(orientation=data.draw(st.sampled_from([1, -1])))
+    orientation = data.draw(st.sampled_from([1, -1]))
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
     order = data.draw(st.integers(analyzer._CLOSED_FORM_ORDER + 1, 8))
-    reports = verify_candidates(structure, cand, points, mode, run)
+    reports = verify_candidates(structure, cand, points, mode, orientation)
     with mock.patch.object(analyzer, "_CLOSED_FORM_ORDER", order):
-        assert canon(verify_candidates(structure, cand, points, mode, run)) == canon(reports)
+        assert canon(
+            verify_candidates(structure, cand, points, mode, orientation)
+        ) == canon(reports)
 
 
 # far field: rescaled members of the reference families, omega = a x + b y +
@@ -183,8 +183,8 @@ OPPOSITE_7 = OPPOSITE_7_MEMBERS[2]
 
 
 def test_branch_value_beyond_the_float_range_raises_no_warning():
-    # omega = -36.7: tau sigma overflows in the branch's forced F, which the
-    # verdict does not read; M is finite, and the coefficients are not
+    # omega = -36.7: M is finite, and the coefficients are not; tau sigma would
+    # overflow in the branch's forced F, which only an MZeroAdmits verdict computes
     verdict = classify_point(OPPOSITE_131, (30.0, 0.0))
     assert verdict.tag == VerdictTag.INCONCLUSIVE and verdict.note == NOT_FINITE
     assert verdict.m_norm == pytest.approx(449.9966049382716, rel=1e-9)

@@ -6,7 +6,6 @@ from sfmew.analyzer import classify_point
 from sfmew.constraints import coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from sfmew.invariants import compute_invariants
 from sfmew.polyalg import (
-    DEFAULT_TOL_ROOT,
     ResultantReport,
     ZeroPolynomial,
     _companion_roots,
@@ -31,10 +30,10 @@ def resultant(p, q):
     return column_resultant_reports(column(p), column(q))[0]
 
 
-def common_roots(polys, exclude=None, tol_root=DEFAULT_TOL_ROOT):
+def common_roots(polys, exclude=None):
     """The common roots of one triple (or of one polynomial): a column of one each."""
     excl = None if exclude is None else column(exclude)
-    return column_common_roots([column(p) for p in polys], excl, tol_root)[0]
+    return column_common_roots([column(p) for p in polys], excl)[0]
 
 
 def constraint_roots(inv):
@@ -108,7 +107,7 @@ def test_real_roots_quadratic_structure_p3(quadratic_structure):
 def test_real_roots_multiplicity_cluster():
     # (t - 1)^3 (t + 2)
     p = npoly.polymul(npoly.polymul([-1, 1], npoly.polymul([-1, 1], [-1, 1])), [2, 1])
-    rs = common_roots([p], tol_root=1e-5).real
+    rs = common_roots([p]).real
     assert rs.roots == pytest.approx([-2.0, 1.0], abs=1e-4)
     assert list(rs.multiplicities) == [1, 3]
 

@@ -15,10 +15,10 @@ opposite family), whose residuals are nonzero and fail.  ``invariants``,
 ``constraints`` and ``rescale`` (with omega = 0.1 x - 0.05 y^2) run in
 real mode on the near-flat points plus every 55th grid node, nine nodes
 from corner to corner.  On the first rescaled member of each family at
-seed 7, ``analyze`` and ``verify`` run twice more: once with a config that
-sets all five ``[tolerances]`` keys to values other than their defaults,
-and once with ``--mode`` and ``--orientation -1`` overriding the config
-(``verify``'s config names the other mode).  The calls run
+seed 7, ``analyze`` runs once more with a config that sets
+``orientation = -1``, and ``analyze`` and ``verify`` run with ``--mode``
+and ``--orientation -1`` overriding the config (``verify``'s config names
+the other mode).  The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
@@ -44,26 +44,24 @@ FAMILIES = ("spiral", "quadratic", "opposite")
 GRID = 21
 DUMP_STRIDE = 55  # grid nodes of the invariants, constraints and rescale calls
 OMEGA = "0.1*x - 0.05*y*y"  # the log rescaling factor of the rescale calls
-# the calls that set every tolerance and override the mode and orientation run on
-# this member (seed, index) of each family, with these tolerances
+# the calls that set or override the orientation and the mode run on this member
+# (seed, index) of each family
 OVERRIDDEN = (7, 1)
-TOLERANCES = {"tol_flat": "1e-9", "tol_root": "1e-6", "tol_res_low": "1e-11",
-              "tol_res_high": "1e-4", "tol_residual": "1e-5"}
 # the far field, where the rescaled members' invariants approach the float range
 FAR_FIELD = [(r * math.cos(2.0 * math.pi * k / 24), r * math.sin(2.0 * math.pi * k / 24))
              for r in (20.0, 30.0) for k in range(24)]
 
 
-def config_text(member, grid, points, mode, tolerances=None):
+def config_text(member, grid, points, mode, orientation=None):
     u, p11, p12, p22 = member.structure_sources()
     lines = ["[structure]", f'u = "{u}"', f'P11 = "{p11}"', f'P12 = "{p12}"', f'P22 = "{p22}"']
     if grid:
         lines += ["[region]", "xmin = -2.0", "xmax = 2.0", "ymin = -2.0", "ymax = 2.0",
                   f"nx = {grid}", f"ny = {grid}"]
     lines += ["[points]", 'points = "' + "; ".join(f"{x!r},{y!r}" for x, y in points) + '"']
-    if tolerances:
-        lines += ["[tolerances]"] + [f"{key} = {value}" for key, value in tolerances.items()]
     lines += ["[options]", f"mode = {mode}"]
+    if orientation:
+        lines.append(f"orientation = {orientation}")
     return "\n".join(lines) + "\n"
 
 
@@ -91,15 +89,11 @@ def calls(fam, out):
                 if (seed, member.index) == OVERRIDDEN:
                     alpha_args = [f"--alpha={a}" for a in alpha]
                     other = "real" if mode == "complex" else "complex"
-                    (base / "analyze-tol.cfg").write_text(config_text(
-                        member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real", TOLERANCES))
-                    (base / "verify-tol.cfg").write_text(
-                        config_text(member, 0, points, mode, TOLERANCES))
+                    (base / "analyze-flipped.cfg").write_text(config_text(
+                        member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real", "-1"))
                     (base / "verify-other.cfg").write_text(config_text(member, 0, points, other))
-                    yield base / "analyze-tol", [
-                        "analyze", "--config", str(base / "analyze-tol.cfg")]
-                    yield base / "verify-tol", [
-                        "verify", "--config", str(base / "verify-tol.cfg")] + alpha_args
+                    yield base / "analyze-flipped", [
+                        "analyze", "--config", str(base / "analyze-flipped.cfg")]
                     yield base / "verify-overrides", [
                         "verify", "--config", str(base / "verify-other.cfg"), f"--mode={mode}",
                         "--orientation=-1"] + alpha_args
