@@ -56,10 +56,9 @@ expressions.  ``verify_candidates`` takes their points in batches of
 ``_CHUNK`` nodes too: per-point frames, whose stack evaluates the
 structure once, the candidate's expressions evaluated once on the batch's
 node columns, and one invariant chain per batch.  Both ways of verifying
-give node arrays of alpha, nabla alpha, F and nabla F to one residual
-assembler, which computes each residual on the node columns by the float
-operations of each node's scalar arithmetic; only the reports themselves
-are built node by node.
+end in one step from the jets of alpha and F: nabla alpha and nabla F
+come from the frame's calculus, and each residual is computed on the node
+arrays; only the reports themselves are built node by node.
 Everything after the frames works on node columns; a single point is a
 batch of one node.  Everything here is deterministic and side-effect free.
 """
@@ -75,7 +74,6 @@ from .constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
 from .invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f
-from .jets import ipow
 from .polyalg import TOL_ROOT, column_common_roots, column_resultant_reports, trimmed_degrees
 
 __all__ = [
@@ -233,79 +231,16 @@ def f_from_P0_branch(inv):
 _EPS = ((0.0, 1.0), (-1.0, 0.0))  # eps_ab / (orientation e^{2u})
 
 
-class _Col:
-    """A node column of real or complex numbers whose arithmetic rounds, at
-    every node, as numpy's scalar arithmetic rounds that node's numbers.
-
-    A complex column is two float columns.  Products are written out as
-    ``ar*br - ai*bi, ar*bi + ai*br`` and moduli as ``np.hypot``: numpy's
-    complex array loops round some of them differently in the last bit (see
-    ``polyalg._abs_values``).  A real operand of a complex operation (a
-    float, a float array or a real column) takes imaginary part +0.0, as
-    numpy promotes a float scalar, so that infinities give the same NaNs.
-    """
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None  # an array operand defers to the reflected methods
-
-    def __init__(self, re, im=None):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def of(x):
-        """The column of a node array (or of a column)."""
-        if isinstance(x, _Col):
-            return x
-        return _Col(x.real, x.imag) if np.iscomplexobj(x) else _Col(x)
-
-    def array(self):
-        return self.re if self.im is None else _complex([self.re, self.im])
-
-    def __getitem__(self, cols):
-        return _Col(self.re[cols], None if self.im is None else self.im[cols])
-
-    def __add__(self, other):
-        o = other if isinstance(other, _Col) else _Col(other)
-        if self.im is None and o.im is None:
-            return _Col(self.re + o.re)
-        return _Col(self.re + o.re, _imag(self) + _imag(o))
-
-    __radd__ = __add__  # a sum rounds the same either way round
-
-    def __sub__(self, other):
-        o = other if isinstance(other, _Col) else _Col(other)
-        if self.im is None and o.im is None:
-            return _Col(self.re - o.re)
-        return _Col(self.re - o.re, _imag(self) - _imag(o))
-
-    def __mul__(self, other):
-        o = other if isinstance(other, _Col) else _Col(other)
-        if self.im is None and o.im is None:
-            return _Col(self.re * o.re)
-        ar, ai, br, bi = self.re, _imag(self), o.re, _imag(o)
-        return _Col(ar * br - ai * bi, ar * bi + ai * br)
-
-    __rmul__ = __mul__  # so does a product
-
-    def __abs__(self):
-        return np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
-
-
-def _imag(col):
-    return 0.0 if col.im is None else col.im
-
-
 def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, on_root=None):
     """Residual reports of candidates at the nodes of ``frame``.
 
-    Node arrays, node axis last: ``alpha`` (2, N), ``dalpha[a][b]`` =
-    nabla_a alpha_b, ``F`` (N,) and ``grad_F`` (2, N); :class:`_Col` columns
-    are taken too.  ``inv`` holds the invariants, as node arrays, of the
-    nodes that the mask ``flat`` leaves; at a flat node the algebraic
-    residuals and the gradient cross-check are reported as zero.  Each
-    residual is computed on node columns with each node's scalar arithmetic;
-    a maximum is NaN where one of its terms is.  Nodes fail where
-    ``on_root`` is false.
+    Node arrays, real or complex, node axis last: ``alpha`` (2, N),
+    ``dalpha[a][b]`` = nabla_a alpha_b, ``F`` (N,) and ``grad_F`` (2, N).
+    ``inv`` holds the invariants, as node arrays, of the nodes that the mask
+    ``flat`` leaves; at a flat node the algebraic residuals and the gradient
+    cross-check are reported as zero.  Each residual is computed on the node
+    arrays at once; a maximum is NaN where one of its terms is.  Nodes fail
+    where ``on_root`` is false.
     """
     e2u, e2u_inv, K, P = (
         jets.values(getattr(frame, name)) for name in ("e2u", "e2u_inv", "curvature", "p")
@@ -313,9 +248,6 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
     o = float(frame.orientation)
     n = len(frame.points)
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = [_Col.of(alpha[a]) for a in range(2)]
-        dalpha = [[_Col.of(dalpha[a][b]) for b in range(2)] for a in range(2)]
-        f = _Col.of(F)
         alpha_sq = e2u_inv * (alpha[0] * alpha[0] + alpha[1] * alpha[1])
         tensor = []
         for a in range(2):
@@ -327,7 +259,7 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
                     + alpha[a] * alpha[b]
                     + P[a, b]
                     - 0.5 * alpha_sq * g_ab
-                    - 0.5 * eps_ab * f
+                    - 0.5 * eps_ab * F
                 ))
         res_tensor = np.max(tensor, axis=0)
         res_trace = abs(e2u_inv * (dalpha[0][0] + dalpha[1][1]) + K)
@@ -335,7 +267,7 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
         res_u, res_w, mismatch = np.zeros(n), np.zeros(n), np.zeros(n)
         cols = np.flatnonzero(~flat)
         if cols.size:
-            al, fc = [alpha[0][cols], alpha[1][cols]], f[cols]
+            al, fc = [alpha[0][cols], alpha[1][cols]], F[cols]
             a_dot_u = al[0] * inv.U_up[0] + al[1] * inv.U_up[1]
             a_dot_w = e2u_inv[cols] * (al[0] * inv.W[0] + al[1] * inv.W[1])
             a_dot_y = al[0] * inv.Y_up[0] + al[1] * inv.Y_up[1]
@@ -345,28 +277,48 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
             )
             # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
             mismatch[cols] = np.max([
-                abs(_Col.of(grad_F[axis])[cols] - (-2.0 * al[axis] * fc - inv.Y[axis]))
+                abs(grad_F[axis][cols] - (-2.0 * al[axis] * fc - inv.Y[axis]))
                 for axis in range(2)
             ], axis=0)
         max_res = np.max([res_u, res_w, res_tensor, res_trace], axis=0)
     passed = max_res < TOL_RESIDUAL
     if on_root is not None:
         passed &= on_root
-    f = f.array() if mode == "complex" else f.re
     return [
         ResidualReport(tuple(map(float, point)), mode, method, *row)  # fields in order
         for point, *row in zip(
-            frame.points, f.tolist(), res_u.tolist(), res_w.tolist(), res_tensor.tolist(),
+            frame.points, F.tolist(), res_u.tolist(), res_w.tolist(), res_tensor.tolist(),
             res_trace.tolist(), mismatch.tolist(), max_res.tolist(), passed.tolist(),
         )
     ]
 
 
-def _complex(parts):
-    """The complex array ``parts[0] + i parts[1]`` (i 0 without ``parts[1]``), exactly."""
-    out = parts[0].astype(complex)
-    if len(parts) > 1:
-        out.imag = parts[1]
+def _candidate_residuals(frame, inv, flat, mode, method, alpha_parts, F_parts, on_root=None):
+    """Residual reports of candidates given as jets over the nodes of ``frame``.
+
+    A candidate has one part (real) or two (real and imaginary):
+    ``alpha_parts`` holds each part's two components, ``F_parts`` each
+    part's F.  nabla alpha and nabla F are the frame's calculus on the jets
+    truncated to order 1, as only their values are read.  The other
+    arguments are those of :func:`_residual_reports`, which gets the node
+    arrays, complex where there are two parts.
+    """
+    return _residual_reports(
+        frame, inv, flat, mode, method, _node_values(alpha_parts),
+        _node_values([frame.cov_deriv(jets.truncate(a, 1), "d") for a in alpha_parts]),
+        _node_values(F_parts), _node_values([frame.grad(jets.truncate(f, 1)) for f in F_parts]),
+        on_root,
+    )
+
+
+def _node_values(parts):
+    """Node values of jets (or nested lists of them) given by their parts: real
+    with one part, and with two the complex ``parts[0] + i parts[1]``, exactly."""
+    values = [jets.values(part) for part in parts]
+    if len(values) == 1:
+        return values[0]
+    out = values[0].astype(complex)
+    out.imag = values[1]
     return out
 
 
@@ -379,12 +331,13 @@ def verify_candidates(structure, candidate, points, mode="real", orientation=1):
     :class:`~sfmew.geometry.Frame`, their stack evaluates the structure
     once, and each expression is evaluated once on the batch's node
     columns.  A domain error is the one a point-by-point pass meets first:
-    a point's frame, then its candidate.  The invariant chain, the
-    derivatives of alpha and the curl of alpha run once on the batch; each
-    node's residuals are assembled from its own floats, so its report does
-    not depend on its batch.  At flat points the invariant-based algebraic residuals are
-    reported as zero (not applicable).  ``mode`` is one of :data:`MODES`;
-    any other raises ValueError.  ``orientation`` (+1 or -1) flips F.
+    a point's frame, then its candidate.  The invariant chain and F, the
+    curl of alpha, run once on the batch, and the residuals are computed as
+    for a lifted root (:func:`_candidate_residuals`); a node's report does
+    not depend on its batch.  At flat points the invariant-based algebraic
+    residuals are reported as zero (not applicable).  ``mode`` is one of
+    :data:`MODES`; any other raises ValueError.  ``orientation`` (+1 or -1)
+    flips F.
     """
     check_mode(mode)
     exprs = candidate.alpha_exprs
@@ -410,7 +363,7 @@ _RESIDUAL_INVARIANTS = ("Y", "U_up", "Y_up", "W", "phi", "ell", "rho", "mu")
 
 
 def _verify_chunk(structure, exprs, points, mode, orientation):
-    order, o = _CLOSED_FORM_ORDER, float(orientation)
+    order = _CLOSED_FORM_ORDER
     # a candidate beyond the float range gets NaN residuals, and fails, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -425,38 +378,17 @@ def _verify_chunk(structure, exprs, points, mode, orientation):
             raise
         # alpha_b = re[b] + i im[b]; one part in real mode
         parts = [comps[:2]] if mode == "real" else [comps[:2], comps[2:]]
-
-        # node values, node axis last: alpha, its partials [a][b] = d_a alpha_b, and
-        # the partials [a] of F = o e^{-2u} (d_x alpha_2 - d_y alpha_1)
-        ix, iy = frame.space.index[(1, 0)], frame.space.index[(0, 1)]
-        alpha = _complex([jets.values(part) for part in parts])
-        partials = _complex(
-            [np.array([[j.vec[k] for j in part] for k in (ix, iy)]) for part in parts]
-        )
-        curls = [frame.e2u_inv * (part[1].d_dx() - part[0].d_dy()) for part in parts]
-        grad_F = _complex([np.array([o * c.vec[ix], o * c.vec[iy]]) for c in curls])
-        dalpha, F = _nabla_alpha(
-            alpha, partials, jets.values(frame.gamma), o * jets.values(frame.e2u_inv)
-        )
+        # F = o e^{-2u} (nabla_1 alpha_2 - nabla_2 alpha_1) of each part: Gamma is
+        # symmetric, so its terms cancel and the partials are left
+        F_parts = [
+            float(orientation) * (frame.e2u_inv * (part[1].d_dx() - part[0].d_dy()))
+            for part in parts
+        ]
         field = InvariantField(frame)
         inv = PointInvariants(
             **{name: jets.values(getattr(field, name)) for name in _RESIDUAL_INVARIANTS}
         ) if field.nodes.size else None
-        return _residual_reports(frame, inv, field.flat, mode, "jets", alpha, dalpha, F, grad_F)
-
-
-def _nabla_alpha(alpha, partials, gamma, o_e2u_inv):
-    """nabla_a alpha_b = d_a alpha_b - (Gamma^1_ab alpha_1 + Gamma^2_ab alpha_2), as
-    columns ``[a][b]``, and F = o e^{-2u} (nabla_1 alpha_2 - nabla_2 alpha_1), on
-    node arrays with each node's scalar arithmetic: ``Frame.cov_deriv`` on jets
-    subtracts the two terms one at a time, which rounds differently."""
-    al = [_Col.of(alpha[0]), _Col.of(alpha[1])]
-    dalpha = [
-        [_Col.of(partials[a, b]) - (0 + gamma[0, a, b] * al[0] + gamma[1, a, b] * al[1])
-         for b in range(2)]
-        for a in range(2)
-    ]
-    return dalpha, o_e2u_inv * (dalpha[0][1] - dalpha[1][0])
+        return _candidate_residuals(frame, inv, field.flat, mode, "jets", parts, F_parts)
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
@@ -499,7 +431,7 @@ def _lift_root(coeffs, f0, p, dp):
 
 def _is_simple(coeffs, f0, dp):
     """Whether P'(f0), ``dp``, is not numerically zero next to the size of its terms."""
-    scale = sum(i * abs(_value(c)) * ipow(abs(f0), i - 1) for i, c in enumerate(coeffs) if i)
+    scale = sum(i * abs(_value(c)) * np.abs(f0) ** (i - 1) for i, c in enumerate(coeffs) if i)
     return abs(_value(dp)) > TOL_ROOT * scale
 
 
@@ -562,9 +494,8 @@ def _lift_residuals(frame, jinv, inv, f0, F):
     numer, denom = _alpha_parts(jinv, F)
     alpha = [n / denom for n in numer]
     on_root = np.abs(F.value - f0) <= TOL_ROOT * np.maximum(1.0, np.abs(f0))
-    return _residual_reports(
-        frame, inv, np.zeros(f0.size, dtype=bool), "real", "jet-lift", jets.values(alpha),
-        jets.values(frame.cov_deriv(alpha, "d")), F.value, jets.values(frame.grad(F)), on_root,
+    return _candidate_residuals(
+        frame, inv, np.zeros(f0.size, dtype=bool), "real", "jet-lift", [alpha], [F], on_root
     )
 
 

@@ -201,12 +201,6 @@ _SCALARS = ("rho", "mu", "phi", "sigma", "tau", "ell")
 _VECTORS = ("Y", "U", "Y_up", "U_up", "W", "L", "grad_rho")
 
 
-def _hypot(a, b):
-    """math.hypot of each node's pair of values, as a node array."""
-    pairs = zip(np.ravel(a).tolist(), np.ravel(b).tolist())
-    return np.array([math.hypot(x, y) for x, y in pairs])
-
-
 class _ValueTable:
     """Node values of jets, scalars or 2-vectors or 2x2 tensors of them, read
     with one array build; ``table`` has the node axis first."""
@@ -305,7 +299,7 @@ class InvariantField:
         # Y_c = eps^{ab} (nabla_a P_bc - nabla_b P_ac) = 2 eps^{12} (nabla_1 P_2c - nabla_2 P_1c)
         self.Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
         del dP  # nothing else reads it: not kept alive through the chain (see ``dP``)
-        self.y_norm = _hypot(self.Y[0].value, self.Y[1].value)
+        self.y_norm = np.hypot(*jets.values(self.Y))
         self.flat = self.y_norm < _TOL_FLAT * self.dP_scale
         self.nodes = np.flatnonzero(~self.flat)
         self._branch = None
@@ -350,8 +344,8 @@ class InvariantField:
         self.grad_rho = f.grad(self.rho)
 
         yw_bound = (
-            _hypot(self.Y[0].value, self.Y[1].value)
-            * _hypot(self.W[0].value, self.W[1].value)
+            np.hypot(*jets.values(self.Y))
+            * np.hypot(*jets.values(self.W))
             * f.e2u_inv.value
         )
         self.sigma_scale = np.maximum(yw_bound, 1e-300)

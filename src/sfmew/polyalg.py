@@ -266,27 +266,14 @@ def _horner(rows, x):
     return c0
 
 
-def _abs_values(rows, x):
-    """|P(x)| for each row's polynomial at its ``x``.  Complex points take the
-    float operations of numpy's scalar complex arithmetic and ``abs``, which
-    its array loops round differently in the last bit."""
-    if not np.iscomplexobj(x):
-        return np.abs(_horner(rows, x))
-    zr, zi = x.real, x.imag
-    re, im = rows[:, -1].copy(), np.zeros(len(x))  # polyval's c[-1] + z * 0
-    for i in range(2, rows.shape[1] + 1):
-        re, im = rows[:, -i] + (re * zr - im * zi), 0.0 + (re * zi + im * zr)
-    return np.hypot(re, im)
-
-
 def _witness_test(rows, col, x, excl):
     """Which points ``x`` (of the columns ``col``) every polynomial vanishes at,
     away from the roots of ``excl``; and the largest normalized value there."""
-    values = np.max([_abs_values(r[col], x) for r in rows], axis=0)
+    values = np.max([np.abs(_horner(r[col], x)) for r in rows], axis=0)
     keep = ~(values > TOL_ROOT)
     if excl is not None:
         has, excl_rows = excl
-        keep &= ~(has[col] & (_abs_values(excl_rows[col], x) < TOL_ROOT))
+        keep &= ~(has[col] & (np.abs(_horner(excl_rows[col], x)) < TOL_ROOT))
     return keep, values
 
 
