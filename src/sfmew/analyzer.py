@@ -26,10 +26,12 @@ Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
 :class:`~sfmew.geometry.Frame`; their stack evaluates the structure once on
 the batch, and the invariant chain, the constraint coefficients and the
 resultant reports run once on it, with the flat and degenerate-branch nodes
-as column selections.  A batch keeps alive only what a later step reads:
-the stacked columns of flat nodes go once the chain has taken the others,
-a node's own invariants are split off only where its verdict reads them,
-and the lift takes the invariant jets of the nodes with real roots only.
+as column selections.  Every step reads the batch's invariants from the
+chain that computed them.  A batch keeps alive only what a later step
+reads: the stacked columns of flat nodes go once the chain has taken the
+others, a node's own invariants are read off (``PointInvariants.node``)
+only where its verdict reads them, and the lift builds its own chain over
+the nodes with real roots only.
 The nodes no gap certifies go through one common-root witness search for
 the batch (:func:`~sfmew.polyalg.column_common_roots`), which gives their
 real and complex witnesses from the same eigenvalues.  Each node is then
@@ -47,7 +49,8 @@ the invariant jets of the point itself: each Newton step
 F <- F - P_k(F) / P_k'(F) in jet arithmetic doubles the number of exact
 Taylor orders.  It is lifted with each constraint P_k of which F0 is a
 simple root, and the best lift kept; the roots of a batch are lifted
-together, on one order-5 invariant chain over the frames of their nodes.
+together, on one order-5 invariant chain over new frames of their nodes,
+from which their residuals read the invariants too.
 The candidate alpha then follows as a jet from the reconstruction formula,
 so nabla alpha and nabla F are exact.  A root that
 is simple in no constraint has no such lift and stays unverified.
@@ -70,7 +73,7 @@ from enum import Enum
 import numpy as np
 
 from . import jets
-from .constraints import NOT_FINITE, coeffs_P1, coeffs_P2, coeffs_P3
+from .constraints import NOT_FINITE, coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
 from .invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f
@@ -385,10 +388,17 @@ def _verify_chunk(structure, exprs, points, mode, orientation):
             for part in parts
         ]
         field = InvariantField(frame)
-        inv = PointInvariants(
-            **{name: jets.values(getattr(field, name)) for name in _RESIDUAL_INVARIANTS}
-        ) if field.nodes.size else None
+        inv = _residual_values(field) if field.nodes.size else None
         return _candidate_residuals(frame, inv, field.flat, mode, "jets", parts, F_parts)
+
+
+def _residual_values(chain):
+    """The node values of the invariants the residuals read, from an invariant
+    chain of jets: an :class:`~sfmew.invariants.InvariantField`, or its
+    :meth:`~sfmew.invariants.InvariantField.invariant_jets`."""
+    return PointInvariants(
+        **{name: jets.values(getattr(chain, name)) for name in _RESIDUAL_INVARIANTS}
+    )
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
@@ -435,37 +445,35 @@ def _is_simple(coeffs, f0, dp):
     return abs(_value(dp)) > TOL_ROOT * scale
 
 
-def _lifted_reports(field, cols, roots, inv):
+def _lifted_reports(frame, cols, roots):
     """Verify the reconstructed candidates of real roots by lifting them to jets.
 
-    Root ``roots[i]`` belongs to the node ``cols[i]`` of ``field`` (an index
-    into ``field.nodes``), whose invariants are column ``i`` of the node
-    arrays ``inv``; all roots are lifted together, one node column each, on
-    an invariant chain of order ``LIFT_ORDER`` over the frames of their
-    nodes (``field`` itself where it is that chain).  A
-    root is lifted with every constraint of which it is a simple root, and
-    the lift kept that passes, else the one with the smallest residual: near
+    Root ``roots[i]`` belongs to the node ``cols[i]`` of ``frame``, which
+    is not flat; all roots are lifted together, one node column each, on an
+    invariant chain of order ``LIFT_ORDER`` over new frames of their nodes,
+    and their residuals read the invariants of that chain.  Raises
+    :class:`~sfmew.invariants.FlatPoint` where the nodes are flat.  A root
+    is lifted with every constraint of which it is a simple root, and the
+    lift kept that passes, else the one with the smallest residual: near
     flat points one constraint can have its roots far less accurate than
-    another.  A lift fails when it
-    moves F by more than :data:`~sfmew.polyalg.TOL_ROOT` (relative): f0 is then no root,
+    another.  A lift fails when it moves F by more than
+    :data:`~sfmew.polyalg.TOL_ROOT` (relative): f0 is then no root,
     whatever root it leads to.  Returns a :class:`ResidualReport` per root,
     or None where the root is simple in no constraint.
     """
     nodes, cols = np.unique(cols, return_inverse=True)
-    if field.frame.order != LIFT_ORDER or nodes.size < field.nodes.size:
-        f = field.frame  # the frames of the roots' nodes only, at the lift's order
-        field = InvariantField(
-            [Frame(f.structure, f.points[c], LIFT_ORDER, f.orientation) for c in nodes]
-        )
+    field = InvariantField(
+        [Frame(frame.structure, frame.points[c], LIFT_ORDER, frame.orientation) for c in nodes]
+    )
     jinv, roots = field.invariant_jets(), np.asarray(roots, dtype=float)
     reports = []
     for start in range(0, len(roots), _CHUNK):
-        part = np.arange(start, min(start + _CHUNK, len(roots)))
-        reports += _lift_batch(field.frame, jinv, cols[part], roots[part], inv.take(part))
+        part = slice(start, start + _CHUNK)
+        reports += _lift_batch(field.frame, jinv, cols[part], roots[part])
     return reports
 
 
-def _lift_batch(frame, jinv, cols, f0, inv):
+def _lift_batch(frame, jinv, cols, f0):
     jinv, frame = jinv.take(cols), frame.take(cols)
     best = [None] * f0.size
     for coeffs_of in _COEFFS:
@@ -476,10 +484,10 @@ def _lift_batch(frame, jinv, cols, f0, inv):
             continue
         if sel.size == f0.size:
             F = _lift_root(coeffs, f0, p, dp)
-            reports = _lift_residuals(frame, jinv, inv, f0, F)
+            reports = _lift_residuals(frame, jinv, f0, F)
         else:  # columns are independent: P(f0) and P'(f0) at ``sel`` keep their bits
             F = _lift_root(jets.take(coeffs, sel), f0[sel], *jets.take([p, dp], sel))
-            reports = _lift_residuals(frame.take(sel), jinv.take(sel), inv.take(sel), f0[sel], F)
+            reports = _lift_residuals(frame.take(sel), jinv.take(sel), f0[sel], F)
         for i, rep in zip(sel, reports):
             old = best[i]
             if old is None or (not rep.passed, rep.max_residual) < (
@@ -489,13 +497,14 @@ def _lift_batch(frame, jinv, cols, f0, inv):
     return best
 
 
-def _lift_residuals(frame, jinv, inv, f0, F):
+def _lift_residuals(frame, jinv, f0, F):
     """Residual reports of the candidates of the lifted roots ``F`` (one per node column)."""
     numer, denom = _alpha_parts(jinv, F)
     alpha = [n / denom for n in numer]
     on_root = np.abs(F.value - f0) <= TOL_ROOT * np.maximum(1.0, np.abs(f0))
     return _candidate_residuals(
-        frame, inv, np.zeros(f0.size, dtype=bool), "real", "jet-lift", [alpha], [F], on_root
+        frame, _residual_values(jinv), np.zeros(f0.size, dtype=bool), "real", "jet-lift",
+        [alpha], [F], on_root,
     )
 
 
@@ -507,17 +516,16 @@ def verify_candidate(structure, candidate, point, mode="real", orientation=1):
     are differentiated exactly too, by lifting their F, a root of the
     constraints, to a jet, with each constraint of which it is a simple root
     (the best lift is reported); they raise :class:`MultipleRoot` where it
-    is a simple root of none.  ``orientation`` (+1 or -1) flips F.
+    is a simple root of none, and :class:`~sfmew.invariants.FlatPoint` at
+    a flat point.  ``orientation`` (+1 or -1) flips F.
     """
     check_mode(mode)
     if candidate.alpha_exprs is not None:
         return verify_candidates(structure, candidate, [point], mode, orientation)[0]
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
-    field = InvariantField(Frame(structure, point, LIFT_ORDER, orientation))
-    field.require_not_flat()
     f0 = float(candidate.F.real)
-    rep = _lifted_reports(field, [0], [f0], field.invariant_values())[0]
+    rep = _lifted_reports(Frame(structure, point, LIFT_ORDER, orientation), [0], [f0])[0]
     if rep is None:
         raise MultipleRoot(f"F = {f0} is a multiple root of every constraint")
     return rep
@@ -609,7 +617,7 @@ def _classify_chunk(structure, points, orientation):
         r for r, res in resultants.items()
         if not max(rep.gap for rep in res.values()) > _TOL_RES_HIGH
     ]
-    p0 = np.array([vals.sigma, np.zeros(len(rest)), -3.0 * vals.rho])  # P0 = sigma - 3 rho t^2
+    p0 = _coefficient_columns(coeffs_P0(vals), len(rest))
     found = {}
     if search:
         cols = [c[:, search] for c in coeffs]
@@ -693,9 +701,7 @@ def _verify_witnesses(field, values, pending, m_norms, points):
             except P0Vanishes:
                 continue
     cols = [pending[k][0] for k, _, _ in roots]
-    reports = _lifted_reports(
-        field, cols, [f for _, f, _ in roots], values.take(cols)
-    ) if roots else []
+    reports = _lifted_reports(field.frame, cols, [f for _, f, _ in roots]) if roots else []
     by_node = [[] for _ in pending]  # per pending node: (candidate, report, root)
     for (k, f0, cand), rep in zip(roots, reports):
         by_node[k].append((cand, rep, f0))

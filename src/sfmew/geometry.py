@@ -204,39 +204,31 @@ class Frame:
 
     @classmethod
     def stack(cls, frames):
-        """The per-point ``frames`` side by side as one frame over their points.
+        """The per-point ``frames`` of one structure side by side as one frame
+        over their points.
 
-        Evaluates the jets at once, each structure's expressions once over
-        the node columns of its frames' points, and puts the columns in the
-        order of ``frames``; the per-point frames stay unevaluated.  On a
-        ``JetError`` or an ``ArithmeticError`` the points are evaluated one
-        by one, in order, so the error raised is the located error of the
-        first point that fails alone.
+        Evaluates the jets at once, each expression once over the node
+        columns of the frames' points, in the order of ``frames``; the
+        per-point frames stay unevaluated.  On a ``JetError`` or an
+        ``ArithmeticError`` the points are evaluated one by one, in order,
+        so the error raised is the located error of the first point that
+        fails alone.
         """
         first = frames[0]
-        if any(f.orientation != first.orientation or f.order != first.order for f in frames):
-            raise ValueError("stacked frames need the same order and orientation")
-        groups = {}
-        for i, f in enumerate(frames):
-            groups.setdefault(id(f.structure), []).append(i)
-        groups = list(groups.values())
+        if any(f.structure is not first.structure or f.orientation != first.orientation
+               or f.order != first.order for f in frames):
+            raise ValueError("stacked frames need the same structure, order and orientation")
+        points = [f.point for f in frames]
         try:
-            parts = [
-                _frame_jets(frames[g[0]].structure, [frames[i].point for i in g],
-                            first.order, first.space)
-                for g in groups
-            ]
+            columns = _frame_jets(first.structure, points, first.order, first.space)
         except (jets.JetError, ArithmeticError):
             # frame by frame, in node order: raises the first failing point's error
             for f in frames:
                 _frame_jets(f.structure, f.point, f.order, f.space)
             raise
-        cols = [i for g in groups for i in g]
-        stacked = cls._like(first, [frames[i].point for i in cols])
-        for name in cls._JETS:  # one structure: its columns as they are, no copy
-            setattr(stacked, name, parts[0][name] if len(parts) == 1
-                    else jets.stack([part[name] for part in parts]))
-        return stacked if len(groups) == 1 else stacked.take(np.argsort(cols))
+        stacked = cls._like(first, points)
+        stacked.__dict__.update(columns)  # the evaluated columns as they are, no copy
+        return stacked
 
     def take(self, cols):
         """The frame at some of its nodes (repeats allowed), as a stacked frame."""

@@ -89,7 +89,6 @@ class CottonReport:
     """Cotton-York 1-form at a point, with the flatness decision."""
 
     Y: np.ndarray  # covariant components (values)
-    Y_jets: list
     flat: bool
     norm: float
     scale: float  # local scale of nabla P used for the flatness threshold
@@ -152,10 +151,6 @@ class PointInvariants:
             for f in _NODE_FIELDS if f.name not in ("m", "psi", "k")
         ], axis=0)
 
-    def split(self):
-        """One PointInvariants per node of invariants held as node arrays."""
-        return [self.node(i) for i in range(len(self.point))]
-
     def node(self, i):
         """The PointInvariants of node ``i`` of invariants held as node arrays."""
         return PointInvariants(
@@ -201,52 +196,6 @@ _SCALARS = ("rho", "mu", "phi", "sigma", "tau", "ell")
 _VECTORS = ("Y", "U", "Y_up", "U_up", "W", "L", "grad_rho")
 
 
-class _ValueTable:
-    """Node values of jets, scalars or 2-vectors or 2x2 tensors of them, read
-    with one array build; ``table`` has the node axis first."""
-
-    def __init__(self, trees):
-        leaves, self._slots = [], {}
-        for tree in trees:
-            if id(tree) in self._slots:
-                continue
-            if isinstance(tree, jets.Jet):
-                flat, shape = [tree], ()
-            elif isinstance(tree[0], jets.Jet):
-                flat, shape = tree, (2,)
-            else:
-                flat, shape = [j for row in tree for j in row], (2, 2)
-            self._slots[id(tree)] = (np.arange(len(leaves), len(leaves) + len(flat)), shape)
-            leaves.extend(flat)
-        self.table = np.array([j.vec[0] for j in leaves]).reshape(len(leaves), -1).T.copy()
-
-    def values(self, tree):
-        """Node values of ``tree``, node axis last."""
-        cols, shape = self._slots[id(tree)]
-        return self.table[:, cols].T.reshape(shape + (-1,))
-
-    def contract(self, terms):
-        """The contractions ``terms`` (see ``InvariantField._contraction_terms``).
-
-        Each node's contraction is a matmul of its own 2-vectors and 2x2
-        tensor, ``a @ b`` or ``a @ M @ b``, so that it rounds as that
-        product of one node's arrays does.
-        """
-        dots = [n for n, (_, m, _) in terms.items() if m is None]
-        quads = [n for n in terms if n not in dots]
-
-        def stacked(names, k, shape):  # one contiguous item per (node, name)
-            cols = np.array([self._slots[id(terms[n][k])][0] for n in names])
-            return self.table[:, cols].reshape((-1,) + shape)
-
-        n = len(self.table)
-        a, b = stacked(dots, 0, (1, 2)), stacked(dots, 2, (2, 1))
-        out = dict(zip(dots, (a @ b).reshape(n, len(dots)).T))
-        a, m, b = stacked(quads, 0, (1, 2)), stacked(quads, 1, (2, 2)), stacked(quads, 2, (2, 1))
-        out.update(zip(quads, ((a @ m) @ b).reshape(n, len(quads)).T))
-        return out
-
-
 def _dot_jets(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
@@ -268,8 +217,10 @@ class InvariantField:
     chain runs on the non-flat nodes, ``nodes`` (their indices), so the
     flatness branch is a column selection.
     ``dL``, ``dY``, ``hess_rho`` and ``grad_sigma``, which only the
-    contractions read, are built on first read.  Build the field once and
-    reuse it for invariants, constraint assembly and the degenerate branch.
+    contractions read, are built on first read.  Every reader of a batch's
+    invariants reads them from its own field: their node values
+    (:meth:`invariant_values`), their jets (:meth:`invariant_jets`) and the
+    degenerate branch (:meth:`m_tensor`).
 
     Each quantity is computed from its inputs truncated to the order its
     readers take, relative to the frame order k: the contractions and the
@@ -399,7 +350,12 @@ class InvariantField:
         return abs(self.sigma.value) < _TOL_SIGMA * self.sigma_scale
 
     def take(self, cols):
-        """The chain at some of ``nodes`` (indices into them), for the branch."""
+        """The chain at some of ``nodes`` (indices into them), for the branch.
+
+        The branch divides by sigma in jet arithmetic, which raises
+        ``DegenerateDivision`` where sigma is exactly 0, so it runs on the
+        columns where sigma is not numerically zero only.
+        """
         sub = object.__new__(InvariantField)
         for name, value in vars(self).items():
             if name not in ("dP", "dP_scale", "y_norm", "flat", "_branch"):
@@ -480,30 +436,40 @@ class InvariantField:
         if cols.size:
             for arr, jet in zip((m, psi, k), branch):
                 arr[cols] = jets.values(jet)
-        chain = [getattr(self, name) for name in _SCALARS + _VECTORS]
-        terms = self._contraction_terms()
-        table = _ValueTable(
-            chain + [self.frame.e2u, self.frame.e2u_inv, self.dL]
-            + [t for term in terms.values() for t in term if t is not None]
-        )
         return PointInvariants(
             point=self.frame.points,
             orientation=self.frame.orientation,
-            e2u=table.values(self.frame.e2u),
-            **{name: table.values(t) for name, t in zip(_SCALARS + _VECTORS, chain)},
-            **table.contract(terms),
-            curl_L=self._curl_L(table.values),
+            e2u=jets.values(self.frame.e2u),
+            **{name: jets.values(getattr(self, name)) for name in _SCALARS + _VECTORS},
+            **self._contraction_values(),
+            curl_L=self._curl_L(jets.values),
             m=m,
             psi=psi,
             k=k,
             sigma_scale=self.sigma_scale,
         )
 
-    def point_invariants(self):
-        """A list of PointInvariants, one per node of ``nodes``."""
-        if not self.nodes.size:
-            return []
-        return self.invariant_values().split()
+    def _contraction_values(self):
+        """The contractions of ``_contraction_terms`` at every node.
+
+        Each is one stacked matmul, ``a @ b`` or ``a @ M @ b``, of per-node
+        operands of shape (N, 1, 2), (N, 2, 2) and (N, 2, 1), so that each
+        node's contraction rounds as that product of its own arrays does.
+        """
+        rows = {}  # id of a vector or tensor of jets -> its node values, one row per node
+
+        def per_node(tree, shape):
+            if id(tree) not in rows:
+                leaves = [j for row in tree for j in row] if isinstance(tree[0], list) else tree
+                rows[id(tree)] = np.stack([jets.values(j) for j in leaves], axis=-1)
+            return rows[id(tree)].reshape((-1,) + shape)
+
+        out = {}
+        for name, (a, m, b) in self._contraction_terms().items():
+            a_row, b_col = per_node(a, (1, 2)), per_node(b, (2, 1))
+            product = a_row @ b_col if m is None else (a_row @ per_node(m, (2, 2))) @ b_col
+            out[name] = product.reshape(-1)
+        return out
 
     def invariant_jets(self):
         """The invariants over ``nodes`` as jets, in a :class:`PointInvariants`.
@@ -577,16 +543,11 @@ class InvariantField:
 # public operations
 
 
-def cotton_york(structure, point, order=LIFT_ORDER, orientation=1):
-    """Cotton-York 1-form Y_a and the pointwise flatness decision.
-
-    ``Y_jets`` are of order ``order - 1``: the default keeps the four orders
-    of Y that a lifted root's chain has.
-    """
+def cotton_york(structure, point, order=SCAN_ORDER, orientation=1):
+    """Cotton-York 1-form Y_a and the pointwise flatness decision."""
     field_ = InvariantField(Frame(structure, point, order, orientation))
     return CottonReport(
         Y=jets.values(field_.Y)[:, 0],
-        Y_jets=field_.Y,
         flat=field_.flat[0],
         norm=field_.y_norm[0],
         scale=field_.dP_scale[0],
@@ -595,9 +556,7 @@ def cotton_york(structure, point, order=LIFT_ORDER, orientation=1):
 
 def compute_invariants(structure, point, order=SCAN_ORDER, orientation=1):
     """All point invariants; raises :class:`FlatPoint` where Y vanishes."""
-    field_ = InvariantField(Frame(structure, point, order, orientation))
-    field_.require_not_flat()
-    return field_.point_invariants()[0]
+    return InvariantField(Frame(structure, point, order, orientation)).invariant_values().node(0)
 
 
 def compute_M(structure, point, order=SCAN_ORDER, orientation=1):

@@ -21,3 +21,12 @@ def quadratic_structure():
 @pytest.fixture(scope="session")
 def opposite_structure():
     return MoebiusStructure.from_strings("0", "(y*y - x*x)/2", "-(x*y)", "(x*x - y*y)/2")
+
+
+# one structure whose nodes mix every branch of the invariant chain: (0, 0) is
+# flat, (0, 1) has sigma = 0 exactly, (1, 0.5) has sigma < 0, and (-1, 0.5)
+# and (-1.2, -0.3) have sigma > 0
+@pytest.fixture(scope="session")
+def mixed_structure():
+    return MoebiusStructure.from_strings("0", "x*y + 0.3*x*x*x", "(y*y - x*x)/2",
+                                         "-(x*y + 0.3*x*x*x)")

@@ -29,7 +29,13 @@ from sfmew.analyzer import (
 )
 from sfmew.expr import parse
 from sfmew.geometry import Frame
-from sfmew.invariants import SCAN_ORDER, InvariantField, PointInvariants, compute_invariants
+from sfmew.invariants import (
+    SCAN_ORDER,
+    FlatPoint,
+    InvariantField,
+    PointInvariants,
+    compute_invariants,
+)
 from sfmew.jets import Jet, jet_space
 
 from columns import column, trimmed
@@ -395,6 +401,14 @@ def test_verify_reconstructed_fails_for_bogus_root(spiral_structure, quadratic_s
     assert rep.f == pytest.approx(-2.0, abs=1e-12)
     assert rep.max_residual < 1e-9
     assert not rep.passed
+
+
+def test_verify_reconstructed_at_a_flat_point_raises_flat_point():
+    # the lift's own chain refuses the flat origin, |Y| just above 0 by rounding
+    cand = SolutionCandidate(F=2.0, alpha=np.zeros(2), source="Alpha1Formula", point=(0.0, 0.0))
+    message = r"Cotton-York form vanishes at \(0\.0, 0\.0\) \(\|Y\| = 1\.788e-18 below threshold\)"
+    with pytest.raises(FlatPoint, match=f"^{message}$"):
+        verify_candidate(OPPOSITE_7_MEMBERS[1], cand, (0.0, 0.0))
 
 
 def test_root_lift_keeps_value_and_rejects_multiple_root():

@@ -35,6 +35,7 @@ from sfmew.jets import DomainError
 from sfmew.polyalg import column_common_roots
 
 from columns import column
+from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS
 
 # the flat origin, near-flat radii on and off the axes, and ordinary nodes
 POINTS = [(0.0, 0.0)] + [
@@ -88,33 +89,62 @@ def test_verdicts_and_invariants_do_not_depend_on_the_batch(
 
     field = InvariantField(Frame.stack([Frame(structure, p) for p in points]))
     assert list(field.flat) == [InvariantField(Frame(structure, p)).flat[0] for p in points]
-    for node, inv in zip(field.nodes, field.point_invariants()):
-        assert canon(inv) == canon(compute_invariants(structure, points[node])), points[node]
+    if not field.nodes.size:  # no invariants: every node is flat
+        return
+    values = field.invariant_values()
+    for c, node in enumerate(field.nodes):
+        assert canon(values.node(c)) == canon(compute_invariants(structure, points[node])), node
 
 
-def test_stacked_field_mixes_flat_sigma_zero_and_branch_nodes(
-    spiral_structure, quadratic_structure, opposite_structure
-):
-    # one stack holding a flat node, sigma = 0 (spiral), sigma < 0
-    # (quadratic) and sigma > 0 (opposite) nodes: the branch runs on a
-    # column subset, and every node must still match its own field
-    frames = [
-        Frame(spiral_structure, (0.0, 0.0)),
-        Frame(spiral_structure, (0.7, -0.2)),
-        Frame(opposite_structure, (1.0, 0.5)),
-        Frame(quadratic_structure, (-0.4, 1.1)),
-        Frame(opposite_structure, (-1.2, -0.3)),
-    ]
+# the nodes of the mixed structure: flat, sigma = 0 exactly, sigma < 0 and twice sigma > 0
+MIXED_NODES = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.5), (-1.0, 0.5), (-1.2, -0.3)]
+
+
+def test_stacked_field_mixes_flat_sigma_zero_and_branch_nodes(mixed_structure):
+    # one stack holding a flat node, sigma = 0, sigma < 0 and sigma > 0 nodes:
+    # the branch runs on a column subset, and every node must still match its
+    # own field
+    frames = [Frame(mixed_structure, p) for p in MIXED_NODES]
     field = InvariantField(Frame.stack(frames))
     assert list(field.flat) == [True, False, False, False, False]
+    values = field.invariant_values()
+    assert np.sign(values.sigma).tolist() == [0.0, -1.0, 1.0, 1.0]
     alone = [InvariantField(f) for f in frames[1:]]
-    for inv, single in zip(field.point_invariants(), alone):
-        assert canon(inv) == canon(single.point_invariants()[0])
+    for c, single in enumerate(alone):
+        assert canon(values.node(c)) == canon(single.invariant_values().node(0))
     for rep, single in zip(field.m_tensor(), alone):
         if single.sigma_is_zero()[0]:
             assert rep is None
         else:
             assert canon(rep) == canon(single.m_tensor()[0])
+
+
+# the seed-7 opposite members with the batch of their 21x21 grid that holds the
+# flat origin (sigma > 0 elsewhere), and the mixed structure's nodes
+CONTRACTION_BATCHES = [
+    (member, MEMBER_NODES[2 * analyzer._CHUNK : 3 * analyzer._CHUNK])
+    for member in OPPOSITE_7_MEMBERS
+] + [("mixed", MIXED_NODES)]
+
+
+@pytest.mark.parametrize("structure, points", CONTRACTION_BATCHES,
+                         ids=["opposite-base", "opposite-rescaled1", "opposite-rescaled2", "mixed"])
+def test_contractions_round_as_each_nodes_own_matmul(structure, points, mixed_structure):
+    # each contraction of a batch's invariants has the bits of a @ M @ b (or
+    # a @ b) on node i's own 1-D arrays, in batches with flat and branch nodes
+    if structure == "mixed":
+        structure = mixed_structure
+    field = InvariantField([Frame(structure, p, SCAN_ORDER) for p in points])
+    assert field.flat.any() and field.branch()[0].size
+    values = field.invariant_values()
+
+    def own(tree, i):
+        return np.array(jets.values(tree)[..., i])
+
+    for name, (a, m, b) in field._contraction_terms().items():
+        for i in range(field.nodes.size):
+            alone = own(a, i) @ own(b, i) if m is None else own(a, i) @ own(m, i) @ own(b, i)
+            assert float(getattr(values, name)[i]).hex() == float(alone).hex(), (name, i)
 
 
 def leaves(tree):
@@ -124,21 +154,14 @@ def leaves(tree):
 
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_stacked_frame_jets_are_the_per_point_frames_jets(
-    data, spiral_structure, quadratic_structure, opposite_structure
-):
-    # a stack may mix structures and repeat points, and may hold one node
-    pool = data.draw(st.lists(
-        structures(spiral_structure, quadratic_structure, opposite_structure),
-        min_size=1, max_size=3,
-    ))
-    nodes = data.draw(st.lists(
-        st.tuples(st.sampled_from(pool), st.sampled_from(POINTS)), min_size=1, max_size=9
-    ))
+def test_stacked_frame_jets_are_the_per_point_frames_jets(data, mixed_structure):
+    # a stack may repeat points, and may hold one node
+    structure = data.draw(structures(mixed_structure, mixed_structure, mixed_structure))
+    nodes = data.draw(st.lists(st.sampled_from(POINTS + MIXED_NODES), min_size=1, max_size=9))
     orientation = data.draw(st.sampled_from([1, -1]))
-    stacked = Frame.stack([Frame(s, p, 5, orientation) for s, p in nodes])
-    assert stacked.points == [p for _, p in nodes]
-    for i, (structure, point) in enumerate(nodes):
+    stacked = Frame.stack([Frame(structure, p, 5, orientation) for p in nodes])
+    assert stacked.points == nodes
+    for i, point in enumerate(nodes):
         alone = Frame(structure, point, 5, orientation)
         for name in Frame._JETS:
             for col, jet in zip(leaves(getattr(stacked, name)), leaves(getattr(alone, name))):
@@ -154,6 +177,11 @@ def test_stack_of_one_structure_evaluates_each_expression_once(quadratic_structu
         assert eval_jet.call_count == 0  # a per-point frame evaluates on first read
         Frame.stack(frames)
     assert eval_jet.call_count == 4  # u, P11, P12, P22 over the 24 node columns
+
+
+def test_stack_holds_one_structure(quadratic_structure, opposite_structure):
+    with pytest.raises(ValueError, match="same structure"):
+        Frame.stack([Frame(quadratic_structure, (1.0, 0.0)), Frame(opposite_structure, (1.0, 0.0))])
 
 
 # u fails at x <= 0 and P22 at y <= 0: at the first point only P22 fails, at

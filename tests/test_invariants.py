@@ -112,7 +112,7 @@ def test_sigma_two_ways():
     s = MoebiusStructure.from_strings("0.1*x", "x*y", "0.2*y", "-(x*y)").rescaled("0.07*y")
     for pt in [(0.8, 0.4), (-0.5, 1.0)]:
         f = field_at(s, pt)
-        inv = f.point_invariants()[0]
+        inv = f.invariant_values().node(0)
         expanded = inv.dU_YY + inv.phi * inv.rho
         assert inv.sigma == pytest.approx(expanded, rel=1e-9)
 

@@ -18,7 +18,11 @@ from corner to corner.  On the first rescaled member of each family at
 seed 7, ``analyze`` runs once more with a config that sets
 ``orientation = -1``, and ``analyze`` and ``verify`` run with ``--mode``
 and ``--orientation -1`` overriding the config (``verify``'s config names
-the other mode).  The calls run
+the other mode).  No family batch mixes the signs of sigma, so the mixed
+structure (``MIXED``) runs too: ``analyze`` on the grid plus the near-flat
+points, and ``invariants`` and ``constraints`` on the near-flat points, the
+every-55th grid nodes and one node of each kind (sigma = 0 exactly,
+sigma < 0, sigma > 0).  The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
@@ -50,10 +54,15 @@ OVERRIDDEN = (7, 1)
 # the far field, where the rescaled members' invariants approach the float range
 FAR_FIELD = [(r * math.cos(2.0 * math.pi * k / 24), r * math.sin(2.0 * math.pi * k / 24))
              for r in (20.0, 30.0) for k in range(24)]
+# u, P11, P12, P22 of a structure whose batches take every branch of the invariant
+# chain: flat at the origin, sigma = 0 exactly on the axis x = 0 and sigma of
+# either sign elsewhere, so that the degenerate branch runs on a column subset
+MIXED = ("0", "x*y + 0.3*x*x*x", "(y*y - x*x)/2", "-(x*y + 0.3*x*x*x)")
+MIXED_NODES = [(0.0, 1.0), (1.0, 0.5), (-1.0, 0.5), (-1.2, -0.3)]  # sigma = 0, < 0, > 0, > 0
 
 
-def config_text(member, grid, points, mode, orientation=None):
-    u, p11, p12, p22 = member.structure_sources()
+def config_text(sources, grid, points, mode, orientation=None):
+    u, p11, p12, p22 = sources
     lines = ["[structure]", f'u = "{u}"', f'P11 = "{p11}"', f'P12 = "{p12}"', f'P22 = "{p22}"']
     if grid:
         lines += ["[region]", "xmin = -2.0", "xmax = 2.0", "ymin = -2.0", "ymax = 2.0",
@@ -72,8 +81,9 @@ def calls(fam, out):
             for member in fam.members(family, seed):
                 base = out / str(seed) / member.name
                 base.mkdir(parents=True)
+                sources = member.structure_sources()
                 (base / "analyze.cfg").write_text(
-                    config_text(member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real"))
+                    config_text(sources, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real"))
                 yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
                 points = fam.grid_nodes(GRID) + list(fam.NEAR_FLAT)
                 wx, wy, *_ = fam.verify_alpha_sources(member)
@@ -82,7 +92,7 @@ def calls(fam, out):
                 else:
                     mode, alpha = "real", (f"y + {wx}", f"-x + {wy}")
                 wrong = ("1.5*y", "-1.5*x") if mode == "real" else ("0", "0", "1.5*y", "-1.5*x")
-                (base / "verify.cfg").write_text(config_text(member, 0, points, mode))
+                (base / "verify.cfg").write_text(config_text(sources, 0, points, mode))
                 for name, candidate in (("verify", alpha), ("verify-wrong", wrong)):
                     yield base / name, ["verify", "--config", str(base / "verify.cfg")] + [
                         f"--alpha={a}" for a in candidate]
@@ -90,8 +100,8 @@ def calls(fam, out):
                     alpha_args = [f"--alpha={a}" for a in alpha]
                     other = "real" if mode == "complex" else "complex"
                     (base / "analyze-flipped.cfg").write_text(config_text(
-                        member, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real", "-1"))
-                    (base / "verify-other.cfg").write_text(config_text(member, 0, points, other))
+                        sources, GRID, list(fam.NEAR_FLAT) + FAR_FIELD, "real", "-1"))
+                    (base / "verify-other.cfg").write_text(config_text(sources, 0, points, other))
                     yield base / "analyze-flipped", [
                         "analyze", "--config", str(base / "analyze-flipped.cfg")]
                     yield base / "verify-overrides", [
@@ -101,11 +111,19 @@ def calls(fam, out):
                         "analyze", "--config", str(base / "analyze.cfg"), "--mode=complex",
                         "--orientation=-1"]
                 points = list(fam.NEAR_FLAT) + fam.grid_nodes(GRID)[::DUMP_STRIDE]
-                (base / "dump.cfg").write_text(config_text(member, 0, points, "real"))
+                (base / "dump.cfg").write_text(config_text(sources, 0, points, "real"))
                 for command in ("invariants", "constraints"):
                     yield base / command, [command, "--config", str(base / "dump.cfg")]
                 yield base / "rescale", ["rescale", "--config", str(base / "dump.cfg"),
                                          f"--omega={OMEGA}"]
+    base = out / "mixed"
+    base.mkdir(parents=True)
+    (base / "analyze.cfg").write_text(config_text(MIXED, GRID, list(fam.NEAR_FLAT), "real"))
+    yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
+    points = list(fam.NEAR_FLAT) + fam.grid_nodes(GRID)[::DUMP_STRIDE] + MIXED_NODES
+    (base / "dump.cfg").write_text(config_text(MIXED, 0, points, "real"))
+    for command in ("invariants", "constraints"):
+        yield base / command, [command, "--config", str(base / "dump.cfg")]
 
 
 def run_all(src, out):
