@@ -90,6 +90,7 @@ from .polyalg import (
     RootSet,
     ZeroPolynomial,
     column_common_roots,
+    column_gaps,
     column_resultant_reports,
     trimmed_degrees,
 )

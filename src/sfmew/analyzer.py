@@ -8,19 +8,25 @@
 2. If sigma > 0 the degenerate branch is possible; when the branch tensor
    M_ab vanishes the structure admits a solution with the closed-form
    candidate (``MZeroAdmits``).
-3. Otherwise the three constraint polynomials are assembled and their
-   pairwise resultants examined.  The "does the resultant vanish" decision
-   uses the smallest relative singular value of the normalized Sylvester
-   matrix (``gap``): an exactly vanishing resultant gives a numerically
-   singular matrix (gap ~ 1e-16) while the determinant value itself can be
-   legitimately tiny for nonzero resultants.  A common-root witness search
-   disambiguates the middle band.
-4. Real common roots (excluding roots of P0) are reconstructed into
-   candidate 1-forms and verified against the full equation; a verified
-   candidate yields ``AdmitsRealCandidate``, shared complex factors yield
+3. Otherwise the three constraint polynomials are assembled, their
+   pairwise resultants reported, and their common roots (excluding roots of
+   P0) searched for.  Real common roots are reconstructed into candidate
+   1-forms and verified against the full equation; a verified candidate
+   yields ``AdmitsRealCandidate``, shared complex factors yield
    ``VanishingObstructionsNoRealSolution``.  Real common roots of which none
    verifies yield ``Inconclusive``: they show neither a solution nor that
    none exists.
+4. A node without a witness is decided by whether its resultants vanish,
+   which reads the smallest relative singular value of the normalized
+   Sylvester matrix (``gap``): an exactly vanishing resultant gives a
+   numerically singular matrix (gap ~ 1e-16) while the determinant value
+   itself can be legitimately tiny for nonzero resultants.  Its gaps are
+   taken smallest matrix first, up to the first above ``_TOL_RES_HIGH``,
+   which certifies that resultant nonzero (``Obstructed``); with none above,
+   all three gaps below ``_TOL_RES_LOW`` are ``Inconclusive`` and the rest
+   ``Obstructed``.  A witness bounds every gap by sqrt(18) ``TOL_ROOT``, far
+   below ``_TOL_RES_HIGH`` (``docs/decisions.md`` §8), so no gap could
+   overrule it, and none is taken where one decides.
 
 Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
 :class:`~sfmew.geometry.Frame`; their stack evaluates the structure once on
@@ -32,9 +38,11 @@ reads: the stacked columns of flat nodes go once the chain has taken the
 others, a node's own invariants are read off (``PointInvariants.node``)
 only where its verdict reads them, and the lift builds its own chain over
 the nodes with real roots only.
-The nodes no gap certifies go through one common-root witness search for
-the batch (:func:`~sfmew.polyalg.column_common_roots`), which gives their
-real and complex witnesses from the same eigenvalues.  Each node is then
+The nodes with constraints of degree >= 1 go through one common-root
+witness search for the batch (:func:`~sfmew.polyalg.column_common_roots`),
+which gives their real and complex witnesses from the same eigenvalues;
+the nodes without a witness then take their gaps, one pair at a time for
+the batch (:func:`~sfmew.polyalg.column_gaps`).  Each node is then
 decided in a plain loop over its floats.  Every node goes through the float
 operations it would go through alone, so its verdict does not depend on its
 batch.  A node whose invariants, degenerate-branch tensor or constraint
@@ -77,7 +85,13 @@ from .constraints import NOT_FINITE, coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import eval_jet
 from .geometry import Frame
 from .invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f
-from .polyalg import TOL_ROOT, column_common_roots, column_resultant_reports, trimmed_degrees
+from .polyalg import (
+    TOL_ROOT,
+    column_common_roots,
+    column_gaps,
+    column_resultant_reports,
+    trimmed_degrees,
+)
 
 __all__ = [
     "VerdictTag",
@@ -102,7 +116,7 @@ __all__ = [
 
 _CLOSED_FORM_ORDER = 3  # closed-form jets: residuals read 3 orders of P, nabla F 2 of alpha
 _LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 3 -> 7
-# nodes per batch: wide enough to spread a batch's fixed work (stacked SVDs, eigvals,
+# nodes per batch: wide enough to spread a batch's fixed work (stacked dets, eigvals,
 # product tables) over many nodes, narrow enough to bound the memory of its jets
 # (see docs/decisions.md, section 4)
 _CHUNK = 96
@@ -407,6 +421,9 @@ _NOT_FINITE_INVARIANTS = "invariants are not all finite"
 _NOT_FINITE_BRANCH = "degenerate-branch tensor is not all finite"
 #: The resultants of a verdict, in order: pair name -> its constraints (P1..P3 as 0..2).
 RESULTANT_PAIRS = {"res12": (0, 1), "res13": (0, 2), "res23": (1, 2)}
+# the order in which a node's gaps are taken: smallest Sylvester matrix first, as
+# P1, P2 and P3 have degrees 8, 10 and 6
+_GAP_ORDER = ("res13", "res23", "res12")
 
 
 def _horner(coeffs, t):
@@ -612,16 +629,20 @@ def _classify_chunk(structure, points, orientation):
     ]
     # row in rest -> pair name -> ResultantReport, for the rows with proper constraints
     resultants = {r: dict(zip(RESULTANT_PAIRS, reps)) for r, *reps in zip(ok.tolist(), *reports)}
-    # one common-root witness search for the rows no gap certifies
-    search = [
-        r for r, res in resultants.items()
-        if not max(rep.gap for rep in res.values()) > _TOL_RES_HIGH
-    ]
+    # one common-root witness search for all of them
     p0 = _coefficient_columns(coeffs_P0(vals), len(rest))
-    found = {}
-    if search:
-        cols = [c[:, search] for c in coeffs]
-        found = dict(zip(search, column_common_roots(cols, p0[:, search])))
+    found = dict(zip(ok.tolist(), column_common_roots([c[:, ok] for c in coeffs], p0[:, ok])))
+    # Sylvester gaps where no witness decides, up to the first that certifies a
+    # resultant nonzero; a witness bounds every gap far below that (decisions §8)
+    todo = [r for r, roots in found.items() if not (len(roots.real) or roots.complex)]
+    for name in _GAP_ORDER:
+        if not todo:
+            break
+        i, j = RESULTANT_PAIRS[name]
+        gaps = column_gaps(coeffs[i][:, todo], coeffs[j][:, todo])
+        for r, gap in zip(todo, gaps):
+            resultants[r][name] = resultants[r][name]._replace(gap=gap)
+        todo = [r for r, gap in zip(todo, gaps) if not gap > _TOL_RES_HIGH]
 
     pending = []  # nodes with real common roots: (column, resultants, witnesses)
     for r, c in enumerate(rest):
@@ -634,7 +655,7 @@ def _classify_chunk(structure, points, orientation):
                 note="degenerate constraint polynomial" if finite[r] else NOT_FINITE,
             )
             continue
-        verdict = _resultant_verdict(resultants[r], found.get(r), pt, m_norm)
+        verdict = _resultant_verdict(resultants[r], found[r], pt, m_norm)
         if isinstance(verdict, Verdict):
             verdicts[node] = verdict
         else:
@@ -664,28 +685,30 @@ def _mzero_verdict(inv, mrep, pt):
 
 
 def _resultant_verdict(resultants, roots, pt, m_norm):
-    """The verdict the resultants and the witness search give, or the real
+    """The verdict the witness search and the resultants give, or the real
     common roots (a :class:`~sfmew.polyalg.RootSet`) that need verifying.
 
     ``roots`` holds the node's common roots, a
-    :class:`~sfmew.polyalg.CommonRoots`; None where a gap certifies a
-    resultant nonzero.
+    :class:`~sfmew.polyalg.CommonRoots`.  Without a witness, ``resultants``
+    carries the gaps up to the first above ``_TOL_RES_HIGH``, else all three.
     """
-    if roots is not None and len(roots.real):
+    if len(roots.real):
         return roots.real
-    if roots is None:
-        tag, note = VerdictTag.OBSTRUCTED, "at least one resultant certified nonzero"
-    elif roots.complex:
+    if roots.complex:
         tag = VerdictTag.VANISHING
         note = "constraints share only complex roots: " + ", ".join(
             f"{z:.6g}" for z in roots.complex
         )
-    elif max(rep.gap for rep in resultants.values()) < _TOL_RES_LOW:
-        tag = VerdictTag.INCONCLUSIVE
-        note = "resultants at numerical zero without a common-root witness"
     else:
-        tag = VerdictTag.OBSTRUCTED
-        note = "no common root; resultants bounded away from numerical zero"
+        gap = max(rep.gap for rep in resultants.values() if rep.gap is not None)
+        if gap > _TOL_RES_HIGH:
+            tag, note = VerdictTag.OBSTRUCTED, "at least one resultant certified nonzero"
+        elif gap < _TOL_RES_LOW:
+            tag = VerdictTag.INCONCLUSIVE
+            note = "resultants at numerical zero without a common-root witness"
+        else:
+            tag = VerdictTag.OBSTRUCTED
+            note = "no common root; resultants bounded away from numerical zero"
     return Verdict(tag=tag, point=pt, resultants=resultants, m_norm=m_norm, note=note)
 
 

@@ -9,15 +9,22 @@ it, by that largest magnitude (:func:`_normalized_rows`).
 
 * Resultant reports of pairs of columns (:func:`column_resultant_reports`)
   come from the Sylvester matrices of the normalized pairs: one stacked
-  determinant and one stacked SVD for all pairs of the same degrees.  The
-  SVD gives the gap, the smallest singular value over the largest.
+  determinant for all pairs of the same degrees, and the scale that undoes
+  the normalization.
+* The gaps of pairs of columns (:func:`column_gaps`), the smallest singular
+  value of the normalized Sylvester matrix over the largest, come from one
+  stacked SVD for all pairs of the same degrees.  It is the only SVD here.
 * The common roots of triples of columns (:func:`column_common_roots`) come
   from one stacked eigenvalue solve for all triples whose lowest degree is
   the same, which gives the real and the complex witnesses.  A root is kept
-  where every normalized polynomial evaluates below :data:`TOL_ROOT` there.
+  where every normalized polynomial evaluates to at most :data:`TOL_ROOT`
+  there.  Every pair of a triple then has a gap of at most
+  sqrt(m + n) * TOL_ROOT, m and n the pair's degrees (``docs/decisions.md``
+  §8).
 
-This module decides nothing: the analyzer compares the gaps with its own
-thresholds and reads the witnesses (:mod:`sfmew.analyzer`).
+This module decides nothing: the analyzer reads the witnesses, and compares
+the gaps of the columns without one with its own thresholds
+(:mod:`sfmew.analyzer`).
 """
 
 import math
@@ -32,13 +39,14 @@ __all__ = [
     "ResultantReport",
     "ZeroPolynomial",
     "column_resultant_reports",
+    "column_gaps",
     "trimmed_degrees",
     "CommonRoots",
     "column_common_roots",
     "TOL_ROOT",
 ]
 
-#: A common root's normalized polynomials evaluate below this; the analyzer's root
+#: A common root's normalized polynomials evaluate to at most this; the analyzer's root
 #: lift takes it as the relative size of a numerically zero slope and of a moved root.
 TOL_ROOT = 1e-7
 _TRIM_REL = 1e-12
@@ -107,6 +115,24 @@ def _sylvester_stack(pc, qc):
     return mat
 
 
+def _sylvester_groups(cp, cq):
+    """The Sylvester matrices of the normalized pairs in the columns of ``cp``,
+    ``cq``, one stack per pair of degrees; every trimmed pair needs degrees >= 1.
+
+    Returns the norms of both sides, each of shape (K,), and a list of
+    ``(m, n, cols, matrices)``: the degrees, the columns that have them and
+    the stack of their matrices.
+    """
+    (dp, np_, rp), (dq, nq, rq) = _normalized_rows(cp, len(cp)), _normalized_rows(cq, len(cq))
+    if np.any(dp < 1) or np.any(dq < 1):
+        raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
+    groups = []
+    for m, n in sorted(set(zip(dp.tolist(), dq.tolist()))):
+        cols = np.flatnonzero((dp == m) & (dq == n))
+        groups.append((m, n, cols, _sylvester_stack(rp[cols, : m + 1], rq[cols, : n + 1])))
+    return np_, nq, groups
+
+
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -121,7 +147,7 @@ def _resultant_scale(p_norm, p_degree, q_norm, q_degree):
 
 
 class ResultantReport(NamedTuple):
-    """Resultant value plus its numerical-vanishing indicator.
+    """Resultant value, and the Sylvester gap where a verdict read it.
 
     ``normalized`` is the Sylvester determinant of the normalized pair, and
     ``scale = |P|_max^deg(Q) |Q|_max^deg(P)`` the factor that undoes the
@@ -132,15 +158,17 @@ class ResultantReport(NamedTuple):
     rows first); comparisons against closed forms should use magnitudes.
 
     ``gap`` is the smallest singular value of the normalized Sylvester
-    matrix relative to the largest one: an exactly vanishing resultant makes
-    the matrix singular (gap at roundoff, ~1e-16) whereas the determinant
-    value alone can be legitimately tiny for nonzero resultants whose
-    coefficients span many orders of magnitude.
+    matrix relative to the largest one (:func:`column_gaps`), or None where
+    it was not computed: :func:`column_resultant_reports` leaves it None,
+    and the analyzer sets it where its verdict reads it.  An exactly
+    vanishing resultant makes the matrix singular (gap at roundoff, ~1e-16)
+    whereas the determinant value alone can be legitimately tiny for
+    nonzero resultants whose coefficients span many orders of magnitude.
     """
 
     normalized: float
     scale: float
-    gap: float
+    gap: float | None = None
 
     @property
     def value(self):
@@ -152,24 +180,34 @@ def column_resultant_reports(cp, cq):
 
     Columns hold coefficients lowest degree first, trimmed and normalized by
     :func:`_normalized_rows`; every trimmed pair needs degrees >= 1.  The
-    pairs of the same degrees share one stacked ``det`` and one stacked SVD
-    of their Sylvester matrices.  Returns a :class:`ResultantReport` per
-    column.
+    pairs of the same degrees share one stacked ``det`` of their Sylvester
+    matrices.  Returns a :class:`ResultantReport` per column, without a gap.
     """
-    (dp, np_, rp), (dq, nq, rq) = _normalized_rows(cp, len(cp)), _normalized_rows(cq, len(cq))
-    if np.any(dp < 1) or np.any(dq < 1):
-        raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
-    reports = [None] * len(dp)
-    for m, n in sorted(set(zip(dp.tolist(), dq.tolist()))):
-        cols = np.flatnonzero((dp == m) & (dq == n))
-        mats = _sylvester_stack(rp[cols, : m + 1], rq[cols, : n + 1])
-        dets = np.linalg.det(mats)
-        sv = np.linalg.svd(mats, compute_uv=False)
-        gaps = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
-        norms = zip(np_[cols].tolist(), nq[cols].tolist())
-        for c, d, (a, b), g in zip(cols.tolist(), dets, norms, gaps):
-            reports[c] = ResultantReport(float(d), _resultant_scale(a, m, b, n), float(g))
+    p_norms, q_norms, groups = _sylvester_groups(cp, cq)
+    reports = [None] * len(p_norms)
+    for m, n, cols, mats in groups:
+        norms = zip(p_norms[cols].tolist(), q_norms[cols].tolist())
+        for c, d, (a, b) in zip(cols.tolist(), np.linalg.det(mats), norms):
+            reports[c] = ResultantReport(float(d), _resultant_scale(a, m, b, n))
     return reports
+
+
+def column_gaps(cp, cq):
+    """Sylvester gaps of the pairs of polynomials in the columns of ``cp``, ``cq``.
+
+    The gap of a pair is the smallest singular value of the Sylvester matrix
+    of the normalized pair over the largest, 0 where the largest is 0.
+    Columns are trimmed and normalized as for
+    :func:`column_resultant_reports`; the pairs of the same degrees share
+    one stacked SVD, which gives each matrix the bits it gets alone.
+    Returns the gaps as a list of floats, one per column.
+    """
+    p_norms, _, groups = _sylvester_groups(cp, cq)
+    gaps = np.zeros(len(p_norms))
+    for _, _, cols, mats in groups:
+        sv = np.linalg.svd(mats, compute_uv=False)
+        gaps[cols] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+    return gaps.tolist()
 
 
 class CommonRoots(NamedTuple):
@@ -198,7 +236,7 @@ def column_common_roots(polys, exclude=None):
     * the real witnesses: the eigenvalues near the real axis, projected onto
       it, polished by Newton steps, clustered into roots with
       multiplicities, and kept where that polynomial and every other one
-      evaluates below :data:`TOL_ROOT`;
+      evaluates to at most :data:`TOL_ROOT`;
     * the complex witnesses: the eigenvalues in the upper half-plane, kept
       on the same test, one per cluster.
 
@@ -238,7 +276,7 @@ def _companion_roots(rows, degrees):
     real, else as complex numbers.  Returns the roots (K, D), D the largest
     degree, and the mask of the entries a row has (its first ``degree``).
     """
-    width = max(int(degrees.max()), 0)
+    width = int(degrees.max(initial=0))
     roots = np.zeros((len(rows), width), dtype=complex)
     for d in sorted(set(degrees[degrees >= 1].tolist())):
         sel = np.flatnonzero(degrees == d)
@@ -270,7 +308,7 @@ def _witness_test(rows, col, x, excl):
     """Which points ``x`` (of the columns ``col``) every polynomial vanishes at,
     away from the roots of ``excl``; and the largest normalized value there."""
     values = np.max([np.abs(_horner(r[col], x)) for r in rows], axis=0)
-    keep = ~(values > TOL_ROOT)
+    keep = values <= TOL_ROOT  # a NaN value keeps no root
     if excl is not None:
         has, excl_rows = excl
         keep &= ~(has[col] & (np.abs(_horner(excl_rows[col], x)) < TOL_ROOT))
@@ -280,12 +318,11 @@ def _witness_test(rows, col, x, excl):
 def _real_witnesses(rows, base, roots, valid, excl):
     """The real common roots of each column, a :class:`RootSet` each."""
     near = valid & (np.abs(roots.imag) <= 3e-4 * (1.0 + np.abs(roots.real)))
-    cands = [np.sort(r.real[m]) for r, m in zip(roots, near)]
-    col = np.repeat(np.arange(len(cands)), [c.size for c in cands])
-    t = _newton(rows[base[col], col], np.concatenate(cands))
+    col, pos = np.nonzero(near)  # ascending columns
+    t = roots.real[col, pos]
+    t = _newton(rows[base[col], col], t[np.lexsort((t, col))])  # ascending in each column
     # the polished candidates sorted within each column, stably as list.sort does
-    bounds = np.searchsorted(col, np.arange(len(cands) + 1))
-    t = np.concatenate([np.sort(t[a:b], kind="stable") for a, b in zip(bounds, bounds[1:])])
+    t = t[np.lexsort((t, col))]
 
     # clusters: runs of candidates each within 3e-4 (relative) of the one before
     new = np.ones(t.size, dtype=bool)
@@ -303,7 +340,7 @@ def _real_witnesses(rows, base, roots, valid, excl):
     keep &= res <= TOL_ROOT
 
     col, mean, mult, values = col[keep], mean[keep], mult[keep], values[keep]
-    bounds = np.searchsorted(col, np.arange(len(cands) + 1))
+    bounds = np.searchsorted(col, np.arange(len(roots) + 1))
     return [
         RootSet(mean[a:b], mult[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])
     ]

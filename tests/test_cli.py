@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from sfmew.analyzer import _GAP_ORDER, _TOL_RES_HIGH, _TOL_RES_LOW, RESULTANT_PAIRS
 from sfmew.cli import _CONFIG_KEYS, _dump_json, main
 
 SPIRAL = """
@@ -319,6 +320,47 @@ def test_analyze_far_spiral_zero_resultant_is_zero(runner, tmp_path):
     assert result.exit_code == 0, result.output
     (record,) = json.loads((tmp_path / "report.json").read_text())["points"]
     assert record["res23_value"] == 0.0
+
+
+def _analyze_point(runner, tmp_path, structure, point):
+    """The report.json record of one point that ``sfmew analyze`` classifies."""
+    cfg = write(tmp_path, "s.cfg", structure)
+    result = runner.invoke(main, ["analyze", "--config", cfg, "--out", str(tmp_path),
+                                  "--points", point])
+    assert result.exit_code == 0, result.output
+    (record,) = json.loads((tmp_path / "report.json").read_text())["points"]
+    return record
+
+
+@pytest.mark.parametrize("structure, verdict", [
+    (OPPOSITE, "VanishingObstructionsNoRealSolution"),
+    (QUADRATIC, "AdmitsRealCandidate"),
+])
+def test_analyze_reads_no_gap_where_a_witness_decides(runner, tmp_path, structure, verdict):
+    record = _analyze_point(runner, tmp_path, structure, "1,0")
+    assert record["verdict"] == verdict
+    for pair in RESULTANT_PAIRS:
+        assert record[pair + "_gap"] is None
+        assert record[pair + "_value"] is not None  # the resultants are still reported
+
+
+@pytest.mark.parametrize("point, taken", [("1,0", 1), ("0.5,0.8", 3)])
+def test_analyze_takes_gaps_up_to_the_first_that_certifies(runner, tmp_path, point, taken):
+    # smallest Sylvester matrix first; the last gap taken certifies a resultant nonzero
+    record = _analyze_point(runner, tmp_path, SPIRAL, point)
+    assert record["verdict"] == "Obstructed"
+    assert record["note"] == "at least one resultant certified nonzero"
+    gaps = [record[pair + "_gap"] for pair in _GAP_ORDER]
+    assert all(gap <= _TOL_RES_HIGH for gap in gaps[: taken - 1])
+    assert gaps[taken - 1] > _TOL_RES_HIGH
+    assert gaps[taken:] == [None] * (3 - taken)
+
+
+def test_analyze_inconclusive_node_without_a_witness_carries_all_three_gaps(runner, tmp_path):
+    record = _analyze_point(runner, tmp_path, SPIRAL, "0.2,0")  # fault F1
+    assert record["verdict"] == "Inconclusive"
+    assert record["note"] == "resultants at numerical zero without a common-root witness"
+    assert all(record[pair + "_gap"] < _TOL_RES_LOW for pair in RESULTANT_PAIRS)
 
 
 def test_analyze_point_with_non_finite_coefficients_is_inconclusive(runner, tmp_path):

@@ -1,21 +1,30 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sfmew.analyzer import classify_point
+from sfmew.analyzer import _TOL_RES_HIGH, RESULTANT_PAIRS, _coefficient_columns, classify_point
 from sfmew.constraints import coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
-from sfmew.invariants import compute_invariants
+from sfmew.geometry import Frame
+from sfmew.invariants import SCAN_ORDER, InvariantField, compute_invariants
 from sfmew.polyalg import (
+    TOL_ROOT,
     ResultantReport,
     ZeroPolynomial,
     _companion_roots,
     _sylvester_stack,
+    _witness_test,
     column_common_roots,
+    column_gaps,
     column_resultant_reports,
     trimmed_degrees,
 )
 
 from columns import column
+from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, QUADRATIC_7_MEMBERS, SPIRAL_7_MEMBERS
 
 
 def poly_from_roots(roots, lc=1.0):
@@ -28,6 +37,11 @@ def poly_from_roots(roots, lc=1.0):
 def resultant(p, q):
     """The resultant report of one pair: a column of one each."""
     return column_resultant_reports(column(p), column(q))[0]
+
+
+def gap(p, q):
+    """The Sylvester gap of one pair: a column of one each."""
+    return column_gaps(column(p), column(q))[0]
 
 
 def common_roots(polys, exclude=None):
@@ -157,15 +171,15 @@ def test_resultant_root_duality():
         else:
             qr = qr + 0.25  # integer grids offset by 1/4 never collide
         p, q = poly_from_roots(pr), poly_from_roots(qr)
-        rep = resultant(p, q)
+        g = gap(p, q)
         has_common = bool(np.min(np.abs(pr[:, None] - qr[None, :])) < 1e-6)
-        assert (rep.gap < 1e-10) == has_common, (pr, qr, rep.gap)
+        assert (g < 1e-10) == has_common, (pr, qr, g)
 
     # complex shared factor: only the resultant reports it
     base = [1.0, 0.5, 1.0]  # no real roots
     p = npoly.polymul(base, [3.0, 1.0])
     q = npoly.polymul(base, [-7.0, 1.0])
-    assert resultant(p, q).gap < 1e-12
+    assert gap(p, q) < 1e-12
     assert abs(resultant(p, q).value) < 1e-10
 
 
@@ -174,7 +188,7 @@ def test_resultant_report_gap_separates_scales(spiral_structure):
     inv = compute_invariants(spiral_structure, (0.5, 0.0))
     rep = resultant(coeffs_P1(inv), coeffs_P3(inv))
     assert abs(rep.normalized) < 1e-8  # determinant alone looks tiny
-    assert rep.gap > 1e-10  # but the matrix is far from singular
+    assert gap(coeffs_P1(inv), coeffs_P3(inv)) > 1e-10  # but the matrix is far from singular
 
 
 def test_resultant_scale_beyond_the_float_range_is_inf():
@@ -184,7 +198,7 @@ def test_resultant_scale_beyond_the_float_range_is_inf():
     assert rep.scale == np.inf
     assert rep.value == -np.inf  # normalized: Res(t - 1, t^2/4 - 1) = -3/4
     assert rep.normalized == pytest.approx(-0.75)
-    assert rep.gap > 1e-5
+    assert gap([-1e200, 1e200], [-4e200, 0.0, 1e200]) > 1e-5
     # a power that overflows in a finite product; finite scales keep their bits
     assert resultant([1e200, 1e200], [1e-200, 0.0, 1e-200]).scale == (
         pytest.approx(1e200, rel=1e-12)
@@ -232,3 +246,74 @@ def test_stacked_companion_roots_are_polyroots():
         else:
             assert got[:d].tobytes() == want.tobytes()
     assert 0 < real_rows < len(rows)
+
+
+def test_witness_test_keeps_no_root_where_a_value_is_nan():
+    # 1 + t vanishes at -1; at NaN its value is NaN, which is no witness
+    rows = np.array([[[1.0, 1.0]]])  # one polynomial, one column
+    keep, values = _witness_test(rows, np.array([0, 0]), np.array([np.nan, -1.0]), None)
+    assert keep.tolist() == [False, True]
+    assert np.isnan(values[0]) and values[1] == 0.0
+
+
+_DEGREES = (8, 10, 6)  # of P1, P2 and P3
+_unit = st.floats(-1.0, 1.0)
+_leading = st.floats(0.5, 1.0) | st.floats(-1.0, -0.5)
+
+
+@st.composite
+def _planted_triples(draw):
+    """Three real polynomials of degrees 8, 10 and 6 with a common real root or
+    a common complex pair, and graded coefficients: P(t) -> c P(g t).  The first
+    one's constant coefficient moves by up to 1e-4 of its largest, so that the
+    root is shared only nearly, or not at all."""
+    a = draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        factor = [-a, 1.0]
+    else:
+        b = draw(st.floats(0.2, 2.0))
+        factor = [a * a + b * b, -2.0 * a, 1.0]
+    grade = 10.0 ** draw(st.floats(-1.0, 1.0))
+    polys = []
+    for d in _DEGREES:
+        size = d + 1 - len(factor)
+        cofactor = draw(st.lists(_unit, min_size=size, max_size=size))
+        p = npoly.polymul(factor, cofactor + [draw(_leading)])
+        polys.append(p * grade ** np.arange(d + 1) * 10.0 ** draw(st.floats(-3.0, 3.0)))
+    polys[0][0] += draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(
+        st.floats(-12.0, -4.0)) * np.max(np.abs(polys[0]))
+    return polys
+
+
+@given(_planted_triples())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_kept_common_root_bounds_every_pairs_gap(polys):
+    """At a kept root z every normalized P_k(z) is at most TOL_ROOT, so the
+    Sylvester matrix of each pair maps (z^(m+n-1), ..., 1) to at most
+    sqrt(m + n) TOL_ROOT times its length: the gap is at most that."""
+    cols = [column(p) for p in polys]
+    roots = column_common_roots(cols)[0]
+    assume(len(roots.real) or roots.complex)
+    for i, j in RESULTANT_PAIRS.values():
+        m, n = trimmed_degrees(cols[i])[0][0], trimmed_degrees(cols[j])[0][0]
+        assert column_gaps(cols[i], cols[j])[0] <= math.sqrt(m + n) * TOL_ROOT
+
+
+_SEED7 = {"spiral": SPIRAL_7_MEMBERS, "quadratic": QUADRATIC_7_MEMBERS,
+          "opposite": OPPOSITE_7_MEMBERS}
+
+
+@pytest.mark.parametrize("family, k", [(f, k) for f in _SEED7 for k in range(3)])
+def test_no_witnessed_node_of_a_family_member_has_a_certifying_gap(family, k):
+    """A witness decides a node before any gap is taken: on the seed-7 members'
+    grid and near-flat nodes, no witnessed node has a gap of _TOL_RES_HIGH or more."""
+    field = InvariantField([Frame(_SEED7[family][k], p, SCAN_ORDER) for p in MEMBER_NODES])
+    vals, n = field.invariant_values(), field.nodes.size
+    coeffs = [_coefficient_columns(fn(vals), n) for fn in (coeffs_P1, coeffs_P2, coeffs_P3)]
+    roots = column_common_roots(coeffs, _coefficient_columns(coeffs_P0(vals), n))
+    witnessed = [c for c, r in enumerate(roots) if len(r.real) or r.complex]
+    for i, j in RESULTANT_PAIRS.values():
+        gaps = column_gaps(coeffs[i][:, witnessed], coeffs[j][:, witnessed])
+        assert not any(g >= _TOL_RES_HIGH for g in gaps)
+    if family != "spiral":  # every node but the flat origin has a witness
+        assert len(witnessed) == n == len(MEMBER_NODES) - 1

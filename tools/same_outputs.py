@@ -22,7 +22,11 @@ the other mode).  No family batch mixes the signs of sigma, so the mixed
 structure (``MIXED``) runs too: ``analyze`` on the grid plus the near-flat
 points, and ``invariants`` and ``constraints`` on the near-flat points, the
 every-55th grid nodes and one node of each kind (sigma = 0 exactly,
-sigma < 0, sigma > 0).  The calls run
+sigma < 0, sigma > 0).  The generic structure (``GENERIC``), whose
+constraints share a real root at isolated points only, runs ``analyze`` on
+the grid plus those points and their neighbours 1e-3 away along each axis:
+a node with a common-root witness next to nodes whose verdicts read their
+Sylvester gaps.  The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
@@ -59,6 +63,19 @@ FAR_FIELD = [(r * math.cos(2.0 * math.pi * k / 24), r * math.sin(2.0 * math.pi *
 # either sign elsewhere, so that the degenerate branch runs on a column subset
 MIXED = ("0", "x*y + 0.3*x*x*x", "(y*y - x*x)/2", "-(x*y + 0.3*x*x*x)")
 MIXED_NODES = [(0.0, 1.0), (1.0, 0.5), (-1.0, 0.5), (-1.2, -0.3)]  # sigma = 0, < 0, > 0, > 0
+# a trace-free structure, flat at the origin, whose P1..P3 share a real root F only at
+# isolated points: these four (F = 1.9687, 2.0267, 1.9983, 1.8125, from a Newton search
+# on (x, y, F)) and their mirrors (x, -y), with -F
+GENERIC = ("0", "(x*x - y*y)/2 + 0.05*x*x*x", "x*y + 0.05*y*y*y",
+           "-((x*x - y*y)/2 + 0.05*x*x*x)")
+GENERIC_ROOTS = [(-0.7969681981762106, 0.5387902638833664),
+                 (0.8423075800757412, -0.592865481011178),
+                 (2.2740656893155706, 0.23517643418789247),
+                 (2.1417792027825815, -0.16884962436470247)]
+GENERIC_POINTS = [
+    q for x, y in GENERIC_ROOTS for p in ((x, y), (x, -y)) for q in
+    (p, (p[0] + 1e-3, p[1]), (p[0] - 1e-3, p[1]), (p[0], p[1] + 1e-3), (p[0], p[1] - 1e-3))
+]
 
 
 def config_text(sources, grid, points, mode, orientation=None):
@@ -124,6 +141,10 @@ def calls(fam, out):
     (base / "dump.cfg").write_text(config_text(MIXED, 0, points, "real"))
     for command in ("invariants", "constraints"):
         yield base / command, [command, "--config", str(base / "dump.cfg")]
+    base = out / "generic"
+    base.mkdir(parents=True)
+    (base / "analyze.cfg").write_text(config_text(GENERIC, GRID, GENERIC_POINTS, "real"))
+    yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
 
 
 def run_all(src, out):
