@@ -15,8 +15,9 @@ The ``coeffs_P*`` functions compute the coefficient lists, lowest degree
 first, from invariants given as floats, as node arrays (one value per node,
 see :meth:`~sfmew.invariants.InvariantField.invariant_values`) or as jets;
 the jet form lets the analyzer lift a root of a constraint to a jet around
-the point.  Integer powers go through :func:`~sfmew.jets.ipow`, so a node
-array gives each node the coefficients its floats give.  Coefficients come
+the point.  Integer powers go through :func:`~sfmew.jets.ipow`, which is
+``np.power`` on a float and on a node array alike, so a node's coefficients
+do not depend on its batch.  Coefficients come
 out raw, untrimmed: stacked as rows of node arrays they are the coefficient
 columns of :mod:`sfmew.polyalg`, which trims and normalizes them for root
 and resultant work.

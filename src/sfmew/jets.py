@@ -18,11 +18,13 @@ acts on the N nodes at once, and a per-node scalar is a float array of
 shape ``(N,)``.  Each column goes
 through exactly the float operations, in the same order, that a jet of one
 node goes through, so a node's coefficients do not depend on the other
-nodes of its batch.  Per-node values that the scalar path computes with the
-math library (the power series of a reciprocal and of the analytic
-functions exp, ln, sqrt, sin, cos and non-integer powers) are computed
-value by value with it too, since numpy's vectorised functions can differ
-in the last bit.
+nodes of its batch.  The power series of a reciprocal and of the analytic
+functions exp, ln, sqrt, sin, cos and non-integer powers take numpy's
+ufuncs (``np.exp``, ``np.log``, ``np.sqrt``, ``np.sin``, ``np.power``) on
+the node value or the node array alike, which round a value the same way
+at any width.  Never ``x ** n`` on a numpy value: a numpy scalar's ``**``
+is the math library's ``pow``, which can differ in the last bit from the
+array loop that ``np.power`` runs on both.
 
 A jet does not know its point.  A :class:`JetError` says what failed;
 :func:`sfmew.expr.eval_jet` adds where, as ``JetError.base``.
@@ -346,26 +348,14 @@ def _reciprocal(j):
 def ipow(x, n):
     """``x ** n`` for an integer n, of a float, a jet or a node array.
 
-    A node array goes value by value through Python's float ``**`` (numpy's
-    object loop calls it), as a single float does: ``np.power`` can differ
-    in the last bit.  A float power beyond the float range is an infinity
-    of the power's sign, not an ``OverflowError``.
+    A float or a node array takes ``np.power``, a jet its own ``**``.  A
+    power beyond the float range is an infinity of the power's sign, without
+    a warning.
     """
-    if isinstance(x, np.ndarray):
-        try:
-            return (x.astype(object) ** n).astype(float)
-        except OverflowError:
-            return np.array([_float_pow(t, n) for t in x.tolist()])
     if isinstance(x, Jet):
         return x**n
-    return _float_pow(x, n)
-
-
-def _float_pow(t, n):
-    try:
-        return t**n
-    except OverflowError:
-        return -math.inf if t < 0.0 and n % 2 else math.inf
+    with np.errstate(over="ignore"):
+        return np.power(x, n)
 
 
 def stack(trees):
@@ -432,82 +422,78 @@ def compose_series(series, g):
     return acc
 
 
-def _series(taylor, j, *args):
-    """The Taylor coefficients ``taylor(v, order, *args)`` gives at the value v
-    of ``j``: on node columns, node value by node value, each a node array."""
-    v = j.value
-    if not isinstance(v, np.ndarray):
-        return taylor(v, j.order, *args)
-    return [np.array(c) for c in zip(*(taylor(t, j.order, *args) for t in v))]
+def _domain(bad, v, message):
+    """Raise a DomainError that names the first node value where ``bad`` holds."""
+    if np.any(bad):
+        raise DomainError(message.format(float(np.extract(bad, v)[0])))
 
 
 def _exp_series(v, order):
-    try:
-        term = math.exp(v)
-    except OverflowError:
-        raise DomainError(f"exp of {float(v)!r} beyond the float range") from None
+    with np.errstate(over="ignore"):
+        term = np.exp(v)
+    _domain(np.isposinf(term) & np.isfinite(v), v, "exp of {!r} beyond the float range")
     series = []
     for k in range(order + 1):
         series.append(term)
-        term /= k + 1
+        term = term / (k + 1)
     return series
 
 
 def _ln_series(v, order):
-    if v <= 0.0:
-        raise DomainError(f"ln of nonpositive value {float(v)!r}")
-    series = [math.log(v)]
+    _domain(v <= 0.0, v, "ln of nonpositive value {!r}")
+    series = [np.log(v)]
     for k in range(1, order + 1):
-        series.append((-1.0) ** (k - 1) / (k * v**k))
+        series.append((-1.0) ** (k - 1) / (k * ipow(v, k)))
     return series
 
 
 def _sqrt_series(v, order):
-    if v <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {float(v)!r}")
-    series, c = [], math.sqrt(v)
+    _domain(v <= 0.0, v, "sqrt of nonpositive value {!r}")
+    series, c = [], np.sqrt(v)
     for k in range(order + 1):
         series.append(c)
-        c *= (0.5 - k) / ((k + 1) * v)
+        c = c * ((0.5 - k) / ((k + 1) * v))
     return series
 
 
 def _trig_series(v, order, phase):
     series, fact = [], 1.0
-    for k in range(order + 1):
-        series.append(math.sin(v + phase + k * math.pi / 2.0) / fact)
-        fact *= k + 1
+    with np.errstate(invalid="ignore"):  # sin of an infinity is NaN
+        for k in range(order + 1):
+            series.append(np.sin(v + phase + k * math.pi / 2.0) / fact)
+            fact *= k + 1
     return series
 
 
 def _power_series(v, order, exponent):
-    if v <= 0.0:
-        raise DomainError(f"non-integer power of nonpositive value {float(v)!r}")
-    series, c = [], v**exponent
+    _domain(v <= 0.0, v, "non-integer power of nonpositive value {!r}")
+    with np.errstate(over="ignore"):
+        c = np.power(v, exponent)
+    series = []
     for k in range(order + 1):
         series.append(c)
-        c *= (exponent - k) / ((k + 1) * v)
+        c = c * ((exponent - k) / ((k + 1) * v))
     return series
 
 
 def exp(j):
-    return compose_series(_series(_exp_series, j), j)
+    return compose_series(_exp_series(j.value, j.order), j)
 
 
 def ln(j):
-    return compose_series(_series(_ln_series, j), j)
+    return compose_series(_ln_series(j.value, j.order), j)
 
 
 def sqrt(j):
-    return compose_series(_series(_sqrt_series, j), j)
+    return compose_series(_sqrt_series(j.value, j.order), j)
 
 
 def sin(j):
-    return compose_series(_series(_trig_series, j, 0.0), j)
+    return compose_series(_trig_series(j.value, j.order, 0.0), j)
 
 
 def cos(j):
-    return compose_series(_series(_trig_series, j, math.pi / 2.0), j)
+    return compose_series(_trig_series(j.value, j.order, math.pi / 2.0), j)
 
 
 def power(j, exponent):
@@ -521,7 +507,7 @@ def power(j, exponent):
         if n < 0:
             return _reciprocal(_int_power(j, -n))
         return _int_power(j, n)
-    return compose_series(_series(_power_series, j, exponent), j)
+    return compose_series(_power_series(j.value, j.order, exponent), j)
 
 
 def _int_power(j, n):

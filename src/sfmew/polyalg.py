@@ -331,9 +331,7 @@ def _real_witnesses(rows, base, roots, valid, excl):
     )
     first = np.flatnonzero(new)
     mult = np.diff(np.append(first, t.size))
-    mean = 0.0 + t[first]  # np.mean of one value
-    for g in np.flatnonzero(mult > 1).tolist():
-        mean[g] = np.mean(t[first[g] : first[g] + mult[g]])
+    mean = _cluster_means(t, first, mult)
     col = col[first]
     res = np.abs(_horner(rows[base[col], col], mean))
     keep, values = _witness_test(rows, col, mean, excl)
@@ -344,6 +342,18 @@ def _real_witnesses(rows, base, roots, valid, excl):
     return [
         RootSet(mean[a:b], mult[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])
     ]
+
+
+def _cluster_means(t, first, mult):
+    """The mean of each run ``t[first[g] : first[g] + mult[g]]``, np.mean's to
+    the bit below 8 members: one pass per member position sums the members
+    one after another from the first, as np.mean does there.  A run of one
+    is ``0.0 + t``, which turns -0.0 into 0.0."""
+    total = 0.0 + t[first]
+    for k in range(1, int(mult.max(initial=1))):
+        more = mult > k
+        total[more] += t[first[more] + k]
+    return total / mult
 
 
 def _newton(rows, t0):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -213,25 +214,59 @@ def test_ipow_beyond_the_float_range_is_a_signed_inf():
     assert ipow(np.array([1e200, -1e200, 3.0]), 3).tolist() == [math.inf, -math.inf, 27.0]
 
 
-def _pow_of_each_value(xs, n):
-    """The node-array ipow of before numpy's object loop: Python's float ** value
-    by value, an overflow the power's signed infinity."""
-    def power(t):
-        try:
-            return t**n
-        except OverflowError:
-            return -math.inf if t < 0.0 and n % 2 else math.inf
+# values near 1 keep every series coefficient visible in the jet's coefficients
+_FUNCS = {
+    "exp": (jets.exp, st.floats(-700.0, 700.0)),
+    "ln": (jets.ln, st.floats(0.25, 4.0)),
+    "sqrt": (jets.sqrt, st.floats(0.25, 4.0)),
+    "sin": (jets.sin, st.floats(-1e4, 1e4)),
+    "cos": (jets.cos, st.floats(-1e4, 1e4)),
+    "power": (lambda j: jets.power(j, 1.0 / 3.0), st.floats(0.25, 4.0)),
+    "reciprocal": (lambda j: 1.0 / j, st.floats(0.25, 4.0)),
+}
 
-    return np.array([power(t) for t in xs], dtype=float)
+
+@given(data=st.data(), name=st.sampled_from(sorted(_FUNCS)), width=st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_node_columns_of_any_width_take_each_nodes_own_bits(data, name, width):
+    # widths 1..40 straddle numpy's SIMD body and its scalar tail
+    func, values = _FUNCS[name]
+    sp = jet_space(3)
+    vec = np.random.default_rng(width).uniform(-1.0, 1.0, (sp.size, width))
+    vec[0] = data.draw(st.lists(values, min_size=width, max_size=width))
+    columns = func(Jet(sp, vec)).vec
+    for k in range(width):
+        alone = func(Jet(sp, vec[:, k].copy())).vec  # the node as a one-node jet
+        assert columns[:, k].tobytes() == alone.tobytes()
 
 
 @given(xs=st.lists(st.floats(allow_subnormal=True), max_size=40), n=st.integers(1, 10))
 @settings(max_examples=200, deadline=None)
-def test_ipow_of_a_node_array_is_the_float_power_of_each_value(xs, n):
-    # np.power and x * x differ from Python's ** in the last bit; ipow must not
+def test_ipow_of_a_node_array_is_the_power_of_each_value_alone(xs, n):
     edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308]
-    xs = xs + edges
-    assert ipow(np.array(xs), n).tobytes() == _pow_of_each_value(xs, n).tobytes()
+    xs = np.array(xs + edges)
+    alone = [ipow(x, n) for x in xs]  # each a numpy float
+    assert ipow(xs, n).tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16, 17, 40])
+@pytest.mark.parametrize(
+    "func, bad",
+    [(jets.exp, 800.0), (jets.ln, 0.0), (jets.ln, -2.5), (jets.sqrt, -0.0),
+     (jets.sqrt, -1e-300), (lambda j: jets.power(j, 0.5), -3.0)],
+)
+def test_one_bad_node_raises_the_error_of_that_node_alone(func, bad, width):
+    sp = jet_space(2)
+    with pytest.raises(DomainError) as alone:
+        func(Jet.constant(sp, bad))
+    for at in {0, width // 2, width - 1}:
+        values = np.linspace(0.5, 2.0, width)
+        values[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as column:
+                func(Jet.constant(sp, values))
+        assert str(column.value) == str(alone.value)
 
 
 def test_truncate_is_a_view_of_the_leading_coefficients():

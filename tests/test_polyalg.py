@@ -14,6 +14,7 @@ from sfmew.polyalg import (
     TOL_ROOT,
     ResultantReport,
     ZeroPolynomial,
+    _cluster_means,
     _companion_roots,
     _sylvester_stack,
     _witness_test,
@@ -246,6 +247,19 @@ def test_stacked_companion_roots_are_polyroots():
         else:
             assert got[:d].tobytes() == want.tobytes()
     assert 0 < real_rows < len(rows)
+
+
+def test_cluster_means_are_np_mean_of_each_cluster():
+    # the loop it replaced: a run of one is 0.0 + t, a longer run np.mean's
+    rng = np.random.default_rng(5)
+    mult = rng.integers(1, 8, 3000)
+    first = np.concatenate([[0], np.cumsum(mult)[:-1]])
+    centre = np.repeat(rng.uniform(-3.0, 3.0, mult.size), mult)
+    t = centre * (1.0 + rng.normal(0.0, 1e-4, centre.size))
+    t[first[:5]] = -0.0
+    mult[:5] = 1
+    want = [0.0 + t[a] if m == 1 else np.mean(t[a : a + m]) for a, m in zip(first, mult)]
+    assert _cluster_means(t, first, mult).tobytes() == np.array(want).tobytes()
 
 
 def test_witness_test_keeps_no_root_where_a_value_is_nan():
