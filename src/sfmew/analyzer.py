@@ -30,23 +30,24 @@
 
 Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
 :class:`~sfmew.geometry.Frame`; their stack evaluates the structure once on
-the batch, and the invariant chain, the constraint coefficients and the
-resultant reports run once on it, with the flat and degenerate-branch nodes
-as column selections.  Every step reads the batch's invariants from the
-chain that computed them.  A batch keeps alive only what a later step
-reads: the stacked columns of flat nodes go once the chain has taken the
-others, a node's own invariants are read off (``PointInvariants.node``)
-only where its verdict reads them, and the lift builds its own chain over
-the nodes with real roots only.
+the batch, and the invariant chain, the branch tensor, the constraint
+coefficients and the resultant reports run once on it, at one width, indexed
+by the batch's own node numbers: a flat node is a column of NaN, and the
+branch is NaN where sigma is numerically zero.  Every step reads the
+batch's invariants from the chain that computed them, and the lift builds
+its own chain over the nodes with real roots only.  The rules that decide
+a node before its resultants are masks over the batch: flat, not finite,
+M ~ 0 and, at each real root, P0(F) ~ 0.
 The nodes with constraints of degree >= 1 go through one common-root
 witness search for the batch (:func:`~sfmew.polyalg.column_common_roots`),
 which gives their real and complex witnesses from the same eigenvalues;
 the nodes without a witness then take their gaps, one pair at a time for
-the batch (:func:`~sfmew.polyalg.column_gaps`).  Each node is then
-decided in a plain loop over its floats.  Every node goes through the float
-operations it would go through alone, so its verdict does not depend on its
-batch.  A node whose invariants, degenerate-branch tensor or constraint
-coefficients are not all finite (beyond the float range) is ``Inconclusive``.
+the batch (:func:`~sfmew.polyalg.column_gaps`).  A node's verdict is built
+at the end, from its masks, resultants, roots and residual reports.  Every
+node goes through the float operations it would go through alone, so its
+verdict does not depend on its batch.  A node whose invariants,
+degenerate-branch tensor or constraint coefficients are not all finite
+(beyond the float range) is ``Inconclusive``.
 Frames have the lowest jet order their path reads: 4 in a scan
 (:data:`~sfmew.invariants.SCAN_ORDER`), 5 for the nodes whose roots are
 lifted (:data:`~sfmew.invariants.LIFT_ORDER`), 3 for a closed-form
@@ -202,25 +203,42 @@ class Verdict:
 
 def _alpha_parts(inv, F):
     """Numerators (a list over components) and denominator P0(F) of the
-    reconstruction formula, on floats or jets."""
+    reconstruction formula, on floats, node arrays or jets."""
+    F4 = np.array([_pow4(f) for f in F.tolist()]) if isinstance(F, np.ndarray) else F**4
     numer = [
         inv.L[a]
         + 2.5 * inv.rho * F * inv.Y[a]
         + 0.5 * F * F * inv.grad_rho[a]
-        + 3.0 * F**4 * inv.U[a]
+        + 3.0 * F4 * inv.U[a]
         for a in range(2)
     ]
     return numer, inv.sigma - 3.0 * inv.rho * F * F
+
+
+def _pow4(f):
+    """``f ** 4`` of one root as a float rounds it (libm ``pow``, whose last bit
+    ``np.power`` may round otherwise), an infinity beyond the float range."""
+    try:
+        return f**4
+    except OverflowError:
+        return math.inf
+
+
+def _p0_vanishes(inv, F, denom):
+    """Whether P0(F), ``denom``, is numerically zero: the formula has no alpha there."""
+    scale = abs(inv.sigma) + 3.0 * inv.rho * F * F
+    return abs(denom) <= _TOL_P0 * np.maximum(scale, 1e-300)
 
 
 def alpha_from_F(inv, F):
     """Candidate 1-form for a given curvature scalar F (needs P0(F) != 0).
 
     alpha_a = [L_a + 5/2 rho F Y_a + (F^2/2) grad_a rho + 3 F^4 U_a] / (sigma - 3 rho F^2)
+
+    A scan computes the same formula on the node arrays of its real roots.
     """
     numer, denom = _alpha_parts(inv, F)
-    scale = abs(inv.sigma) + 3.0 * inv.rho * F * F
-    if abs(denom) <= _TOL_P0 * max(scale, 1e-300):
+    if _p0_vanishes(inv, F, denom):
         raise P0Vanishes(f"P0({F}) = {denom:.3e} numerically zero at {inv.point}")
     return SolutionCandidate(
         F=float(F), alpha=np.array(numer) / denom, source="Alpha1Formula", point=inv.point
@@ -231,13 +249,14 @@ def f_from_P0_branch(inv):
     """Forced F of the degenerate branch, with its consistency flag.
 
     F = -(2/5)(rho ell + mu sigma + tau sigma/(3 rho) + tau phi) / rho^2;
-    consistency requires F^2 = sigma / (3 rho), hence sigma > 0.
+    consistency requires F^2 = sigma / (3 rho), hence sigma > 0.  Takes
+    floats or node arrays.
     """
     f = forced_f(inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell)
-    if inv.sigma <= 0.0:
-        return f, False
     target = inv.sigma / (3.0 * inv.rho)
-    consistent = abs(f * f - target) <= _TOL_FORCED_F * max(f * f, target)
+    consistent = (inv.sigma > 0.0) & (
+        abs(f * f - target) <= _TOL_FORCED_F * np.maximum(f * f, target)
+    )
     return f, consistent
 
 
@@ -253,8 +272,8 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
 
     Node arrays, real or complex, node axis last: ``alpha`` (2, N),
     ``dalpha[a][b]`` = nabla_a alpha_b, ``F`` (N,) and ``grad_F`` (2, N).
-    ``inv`` holds the invariants, as node arrays, of the nodes that the mask
-    ``flat`` leaves; at a flat node the algebraic residuals and the gradient
+    ``inv`` holds the invariants of every node as node arrays; at a node
+    where the mask ``flat`` holds the algebraic residuals and the gradient
     cross-check are reported as zero.  Each residual is computed on the node
     arrays at once; a maximum is NaN where one of its terms is.  Nodes fail
     where ``on_root`` is false.
@@ -263,7 +282,6 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
         jets.values(getattr(frame, name)) for name in ("e2u", "e2u_inv", "curvature", "p")
     )
     o = float(frame.orientation)
-    n = len(frame.points)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_sq = e2u_inv * (alpha[0] * alpha[0] + alpha[1] * alpha[1])
         tensor = []
@@ -281,22 +299,16 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
         res_tensor = np.max(tensor, axis=0)
         res_trace = abs(e2u_inv * (dalpha[0][0] + dalpha[1][1]) + K)
 
-        res_u, res_w, mismatch = np.zeros(n), np.zeros(n), np.zeros(n)
-        cols = np.flatnonzero(~flat)
-        if cols.size:
-            al, fc = [alpha[0][cols], alpha[1][cols]], F[cols]
-            a_dot_u = al[0] * inv.U_up[0] + al[1] * inv.U_up[1]
-            a_dot_w = e2u_inv[cols] * (al[0] * inv.W[0] + al[1] * inv.W[1])
-            a_dot_y = al[0] * inv.Y_up[0] + al[1] * inv.Y_up[1]
-            res_u[cols] = abs(a_dot_u + fc * fc + inv.phi)
-            res_w[cols] = abs(
-                a_dot_w - inv.ell - 2.5 * inv.rho * fc - 3.0 * (inv.mu + a_dot_y) * fc * fc
-            )
-            # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
-            mismatch[cols] = np.max([
-                abs(grad_F[axis][cols] - (-2.0 * al[axis] * fc - inv.Y[axis]))
-                for axis in range(2)
-            ], axis=0)
+        a_dot_u = alpha[0] * inv.U_up[0] + alpha[1] * inv.U_up[1]
+        a_dot_w = e2u_inv * (alpha[0] * inv.W[0] + alpha[1] * inv.W[1])
+        a_dot_y = alpha[0] * inv.Y_up[0] + alpha[1] * inv.Y_up[1]
+        res_u = abs(a_dot_u + F * F + inv.phi)
+        res_w = abs(a_dot_w - inv.ell - 2.5 * inv.rho * F - 3.0 * (inv.mu + a_dot_y) * F * F)
+        # gradient cross-check: nabla_a F + 2 alpha_a F + Y_a  (jet-exact)
+        mismatch = np.max([
+            abs(grad_F[axis] - (-2.0 * alpha[axis] * F - inv.Y[axis])) for axis in range(2)
+        ], axis=0)
+        res_u, res_w, mismatch = (np.where(flat, 0.0, r) for r in (res_u, res_w, mismatch))
         max_res = np.max([res_u, res_w, res_tensor, res_trace], axis=0)
     passed = max_res < TOL_RESIDUAL
     if on_root is not None:
@@ -402,8 +414,9 @@ def _verify_chunk(structure, exprs, points, mode, orientation):
             for part in parts
         ]
         field = InvariantField(frame)
-        inv = _residual_values(field) if field.nodes.size else None
-        return _candidate_residuals(frame, inv, field.flat, mode, "jets", parts, F_parts)
+        return _candidate_residuals(
+            frame, _residual_values(field), field.flat, mode, "jets", parts, F_parts
+        )
 
 
 def _residual_values(chain):
@@ -574,94 +587,85 @@ def classify_points(structure, points, orientation=1):
 
 
 def _classify_chunk(structure, points, orientation):
-    field = InvariantField(  # stacked by the field, which drops the flat nodes' columns
-        [Frame(structure, p, SCAN_ORDER, orientation) for p in points]
-    )
-    verdicts = [
-        Verdict(
-            tag=VerdictTag.FLAT,
-            point=pt,
-            note="Cotton-York form vanishes; reduces to the conformally Einstein equation",
-        )
-        if flat else None
-        for pt, flat in zip(points, field.flat)
-    ]
-    if not field.nodes.size:
-        return verdicts
-
-    values = field.invariant_values()  # node arrays; a node's own only where a verdict reads them
-    finite = values.finite()  # beyond the float range, a node decides nothing
-    # degenerate branch: sigma > 0 and not numerically zero (the field's branch
-    # columns), decided by the tensor M where it vanishes
-    branch = np.zeros(field.nodes.size, dtype=bool)
-    branch[field.branch()[0]] = True
-    branch &= finite & (values.sigma > 0.0)
-    mreps = field.m_tensor() if branch.any() else [None] * field.nodes.size
-    m_norms, rest = [None] * field.nodes.size, []
-    for c, node in enumerate(field.nodes):
-        mrep = mreps[c] if branch[c] else None
-        if mrep is not None:
-            m_norms[c] = mrep.norm
-            finite[c] = np.isfinite([mrep.norm, mrep.scale, *mrep.alpha]).all()
-        if not finite[c]:
-            verdicts[node] = Verdict(
-                tag=VerdictTag.INCONCLUSIVE,
-                point=points[node],
-                m_norm=m_norms[c],
-                note=_NOT_FINITE_BRANCH if mrep is not None else _NOT_FINITE_INVARIANTS,
-            )
-        elif mrep is not None and mrep.norm < _TOL_M * mrep.scale:
-            verdicts[node] = _mzero_verdict(values.node(c), mrep, points[node])
-        else:
-            rest.append(c)
-    if not rest:
-        return verdicts
-
-    vals = values.take(rest)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below: finite or Inconclusive
-        coeffs = [_coefficient_columns(fn(vals), len(rest)) for fn in _COEFFS]
-    finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
+    field = InvariantField([Frame(structure, p, SCAN_ORDER, orientation) for p in points])
+    values = field.invariant_values()  # node arrays over the batch, NaN at flat nodes
+    n = len(points)
+    # every rule is a mask over the batch's nodes; beyond the float range, and at
+    # a flat node, a node's invariants are not finite and decide nothing
+    finite = values.finite()
+    # degenerate branch: sigma > 0 and not numerically zero, decided by the tensor M
+    branch = ~field.sigma_is_zero() & finite & (values.sigma > 0.0)
+    mrep = field.m_tensor()  # NaN off the branch
+    branch_finite = branch & np.isfinite([mrep.norm, mrep.scale, *mrep.alpha]).all(axis=0)
+    mzero = branch_finite & (mrep.norm < _TOL_M * mrep.scale)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # finite or Inconclusive
+        f_forced, consistent = f_from_P0_branch(values)
+        coeffs = [_coefficient_columns(fn(values), n) for fn in _COEFFS]
+        p0 = _coefficient_columns(coeffs_P0(values), n)
+    rest = (finite & ~branch) | (branch_finite & ~mzero)  # decided by P1..P3
+    coeff_finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
     degrees = [trimmed_degrees(c)[0] for c in coeffs]
-    ok = np.flatnonzero(finite & (degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1))
+    ok = np.flatnonzero(
+        rest & coeff_finite & (degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1)
+    )
     reports = [
         column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok])
         for i, j in RESULTANT_PAIRS.values()
     ]
-    # row in rest -> pair name -> ResultantReport, for the rows with proper constraints
-    resultants = {r: dict(zip(RESULTANT_PAIRS, reps)) for r, *reps in zip(ok.tolist(), *reports)}
+    # node -> pair name -> ResultantReport, for the nodes with proper constraints
+    resultants = {c: dict(zip(RESULTANT_PAIRS, reps)) for c, *reps in zip(ok.tolist(), *reports)}
     # one common-root witness search for all of them
-    p0 = _coefficient_columns(coeffs_P0(vals), len(rest))
     found = dict(zip(ok.tolist(), column_common_roots([c[:, ok] for c in coeffs], p0[:, ok])))
     # Sylvester gaps where no witness decides, up to the first that certifies a
     # resultant nonzero; a witness bounds every gap far below that (decisions §8)
-    todo = [r for r, roots in found.items() if not (len(roots.real) or roots.complex)]
+    todo = [c for c, roots in found.items() if not (len(roots.real) or roots.complex)]
     for name in _GAP_ORDER:
         if not todo:
             break
         i, j = RESULTANT_PAIRS[name]
         gaps = column_gaps(coeffs[i][:, todo], coeffs[j][:, todo])
-        for r, gap in zip(todo, gaps):
-            resultants[r][name] = resultants[r][name]._replace(gap=gap)
-        todo = [r for r, gap in zip(todo, gaps) if not gap > _TOL_RES_HIGH]
+        for c, gap in zip(todo, gaps):
+            resultants[c][name] = resultants[c][name]._replace(gap=gap)
+        todo = [c for c, gap in zip(todo, gaps) if not gap > _TOL_RES_HIGH]
+    checked = _verify_witnesses(
+        field, values, {c: roots.real.roots for c, roots in found.items() if len(roots.real)}
+    )
 
-    pending = []  # nodes with real common roots: (column, resultants, witnesses)
-    for r, c in enumerate(rest):
-        node, pt, m_norm = field.nodes[c], points[field.nodes[c]], m_norms[c]
-        if r not in resultants:
-            verdicts[node] = Verdict(
+    verdicts = []
+    for c, pt in enumerate(points):
+        m_norm = float(mrep.norm[c]) if branch[c] else None
+        if field.flat[c]:
+            verdict = Verdict(
+                tag=VerdictTag.FLAT,
+                point=pt,
+                note="Cotton-York form vanishes; reduces to the conformally Einstein equation",
+            )
+        elif not (rest[c] or mzero[c]):
+            note = _NOT_FINITE_BRANCH if branch[c] else _NOT_FINITE_INVARIANTS
+            verdict = Verdict(tag=VerdictTag.INCONCLUSIVE, point=pt, m_norm=m_norm, note=note)
+        elif mzero[c]:
+            f0 = f_forced[c]
+            verdict = Verdict(
+                tag=VerdictTag.MZERO_ADMITS,
+                point=pt,
+                candidates=[SolutionCandidate(
+                    F=f0, alpha=mrep.alpha[:, c], source="MZeroFormula", point=pt
+                )],
+                f_candidates=[f0],
+                m_norm=m_norm,
+                note="degenerate-branch tensor vanishes"
+                + ("" if consistent[c] else " (forced F consistency flag false)"),
+            )
+        elif c not in resultants:
+            verdict = Verdict(
                 tag=VerdictTag.INCONCLUSIVE,
                 point=pt,
                 m_norm=m_norm,
-                note="degenerate constraint polynomial" if finite[r] else NOT_FINITE,
+                note="degenerate constraint polynomial" if coeff_finite[c] else NOT_FINITE,
             )
-            continue
-        verdict = _resultant_verdict(resultants[r], found[r], pt, m_norm)
-        if isinstance(verdict, Verdict):
-            verdicts[node] = verdict
         else:
-            pending.append((c, resultants[r], verdict))
-    for c, verdict in _verify_witnesses(field, values, pending, m_norms, points):
-        verdicts[field.nodes[c]] = verdict
+            verdict = _resultant_verdict(resultants[c], found[c], checked.get(c), pt, m_norm)
+        verdicts.append(verdict)
     return verdicts
 
 
@@ -670,30 +674,62 @@ def _coefficient_columns(coeffs, n):
     return np.array([np.broadcast_to(c, (n,)) for c in coeffs])
 
 
-def _mzero_verdict(inv, mrep, pt):
-    f0, consistent = f_from_P0_branch(inv)
-    cand = SolutionCandidate(F=f0, alpha=mrep.alpha, source="MZeroFormula", point=pt)
-    return Verdict(
-        tag=VerdictTag.MZERO_ADMITS,
-        point=pt,
-        candidates=[cand],
-        f_candidates=[f0],
-        m_norm=mrep.norm,
-        note="degenerate-branch tensor vanishes"
-        + ("" if consistent else " (forced F consistency flag false)"),
-    )
+def _verify_witnesses(field, values, real):
+    """The reconstructed candidates of real common roots, ``real`` (node ->
+    its roots), verified in one batch of lifts: node -> [(root, alpha,
+    report)], without the roots where P0 vanishes (the formula has no alpha)."""
+    cols = np.array([c for c, roots in real.items() for _ in roots], dtype=np.intp)
+    f0 = np.array([f for roots in real.values() for f in roots], dtype=float)
+    inv = values.take(cols)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        numer, denom = _alpha_parts(inv, f0)
+        alpha = np.array(numer) / denom
+    keep = np.flatnonzero(~_p0_vanishes(inv, f0, denom))
+    reports = _lifted_reports(field.frame, cols[keep], f0[keep]) if keep.size else []
+    checked = {c: [] for c in real}
+    for i, rep in zip(keep.tolist(), reports):
+        checked[cols[i]].append((float(f0[i]), alpha[:, i], rep))
+    return checked
 
 
-def _resultant_verdict(resultants, roots, pt, m_norm):
-    """The verdict the witness search and the resultants give, or the real
-    common roots (a :class:`~sfmew.polyalg.RootSet`) that need verifying.
+def _resultant_verdict(resultants, roots, checked, pt, m_norm):
+    """The verdict the witness search, the lifts and the resultants give.
 
     ``roots`` holds the node's common roots, a
-    :class:`~sfmew.polyalg.CommonRoots`.  Without a witness, ``resultants``
-    carries the gaps up to the first above ``_TOL_RES_HIGH``, else all three.
+    :class:`~sfmew.polyalg.CommonRoots`, and ``checked`` the candidates and
+    lifts of its real ones (:func:`_verify_witnesses`).  Without a witness,
+    ``resultants`` carries the gaps up to the first above ``_TOL_RES_HIGH``,
+    else all three.
     """
     if len(roots.real):
-        return roots.real
+        verified = [(f, alpha, rep) for f, alpha, rep in checked if rep is not None and rep.passed]
+        if verified:
+            return Verdict(
+                tag=VerdictTag.ADMITS,
+                point=pt,
+                resultants=resultants,
+                f_candidates=[f for f, _, _ in verified],
+                candidates=[
+                    SolutionCandidate(F=f, alpha=alpha, source="Alpha1Formula", point=pt)
+                    for f, alpha, _ in verified
+                ],
+                residuals=[rep for _, _, rep in verified],
+                m_norm=m_norm,
+                note="verified real common root(s)",
+            )
+        tag, note = VerdictTag.INCONCLUSIVE, "real common roots exist but none verified"
+        multiple = [f"{f:.6g}" for f, _, rep in checked if rep is None]
+        if multiple:
+            note += "; multiple root F = " + ", ".join(multiple) + " has no jet lift"
+        return Verdict(
+            tag=tag,
+            point=pt,
+            resultants=resultants,
+            f_candidates=list(roots.real.roots),
+            residuals=[rep for _, _, rep in checked if rep is not None],
+            m_norm=m_norm,
+            note=note,
+        )
     if roots.complex:
         tag = VerdictTag.VANISHING
         note = "constraints share only complex roots: " + ", ".join(
@@ -710,52 +746,6 @@ def _resultant_verdict(resultants, roots, pt, m_norm):
             tag = VerdictTag.OBSTRUCTED
             note = "no common root; resultants bounded away from numerical zero"
     return Verdict(tag=tag, point=pt, resultants=resultants, m_norm=m_norm, note=note)
-
-
-def _verify_witnesses(field, values, pending, m_norms, points):
-    """Verdicts of the nodes with real common roots: every root's candidate,
-    at every such node, verified in one batch of lifts.  Yields (column, verdict)."""
-    roots = []  # (pending index, root, candidate)
-    for k, (c, _, witnesses) in enumerate(pending):
-        inv = values.node(c)
-        for f0 in witnesses.roots:
-            try:
-                roots.append((k, float(f0), alpha_from_F(inv, float(f0))))
-            except P0Vanishes:
-                continue
-    cols = [pending[k][0] for k, _, _ in roots]
-    reports = _lifted_reports(field.frame, cols, [f for _, f, _ in roots]) if roots else []
-    by_node = [[] for _ in pending]  # per pending node: (candidate, report, root)
-    for (k, f0, cand), rep in zip(roots, reports):
-        by_node[k].append((cand, rep, f0))
-    for (c, resultants, witnesses), mine in zip(pending, by_node):
-        pt, m_norm = points[field.nodes[c]], m_norms[c]
-        verified = [(cand, rep) for cand, rep, _ in mine if rep is not None and rep.passed]
-        if verified:
-            yield c, Verdict(
-                tag=VerdictTag.ADMITS,
-                point=pt,
-                resultants=resultants,
-                f_candidates=[cand.F for cand, _ in verified],
-                candidates=[cand for cand, _ in verified],
-                residuals=[rep for _, rep in verified],
-                m_norm=m_norm,
-                note="verified real common root(s)",
-            )
-            continue
-        note = "real common roots exist but none verified"
-        multiple = [f"{f0:.6g}" for _, rep, f0 in mine if rep is None]
-        if multiple:
-            note += "; multiple root F = " + ", ".join(multiple) + " has no jet lift"
-        yield c, Verdict(
-            tag=VerdictTag.INCONCLUSIVE,
-            point=pt,
-            resultants=resultants,
-            f_candidates=list(witnesses.roots),
-            residuals=[rep for _, rep, _ in mine if rep is not None],
-            m_norm=m_norm,
-            note=note,
-        )
 
 
 # ---------------------------------------------------------------------------

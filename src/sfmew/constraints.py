@@ -159,8 +159,9 @@ def _is_zero(c):
 
 def coeffs_P3(inv):
     """Coefficients of the third constraint P3 (degree 6; two coefficients
-    divide by rho), lowest degree first (floats or jets)."""
-    if not np.all(getattr(inv.rho, "value", inv.rho) > 1e-300):
+    divide by rho), lowest degree first (floats or jets); NaN where rho is
+    NaN, as at a flat node of a batch."""
+    if np.any(getattr(inv.rho, "value", inv.rho) <= 1e-300):
         raise DivisionByRho(f"rho = {inv.rho!r} at {inv.point}")
     rho, mu, phi, sigma, tau, ell = inv.rho, inv.mu, inv.phi, inv.sigma, inv.tau, inv.ell
     rlpt = rho * ell + tau * phi

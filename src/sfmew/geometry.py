@@ -321,19 +321,24 @@ def _component(comp, indices):
 # public operations
 
 
-def christoffel(structure, point, order=6):
-    """Christoffel symbols Gamma^c_ab as jets (index order [c][a][b])."""
-    return Frame(structure, point, order).gamma
+_JET_ORDER = 6  # of the jets the per-point calculus functions return
+_VALIDATE_ORDER = 4  # frame order of the trace check, whose values read two orders of u
+_TOL_TRACE = 1e-8  # the trace residual below this share of its scale: the condition holds
 
 
-def gauss_curvature(structure, point, order=6):
-    """Gauss curvature K = -e^{-2u} (u_xx + u_yy) as a jet."""
-    return Frame(structure, point, order).curvature
+def christoffel(structure, point):
+    """Christoffel symbols Gamma^c_ab as jets of order 6 (index order [c][a][b])."""
+    return Frame(structure, point, _JET_ORDER).gamma
 
 
-def covariant_derivative(structure, point, tensor, order=6, orientation=1):
-    """Covariant derivative of a :class:`TensorAtPoint` (adds one "d" index)."""
-    frame = Frame(structure, point, order, orientation)
+def gauss_curvature(structure, point):
+    """Gauss curvature K = -e^{-2u} (u_xx + u_yy) as a jet of order 6."""
+    return Frame(structure, point, _JET_ORDER).curvature
+
+
+def covariant_derivative(structure, point, tensor, orientation=1):
+    """Covariant derivative of a :class:`TensorAtPoint` of order-6 jets (adds one "d" index)."""
+    frame = Frame(structure, point, _JET_ORDER, orientation)
     if tensor.kinds == "":
         comp = frame.grad(tensor.comp)
     else:
@@ -351,15 +356,15 @@ class ValidationReport:
         return self.ok
 
 
-def validate(structure, points, order=4, tol=1e-8):
+def validate(structure, points):
     """Check the trace condition g^{ab} P_ab = K at sample points.
 
-    The residual is compared against ``tol`` relative to
+    The residual is compared against 1e-8 relative to
     ``max(|K|, trace scale, 1)``.
     """
     violations = []
     for (x, y) in points:
-        frame = Frame(structure, (x, y), order)
+        frame = Frame(structure, (x, y), _VALIDATE_ORDER)
         trace = frame.e2u_inv.value * (frame.p[0][0].value + frame.p[1][1].value)
         k = frame.curvature.value
         scale = max(
@@ -370,6 +375,6 @@ def validate(structure, points, order=4, tol=1e-8):
             * max(abs(frame.p[0][0].value), abs(frame.p[0][1].value), abs(frame.p[1][1].value)),
         )
         residual = abs(trace - k)
-        if residual > tol * scale:
+        if residual > _TOL_TRACE * scale:
             violations.append((float(x), float(y), residual, scale))
-    return ValidationReport(not violations, violations, tol)
+    return ValidationReport(not violations, violations, _TOL_TRACE)

@@ -20,8 +20,10 @@ constraint polynomials, and the degenerate-branch quantities::
 
 All quantities are computed as jets so they can be differentiated again; the
 extracted point values live in :class:`PointInvariants`.  An
-:class:`InvariantField` runs the chain on node columns, one per point; a
-single point is a field of one node, and the per-point functions at the end
+:class:`InvariantField` runs the chain on node columns, one per point, all
+at one width: a flat node is a column of NaN, and the degenerate-branch
+quantities are NaN where sigma is numerically zero.  A single point is a
+field of one node, and the per-point functions at the end
 (:func:`cotton_york`, :func:`compute_invariants`, :func:`compute_M`) take
 its node 0.  Everything is a pure function of (structure, point) and safe
 for parallel region scans.
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import jets
 from .geometry import Frame
-from .jets import ipow
+from .jets import Jet, ipow
 
 __all__ = [
     "CONFORMAL_WEIGHTS",
@@ -172,7 +174,8 @@ _NODE_FIELDS = [f for f in fields(PointInvariants) if f.name not in ("point", "o
 
 @dataclass
 class MTensorReport:
-    """Degenerate-branch tensor M_ab and its closed-form candidate 1-form."""
+    """Degenerate-branch tensor M_ab and its closed-form candidate 1-form, at
+    one point or as node arrays, node axis last (:meth:`InvariantField.m_tensor`)."""
 
     M: np.ndarray  # 2x2 symmetric, values
     alpha: np.ndarray  # covariant components of the candidate
@@ -210,17 +213,15 @@ class InvariantField:
     ``frame`` is a :meth:`~sfmew.geometry.Frame.stack` of per-point frames,
     which evaluated their jets once over the nodes, or one per-point frame,
     a frame of one node that evaluates its jets on their first read, or a
-    list of per-point frames, which the field stacks itself: then no caller
-    holds the stack, and its columns at flat nodes are freed as soon as the
-    chain has taken the others.  Every value is an array over the nodes.
-    ``dP_scale``, ``y_norm`` and ``flat`` cover every node; the rest of the
-    chain runs on the non-flat nodes, ``nodes`` (their indices), so the
-    flatness branch is a column selection.
-    ``dL``, ``dY``, ``hess_rho`` and ``grad_sigma``, which only the
-    contractions read, are built on first read.  Every reader of a batch's
-    invariants reads them from its own field: their node values
-    (:meth:`invariant_values`), their jets (:meth:`invariant_jets`) and the
-    degenerate branch (:meth:`m_tensor`).
+    list of per-point frames, which the field stacks itself.  Every value is
+    an array over all the nodes, at one width: a flat node keeps its column,
+    with ``Y`` NaN there, so that the whole chain is NaN at it (``y_values``
+    keeps the values of Y at every node).
+    ``dL``, ``dY``, ``hess_rho``, ``grad_sigma`` and the degenerate branch
+    (:attr:`branch`), which only some readers read, are built on first read.
+    Every reader of a batch's invariants reads them from its own field:
+    their node values (:meth:`invariant_values`), their jets
+    (:meth:`invariant_jets`) and the branch tensor (:meth:`m_tensor`).
 
     Each quantity is computed from its inputs truncated to the order its
     readers take, relative to the frame order k: the contractions and the
@@ -248,17 +249,13 @@ class InvariantField:
         dP_max = np.max(np.abs(jets.values(dP)), axis=(0, 1, 2))
         self.dP_scale = np.maximum(1.0, dP_max)
         # Y_c = eps^{ab} (nabla_a P_bc - nabla_b P_ac) = 2 eps^{12} (nabla_1 P_2c - nabla_2 P_1c)
-        self.Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
+        Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
         del dP  # nothing else reads it: not kept alive through the chain (see ``dP``)
-        self.y_norm = np.hypot(*jets.values(self.Y))
+        self.y_values = jets.values(Y)
+        self.y_norm = np.hypot(*self.y_values)
         self.flat = self.y_norm < _TOL_FLAT * self.dP_scale
-        self.nodes = np.flatnonzero(~self.flat)
-        self._branch = None
-        if not self.nodes.size:
-            return
-        if self.nodes.size < self.flat.size:  # rebinds ``frame``: a stack no caller holds goes
-            f = self.frame = frame = frame.take(self.nodes)
-            self.Y = jets.take(self.Y, self.nodes)
+        # a flat node stays a column with Y NaN, so that its whole chain is NaN
+        self.Y = [Jet(y.space, np.where(self.flat, np.nan, y.vec), y.order) for y in Y]
 
         self.U = [o * self.Y[1], -o * self.Y[0]]
         self.Y_up = f.raise_index(self.Y)
@@ -294,11 +291,7 @@ class InvariantField:
         self.L = [self.Y[a] * self.ell - eps_W[a] * phi for a in range(2)]
         self.grad_rho = f.grad(self.rho)
 
-        yw_bound = (
-            np.hypot(*jets.values(self.Y))
-            * np.hypot(*jets.values(self.W))
-            * f.e2u_inv.value
-        )
+        yw_bound = self.y_norm * np.hypot(*jets.values(self.W)) * f.e2u_inv.value
         self.sigma_scale = np.maximum(yw_bound, 1e-300)
 
     @cached_property
@@ -337,7 +330,7 @@ class InvariantField:
 
     def require_not_flat(self):
         """Raise :class:`FlatPoint` where every node is flat."""
-        if not self.nodes.size:
+        if self.flat.all():
             raise FlatPoint(
                 f"Cotton-York form vanishes at {', '.join(map(str, self.frame.points))} "
                 f"(|Y| = {np.max(self.y_norm):.3e} below threshold)"
@@ -346,55 +339,39 @@ class InvariantField:
     # -- degenerate branch (divides by sigma) --------------------------------
 
     def sigma_is_zero(self):
-        """Whether sigma is numerically zero, at each of ``nodes``."""
+        """Whether sigma is numerically zero, at each node (never at a flat one)."""
         return abs(self.sigma.value) < _TOL_SIGMA * self.sigma_scale
 
-    def take(self, cols):
-        """The chain at some of ``nodes`` (indices into them), for the branch.
+    @cached_property
+    def branch(self):
+        """Degenerate-branch jets ``(m, psi, k)`` over the nodes, NaN where
+        sigma is numerically zero or the node is flat; None where that is
+        every node.
 
         The branch divides by sigma in jet arithmetic, which raises
-        ``DegenerateDivision`` where sigma is exactly 0, so it runs on the
-        columns where sigma is not numerically zero only.
+        ``DegenerateDivision`` where a value is exactly 0: it runs on a sigma
+        that is NaN at those nodes, as NaN never equals 0 and gives no warning.
         """
-        sub = object.__new__(InvariantField)
-        for name, value in vars(self).items():
-            if name not in ("dP", "dP_scale", "y_norm", "flat", "_branch"):
-                sub.__dict__[name] = jets.take(value, cols)
-        sub.frame = self.frame.take(cols)
-        sub.nodes = self.nodes[cols]
-        sub._branch = None
-        return sub
-
-    def branch(self):
-        """Degenerate-branch jets where sigma is not numerically zero.
-
-        Returns ``(cols, field, m, psi, k)``: ``cols`` indexes ``nodes``, the
-        jets are over those columns and ``field`` is this field at those
-        columns, or None where they are all of its nodes (so that the field
-        holds no reference to itself).
-        """
-        if self._branch is None:
-            cols = np.flatnonzero(~self.sigma_is_zero())
-            if not cols.size:
-                self._branch = (cols, None, None, None, None)
-                return self._branch
-            src = self if cols.size == self.nodes.size else self.take(cols)
-            m = src.sigma / (3.0 * src.rho) + src.phi
-            dm = src.frame.grad(m)
-            # psi and k are read to the frame's order - 3, by the candidate in m_tensor
-            rho, sigma, tau, mu, phi, m_low = jets.truncate(
-                [src.rho, src.sigma, src.tau, src.mu, src.phi, m], src.frame.order - 3
-            )
-            psi = 3.0 * (mu * m_low) + src.P_UY - (src.Y_up[0] * dm[0] + src.Y_up[1] * dm[1])
-            bracket = (
-                src.ell / sigma
-                + mu / rho
-                + tau / (3.0 * (rho * rho))
-                + (tau * phi) / (rho * sigma)
-            )
-            k = (-3.0 / 20.0) * (rho * bracket) + (3.0 / 4.0) * ((psi * rho + tau * m_low) / sigma)
-            self._branch = (cols, None if src is self else src, m, psi, k)
-        return self._branch
+        off = self.sigma_is_zero() | self.flat
+        if off.all():
+            return None
+        f = self.frame
+        sigma = Jet(self.sigma.space, np.where(off, np.nan, self.sigma.vec), self.sigma.order)
+        m = sigma / (3.0 * self.rho) + self.phi
+        dm = f.grad(m)
+        # psi and k are read to the frame's order - 3, by the candidate in m_tensor
+        rho, sigma, tau, mu, phi, m_low = jets.truncate(
+            [self.rho, sigma, self.tau, self.mu, self.phi, m], f.order - 3
+        )
+        psi = 3.0 * (mu * m_low) + self.P_UY - (self.Y_up[0] * dm[0] + self.Y_up[1] * dm[1])
+        bracket = (
+            self.ell / sigma
+            + mu / rho
+            + tau / (3.0 * (rho * rho))
+            + (tau * phi) / (rho * sigma)
+        )
+        k = (-3.0 / 20.0) * (rho * bracket) + (3.0 / 4.0) * ((psi * rho + tau * m_low) / sigma)
+        return m, psi, k
 
     # -- extraction -----------------------------------------------------------
 
@@ -424,18 +401,14 @@ class InvariantField:
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf or NaN
     def invariant_values(self):
-        """The point invariants of every node of ``nodes`` as node arrays.
+        """The point invariants of every node as node arrays.
 
         A :class:`PointInvariants` whose scalars have shape (N,) and whose
-        vectors have shape (2, N), an inf or a NaN beyond the float range;
-        ``point`` lists the nodes' points.
+        vectors have shape (2, N), an inf or a NaN beyond the float range and
+        NaN at a flat node; ``point`` lists the nodes' points.
         """
-        self.require_not_flat()
-        m, psi, k = (np.full(self.nodes.size, math.nan) for _ in range(3))
-        cols, _, *branch = self.branch()
-        if cols.size:
-            for arr, jet in zip((m, psi, k), branch):
-                arr[cols] = jets.values(jet)
+        nan = np.full(self.flat.size, math.nan)
+        m, psi, k = map(jets.values, self.branch) if self.branch else (nan, nan, nan)
         return PointInvariants(
             point=self.frame.points,
             orientation=self.frame.orientation,
@@ -472,7 +445,7 @@ class InvariantField:
         return out
 
     def invariant_jets(self):
-        """The invariants over ``nodes`` as jets, in a :class:`PointInvariants`.
+        """The invariants as jets, in a :class:`PointInvariants`.
 
         Holds what the constraint coefficients and the reconstruction
         formula read, so that both can be differentiated; vectors are lists
@@ -499,75 +472,70 @@ class InvariantField:
     def m_tensor(self):
         """The branch tensor M_ab = nabla_(a alpha_b) + alpha alpha + P - (|alpha|^2/2) g.
 
-        A list of :class:`MTensorReport` over ``nodes``, with None where
-        sigma is numerically zero; inf or NaN beyond the float range.
+        One :class:`MTensorReport` of node arrays, node axis last, NaN where
+        :attr:`branch` is, and inf or NaN beyond the float range.
         """
-        if not self.nodes.size:
-            return []
-        cols, src, m, _, k = self.branch()
-        reports = [None] * self.nodes.size
-        if cols.size:
-            src = src or self
-            f = src.frame
-            # the branch's candidate 1-form alpha_a = k Y_a / rho - m U_a / rho, read
-            # to the frame's order - 3 (nabla alpha, values)
-            m, U, rho = jets.truncate([m, src.U, src.rho], f.order - 3)
-            alpha = [(k * src.Y[a] - m * U[a]) / rho for a in range(2)]
-            dalpha = jets.values(f.cov_deriv(alpha, "d"))
-            alpha_v, alpha_sq = jets.values(alpha), jets.values(f.dot(alpha, alpha))
-            e2u, p = jets.values(f.e2u), jets.values(f.p)
-            m_comp = np.zeros((2, 2, cols.size))
-            scale = np.ones(cols.size)
-            for a in range(2):
-                for b in range(2):
-                    pieces = (
-                        0.5 * (dalpha[a][b] + dalpha[b][a]),
-                        alpha_v[a] * alpha_v[b],
-                        p[a][b],
-                        0.5 * alpha_sq * (e2u if a == b else 0.0),
-                    )
-                    m_comp[a, b] = pieces[0] + pieces[1] + pieces[2] - pieces[3]
-                    scale = np.maximum.reduce([scale] + [np.abs(t) for t in pieces])
-            norm = np.max(np.abs(m_comp), axis=(0, 1))
-            for i, c in enumerate(cols):
-                reports[c] = MTensorReport(
-                    M=m_comp[:, :, i],
-                    alpha=alpha_v[:, i],
-                    norm=float(norm[i]),
-                    scale=scale[i],
+        n = self.flat.size
+        if self.branch is None:
+            return MTensorReport(*(np.full(s + (n,), math.nan) for s in ((2, 2), (2,), (), ())))
+        m, _, k = self.branch
+        f = self.frame
+        # the branch's candidate 1-form alpha_a = k Y_a / rho - m U_a / rho, read
+        # to the frame's order - 3 (nabla alpha, values)
+        m, U, rho = jets.truncate([m, self.U, self.rho], f.order - 3)
+        alpha = [(k * self.Y[a] - m * U[a]) / rho for a in range(2)]
+        dalpha = jets.values(f.cov_deriv(alpha, "d"))
+        alpha_v, alpha_sq = jets.values(alpha), jets.values(f.dot(alpha, alpha))
+        e2u, p = jets.values(f.e2u), jets.values(f.p)
+        m_comp = np.zeros((2, 2, n))
+        scale = np.ones(n)
+        for a in range(2):
+            for b in range(2):
+                pieces = (
+                    0.5 * (dalpha[a][b] + dalpha[b][a]),
+                    alpha_v[a] * alpha_v[b],
+                    p[a][b],
+                    0.5 * alpha_sq * (e2u if a == b else 0.0),
                 )
-        return reports
+                m_comp[a, b] = pieces[0] + pieces[1] + pieces[2] - pieces[3]
+                scale = np.maximum.reduce([scale] + [np.abs(t) for t in pieces])
+        return MTensorReport(M=m_comp, alpha=alpha_v, norm=np.max(np.abs(m_comp), axis=(0, 1)),
+                             scale=scale)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def cotton_york(structure, point, order=SCAN_ORDER, orientation=1):
+def cotton_york(structure, point, orientation=1):
     """Cotton-York 1-form Y_a and the pointwise flatness decision."""
-    field_ = InvariantField(Frame(structure, point, order, orientation))
+    field_ = InvariantField(Frame(structure, point, SCAN_ORDER, orientation))
     return CottonReport(
-        Y=jets.values(field_.Y)[:, 0],
+        Y=field_.y_values[:, 0],
         flat=field_.flat[0],
         norm=field_.y_norm[0],
         scale=field_.dP_scale[0],
     )
 
 
-def compute_invariants(structure, point, order=SCAN_ORDER, orientation=1):
+def compute_invariants(structure, point, orientation=1):
     """All point invariants; raises :class:`FlatPoint` where Y vanishes."""
-    return InvariantField(Frame(structure, point, order, orientation)).invariant_values().node(0)
+    field_ = InvariantField(Frame(structure, point, SCAN_ORDER, orientation))
+    field_.require_not_flat()
+    return field_.invariant_values().node(0)
 
 
-def compute_M(structure, point, order=SCAN_ORDER, orientation=1):
+def compute_M(structure, point, orientation=1):
     """Degenerate-branch tensor M_ab and candidate alpha.
 
     Requires rho > 0 and sigma != 0 at the point; raises :class:`SigmaZero`
     otherwise (the branch needs sigma = 3 rho F^2 > 0).
     """
-    field_ = InvariantField(Frame(structure, point, order, orientation))
+    field_ = InvariantField(Frame(structure, point, SCAN_ORDER, orientation))
     field_.require_not_flat()
-    rep = field_.m_tensor()[0]
-    if rep is None:
+    if field_.sigma_is_zero()[0]:
         raise SigmaZero(f"sigma = {jets.values(field_.sigma)[0]:.3e} numerically zero")
-    return rep
+    rep = field_.m_tensor()
+    return MTensorReport(
+        M=rep.M[:, :, 0], alpha=rep.alpha[:, 0], norm=float(rep.norm[0]), scale=rep.scale[0]
+    )

@@ -167,8 +167,8 @@ class JetSpace:
         ).reshape(rows, n)
 
 
-# the widths of a batch in its two spaces: the scan's all nodes, non-flat ones and
-# branch, and the lift's nodes and (node, root) columns
+# the widths of a batch in its two spaces: the scan's one width, its nodes (flat and
+# branch ones included), and the lift's nodes and (node, root) columns
 @lru_cache(maxsize=8)
 def _column_bins(space, n):
     """Output bin of each (term, node) product of ``n`` node columns, term-major.

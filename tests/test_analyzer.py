@@ -39,7 +39,8 @@ from sfmew.invariants import (
 from sfmew.jets import Jet, jet_space
 
 from columns import column, trimmed
-from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, SPIRAL_7_1
+from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, QUADRATIC_7_MEMBERS, SPIRAL_7_1
+from test_batch import canon
 
 
 def make_candidate(*sources, mode="real"):
@@ -64,6 +65,30 @@ def test_alpha_from_f_reproduces_rotation_family(quadratic_structure):
         assert cand.alpha == pytest.approx([y, -x], abs=1e-10)
         cand2 = alpha_from_F(inv, 2.0)
         assert cand2.alpha == pytest.approx([-y, x], abs=1e-10)
+
+
+def test_reconstructed_alpha_takes_each_roots_float_power():
+    # a scan takes the formula on the node array of its real roots, with F^4
+    # as a float's ``**`` (libm pow) rounds it root by root: np.power on the
+    # array rounds some of these seed-7 quadratic roots otherwise in the last bit
+    structure, points = QUADRATIC_7_MEMBERS[1], MEMBER_NODES[:60]
+    count = 0
+    for point, verdict in zip(points, classify_points(structure, points)):
+        inv = compute_invariants(structure, point)
+        for cand in verdict.candidates:
+            f = cand.F
+            numer = [
+                inv.L[a]
+                + 2.5 * inv.rho * f * inv.Y[a]
+                + 0.5 * f * f * inv.grad_rho[a]
+                + 3.0 * f**4 * inv.U[a]
+                for a in range(2)
+            ]
+            alpha = np.array(numer) / (inv.sigma - 3.0 * inv.rho * f * f)
+            assert cand.alpha.tobytes() == alpha.tobytes(), (point, f)
+            assert cand.alpha.tobytes() == alpha_from_F(inv, f).alpha.tobytes(), (point, f)
+            count += 1
+    assert count > 20
 
 
 def test_alpha_from_f_rejects_p0_root():
@@ -314,7 +339,40 @@ def test_degenerate_branch_follows_the_one_sigma_rule():
         nonflat = [v for v in verdicts if v.tag != VerdictTag.FLAT]
         assert len(nonflat) == 446
         field = InvariantField([Frame(structure, p, SCAN_ORDER) for p in MEMBER_NODES])
-        assert [v.m_norm for v in nonflat] == [rep.norm for rep in field.m_tensor()]
+        assert [v.m_norm for v in nonflat] == field.m_tensor().norm[~field.flat].tolist()
+
+
+def test_vanishing_branch_tensor_admits_the_closed_form_candidate(monkeypatch):
+    """MZeroAdmits, which no reference structure reaches: the real tensor with
+    its norm set to 0 at a few sigma > 0 nodes of a batch that holds the flat
+    origin.  The verdict carries the forced F of the node's own invariants and
+    the tensor's alpha, and is the one the node gets alone."""
+    structure = OPPOSITE_7_MEMBERS[1]
+    batch = MEMBER_NODES[2 * analyzer._CHUNK : 3 * analyzer._CHUNK]
+    zeroed = [batch[k] for k in (3, 40, 77)]
+    m_tensor = InvariantField.m_tensor
+
+    def vanishing(field):
+        rep = m_tensor(field)
+        rep.norm[[p in zeroed for p in field.frame.points]] = 0.0
+        return rep
+
+    tensor = m_tensor(InvariantField([Frame(structure, p, SCAN_ORDER) for p in batch]))
+    monkeypatch.setattr(InvariantField, "m_tensor", vanishing)
+    verdicts = classify_points(structure, batch)
+    assert [v.tag == VerdictTag.MZERO_ADMITS for v in verdicts] == [p in zeroed for p in batch]
+    for point in zeroed:
+        node = batch.index(point)
+        verdict = verdicts[node]
+        f, consistent = f_from_P0_branch(compute_invariants(structure, point))
+        assert [float(v).hex() for v in verdict.f_candidates] == [float(f).hex()]
+        assert not consistent  # the opposite family forces F = 0, and sigma > 0
+        assert verdict.note == "degenerate-branch tensor vanishes (forced F consistency flag false)"
+        assert verdict.m_norm == 0.0
+        (cand,) = verdict.candidates
+        assert cand.source == "MZeroFormula" and cand.point == point
+        assert cand.alpha.tobytes() == tensor.alpha[:, node].tobytes()
+        assert canon(verdict) == canon(classify_point(structure, point))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +634,6 @@ def test_column_residuals_are_the_per_node_residuals(data, quadratic_structure):
            for name in ("Y", "U_up", "Y_up", "W")}
     inv.update({name: data.draw(arrays(np.float64, (n,), elements=_NUMBERS))
                 for name in ("phi", "ell", "rho", "mu")})
-    cols = np.flatnonzero(~flat)
     invs = [None if flat[i] else SimpleNamespace(**{k: v[..., i] for k, v in inv.items()})
             for i in range(n)]
     # the residuals reach about 3e4: both pass outcomes
@@ -585,8 +642,7 @@ def test_column_residuals_are_the_per_node_residuals(data, quadratic_structure):
 
     with mock.patch.object(analyzer, "TOL_RESIDUAL", tol):
         new = analyzer._residual_reports(
-            frame, PointInvariants(**{k: v[..., cols] for k, v in inv.items()}), flat, mode,
-            method, alpha, dalpha, F, grad_F, on_root,
+            frame, PointInvariants(**inv), flat, mode, method, alpha, dalpha, F, grad_F, on_root,
         )
     old = _per_node_residual_reports(
         frame, invs, mode, method, alpha, dalpha, F, grad_F, tol, on_root

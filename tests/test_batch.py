@@ -23,6 +23,7 @@ from numpy.polynomial import polynomial as npoly
 from sfmew import analyzer, geometry, jets
 from sfmew.analyzer import (
     SolutionCandidate,
+    alpha_from_F,
     classify_point,
     classify_points,
     verify_candidate,
@@ -30,12 +31,18 @@ from sfmew.analyzer import (
 )
 from sfmew.expr import parse
 from sfmew.geometry import Frame, MoebiusStructure
-from sfmew.invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, compute_invariants
+from sfmew.invariants import (
+    LIFT_ORDER,
+    SCAN_ORDER,
+    InvariantField,
+    PointInvariants,
+    compute_invariants,
+)
 from sfmew.jets import DomainError
 from sfmew.polyalg import column_common_roots
 
 from columns import column
-from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS
+from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, QUADRATIC_7_MEMBERS, SPIRAL_7_MEMBERS
 
 # the flat origin, near-flat radii on and off the axes, and ordinary nodes
 POINTS = [(0.0, 0.0)] + [
@@ -89,11 +96,10 @@ def test_verdicts_and_invariants_do_not_depend_on_the_batch(
 
     field = InvariantField(Frame.stack([Frame(structure, p) for p in points]))
     assert list(field.flat) == [InvariantField(Frame(structure, p)).flat[0] for p in points]
-    if not field.nodes.size:  # no invariants: every node is flat
-        return
     values = field.invariant_values()
-    for c, node in enumerate(field.nodes):
-        assert canon(values.node(c)) == canon(compute_invariants(structure, points[node])), node
+    for node in np.flatnonzero(~field.flat):
+        alone = compute_invariants(structure, points[node])
+        assert canon(values.node(node)) == canon(alone), node
 
 
 # the nodes of the mixed structure: flat, sigma = 0 exactly, sigma < 0 and twice sigma > 0
@@ -101,22 +107,57 @@ MIXED_NODES = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.5), (-1.0, 0.5), (-1.2, -0.3)]
 
 
 def test_stacked_field_mixes_flat_sigma_zero_and_branch_nodes(mixed_structure):
-    # one stack holding a flat node, sigma = 0, sigma < 0 and sigma > 0 nodes:
-    # the branch runs on a column subset, and every node must still match its
-    # own field
+    # one stack holding a flat node, sigma = 0, sigma < 0 and sigma > 0 nodes,
+    # all at one width: the degenerate branch is NaN at the flat node and at
+    # sigma = 0, and every other node must still match its own field
     frames = [Frame(mixed_structure, p) for p in MIXED_NODES]
     field = InvariantField(Frame.stack(frames))
     assert list(field.flat) == [True, False, False, False, False]
-    values = field.invariant_values()
-    assert np.sign(values.sigma).tolist() == [0.0, -1.0, 1.0, 1.0]
-    alone = [InvariantField(f) for f in frames[1:]]
-    for c, single in enumerate(alone):
-        assert canon(values.node(c)) == canon(single.invariant_values().node(0))
-    for rep, single in zip(field.m_tensor(), alone):
-        if single.sigma_is_zero()[0]:
-            assert rep is None
-        else:
-            assert canon(rep) == canon(single.m_tensor()[0])
+    values, mrep = field.invariant_values(), field.m_tensor()
+    assert np.sign(values.sigma[1:]).tolist() == [0.0, -1.0, 1.0, 1.0]
+    for name in ("m", "psi", "k"):
+        assert np.isnan(getattr(values, name)[:2]).all(), name
+        assert np.isfinite(getattr(values, name)[2:]).all(), name
+    for name in ("M", "alpha", "norm", "scale"):
+        assert np.isnan(getattr(mrep, name)[..., :2]).all(), name
+        assert np.isfinite(getattr(mrep, name)[..., 2:]).all(), name
+    for node, frame in enumerate(frames[1:], start=1):
+        single = InvariantField(frame)
+        assert canon(values.node(node)) == canon(single.invariant_values().node(0))
+        if not single.sigma_is_zero()[0]:
+            alone = single.m_tensor()
+            for name in ("M", "alpha", "norm", "scale"):
+                mine, own = getattr(mrep, name)[..., node], getattr(alone, name)[..., 0]
+                assert canon(mine) == canon(own), (name, node)
+
+
+SEED7 = {
+    f"{family}-{k}": member
+    for family, members in (
+        ("spiral", SPIRAL_7_MEMBERS), ("quadratic", QUADRATIC_7_MEMBERS),
+        ("opposite", OPPOSITE_7_MEMBERS),
+    )
+    for k, member in enumerate(members)
+}
+
+
+@pytest.mark.parametrize("name", [*SEED7, "mixed"])
+def test_a_scan_decides_on_node_columns_only(name, mixed_structure):
+    # every rule is a mask over a batch's nodes: a scan reads off no node's own
+    # invariants and builds no candidate through alpha_from_F, and the candidate
+    # of a verified root is still alpha_from_F's at its point alone
+    structure, points = SEED7.get(name, mixed_structure), MEMBER_NODES + MIXED_NODES
+
+    def refuse(*args):
+        raise AssertionError("a scan built a per-node object")
+
+    with mock.patch.object(PointInvariants, "node", refuse), \
+            mock.patch.object(analyzer, "alpha_from_F", refuse):
+        verdicts = classify_points(structure, points)
+    for point, verdict in list(zip(points, verdicts))[::3]:
+        for cand in verdict.candidates:
+            alone = alpha_from_F(compute_invariants(structure, point), cand.F)
+            assert canon(cand) == canon(alone), point
 
 
 # the seed-7 opposite members with the batch of their 21x21 grid that holds the
@@ -135,14 +176,14 @@ def test_contractions_round_as_each_nodes_own_matmul(structure, points, mixed_st
     if structure == "mixed":
         structure = mixed_structure
     field = InvariantField([Frame(structure, p, SCAN_ORDER) for p in points])
-    assert field.flat.any() and field.branch()[0].size
+    assert field.flat.any() and field.branch is not None
     values = field.invariant_values()
 
     def own(tree, i):
         return np.array(jets.values(tree)[..., i])
 
     for name, (a, m, b) in field._contraction_terms().items():
-        for i in range(field.nodes.size):
+        for i in range(len(points)):
             alone = own(a, i) @ own(b, i) if m is None else own(a, i) @ own(m, i) @ own(b, i)
             assert float(getattr(values, name)[i]).hex() == float(alone).hex(), (name, i)
 

@@ -141,7 +141,7 @@ def test_rescale_preserves_trace_condition(quadratic_structure):
     rng = random.Random(41)
     pts = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(20)]
     r = quadratic_structure.rescaled("0.3*x - 0.2*y + 0.1*x*y")
-    assert validate(r, pts, tol=1e-8).ok
+    assert validate(r, pts).ok
 
 
 def test_rescale_cotton_tensor_invariant(quadratic_structure):
