@@ -28,16 +28,20 @@
    below ``_TOL_RES_HIGH`` (``docs/decisions.md`` §8), so no gap could
    overrule it, and none is taken where one decides.
 
-Points are taken in batches of ``_CHUNK`` nodes.  Each point gets its own
+Points are taken in the fewest batches of at most ``_CHUNK`` nodes, whose
+widths differ by at most one node (:func:`_batches`), so that a call pays a
+batch's fixed work as few times as it can, and the widest batch, which sets
+the peak memory, is as narrow as it can be.  Each point gets its own
 :class:`~sfmew.geometry.Frame`; their stack evaluates the structure once on
 the batch, and the invariant chain, the branch tensor, the constraint
 coefficients and the resultant reports run once on it, at one width, indexed
 by the batch's own node numbers: a flat node is a column of NaN, and the
 branch is NaN where sigma is numerically zero.  Every step reads the
-batch's invariants from the chain that computed them, and the lift builds
-its own chain over the nodes with real roots only.  The rules that decide
-a node before its resultants are masks over the batch: flat, not finite,
-M ~ 0 and, at each real root, P0(F) ~ 0.
+batch's invariants from the chain that computed them; once the node
+arrays are read off, the chain and its frames are freed, and the lift
+builds its own chain over the nodes with real roots only.  The rules that
+decide a node before its resultants are masks over the batch: flat, not
+finite, M ~ 0 and, at each real root, P0(F) ~ 0.
 The nodes with constraints of degree >= 1 go through one common-root
 witness search for the batch (:func:`~sfmew.polyalg.column_common_roots`),
 which gives their real and complex witnesses from the same eigenvalues;
@@ -59,15 +63,17 @@ F <- F - P_k(F) / P_k'(F) in jet arithmetic doubles the number of exact
 Taylor orders.  It is lifted with each constraint P_k of which F0 is a
 simple root, and the best lift kept; the roots of a batch are lifted
 together, on one order-5 invariant chain over new frames of their nodes,
-from which their residuals read the invariants too.
+from which their residuals read the invariants too; each (node, root)
+column takes those frames' jets truncated to order 1, all the residuals
+read.
 The candidate alpha then follows as a jet from the reconstruction formula,
 so nabla alpha and nabla F are exact.  A root that
 is simple in no constraint has no such lift and stays unverified.
 Closed-form candidates are differentiated exactly via jets of their
-expressions.  ``verify_candidates`` takes their points in batches of
-``_CHUNK`` nodes too: per-point frames, whose stack evaluates the
-structure once, the candidate's expressions evaluated once on the batch's
-node columns, and one invariant chain per batch.  Both ways of verifying
+expressions.  ``verify_candidates`` takes their points in the same
+batches: per-point frames, whose stack evaluates the structure once, the
+candidate's expressions evaluated once on the batch's node columns, and
+one invariant chain per batch.  Both ways of verifying
 end in one step from the jets of alpha and F: nabla alpha and nabla F
 come from the frame's calculus, and each residual is computed on the node
 arrays; only the reports themselves are built node by node.
@@ -117,10 +123,10 @@ __all__ = [
 
 _CLOSED_FORM_ORDER = 3  # closed-form jets: residuals read 3 orders of P, nabla F 2 of alpha
 _LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 3 -> 7
-# nodes per batch: wide enough to spread a batch's fixed work (stacked dets, eigvals,
-# product tables) over many nodes, narrow enough to bound the memory of its jets
-# (see docs/decisions.md, section 4)
-_CHUNK = 96
+# nodes per batch at most: wide enough to spread a batch's fixed work (hundreds of
+# small jet and numpy calls, stacked dets, eigvals, product tables) over many nodes,
+# narrow enough to bound the memory of its jets (see docs/decisions.md, section 4)
+_CHUNK = 256
 _TOL_P0 = 1e-9  # |P0(F)| below this share of |sigma| + 3 rho F^2: the formula has no alpha
 _TOL_FORCED_F = 1e-6  # relative mismatch of F^2 and sigma / (3 rho) on the branch
 _TOL_M = 1e-8  # |M| below this share of its terms' size: the branch tensor vanishes
@@ -356,7 +362,7 @@ def verify_candidates(structure, candidate, points, mode="real", orientation=1):
 
     The candidate's ``alpha_exprs`` are differentiated exactly via jets: 2
     real components, or 4 (re1, re2, im1, im2) in complex mode.  Points are
-    taken in batches of ``_CHUNK`` nodes; each point gets its own order-3
+    taken in the batches of :func:`_batches`; each point gets its own order-3
     :class:`~sfmew.geometry.Frame`, their stack evaluates the structure
     once, and each expression is evaluated once on the batch's node
     columns.  A domain error is the one a point-by-point pass meets first:
@@ -379,12 +385,20 @@ def verify_candidates(structure, candidate, points, mode="real", orientation=1):
         )
     points = [tuple(map(float, p)) for p in points]
     reports = []
-    for start in range(0, len(points), _CHUNK):
-        reports += _verify_chunk(
-            structure, exprs, points[start : start + _CHUNK], mode, orientation
-        )
+    for part in _batches(len(points)):
+        reports += _verify_chunk(structure, exprs, points[part], mode, orientation)
     jets.release_tables()
     return reports
+
+
+def _batches(n):
+    """The fewest slices of at most ``_CHUNK`` items that cover ``range(n)`` in
+    order, their widths differing by at most 1: the widest batch sets the
+    peak memory, so 447 items go as 224 + 223, not 256 + 191."""
+    count = -(-n // _CHUNK)
+    width, wider = divmod(n, count) if count else (0, 0)
+    bounds = [k * width + min(k, wider) for k in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 # the invariants the residuals of a closed-form candidate read
@@ -414,9 +428,9 @@ def _verify_chunk(structure, exprs, points, mode, orientation):
             for part in parts
         ]
         field = InvariantField(frame)
-        return _candidate_residuals(
-            frame, _residual_values(field), field.flat, mode, "jets", parts, F_parts
-        )
+        inv, flat = _residual_values(field), field.flat
+        del field  # the residuals read its node values only
+        return _candidate_residuals(frame, inv, flat, mode, "jets", parts, F_parts)
 
 
 def _residual_values(chain):
@@ -475,14 +489,15 @@ def _is_simple(coeffs, f0, dp):
     return abs(_value(dp)) > TOL_ROOT * scale
 
 
-def _lifted_reports(frame, cols, roots):
+def _lifted_reports(structure, points, orientation, cols, roots):
     """Verify the reconstructed candidates of real roots by lifting them to jets.
 
-    Root ``roots[i]`` belongs to the node ``cols[i]`` of ``frame``, which
-    is not flat; all roots are lifted together, one node column each, on an
-    invariant chain of order ``LIFT_ORDER`` over new frames of their nodes,
-    and their residuals read the invariants of that chain.  Raises
-    :class:`~sfmew.invariants.FlatPoint` where the nodes are flat.  A root
+    Root ``roots[i]`` belongs to the point ``points[cols[i]]`` of
+    ``structure`` (with ``orientation``), which is not flat; all roots are
+    lifted together, one node column each, on an invariant chain of order
+    ``LIFT_ORDER`` over new frames of their points, and their residuals read
+    the invariants of that chain.  Raises
+    :class:`~sfmew.invariants.FlatPoint` where the points are flat.  A root
     is lifted with every constraint of which it is a simple root, and the
     lift kept that passes, else the one with the smallest residual: near
     flat points one constraint can have its roots far less accurate than
@@ -492,19 +507,18 @@ def _lifted_reports(frame, cols, roots):
     or None where the root is simple in no constraint.
     """
     nodes, cols = np.unique(cols, return_inverse=True)
-    field = InvariantField(
-        [Frame(frame.structure, frame.points[c], LIFT_ORDER, frame.orientation) for c in nodes]
-    )
-    jinv, roots = field.invariant_jets(), np.asarray(roots, dtype=float)
+    field = InvariantField([Frame(structure, points[c], LIFT_ORDER, orientation) for c in nodes])
+    frame, jinv, roots = field.frame, field.invariant_jets(), np.asarray(roots, dtype=float)
+    del field  # the lifts read its invariant jets and its frame only
     reports = []
-    for start in range(0, len(roots), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        reports += _lift_batch(field.frame, jinv, cols[part], roots[part])
+    for part in _batches(len(roots)):
+        reports += _lift_batch(frame, jinv, cols[part], roots[part])
     return reports
 
 
 def _lift_batch(frame, jinv, cols, f0):
-    jinv, frame = jinv.take(cols), frame.take(cols)
+    # the residuals read the frame's values, and Gamma times jets of order 0
+    jinv, frame = jinv.take(cols), frame.take(cols, order=1)
     best = [None] * f0.size
     for coeffs_of in _COEFFS:
         coeffs = coeffs_of(jinv)
@@ -555,7 +569,7 @@ def verify_candidate(structure, candidate, point, mode="real", orientation=1):
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
     f0 = float(candidate.F.real)
-    rep = _lifted_reports(Frame(structure, point, LIFT_ORDER, orientation), [0], [f0])[0]
+    rep = _lifted_reports(structure, [point], orientation, [0], [f0])[0]
     if rep is None:
         raise MultipleRoot(f"F = {f0} is a multiple root of every constraint")
     return rep
@@ -574,14 +588,15 @@ def classify_points(structure, points, orientation=1):
     """Run the decision procedure at every point; a list of verdicts in order.
 
     Points go through the invariant chain, the constraint assembly and the
-    resultant reports in batches of ``_CHUNK`` nodes; each node's verdict is
-    bit-identical to the one it gets alone.  ``orientation`` (+1 or -1)
+    resultant reports in the fewest batches of at most ``_CHUNK`` nodes, of
+    equal widths but for one node (:func:`_batches`); each node's verdict
+    is bit-identical to the one it gets alone.  ``orientation`` (+1 or -1)
     flips F.
     """
     points = [tuple(map(float, p)) for p in points]
     verdicts = []
-    for start in range(0, len(points), _CHUNK):
-        verdicts += _classify_chunk(structure, points[start : start + _CHUNK], orientation)
+    for part in _batches(len(points)):
+        verdicts += _classify_chunk(structure, points[part], orientation)
     jets.release_tables()  # the product tables of this scan's widths are not kept past it
     return verdicts
 
@@ -596,6 +611,9 @@ def _classify_chunk(structure, points, orientation):
     # degenerate branch: sigma > 0 and not numerically zero, decided by the tensor M
     branch = ~field.sigma_is_zero() & finite & (values.sigma > 0.0)
     mrep = field.m_tensor()  # NaN off the branch
+    # the later stages read node arrays only: the field's jets and frame are freed
+    flat = field.flat
+    del field
     branch_finite = branch & np.isfinite([mrep.norm, mrep.scale, *mrep.alpha]).all(axis=0)
     mzero = branch_finite & (mrep.norm < _TOL_M * mrep.scale)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # finite or Inconclusive
@@ -628,13 +646,13 @@ def _classify_chunk(structure, points, orientation):
             resultants[c][name] = resultants[c][name]._replace(gap=gap)
         todo = [c for c, gap in zip(todo, gaps) if not gap > _TOL_RES_HIGH]
     checked = _verify_witnesses(
-        field, values, {c: roots.real.roots for c, roots in found.items() if len(roots.real)}
+        structure, values, {c: roots.real.roots for c, roots in found.items() if len(roots.real)}
     )
 
     verdicts = []
     for c, pt in enumerate(points):
         m_norm = float(mrep.norm[c]) if branch[c] else None
-        if field.flat[c]:
+        if flat[c]:
             verdict = Verdict(
                 tag=VerdictTag.FLAT,
                 point=pt,
@@ -674,10 +692,11 @@ def _coefficient_columns(coeffs, n):
     return np.array([np.broadcast_to(c, (n,)) for c in coeffs])
 
 
-def _verify_witnesses(field, values, real):
+def _verify_witnesses(structure, values, real):
     """The reconstructed candidates of real common roots, ``real`` (node ->
     its roots), verified in one batch of lifts: node -> [(root, alpha,
-    report)], without the roots where P0 vanishes (the formula has no alpha)."""
+    report)], without the roots where P0 vanishes (the formula has no alpha).
+    ``values`` holds the batch's invariants as node arrays, and its points."""
     cols = np.array([c for c, roots in real.items() for _ in roots], dtype=np.intp)
     f0 = np.array([f for roots in real.values() for f in roots], dtype=float)
     inv = values.take(cols)
@@ -685,7 +704,10 @@ def _verify_witnesses(field, values, real):
         numer, denom = _alpha_parts(inv, f0)
         alpha = np.array(numer) / denom
     keep = np.flatnonzero(~_p0_vanishes(inv, f0, denom))
-    reports = _lifted_reports(field.frame, cols[keep], f0[keep]) if keep.size else []
+    reports = (
+        _lifted_reports(structure, values.point, values.orientation, cols[keep], f0[keep])
+        if keep.size else []
+    )
     checked = {c: [] for c in real}
     for i, rep in zip(keep.tolist(), reports):
         checked[cols[i]].append((float(f0[i]), alpha[:, i], rep))

@@ -230,11 +230,18 @@ class Frame:
         stacked.__dict__.update(columns)  # the evaluated columns as they are, no copy
         return stacked
 
-    def take(self, cols):
-        """The frame at some of its nodes (repeats allowed), as a stacked frame."""
+    def take(self, cols, order=None):
+        """The frame at some of its nodes (repeats allowed), as a stacked frame.
+
+        With ``order``, its jets are truncated to that order before they are
+        taken: the coefficients kept keep their bits, and no others are
+        copied.  The jets stay in the frame's jet space.
+        """
         taken = self._like(self, [self.points[c] for c in cols])
+        if order is not None:
+            taken.order = min(order, self.order)
         for name in self._JETS:
-            setattr(taken, name, jets.take(getattr(self, name), cols))
+            setattr(taken, name, jets.take(jets.truncate(getattr(self, name), taken.order), cols))
         return taken
 
     @classmethod

@@ -250,7 +250,7 @@ class InvariantField:
         self.dP_scale = np.maximum(1.0, dP_max)
         # Y_c = eps^{ab} (nabla_a P_bc - nabla_b P_ac) = 2 eps^{12} (nabla_1 P_2c - nabla_2 P_1c)
         Y = [2.0 * o * (f.e2u_inv * (dP[0][1][c] - dP[1][0][c])) for c in range(2)]
-        del dP  # nothing else reads it: not kept alive through the chain (see ``dP``)
+        del dP  # nothing else reads it: not kept alive through the chain
         self.y_values = jets.values(Y)
         self.y_norm = np.hypot(*self.y_values)
         self.flat = self.y_norm < _TOL_FLAT * self.dP_scale
@@ -293,12 +293,6 @@ class InvariantField:
 
         yw_bound = self.y_norm * np.hypot(*jets.values(self.W)) * f.e2u_inv.value
         self.sigma_scale = np.maximum(yw_bound, 1e-300)
-
-    @cached_property
-    def dP(self):
-        """nabla_a P_bc as ``dP[a][b][c]``, over the nodes of ``frame``; built
-        again on read, as the chain only needs it for ``Y`` and ``dP_scale``."""
-        return self.frame.cov_deriv(self.frame.p, "dd")
 
     # -- read only by the contractions: built on first read -------------------
 

@@ -167,8 +167,9 @@ class JetSpace:
         ).reshape(rows, n)
 
 
-# the widths of a batch in its two spaces: the scan's one width, its nodes (flat and
-# branch ones included), and the lift's nodes and (node, root) columns
+# the widths of a scan in its two spaces: its batches' widths, at most two as they
+# differ by at most one node (every node of a batch, flat and branch ones included),
+# and each batch's lift, its nodes and its (node, root) columns
 @lru_cache(maxsize=8)
 def _column_bins(space, n):
     """Output bin of each (term, node) product of ``n`` node columns, term-major.

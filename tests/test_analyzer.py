@@ -39,7 +39,13 @@ from sfmew.invariants import (
 from sfmew.jets import Jet, jet_space
 
 from columns import column, trimmed
-from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, QUADRATIC_7_MEMBERS, SPIRAL_7_1
+from seed7 import (
+    MEMBER_NODES,
+    OPPOSITE_7_MEMBERS,
+    ORIGIN_BATCH,
+    QUADRATIC_7_MEMBERS,
+    SPIRAL_7_1,
+)
 from test_batch import canon
 
 
@@ -348,7 +354,7 @@ def test_vanishing_branch_tensor_admits_the_closed_form_candidate(monkeypatch):
     origin.  The verdict carries the forced F of the node's own invariants and
     the tensor's alpha, and is the one the node gets alone."""
     structure = OPPOSITE_7_MEMBERS[1]
-    batch = MEMBER_NODES[2 * analyzer._CHUNK : 3 * analyzer._CHUNK]
+    batch = ORIGIN_BATCH
     zeroed = [batch[k] for k in (3, 40, 77)]
     m_tensor = InvariantField.m_tensor
 

@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import functools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -42,7 +43,13 @@ from sfmew.jets import DomainError
 from sfmew.polyalg import column_common_roots
 
 from columns import column
-from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, QUADRATIC_7_MEMBERS, SPIRAL_7_MEMBERS
+from seed7 import (
+    MEMBER_NODES,
+    OPPOSITE_7_MEMBERS,
+    ORIGIN_BATCH,
+    QUADRATIC_7_MEMBERS,
+    SPIRAL_7_MEMBERS,
+)
 
 # the flat origin, near-flat radii on and off the axes, and ordinary nodes
 POINTS = [(0.0, 0.0)] + [
@@ -160,12 +167,11 @@ def test_a_scan_decides_on_node_columns_only(name, mixed_structure):
             assert canon(cand) == canon(alone), point
 
 
-# the seed-7 opposite members with the batch of their 21x21 grid that holds the
-# flat origin (sigma > 0 elsewhere), and the mixed structure's nodes
-CONTRACTION_BATCHES = [
-    (member, MEMBER_NODES[2 * analyzer._CHUNK : 3 * analyzer._CHUNK])
-    for member in OPPOSITE_7_MEMBERS
-] + [("mixed", MIXED_NODES)]
+# the seed-7 opposite members with the batch of a scan of their nodes that holds
+# the flat origin (sigma > 0 elsewhere), and the mixed structure's nodes
+CONTRACTION_BATCHES = [(member, ORIGIN_BATCH) for member in OPPOSITE_7_MEMBERS] + [
+    ("mixed", MIXED_NODES)
+]
 
 
 @pytest.mark.parametrize("structure, points", CONTRACTION_BATCHES,
@@ -209,6 +215,14 @@ def test_stacked_frame_jets_are_the_per_point_frames_jets(data, mixed_structure)
                 assert col.vec.shape == jet.vec.shape[:1] + (len(nodes),), name
                 assert col.order == jet.order, name
                 assert canon(col.vec[:, i]) == canon(jet.vec), (name, point)
+    # some of its nodes, repeats allowed, with the jets truncated to order 1
+    cols = data.draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=4))
+    taken = stacked.take(cols, order=1)
+    assert taken.order == 1 and taken.points == [nodes[c] for c in cols]
+    for name in Frame._JETS:
+        for col, jet in zip(leaves(getattr(taken, name)), leaves(getattr(stacked, name))):
+            assert col.order == min(jet.order, 1), name
+            assert canon(col.vec) == canon(jet.vec[: col.vec.shape[0], cols]), name
 
 
 def test_stack_of_one_structure_evaluates_each_expression_once(quadratic_structure):
@@ -361,11 +375,74 @@ def test_common_roots_of_a_column_do_not_depend_on_the_batch(cases):
         assert canon(found.complex) == canon(alone.complex)
 
 
-# 2 * _CHUNK + 3 nodes or more: the grid nodes, with the flat origin and the
-# near-flat nodes among them, so that the columns off the flat nodes and the
-# lift batches of the real roots have odd widths
-GRID = [(float(x), float(y)) for x in np.linspace(-2.0, 2.0, 14) for y in np.linspace(-2.0, 2.0, 14)]
-FULL_BATCHES = GRID[: analyzer._CHUNK - 7] + POINTS[:7] + GRID[analyzer._CHUNK - 7 :] + POINTS[7:]
+@pytest.mark.parametrize("n, count", [
+    (0, 0), (1, 1), (analyzer._CHUNK, 1), (analyzer._CHUNK + 1, 2), (453, 2)
+])
+def test_batches_are_the_fewest_of_equal_widths(n, count):
+    parts = analyzer._batches(n)
+    widths = [part.stop - part.start for part in parts]
+    assert len(parts) == count
+    assert all(0 < w <= analyzer._CHUNK for w in widths)
+    assert max(widths, default=0) - min(widths, default=0) <= 1
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+
+
+def _recording_fields(monkeypatch):
+    """The fields that ``analyzer`` builds, in order: their widths, and a weak
+    reference to each."""
+    built = []
+
+    class Recorded(InvariantField):
+        def __init__(self, frame):
+            super().__init__(frame)
+            built.append((len(self.frame.points), weakref.ref(self)))
+
+    monkeypatch.setattr(analyzer, "InvariantField", Recorded)
+    return built
+
+
+def test_a_call_of_chunk_plus_one_points_runs_two_batches(opposite_structure, monkeypatch):
+    # no real roots, so no lift: one field per batch, of widths 129 and 128
+    points = MEMBER_NODES[: analyzer._CHUNK + 1]
+    for call in (
+        lambda: classify_points(opposite_structure, points),
+        lambda: verify_candidates(
+            opposite_structure, closed_form("0", "0", "y", "-x"), points, "complex"
+        ),
+    ):
+        fields = _recording_fields(monkeypatch)
+        call()
+        assert [width for width, _ in fields] == [129, 128]
+
+
+def test_each_field_is_freed_once_its_values_are_read(quadratic_structure, monkeypatch):
+    # the lift reads the scan's node arrays only, and residuals read the node
+    # values and jets of their chain: the scan's field is unreachable when the
+    # lift starts, and every field when residuals are computed (its jets and
+    # frame with it), without a garbage collection
+    fields = _recording_fields(monkeypatch)
+    alive = []
+    for name in ("_lifted_reports", "_candidate_residuals"):
+
+        def checked(*args, name=name, original=getattr(analyzer, name)):
+            alive.append((name, [ref() is not None for _, ref in fields]))
+            return original(*args)
+
+        monkeypatch.setattr(analyzer, name, checked)
+    verdicts = classify_points(quadratic_structure, POINTS)
+    verify_candidates(quadratic_structure, closed_form("y", "-x"), POINTS)
+    assert any(v.tag == analyzer.VerdictTag.ADMITS for v in verdicts)
+    assert {name for name, _ in alive} == {"_lifted_reports", "_candidate_residuals"}
+    assert not any(any(refs) for _, refs in alive), alive
+
+
+# _CHUNK + 1 nodes or more, in two batches of unequal widths: a 17x15 grid, the
+# flat origin among its nodes in the first batch, and then POINTS, the flat
+# origin, the near-flat nodes and ordinary ones, in the second
+GRID = [
+    (float(x), float(y)) for x in np.linspace(-2.0, 2.0, 17) for y in np.linspace(-2.0, 2.0, 15)
+]
+FULL_BATCHES = GRID + POINTS
 OMEGA = ("0.05", "-0.08", "0.02")  # omega = a x + b y + c (x^2 + y^2)
 
 
@@ -391,7 +468,8 @@ def test_full_width_batches_are_the_points_alone(family, request, monkeypatch):
     structure = request.getfixturevalue(f"{family}_structure").rescaled(
         f"{a}*x + {b}*y + {c}*(x*x + y*y)"
     )
-    assert len(FULL_BATCHES) >= 2 * analyzer._CHUNK + 3
+    widths = [len(FULL_BATCHES[part]) for part in analyzer._batches(len(FULL_BATCHES))]
+    assert widths == [137, 136] and len(FULL_BATCHES) > analyzer._CHUNK
     builds = _counting_tables(monkeypatch)
     batched = classify_points(structure, FULL_BATCHES)
     first = list(builds)
@@ -428,7 +506,7 @@ def test_scans_build_frames_at_the_order_their_readers_take(
     opposite_structure, quadratic_structure, monkeypatch
 ):
     # no real roots: each expression once per batch, at the scan order
-    batches = -(-len(FULL_BATCHES) // analyzer._CHUNK)
+    batches = len(analyzer._batches(len(FULL_BATCHES)))
     with mock.patch.object(geometry, "eval_jet", wraps=geometry.eval_jet) as eval_jet:
         classify_points(opposite_structure, FULL_BATCHES)
     assert [c.args[2] for c in eval_jet.call_args_list] == [SCAN_ORDER] * 4 * batches

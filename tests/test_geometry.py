@@ -13,7 +13,6 @@ from sfmew.geometry import (
     gauss_curvature,
     validate,
 )
-from sfmew.invariants import InvariantField
 
 from oracles import fd_christoffel, random_expression
 
@@ -147,11 +146,11 @@ def test_rescale_preserves_trace_condition(quadratic_structure):
 def test_rescale_cotton_tensor_invariant(quadratic_structure):
     r = quadratic_structure.rescaled("0.25*x + 0.1*y*y - 0.05*x*y")
     for pt in [(1.0, 0.3), (-0.6, 1.1)]:
-        f0 = InvariantField(Frame(quadratic_structure, pt, 6))
-        f1 = InvariantField(Frame(r, pt, 6))
+        f0, f1 = Frame(quadratic_structure, pt, 6), Frame(r, pt, 6)
+        dP0, dP1 = (f.cov_deriv(f.p, "dd") for f in (f0, f1))  # dP[a][b][c] = nabla_a P_bc
         for c in range(2):
-            before = f0.dP[0][1][c].value - f0.dP[1][0][c].value
-            after = f1.dP[0][1][c].value - f1.dP[1][0][c].value
+            before = dP0[0][1][c].value - dP0[1][0][c].value
+            after = dP1[0][1][c].value - dP1[1][0][c].value
             assert after == pytest.approx(before, abs=1e-8)
 
 

@@ -50,9 +50,10 @@ def test_cotton_dual_consistency():
         frame = f.frame
         lhs = [0.5 * j.value for j in frame.rot_form(f.Y)]
         dK = frame.grad(frame.curvature)
+        dP = frame.cov_deriv(frame.p, "dd")  # dP[a][b][c] = nabla_a P_bc
         rhs = [
             dK[a].value
-            - frame.e2u_inv.value * (f.dP[0][a][0].value + f.dP[1][a][1].value)
+            - frame.e2u_inv.value * (dP[0][a][0].value + dP[1][a][1].value)
             for a in range(2)
         ]
         scale = max(1.0, max(abs(v) for v in rhs))

@@ -94,7 +94,9 @@ def test_lift_order_gives_the_lifted_reports_of_higher_orders(
     data, spiral_structure, quadratic_structure
 ):
     # lifted roots at orders 6..10 against 5: the quadratic family's true roots,
-    # which verify, and the spiral's spurious roots near the flat origin, which fail
+    # which verify, and the spiral's spurious roots near the flat origin, which
+    # fail; and the lift's (node, root) columns with the frame at its full order,
+    # not truncated to order 1
     structure = data.draw(structures(spiral_structure, quadratic_structure, quadratic_structure))
     points = data.draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=6))
     order = data.draw(st.integers(LIFT_ORDER + 1, 10))
@@ -107,6 +109,9 @@ def test_lift_order_gives_the_lifted_reports_of_higher_orders(
         assert canon(
             [verify_candidate(structure, c, p, orientation=orientation) for p, c in candidates]
         ) == canon(reports)
+    take = Frame.take
+    with mock.patch.object(Frame, "take", lambda frame, cols, order=None: take(frame, cols)):
+        assert canon(classify_points(structure, points, orientation)) == canon(verdicts)
 
 
 def _at_common_order(a, b, flat):

@@ -31,16 +31,30 @@ once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
 compared byte for byte, as are each call's exit code and console output.
-Exits 0 when everything is equal and 1 naming every file that differs.
+
+No file holds a reconstructed candidate's alpha, so each interpreter also
+pickles the ``classify_points`` verdicts of the same structures in memory:
+every member on the grid, the near-flat points and the far field (both
+orientations on the member of the overriding calls), the mixed structure
+on the grid, the near-flat points and ``MIXED_NODES``, and the generic one
+on the grid and ``GENERIC_POINTS``.  Their verdicts are compared field by
+field, every float by its bits: candidates with their alpha, resultant
+reports and residual reports included.
+Exits 0 when everything is equal, and 1 naming every file that differs and
+the first verdict that differs.
 Reads ``perfbench/families.py`` and writes nothing under ``perfbench/``.
 """
 
 import argparse
 import contextlib
+import dataclasses
+import enum
 import filecmp
 import io
 import math
 import os
+import pickle
+import struct
 import subprocess
 import sys
 import tempfile
@@ -147,8 +161,80 @@ def calls(fam, out):
     yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
 
 
+def scans(fam):
+    """The label, structure sources, points and orientation of every
+    ``classify_points`` call whose verdicts are compared in memory."""
+    for seed in SEEDS:
+        for family in FAMILIES:
+            for member in fam.members(family, seed):
+                points = fam.grid_nodes(GRID) + list(fam.NEAR_FLAT) + FAR_FIELD
+                for orientation in (1, -1) if (seed, member.index) == OVERRIDDEN else (1,):
+                    yield (f"{seed}/{member.name} orientation {orientation}",
+                           member.structure_sources(), points, orientation)
+    yield "mixed", MIXED, fam.grid_nodes(GRID) + list(fam.NEAR_FLAT) + MIXED_NODES, 1
+    yield "generic", GENERIC, fam.grid_nodes(GRID) + GENERIC_POINTS, 1
+
+
+def canon(obj):
+    """A picklable form of a verdict made of plain values, field by field, each
+    float as its bits (so NaN signs and -0.0 count)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: canon(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if hasattr(obj, "_fields"):  # a named tuple
+        return {name: canon(getattr(obj, name)) for name in obj._fields}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if hasattr(obj, "dtype"):  # a numpy array or scalar
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (list, tuple)):
+        return [canon(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: canon(v) for k, v in obj.items()}
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    if isinstance(obj, complex):
+        return struct.pack("<dd", obj.real, obj.imag)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    return repr(obj)
+
+
+def scan_verdicts(fam):
+    """(label, point, canonical verdict) of every point of every scan."""
+    from sfmew.analyzer import classify_points
+    from sfmew.geometry import MoebiusStructure
+
+    return [
+        (label, point, canon(verdict))
+        for label, sources, points, orientation in scans(fam)
+        for point, verdict in zip(points, classify_points(
+            MoebiusStructure.from_strings(*sources), points, orientation))
+    ]
+
+
+def first_difference(a, b, path=""):
+    """The path of the first field where two canonical forms differ, or None."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return next((d for k in a if (d := first_difference(a[k], b[k], f"{path}.{k}"))), None)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return next((d for i, (x, y) in enumerate(zip(a, b))
+                     if (d := first_difference(x, y, f"{path}[{i}]"))), None)
+    return None if a == b else path or "."
+
+
+def verdict_difference(mine, theirs):
+    """A line naming the first verdict that differs, and its first field, or None."""
+    if len(mine) != len(theirs):
+        return f"{len(mine)} verdicts against {len(theirs)}"
+    for (label, point, a), (_, _, b) in zip(mine, theirs):
+        if (field := first_difference(a, b)) is not None:
+            return f"{label} at {point}: verdict{field}"
+    return None
+
+
 def run_all(src, out):
-    """Every call in this interpreter, with the program imported from ``src``."""
+    """Every call in this interpreter, with the program imported from ``src``;
+    the verdicts of the in-memory check are pickled to ``out``.pickle."""
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import families as fam
@@ -164,6 +250,7 @@ def run_all(src, out):
                 code = done.code
         out_dir.mkdir(parents=True, exist_ok=True)  # the console commands write none
         (out_dir / "console.txt").write_text(f"exit {code}\n{console.getvalue()}")
+    out.with_suffix(".pickle").write_bytes(pickle.dumps(scan_verdicts(fam)))
 
 
 def differences(a, b):
@@ -197,11 +284,17 @@ def main(argv=None):
                            env=env, check=True)
             outs.append(out)
         diffs = differences(*outs)
+        verdicts = verdict_difference(
+            *(pickle.loads(out.with_suffix(".pickle").read_bytes()) for out in outs))
     if diffs:
         print("outputs differ:", *diffs, sep="\n  ")
-        return 1
-    print("outputs are byte-identical")
-    return 0
+    else:
+        print("outputs are byte-identical")
+    if verdicts:
+        print("verdicts differ, first at", verdicts)
+    else:
+        print("verdicts are identical, field by field")
+    return 1 if diffs or verdicts else 0
 
 
 if __name__ == "__main__":
