@@ -82,6 +82,7 @@ batch of one node.  Everything here is deterministic and side-effect free.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -126,7 +127,7 @@ _LIFT_STEPS = 3  # Newton steps of the root lift: exact Taylor orders 0 -> 1 -> 
 # nodes per batch at most: wide enough to spread a batch's fixed work (hundreds of
 # small jet and numpy calls, stacked dets, eigvals, product tables) over many nodes,
 # narrow enough to bound the memory of its jets (see docs/decisions.md, section 4)
-_CHUNK = 256
+_CHUNK = 512
 _TOL_P0 = 1e-9  # |P0(F)| below this share of |sigma| + 3 rho F^2: the formula has no alpha
 _TOL_FORCED_F = 1e-6  # relative mismatch of F^2 and sigma / (3 rho) on the branch
 _TOL_M = 1e-8  # |M| below this share of its terms' size: the branch tensor vanishes
@@ -394,7 +395,7 @@ def verify_candidates(structure, candidate, points, mode="real", orientation=1):
 def _batches(n):
     """The fewest slices of at most ``_CHUNK`` items that cover ``range(n)`` in
     order, their widths differing by at most 1: the widest batch sets the
-    peak memory, so 447 items go as 224 + 223, not 256 + 191."""
+    peak memory, so 1025 items go as 342 + 342 + 341, not 512 + 512 + 1."""
     count = -(-n // _CHUNK)
     width, wider = divmod(n, count) if count else (0, 0)
     bounds = [k * width + min(k, wider) for k in range(count + 1)]
@@ -822,27 +823,31 @@ def _format_f_set(values, ndigits=6):
     return "F = " + ", ".join(f"{v:g}" for v in vals)
 
 
+def _histogram(verdicts):
+    """How many of ``verdicts`` carry each tag value, in order of first appearance."""
+    return {tag.value: count for tag, count in Counter([v.tag for v in verdicts]).items()}
+
+
 def summarize(verdicts):
     """One-line structure-level conclusion from pointwise verdicts."""
-    counts = {}
-    for v in verdicts:
-        counts[v.tag.value] = counts.get(v.tag.value, 0) + 1
-    effective = [
-        v for v in verdicts if v.tag not in (VerdictTag.FLAT, VerdictTag.INCONCLUSIVE)
-    ]
+    return _summary(_histogram(verdicts), verdicts)
+
+
+def _summary(counts, verdicts):
+    """:func:`summarize` of ``verdicts``, whose histogram is ``counts``."""
+    effective = counts.keys() - {VerdictTag.FLAT.value, VerdictTag.INCONCLUSIVE.value}
     if not effective:
         if counts.get(VerdictTag.FLAT.value):
             return "FLAT"
         return "INCONCLUSIVE"
-    tags = {v.tag for v in effective}
-    if tags == {VerdictTag.OBSTRUCTED}:
+    if effective == {VerdictTag.OBSTRUCTED.value}:
         return "OBSTRUCTED"
-    if tags == {VerdictTag.ADMITS}:
-        fs = [f for v in effective for f in v.f_candidates]
+    if effective == {VerdictTag.ADMITS.value}:
+        fs = [f for v in verdicts if v.tag is VerdictTag.ADMITS for f in v.f_candidates]
         return f"ADMITS ({_format_f_set(fs)})"
-    if tags == {VerdictTag.MZERO_ADMITS}:
+    if effective == {VerdictTag.MZERO_ADMITS.value}:
         return "ADMITS (M_ab = 0)"
-    if tags == {VerdictTag.VANISHING}:
+    if effective == {VerdictTag.VANISHING.value}:
         return "VANISHING OBSTRUCTIONS (NO REAL SOLUTION)"
     return "MIXED (" + ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())) + ")"
 
@@ -857,15 +862,12 @@ def region_report(region, verdicts):
     if region.nx < 2 or region.ny < 2:
         raise ValueError("region scan needs at least a 2x2 grid")
     nodes = [NodeVerdict(x, y, v) for (x, y), v in zip(region.nodes(), verdicts)]
-    histogram = {}
-    for n in nodes:
-        histogram[n.verdict.tag.value] = histogram.get(n.verdict.tag.value, 0) + 1
-    summary = summarize([n.verdict for n in nodes])
-    flags = []
-    nonflat = [n for n in nodes if n.verdict.tag != VerdictTag.FLAT]
-    if nonflat:
-        for tag in (VerdictTag.OBSTRUCTED, VerdictTag.ADMITS, VerdictTag.VANISHING):
-            share = sum(1 for n in nonflat if n.verdict.tag == tag) / len(nonflat)
-            if share > 0:
-                flags.append(f"{tag.value} on {100.0 * share:.1f}% of non-flat nodes")
-    return RegionReport(region, nodes, histogram, summary, flags)
+    verdicts = [n.verdict for n in nodes]
+    histogram = _histogram(verdicts)
+    nonflat = len(nodes) - histogram.get(VerdictTag.FLAT.value, 0)
+    flags = [
+        f"{tag.value} on {100.0 * (histogram[tag.value] / nonflat):.1f}% of non-flat nodes"
+        for tag in (VerdictTag.OBSTRUCTED, VerdictTag.ADMITS, VerdictTag.VANISHING)
+        if histogram.get(tag.value)
+    ]
+    return RegionReport(region, nodes, histogram, _summary(histogram, verdicts), flags)

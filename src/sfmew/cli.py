@@ -43,7 +43,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError, version
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -54,6 +56,7 @@ from .analyzer import (
     TOL_RESIDUAL,
     RegionSpec,
     SolutionCandidate,
+    VerdictTag,
     check_mode,
     classify_points,
     region_report,
@@ -205,6 +208,11 @@ def load_config(path):
 # parts of a complex number {"re", "im"} are written as json writes them), in
 # one walk and without a copy: with ``indent``, ``json`` takes its pure-Python
 # encoder.  A float's text is ``float.__repr__``; report keys are strings.
+# The per-node records of ``analyze`` and ``verify`` are not walked: they are
+# built as one text column per key, straight from the verdicts and residual
+# reports, each float formatted once and its text shared by report.json and
+# grid.csv (``docs/decisions.md`` section 11).  A :class:`_Records` holds
+# the columns, and is laid out where the walk meets it.
 
 
 def _float_text(value, level=0):
@@ -217,7 +225,7 @@ def _part_text(value):
     return _NAN_AS_JSON.get(text, text)
 
 
-_NAN_AS_NULL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_NAN_AS_NULL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity", None: "null"}
 _NAN_AS_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -254,15 +262,62 @@ def _dict_template(keys, level):
 
 
 def _list_text(items, level):
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (level + 1)
     templates = {}
-    texts = [
+    return _bracketed([
         _dict_text(v, level + 1, templates) if type(v) is dict else _text(v, level + 1)
         for v in items
-    ]
+    ], level)
+
+
+def _bracketed(texts, level):
+    """The JSON text of a list whose items have the texts ``texts``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
     return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * level + "]"
+
+
+class _Records(NamedTuple):
+    """Records of one key sequence as text columns, one per key: a column is
+    the JSON text of each record's value, or a function that gives those
+    texts laid out at the level of the values.  Record i has the first
+    ``cuts[i]`` keys."""
+
+    keys: tuple
+    columns: list
+    cuts: list
+
+
+def _records_text(records, level):
+    templates = {n: _dict_template(records.keys[:n], level + 1) for n in set(records.cuts)}
+    columns = [c(level + 2) if callable(c) else c for c in records.columns]
+    return _bracketed(
+        [templates[n] % row[:n] for n, row in zip(records.cuts, zip(*columns))], level
+    )
+
+
+def _json_texts(reprs, table=_NAN_AS_NULL):
+    """The JSON texts of numbers given by their reprs, None as null."""
+    return list(map(table.get, reprs, reprs))
+
+
+def _reprs(values):
+    """``float.__repr__`` of each value, None kept."""
+    return [None if v is None else float.__repr__(v) for v in values]
+
+
+def _json_lists(items):
+    """A column of lists, given by the JSON texts of their items."""
+    return lambda level: [_bracketed(texts, level) for texts in items]
+
+
+def _json_complexes(values):
+    """A column of complex numbers, each a {"re", "im"} object."""
+    re, im = (
+        _json_texts(list(map(float.__repr__, part)), _NAN_AS_JSON)
+        for part in ([v.real for v in values], [v.imag for v in values])
+    )
+    return lambda level: list(map(_dict_template(("re", "im"), level).__mod__, zip(re, im)))
 
 
 _WRITERS = {  # by exact type; _writer_of covers subclasses and other numpy types
@@ -276,6 +331,7 @@ _WRITERS = {  # by exact type; _writer_of covers subclasses and other numpy type
     list: _list_text,
     tuple: _list_text,
     dict: _dict_text,
+    _Records: _records_text,
 }
 
 
@@ -355,49 +411,82 @@ def _metadata(cfg):
     }
 
 
-def _verdict_record(x, y, verdict):
-    rec = {
-        "x": x,
-        "y": y,
-        "verdict": verdict.tag.value,
-        "note": verdict.note,
-        "f_candidates": verdict.f_candidates,
-        "residual": min((r.max_residual for r in verdict.residuals), default=None),
-        "m_norm": verdict.m_norm,
-    }
-    for pair, rep in verdict.resultants.items():
-        rec[pair], rec[pair + "_value"], rec[pair + "_gap"] = rep.normalized, rep.value, rep.gap
-    return rec
+_TAG_TEXT = {tag: tag.value for tag in VerdictTag}
+# the keys of an ``analyze`` record: a node without resultant reports has the first ones
+_VERDICT_KEYS = ("x", "y", "verdict", "note", "f_candidates", "residual", "m_norm")
+_NODE_KEYS = _VERDICT_KEYS + tuple(
+    key for pair in RESULTANT_PAIRS for key in (pair, pair + "_value", pair + "_gap")
+)
+_GRID_HEADER = ("x", "y", "verdict", *RESULTANT_PAIRS, "F_candidates", "residual")
 
 
-def _csv_text(value):
-    """Round-trip-exact decimal text of a number in ``grid.csv``; None is empty."""
-    if value is None:
-        return ""
-    if isinstance(value, complex):
-        sign = "+" if value.imag >= 0 else "-"
-        return f"{_csv_text(value.real)}{sign}{_csv_text(abs(value.imag))}j"
-    return float.__repr__(float(value))
+def _node_records(points, verdicts):
+    """The :class:`_Records` of ``verdicts`` at ``points``, and their rows of
+    ``grid.csv``: there a number is its ``float.__repr__`` (NaN is ``nan``),
+    a missing one is empty, and the candidates are joined by ``;``."""
+    xs, ys = (list(map(float.__repr__, [p[k] for p in points])) for k in (0, 1))
+    tags = list(map(_TAG_TEXT.__getitem__, [v.tag for v in verdicts]))
+    f_candidates = [list(map(float.__repr__, v.f_candidates)) for v in verdicts]
+    residual = _reprs(
+        [min([r.max_residual for r in v.residuals]) if v.residuals else None for v in verdicts]
+    )
+    resultants = [v.resultants for v in verdicts]
+    pairs = []  # per pair, the texts of its normalized resultants, values and gaps
+    for pair in RESULTANT_PAIRS:
+        reports = [r[pair] if r else None for r in resultants]
+        pairs.append([
+            _reprs([None if r is None else r.normalized for r in reports]),
+            _reprs([None if r is None else r.value for r in reports]),
+            _reprs([None if r is None else r.gap for r in reports]),
+        ])
+    records = _Records(
+        _NODE_KEYS,
+        [
+            _json_texts(xs),
+            _json_texts(ys),
+            list(map(_json_str, tags)),
+            list(map(_json_str, [v.note for v in verdicts])),
+            _json_lists([_json_texts(texts) for texts in f_candidates]),
+            _json_texts(residual),
+            _json_texts(_reprs([v.m_norm for v in verdicts])),
+            *(_json_texts(column) for columns in pairs for column in columns),
+        ],
+        [len(_NODE_KEYS) if r else len(_VERDICT_KEYS) for r in resultants],
+    )
+    rows = zip(xs, ys, tags, *(columns[0] for columns in pairs), map(";".join, f_candidates),
+               residual)
+    return records, rows
 
 
-def _csv_row(node):
-    v = node.verdict
-    return [
-        _csv_text(node.x),
-        _csv_text(node.y),
-        v.tag.value,
-        *(_csv_text(v.resultants[p].normalized) if v.resultants else "" for p in RESULTANT_PAIRS),
-        ";".join([_csv_text(f) for f in v.f_candidates]),
-        _csv_text(min([r.max_residual for r in v.residuals])) if v.residuals else "",
-    ]
-
-
-def _csv_rows(nodes):
+def _grid_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "verdict", *RESULTANT_PAIRS, "F_candidates", "residual"])
-    writer.writerows([_csv_row(n) for n in nodes])
+    writer.writerow(_GRID_HEADER)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+_RESIDUALS = ("res_alpha_U", "res_alpha_W", "res_tensor", "res_trace", "f_gradient_mismatch",
+              "max_residual")
+
+
+def _residual_records(points, reports):
+    """The :class:`_Records` of a ``verify`` call's ``reports`` at ``points``;
+    F is complex in every report of a complex-mode call, and real in every other."""
+    fs = [r.f for r in reports]
+    complex_f = bool(fs) and isinstance(fs[0], complex)
+    keys = ("x", "y", "F", *_RESIDUALS, "passed")
+    return _Records(
+        keys,
+        [
+            *(_json_texts(list(map(float.__repr__, [p[k] for p in points]))) for k in (0, 1)),
+            _json_complexes(fs) if complex_f else _json_texts(list(map(float.__repr__, fs))),
+            *(_json_texts(list(map(float.__repr__, map(attrgetter(name), reports))))
+              for name in _RESIDUALS),
+            ["true" if r.passed else "false" for r in reports],
+        ],
+        [len(keys)] * len(reports),
+    )
 
 
 def _common_options(fn):
@@ -451,8 +540,10 @@ def analyze(config_path, out_dir, mode, orientation, points_opt):
     with _expression_errors_exit():
         all_verdicts = classify_points(structure, grid + cfg.points, cfg.orientation)
 
+    summary = None
     if cfg.region is not None:
-        grid_report = region_report(cfg.region, all_verdicts[: len(grid)])
+        grid_verdicts = all_verdicts[: len(grid)]
+        grid_report = region_report(cfg.region, grid_verdicts)
         report["region"] = {
             "xmin": cfg.region.xmin,
             "xmax": cfg.region.xmax,
@@ -461,19 +552,19 @@ def analyze(config_path, out_dir, mode, orientation, points_opt):
             "nx": cfg.region.nx,
             "ny": cfg.region.ny,
         }
-        report["grid"] = [_verdict_record(n.x, n.y, n.verdict) for n in grid_report.nodes]
+        report["grid"], rows = _node_records(grid, grid_verdicts)
         report["histogram"] = grid_report.histogram
         report["flags"] = grid_report.flags
-        (out / "grid.csv").write_text(_csv_rows(grid_report.nodes))
+        (out / "grid.csv").write_text(_grid_csv(rows))
+        summary = grid_report.summary
 
     if cfg.points:
-        report["points"] = [
-            _verdict_record(x, y, v) for (x, y), v in zip(cfg.points, all_verdicts[len(grid) :])
-        ]
+        report["points"], _ = _node_records(cfg.points, all_verdicts[len(grid) :])
+        summary = summarize(all_verdicts)
 
-    report["summary"] = summarize(all_verdicts)
+    report["summary"] = summary
     (out / "report.json").write_text(_dump_json(report))
-    click.echo(report["summary"])
+    click.echo(summary)
     sys.exit(EXIT_OK)
 
 
@@ -508,21 +599,6 @@ def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
     )
     with _expression_errors_exit():
         reports = verify_candidates(structure, candidate, points, run_mode, cfg.orientation)
-    records = [
-        {
-            "x": pt[0],
-            "y": pt[1],
-            "F": rep.f,
-            "res_alpha_U": rep.res_alpha_U,
-            "res_alpha_W": rep.res_alpha_W,
-            "res_tensor": rep.res_tensor,
-            "res_trace": rep.res_trace,
-            "f_gradient_mismatch": rep.f_gradient_mismatch,
-            "max_residual": rep.max_residual,
-            "passed": rep.passed,
-        }
-        for pt, rep in zip(points, reports)
-    ]
     passed = all(rep.passed for rep in reports)
     payload = {
         "metadata": _metadata(cfg),
@@ -530,7 +606,7 @@ def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
         "tol_residual": TOL_RESIDUAL,
         "max_residual": float(np.max([rep.max_residual for rep in reports])),  # NaN if one is
         "passed": passed,
-        "points": records,
+        "points": _residual_records(points, reports),
     }
     text = _dump_json(payload)
     click.echo(text, nl=False)

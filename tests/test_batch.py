@@ -375,10 +375,23 @@ def test_common_roots_of_a_column_do_not_depend_on_the_batch(cases):
         assert canon(found.complex) == canon(alone.complex)
 
 
+NARROW_CHUNK = 256  # a width below the module's, at which 447 or 453 points take two batches
+
+
+@pytest.mark.parametrize("n, count", [(0, 0), (1, 1), (256, 1), (257, 2), (453, 2)])
+def test_batches_are_the_fewest_of_equal_widths(n, count, monkeypatch):
+    monkeypatch.setattr(analyzer, "_CHUNK", NARROW_CHUNK)
+    _check_batches(n, count)
+
+
 @pytest.mark.parametrize("n, count", [
-    (0, 0), (1, 1), (analyzer._CHUNK, 1), (analyzer._CHUNK + 1, 2), (453, 2)
+    (analyzer._CHUNK, 1), (analyzer._CHUNK + 1, 2), (453, 1), (2 * analyzer._CHUNK + 1, 3)
 ])
-def test_batches_are_the_fewest_of_equal_widths(n, count):
+def test_batches_of_the_module_width_are_the_fewest_of_equal_widths(n, count):
+    _check_batches(n, count)
+
+
+def _check_batches(n, count):
     parts = analyzer._batches(n)
     widths = [part.stop - part.start for part in parts]
     assert len(parts) == count
@@ -401,9 +414,16 @@ def _recording_fields(monkeypatch):
     return built
 
 
+# a 23x23 grid over [-2, 2]^2, the flat origin among its nodes: _CHUNK + 1 points or more
+WIDE_GRID = [
+    (float(x), float(y)) for x in np.linspace(-2.0, 2.0, 23) for y in np.linspace(-2.0, 2.0, 23)
+]
+
+
 def test_a_call_of_chunk_plus_one_points_runs_two_batches(opposite_structure, monkeypatch):
-    # no real roots, so no lift: one field per batch, of widths 129 and 128
-    points = MEMBER_NODES[: analyzer._CHUNK + 1]
+    # no real roots, so no lift: one field per batch, of widths 265 and 264
+    points = WIDE_GRID
+    assert analyzer._CHUNK + 1 <= len(points) <= 2 * analyzer._CHUNK
     for call in (
         lambda: classify_points(opposite_structure, points),
         lambda: verify_candidates(
@@ -412,7 +432,7 @@ def test_a_call_of_chunk_plus_one_points_runs_two_batches(opposite_structure, mo
     ):
         fields = _recording_fields(monkeypatch)
         call()
-        assert [width for width, _ in fields] == [129, 128]
+        assert [width for width, _ in fields] == [265, 264]
 
 
 def test_each_field_is_freed_once_its_values_are_read(quadratic_structure, monkeypatch):
@@ -436,9 +456,9 @@ def test_each_field_is_freed_once_its_values_are_read(quadratic_structure, monke
     assert not any(any(refs) for _, refs in alive), alive
 
 
-# _CHUNK + 1 nodes or more, in two batches of unequal widths: a 17x15 grid, the
-# flat origin among its nodes in the first batch, and then POINTS, the flat
-# origin, the near-flat nodes and ordinary ones, in the second
+# 257 nodes or more, in two batches of unequal widths at a width of 256: a 17x15
+# grid, the flat origin among its nodes in the first batch, and then POINTS, the
+# flat origin, the near-flat nodes and ordinary ones, in the second
 GRID = [
     (float(x), float(y)) for x in np.linspace(-2.0, 2.0, 17) for y in np.linspace(-2.0, 2.0, 15)
 ]
@@ -460,14 +480,19 @@ def _counting_tables(monkeypatch):
     return builds
 
 
+def _rescaled(family, request):
+    a, b, c = OMEGA
+    return request.getfixturevalue(f"{family}_structure").rescaled(
+        f"{a}*x + {b}*y + {c}*(x*x + y*y)"
+    )
+
+
 @pytest.mark.parametrize("family", ["spiral", "quadratic", "opposite"])
 def test_full_width_batches_are_the_points_alone(family, request, monkeypatch):
     # spiral: sigma = 0, and spurious real roots near the flat origin, lifted;
     # quadratic: real roots at every node, lifted; opposite: sigma > 0
-    a, b, c = OMEGA
-    structure = request.getfixturevalue(f"{family}_structure").rescaled(
-        f"{a}*x + {b}*y + {c}*(x*x + y*y)"
-    )
+    monkeypatch.setattr(analyzer, "_CHUNK", NARROW_CHUNK)
+    structure = _rescaled(family, request)
     widths = [len(FULL_BATCHES[part]) for part in analyzer._batches(len(FULL_BATCHES))]
     assert widths == [137, 136] and len(FULL_BATCHES) > analyzer._CHUNK
     builds = _counting_tables(monkeypatch)
@@ -491,6 +516,7 @@ def test_full_width_batches_are_the_points_alone(family, request, monkeypatch):
 
     if family == "spiral":
         return
+    a, b, c = OMEGA
     d_omega = (f"{a} + 2*{c}*x", f"{b} + 2*{c}*y")
     if family == "quadratic":
         cand, mode = closed_form(f"y + {d_omega[0]}", f"-x + {d_omega[1]}"), "real"
@@ -500,6 +526,20 @@ def test_full_width_batches_are_the_points_alone(family, request, monkeypatch):
     for point, rep in zip(FULL_BATCHES, reports):
         assert rep.passed, (point, rep)
         assert canon(rep) == canon(verify_candidates(structure, cand, [point], mode)[0]), point
+
+
+@pytest.mark.parametrize("family", ["spiral", "quadratic", "opposite"])
+def test_batches_of_the_full_width_give_the_verdicts_of_narrower_ones(family, request):
+    # WIDE_GRID goes as 265 + 264 nodes at the module's width, and as three
+    # batches at a width of 256
+    structure = _rescaled(family, request)
+    wide = classify_points(structure, WIDE_GRID)
+    with mock.patch.object(analyzer, "_CHUNK", NARROW_CHUNK):
+        assert len(analyzer._batches(len(WIDE_GRID))) == 3
+        narrow = classify_points(structure, WIDE_GRID)
+    assert len(analyzer._batches(len(WIDE_GRID))) == 2
+    for point, a, b in zip(WIDE_GRID, wide, narrow):
+        assert canon(a) == canon(b), point
 
 
 def test_scans_build_frames_at_the_order_their_readers_take(

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -9,8 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from sfmew.analyzer import _GAP_ORDER, _TOL_RES_HIGH, _TOL_RES_LOW, RESULTANT_PAIRS
-from sfmew.cli import _CONFIG_KEYS, _dump_json, main
+from sfmew.analyzer import (
+    _GAP_ORDER,
+    _TOL_RES_HIGH,
+    _TOL_RES_LOW,
+    RESULTANT_PAIRS,
+    ResidualReport,
+    Verdict,
+    VerdictTag,
+)
+from sfmew.cli import (
+    _CONFIG_KEYS,
+    _dump_json,
+    _grid_csv,
+    _node_records,
+    _residual_records,
+    main,
+)
+from sfmew.polyalg import ResultantReport
 
 SPIRAL = """
 [structure]
@@ -638,6 +655,136 @@ def _containers(children):
 @settings(max_examples=300, deadline=None)
 def test_report_writer_is_json_dumps_of_the_copy(value):
     assert _dump_json(value) == json.dumps(_jsonable(value), indent=2) + "\n"
+
+
+# the per-node records that the writer once built, kept as the oracle of its columns
+
+
+def _old_verdict_record(x, y, verdict):
+    rec = {
+        "x": x,
+        "y": y,
+        "verdict": verdict.tag.value,
+        "note": verdict.note,
+        "f_candidates": verdict.f_candidates,
+        "residual": min((r.max_residual for r in verdict.residuals), default=None),
+        "m_norm": verdict.m_norm,
+    }
+    for pair, rep in verdict.resultants.items():
+        rec[pair], rec[pair + "_value"], rec[pair + "_gap"] = rep.normalized, rep.value, rep.gap
+    return rec
+
+
+def _old_csv_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, complex):
+        sign = "+" if value.imag >= 0 else "-"
+        return f"{_old_csv_text(value.real)}{sign}{_old_csv_text(abs(value.imag))}j"
+    return float.__repr__(float(value))
+
+
+def _old_csv_row(x, y, v):
+    return [
+        _old_csv_text(x),
+        _old_csv_text(y),
+        v.tag.value,
+        *(_old_csv_text(v.resultants[p].normalized) if v.resultants else "" for p in RESULTANT_PAIRS),
+        ";".join([_old_csv_text(f) for f in v.f_candidates]),
+        _old_csv_text(min([r.max_residual for r in v.residuals])) if v.residuals else "",
+    ]
+
+
+def _old_residual_record(pt, rep):
+    return {
+        "x": pt[0],
+        "y": pt[1],
+        "F": rep.f,
+        "res_alpha_U": rep.res_alpha_U,
+        "res_alpha_W": rep.res_alpha_W,
+        "res_tensor": rep.res_tensor,
+        "res_trace": rep.res_trace,
+        "f_gradient_mismatch": rep.f_gradient_mismatch,
+        "max_residual": rep.max_residual,
+        "passed": rep.passed,
+    }
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_VALUES = _NON_FINITE | st.floats() | st.floats().map(np.float64)
+_NOTES = st.text() | st.sampled_from(['say "no"', "back\\slash", "F = ±2", "100%s", "é\n"])
+_POINTS = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
+
+
+@st.composite
+def _residual_reports(draw, complex_f):
+    values = [draw(_VALUES) for _ in range(6)]
+    if complex_f:
+        f = complex(draw(_VALUES), draw(_VALUES))
+    else:
+        f = draw(_VALUES)
+    return ResidualReport((0.0, 0.0), "complex" if complex_f else "real", "jets", f, *values,
+                          draw(st.booleans()))
+
+
+@st.composite
+def _resultant_reports(draw):
+    normalized = draw(st.sampled_from([0.0, -0.0, 2.5, -1e-300]) | st.floats())
+    scale = draw(st.sampled_from([math.inf, 1.0, 1e300]) | st.floats(0.0, allow_infinity=True))
+    return ResultantReport(normalized, scale, draw(st.none() | _VALUES))
+
+
+@st.composite
+def _verdicts(draw):
+    resultants = {}
+    if draw(st.booleans()):
+        resultants = {pair: draw(_resultant_reports()) for pair in RESULTANT_PAIRS}
+    return Verdict(
+        tag=draw(st.sampled_from(VerdictTag)),
+        point=(0.0, 0.0),
+        resultants=resultants,
+        f_candidates=draw(st.lists(_VALUES, max_size=3)),
+        residuals=draw(st.lists(_residual_reports(False), max_size=2)),
+        m_norm=draw(st.none() | _VALUES),
+        note=draw(_NOTES),
+    )
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = {"k": value}
+    return value
+
+
+@given(nodes=st.lists(st.tuples(_POINTS, _verdicts()), max_size=6), depth=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_node_records_are_the_per_node_records_and_csv_rows(nodes, depth):
+    points, verdicts = [p for p, _ in nodes], [v for _, v in nodes]
+    records, rows = _node_records(points, verdicts)
+    old = [_old_verdict_record(x, y, v) for (x, y), v in nodes]
+    assert _dump_json(_nested(records, depth)) == (
+        json.dumps(_jsonable(_nested(old, depth)), indent=2) + "\n"
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "verdict", *RESULTANT_PAIRS, "F_candidates", "residual"])
+    writer.writerows([_old_csv_row(x, y, v) for (x, y), v in nodes])
+    assert _grid_csv(rows) == buf.getvalue()
+
+
+@given(
+    data=st.data(),
+    points=st.lists(_POINTS, max_size=6),
+    complex_f=st.booleans(),
+    depth=st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_residual_records_are_the_per_node_records(data, points, complex_f, depth):
+    reports = [data.draw(_residual_reports(complex_f)) for _ in points]
+    old = [_old_residual_record(pt, rep) for pt, rep in zip(points, reports)]
+    assert _dump_json(_nested(_residual_records(points, reports), depth)) == (
+        json.dumps(_jsonable(_nested(old, depth)), indent=2) + "\n"
+    )
 
 
 def test_report_writer_rejects_what_json_rejects_and_keys_that_are_not_str():

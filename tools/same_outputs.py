@@ -26,7 +26,13 @@ sigma < 0, sigma > 0).  The generic structure (``GENERIC``), whose
 constraints share a real root at isolated points only, runs ``analyze`` on
 the grid plus those points and their neighbours 1e-3 away along each axis:
 a node with a common-root witness next to nodes whose verdicts read their
-Sylvester gaps.  The calls run
+Sylvester gaps.  Two calls carry values beyond the float range into their
+records: ``analyze`` on the base spiral structure with P scaled by 1e150
+(``HUGE_SPIRAL``) at ``HUGE_POINTS``, whose invariants or constraint
+coefficients are not all finite, with null residuals and m_norm; and
+``verify --mode complex`` on the base opposite structure with the candidate
+``HUGE_CANDIDATE``, whose residuals are null where they are NaN (exit 1).
+The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
 file they write (``report.json``, ``grid.csv``, ``residuals.json``) is
@@ -90,6 +96,15 @@ GENERIC_POINTS = [
     q for x, y in GENERIC_ROOTS for p in ((x, y), (x, -y)) for q in
     (p, (p[0] + 1e-3, p[1]), (p[0] - 1e-3, p[1]), (p[0], p[1] + 1e-3), (p[0], p[1] - 1e-3))
 ]
+
+# the base spiral structure with P scaled by 1e150, and points where its invariants
+# (1,0 and 0.5,0.5) or its constraint coefficients (1e-160,0) leave the float range,
+# and its flat origin
+HUGE_SPIRAL = ("0", "1e150*x*y", "1e150*(y*y - x*x)/2", "-1e150*x*y")
+HUGE_POINTS = [(1.0, 0.0), (0.5, 0.5), (1e-160, 0.0), (0.0, 0.0)]
+# the base opposite structure, and a complex candidate whose residuals overflow
+OPPOSITE = ("0", "(y*y - x*x)/2", "-(x*y)", "(x*x - y*y)/2")
+HUGE_CANDIDATE = ("1e200*y", "1e200*x", "y", "-x")
 
 
 def config_text(sources, grid, points, mode, orientation=None):
@@ -159,6 +174,13 @@ def calls(fam, out):
     base.mkdir(parents=True)
     (base / "analyze.cfg").write_text(config_text(GENERIC, GRID, GENERIC_POINTS, "real"))
     yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
+    base = out / "non-finite"
+    base.mkdir(parents=True)
+    (base / "analyze.cfg").write_text(config_text(HUGE_SPIRAL, 0, HUGE_POINTS, "real"))
+    yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
+    (base / "verify.cfg").write_text(config_text(OPPOSITE, 0, HUGE_POINTS, "real"))
+    yield base / "verify", ["verify", "--config", str(base / "verify.cfg"), "--mode=complex"] + [
+        f"--alpha={a}" for a in HUGE_CANDIDATE]
 
 
 def scans(fam):
