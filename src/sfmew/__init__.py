@@ -86,7 +86,9 @@ from .jets import (
 )
 from .polyalg import (
     CommonRoots,
+    ResultantColumns,
     ResultantReport,
+    RootColumns,
     RootSet,
     ZeroPolynomial,
     column_common_roots,

@@ -39,17 +39,20 @@ by the batch's own node numbers: a flat node is a column of NaN, and the
 branch is NaN where sigma is numerically zero.  Every step reads the
 batch's invariants from the chain that computed them; once the node
 arrays are read off, the chain and its frames are freed, and the lift
-builds its own chain over the nodes with real roots only.  The rules that
-decide a node before its resultants are masks over the batch: flat, not
-finite, M ~ 0 and, at each real root, P0(F) ~ 0.
+builds its own chain over the nodes with real roots only.
 The nodes with constraints of degree >= 1 go through one common-root
 witness search for the batch (:func:`~sfmew.polyalg.column_common_roots`),
 which gives their real and complex witnesses from the same eigenvalues;
 the nodes without a witness then take their gaps, one pair at a time for
-the batch (:func:`~sfmew.polyalg.column_gaps`).  A node's verdict is built
-at the end, from its masks, resultants, roots and residual reports.  Every
-node goes through the float operations it would go through alone, so its
-verdict does not depend on its batch.  A node whose invariants,
+the batch (:func:`~sfmew.polyalg.column_gaps`).  Every rule is a mask over
+the batch, taken in order (``_RULES``): flat, not finite, M ~ 0, a
+degenerate constraint, a verified real root, a real root, a complex root,
+a certified gap, numerical zero; P0(F) ~ 0 is a mask over the real roots.
+A batch's verdicts are node columns (:class:`VerdictColumns`), from which
+the command line writes its reports; :func:`classify_points` builds a
+:class:`Verdict` per node from them.  Every node goes through the float
+operations it would go through alone, so its verdict does not depend on
+its batch.  A node whose invariants,
 degenerate-branch tensor or constraint coefficients are not all finite
 (beyond the float range) is ``Inconclusive``.
 Frames have the lowest jet order their path reads: 4 in a scan
@@ -76,15 +79,17 @@ candidate's expressions evaluated once on the batch's node columns, and
 one invariant chain per batch.  Both ways of verifying
 end in one step from the jets of alpha and F: nabla alpha and nabla F
 come from the frame's calculus, and each residual is computed on the node
-arrays; only the reports themselves are built node by node.
+arrays, into :class:`ResidualColumns`; :func:`verify_candidates` builds a
+:class:`ResidualReport` per node from them.
 Everything after the frames works on node columns; a single point is a
 batch of one node.  Everything here is deterministic and side-effect free.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +100,8 @@ from .geometry import Frame
 from .invariants import LIFT_ORDER, SCAN_ORDER, InvariantField, PointInvariants, forced_f
 from .polyalg import (
     TOL_ROOT,
+    ResultantColumns,
+    ResultantReport,
     column_common_roots,
     column_gaps,
     column_resultant_reports,
@@ -106,6 +113,9 @@ __all__ = [
     "Verdict",
     "SolutionCandidate",
     "ResidualReport",
+    "ResidualColumns",
+    "VerdictColumns",
+    "TAGS",
     "RESULTANT_PAIRS",
     "RegionSpec",
     "NodeVerdict",
@@ -116,10 +126,13 @@ __all__ = [
     "f_from_P0_branch",
     "classify_point",
     "classify_points",
+    "classify_columns",
     "verify_candidate",
     "verify_candidates",
+    "verify_columns",
     "scan_region",
     "region_report",
+    "tally",
 ]
 
 _CLOSED_FORM_ORDER = 3  # closed-form jets: residuals read 3 orders of P, nabla F 2 of alpha
@@ -153,6 +166,8 @@ class VerdictTag(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+#: The tags in the order whose positions :attr:`VerdictColumns.tag` holds.
+TAGS = tuple(VerdictTag)
 MODES = ("real", "complex")  # of verification: a real candidate, or a complex one
 
 
@@ -188,6 +203,56 @@ class ResidualReport:
     f_gradient_mismatch: float  # |nabla F - (-2 alpha F - Y)| cross-check
     max_residual: float
     passed: bool
+
+
+class ResidualColumns(NamedTuple):
+    """The residual reports of candidates at N nodes, as node arrays.
+
+    ``points`` lists the nodes' points, and every report has ``mode`` and
+    ``method``; each other field is that of :class:`ResidualReport` as an
+    array of shape (N,), ``f`` real or complex and ``passed`` boolean.
+    """
+
+    points: list
+    mode: str
+    method: str
+    f: np.ndarray
+    res_alpha_U: np.ndarray
+    res_alpha_W: np.ndarray
+    res_tensor: np.ndarray
+    res_trace: np.ndarray
+    f_gradient_mismatch: np.ndarray
+    max_residual: np.ndarray
+    passed: np.ndarray
+
+    def reports(self):
+        """The :class:`ResidualReport` of each node, in order: the one adapter
+        from residual columns to reports."""
+        return [
+            ResidualReport(tuple(map(float, point)), self.mode, self.method, *row)
+            for point, *row in zip(self.points, *(column.tolist() for column in self[3:]))
+        ]
+
+    def take(self, rows):
+        """The columns at some of the nodes, an index array."""
+        points = [self.points[i] for i in rows.tolist()]
+        return ResidualColumns(points, self.mode, self.method, *(c[rows] for c in self[3:]))
+
+    @classmethod
+    def joined(cls, parts):
+        """The columns of consecutive batches of nodes as one."""
+        first = parts[0]
+        return cls(
+            [point for part in parts for point in part.points], first.mode, first.method,
+            *(np.concatenate(columns) for columns in zip(*(part[3:] for part in parts))),
+        )
+
+
+def _nan_residuals(points, mode, method):
+    """Residual columns at ``points`` that are NaN and fail."""
+    n = len(points)
+    return ResidualColumns(points, mode, method, *(np.full(n, np.nan) for _ in range(7)),
+                           np.zeros(n, dtype=bool))
 
 
 @dataclass
@@ -274,8 +339,8 @@ def f_from_P0_branch(inv):
 _EPS = ((0.0, 1.0), (-1.0, 0.0))  # eps_ab / (orientation e^{2u})
 
 
-def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, on_root=None):
-    """Residual reports of candidates at the nodes of ``frame``.
+def _residual_columns(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, on_root=None):
+    """Residual columns of candidates at the nodes of ``frame``.
 
     Node arrays, real or complex, node axis last: ``alpha`` (2, N),
     ``dalpha[a][b]`` = nabla_a alpha_b, ``F`` (N,) and ``grad_F`` (2, N).
@@ -320,26 +385,23 @@ def _residual_reports(frame, inv, flat, mode, method, alpha, dalpha, F, grad_F, 
     passed = max_res < TOL_RESIDUAL
     if on_root is not None:
         passed &= on_root
-    return [
-        ResidualReport(tuple(map(float, point)), mode, method, *row)  # fields in order
-        for point, *row in zip(
-            frame.points, F.tolist(), res_u.tolist(), res_w.tolist(), res_tensor.tolist(),
-            res_trace.tolist(), mismatch.tolist(), max_res.tolist(), passed.tolist(),
-        )
-    ]
+    return ResidualColumns(
+        frame.points, mode, method, F, res_u, res_w, res_tensor, res_trace, mismatch, max_res,
+        passed,
+    )
 
 
 def _candidate_residuals(frame, inv, flat, mode, method, alpha_parts, F_parts, on_root=None):
-    """Residual reports of candidates given as jets over the nodes of ``frame``.
+    """Residual columns of candidates given as jets over the nodes of ``frame``.
 
     A candidate has one part (real) or two (real and imaginary):
     ``alpha_parts`` holds each part's two components, ``F_parts`` each
     part's F.  nabla alpha and nabla F are the frame's calculus on the jets
     truncated to order 1, as only their values are read.  The other
-    arguments are those of :func:`_residual_reports`, which gets the node
+    arguments are those of :func:`_residual_columns`, which gets the node
     arrays, complex where there are two parts.
     """
-    return _residual_reports(
+    return _residual_columns(
         frame, inv, flat, mode, method, _node_values(alpha_parts),
         _node_values([frame.cov_deriv(jets.truncate(a, 1), "d") for a in alpha_parts]),
         _node_values(F_parts), _node_values([frame.grad(jets.truncate(f, 1)) for f in F_parts]),
@@ -359,7 +421,8 @@ def _node_values(parts):
 
 
 def verify_candidates(structure, candidate, points, mode="real", orientation=1):
-    """Residual reports of a closed-form candidate at every point, in order.
+    """Residual reports of a closed-form candidate at every point, in order:
+    :func:`verify_columns` as a :class:`ResidualReport` per point.
 
     The candidate's ``alpha_exprs`` are differentiated exactly via jets: 2
     real components, or 4 (re1, re2, im1, im2) in complex mode.  Points are
@@ -375,6 +438,11 @@ def verify_candidates(structure, candidate, points, mode="real", orientation=1):
     :data:`MODES`; any other raises ValueError.  ``orientation`` (+1 or -1)
     flips F.
     """
+    return verify_columns(structure, candidate, points, mode, orientation).reports()
+
+
+def verify_columns(structure, candidate, points, mode="real", orientation=1):
+    """The residuals of :func:`verify_candidates` as :class:`ResidualColumns`."""
     check_mode(mode)
     exprs = candidate.alpha_exprs
     if exprs is None:
@@ -385,11 +453,10 @@ def verify_candidates(structure, candidate, points, mode="real", orientation=1):
             if mode == "complex" else "real mode needs 2 components"
         )
     points = [tuple(map(float, p)) for p in points]
-    reports = []
-    for part in _batches(len(points)):
-        reports += _verify_chunk(structure, exprs, points[part], mode, orientation)
+    parts = [_verify_chunk(structure, exprs, points[part], mode, orientation)
+             for part in _batches(len(points))]
     jets.release_tables()
-    return reports
+    return ResidualColumns.joined(parts) if parts else _nan_residuals([], mode, "jets")
 
 
 def _batches(n):
@@ -412,7 +479,7 @@ def _verify_chunk(structure, exprs, points, mode, orientation):
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             frame = Frame.stack([Frame(structure, p, order, orientation) for p in points])
-            comps = [eval_jet(e, points, order, frame.space) for e in exprs]
+            comps = [eval_jet(e, frame.xy, order, frame.space) for e in exprs]
         except (jets.JetError, ArithmeticError):
             # the error a point-by-point pass meets first: a point's frame, then its candidate
             for p in points:
@@ -444,9 +511,6 @@ def _residual_values(chain):
 
 
 _COEFFS = (coeffs_P1, coeffs_P2, coeffs_P3)
-# notes of nodes beyond the float range, as constraints.NOT_FINITE for the coefficients
-_NOT_FINITE_INVARIANTS = "invariants are not all finite"
-_NOT_FINITE_BRANCH = "degenerate-branch tensor is not all finite"
 #: The resultants of a verdict, in order: pair name -> its constraints (P1..P3 as 0..2).
 RESULTANT_PAIRS = {"res12": (0, 1), "res13": (0, 2), "res23": (1, 2)}
 # the order in which a node's gaps are taken: smallest Sylvester matrix first, as
@@ -500,27 +564,28 @@ def _lifted_reports(structure, points, orientation, cols, roots):
     the invariants of that chain.  Raises
     :class:`~sfmew.invariants.FlatPoint` where the points are flat.  A root
     is lifted with every constraint of which it is a simple root, and the
-    lift kept that passes, else the one with the smallest residual: near
+    lift kept that passes, else the first with the smallest residual: near
     flat points one constraint can have its roots far less accurate than
     another.  A lift fails when it moves F by more than
     :data:`~sfmew.polyalg.TOL_ROOT` (relative): f0 is then no root,
-    whatever root it leads to.  Returns a :class:`ResidualReport` per root,
-    or None where the root is simple in no constraint.
+    whatever root it leads to.  Returns the residuals of every root as
+    :class:`ResidualColumns`, and the mask of the roots that are simple in
+    some constraint; the others have NaN residuals and fail.
     """
     nodes, cols = np.unique(cols, return_inverse=True)
     field = InvariantField([Frame(structure, points[c], LIFT_ORDER, orientation) for c in nodes])
     frame, jinv, roots = field.frame, field.invariant_jets(), np.asarray(roots, dtype=float)
     del field  # the lifts read its invariant jets and its frame only
-    reports = []
-    for part in _batches(len(roots)):
-        reports += _lift_batch(frame, jinv, cols[part], roots[part])
-    return reports
+    parts = [_lift_batch(frame, jinv, cols[part], roots[part]) for part in _batches(len(roots))]
+    return (ResidualColumns.joined([lifts for lifts, _ in parts]),
+            np.concatenate([lifted for _, lifted in parts]))
 
 
 def _lift_batch(frame, jinv, cols, f0):
     # the residuals read the frame's values, and Gamma times jets of order 0
     jinv, frame = jinv.take(cols), frame.take(cols, order=1)
-    best = [None] * f0.size
+    best = _nan_residuals(frame.points, "real", "jet-lift")
+    lifted = np.zeros(f0.size, dtype=bool)
     for coeffs_of in _COEFFS:
         coeffs = coeffs_of(jinv)
         p, dp = _horner(coeffs, f0)
@@ -529,21 +594,24 @@ def _lift_batch(frame, jinv, cols, f0):
             continue
         if sel.size == f0.size:
             F = _lift_root(coeffs, f0, p, dp)
-            reports = _lift_residuals(frame, jinv, f0, F)
+            lifts = _lift_residuals(frame, jinv, f0, F)
         else:  # columns are independent: P(f0) and P'(f0) at ``sel`` keep their bits
             F = _lift_root(jets.take(coeffs, sel), f0[sel], *jets.take([p, dp], sel))
-            reports = _lift_residuals(frame.take(sel), jinv.take(sel), f0[sel], F)
-        for i, rep in zip(sel, reports):
-            old = best[i]
-            if old is None or (not rep.passed, rep.max_residual) < (
-                not old.passed, old.max_residual
-            ):
-                best[i] = rep
-    return best
+            lifts = _lift_residuals(frame.take(sel), jinv.take(sel), f0[sel], F)
+        # a lift replaces the one kept where it passes and that one fails, or
+        # where both pass or fail and its residual is smaller
+        passed, kept = lifts.passed, best.passed[sel]
+        better = ~lifted[sel] | (passed & ~kept) | (
+            (passed == kept) & (lifts.max_residual < best.max_residual[sel])
+        )
+        for column, new in zip(best[3:], lifts[3:]):
+            column[sel[better]] = new[better]
+        lifted[sel] = True
+    return best, lifted
 
 
 def _lift_residuals(frame, jinv, f0, F):
-    """Residual reports of the candidates of the lifted roots ``F`` (one per node column)."""
+    """Residual columns of the candidates of the lifted roots ``F`` (one per node column)."""
     numer, denom = _alpha_parts(jinv, F)
     alpha = [n / denom for n in numer]
     on_root = np.abs(F.value - f0) <= TOL_ROOT * np.maximum(1.0, np.abs(f0))
@@ -570,10 +638,10 @@ def verify_candidate(structure, candidate, point, mode="real", orientation=1):
     if mode == "complex":
         raise ValueError("complex mode requires closed-form alpha expressions")
     f0 = float(candidate.F.real)
-    rep = _lifted_reports(structure, [point], orientation, [0], [f0])[0]
-    if rep is None:
+    lifts, lifted = _lifted_reports(structure, [point], orientation, [0], [f0])
+    if not lifted[0]:
         raise MultipleRoot(f"F = {f0} is a multiple root of every constraint")
-    return rep
+    return lifts.reports()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +660,50 @@ def classify_points(structure, points, orientation=1):
     resultant reports in the fewest batches of at most ``_CHUNK`` nodes, of
     equal widths but for one node (:func:`_batches`); each node's verdict
     is bit-identical to the one it gets alone.  ``orientation`` (+1 or -1)
-    flips F.
+    flips F.  The verdicts are :func:`classify_columns`'s, one
+    :class:`Verdict` per point.
     """
+    return classify_columns(structure, points, orientation).verdicts() if points else []
+
+
+def classify_columns(structure, points, orientation=1):
+    """The verdicts of :func:`classify_points` as :class:`VerdictColumns`, at
+    one point or more (ValueError without one)."""
+    if not points:
+        raise ValueError("classify_columns needs at least one point")
     points = [tuple(map(float, p)) for p in points]
-    verdicts = []
-    for part in _batches(len(points)):
-        verdicts += _classify_chunk(structure, points[part], orientation)
+    parts = [_classify_chunk(structure, points[part], orientation)
+             for part in _batches(len(points))]
     jets.release_tables()  # the product tables of this scan's widths are not kept past it
-    return verdicts
+    return VerdictColumns.joined(parts)
+
+
+# notes of nodes beyond the float range, as constraints.NOT_FINITE for the coefficients
+_NOT_FINITE_INVARIANTS = "invariants are not all finite"
+_NOT_FINITE_BRANCH = "degenerate-branch tensor is not all finite"
+# the rules that decide a node, in the order a node meets them, with the tag and the
+# note each gives; the notes of real roots without a lift and of complex witnesses
+# go on to name them
+_RULES = (
+    (VerdictTag.FLAT, "Cotton-York form vanishes; reduces to the conformally Einstein equation"),
+    (VerdictTag.INCONCLUSIVE, _NOT_FINITE_INVARIANTS),
+    (VerdictTag.INCONCLUSIVE, _NOT_FINITE_BRANCH),
+    (VerdictTag.MZERO_ADMITS, "degenerate-branch tensor vanishes"),
+    (VerdictTag.MZERO_ADMITS, "degenerate-branch tensor vanishes (forced F consistency flag false)"),
+    (VerdictTag.INCONCLUSIVE, "degenerate constraint polynomial"),
+    (VerdictTag.INCONCLUSIVE, NOT_FINITE),
+    (VerdictTag.ADMITS, "verified real common root(s)"),
+    (VerdictTag.INCONCLUSIVE, "real common roots exist but none verified"),
+    (VerdictTag.VANISHING, "constraints share only complex roots: "),
+    (VerdictTag.OBSTRUCTED, "at least one resultant certified nonzero"),
+    (VerdictTag.INCONCLUSIVE, "resultants at numerical zero without a common-root witness"),
+    (VerdictTag.OBSTRUCTED, "no common root; resultants bounded away from numerical zero"),
+)
+_RULE_TAGS = np.array([TAGS.index(tag) for tag, _ in _RULES])
+_RULE_NOTES = [note for _, note in _RULES]
+_VANISHING_RULE = [tag for tag, _ in _RULES].index(VerdictTag.VANISHING)
+# the candidates' source on the verdicts that have them
+_SOURCES = {VerdictTag.ADMITS: "Alpha1Formula", VerdictTag.MZERO_ADMITS: "MZeroFormula"}
 
 
 def _classify_chunk(structure, points, orientation):
@@ -624,68 +728,90 @@ def _classify_chunk(structure, points, orientation):
     rest = (finite & ~branch) | (branch_finite & ~mzero)  # decided by P1..P3
     coeff_finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
     degrees = [trimmed_degrees(c)[0] for c in coeffs]
-    ok = np.flatnonzero(
-        rest & coeff_finite & (degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1)
-    )
-    reports = [
-        column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok])
-        for i, j in RESULTANT_PAIRS.values()
-    ]
-    # node -> pair name -> ResultantReport, for the nodes with proper constraints
-    resultants = {c: dict(zip(RESULTANT_PAIRS, reps)) for c, *reps in zip(ok.tolist(), *reports)}
+    proper = rest & coeff_finite & (degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1)
+    ok = np.flatnonzero(proper)
+    normalized, scale, gap = (np.full((len(RESULTANT_PAIRS), n), np.nan) for _ in range(3))
+    for k, (i, j) in enumerate(RESULTANT_PAIRS.values()):
+        reports = column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok])
+        normalized[k, ok], scale[k, ok] = reports.normalized, reports.scale
     # one common-root witness search for all of them
-    found = dict(zip(ok.tolist(), column_common_roots([c[:, ok] for c in coeffs], p0[:, ok])))
+    roots = column_common_roots([c[:, ok] for c in coeffs], p0[:, ok])
+    root_node, complex_node = ok[roots.real_col], ok[roots.complex_col]
+    has_real, has_complex = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    has_real[root_node], has_complex[complex_node] = True, True
     # Sylvester gaps where no witness decides, up to the first that certifies a
     # resultant nonzero; a witness bounds every gap far below that (decisions §8)
-    todo = [c for c, roots in found.items() if not (len(roots.real) or roots.complex)]
+    todo = np.flatnonzero(proper & ~has_real & ~has_complex)
     for name in _GAP_ORDER:
-        if not todo:
+        if not todo.size:
             break
         i, j = RESULTANT_PAIRS[name]
         gaps = column_gaps(coeffs[i][:, todo], coeffs[j][:, todo])
-        for c, gap in zip(todo, gaps):
-            resultants[c][name] = resultants[c][name]._replace(gap=gap)
-        todo = [c for c, gap in zip(todo, gaps) if not gap > _TOL_RES_HIGH]
-    checked = _verify_witnesses(
-        structure, values, {c: roots.real.roots for c, roots in found.items() if len(roots.real)}
+        gap[list(RESULTANT_PAIRS).index(name), todo] = gaps
+        todo = todo[~(gaps > _TOL_RES_HIGH)]
+    widest = np.fmax.reduce(gap, axis=0)  # the largest gap read, NaN where none is
+    alpha, keep, lifts, lifted = _verify_witnesses(structure, values, root_node, roots.real)
+    passed = np.zeros(root_node.size, dtype=bool)
+    passed[keep] = lifts.passed
+    admits = np.zeros(n, dtype=bool)
+    admits[root_node[passed]] = True
+
+    # the masks of the rules, in order: a node takes the first that holds, else the last
+    rule = np.select([
+        flat,
+        ~(rest | mzero) & ~branch,
+        ~(rest | mzero),
+        mzero & consistent,
+        mzero,
+        ~proper & coeff_finite,
+        ~proper,
+        admits,
+        has_real,
+        has_complex,
+        widest > _TOL_RES_HIGH,
+        widest < _TOL_RES_LOW,
+    ], list(range(len(_RULES) - 1)), len(_RULES) - 1)
+    note = [_RULE_NOTES[r] for r in rule.tolist()]
+    # an Inconclusive node's roots without a lift, and a Vanishing node's complex roots
+    multiple = keep[~lifted & ~admits[root_node[keep]]]
+    _append_roots(note, root_node[multiple], roots.real[multiple], "; multiple root F = ")
+    named = rule[complex_node] == _VANISHING_RULE
+    _append_roots(note, complex_node[named], roots.complex[named], "")
+
+    # F candidates: the forced F of an MZeroAdmits node, the verified roots of an
+    # AdmitsRealCandidate node, every real root of any other node with real roots
+    mz = np.flatnonzero(mzero)
+    shown = passed | ~admits[root_node]
+    f_node = np.concatenate([mz, root_node[shown]])
+    order = np.argsort(f_node, kind="stable")
+    # the residual reports on the verdicts: the verified roots' of an
+    # AdmitsRealCandidate node, every lifted root's of an Inconclusive one
+    on_verdict = np.flatnonzero(lifted & (lifts.passed | ~admits[root_node[keep]]))
+    return VerdictColumns(
+        points=points,
+        tag=_RULE_TAGS[rule],
+        note=note,
+        m_norm=np.where(branch, mrep.norm, np.nan),
+        branch=branch,
+        resultant=proper,
+        normalized=normalized,
+        scale=scale,
+        gap=gap,
+        f_node=f_node[order],
+        f_value=np.concatenate([f_forced[mz], roots.real[shown]])[order],
+        f_alpha=np.concatenate([mrep.alpha[:, mz], alpha[:, shown]], axis=1)[:, order],
+        report_node=root_node[keep[on_verdict]],
+        reports=lifts.take(on_verdict),
     )
 
-    verdicts = []
-    for c, pt in enumerate(points):
-        m_norm = float(mrep.norm[c]) if branch[c] else None
-        if flat[c]:
-            verdict = Verdict(
-                tag=VerdictTag.FLAT,
-                point=pt,
-                note="Cotton-York form vanishes; reduces to the conformally Einstein equation",
-            )
-        elif not (rest[c] or mzero[c]):
-            note = _NOT_FINITE_BRANCH if branch[c] else _NOT_FINITE_INVARIANTS
-            verdict = Verdict(tag=VerdictTag.INCONCLUSIVE, point=pt, m_norm=m_norm, note=note)
-        elif mzero[c]:
-            f0 = f_forced[c]
-            verdict = Verdict(
-                tag=VerdictTag.MZERO_ADMITS,
-                point=pt,
-                candidates=[SolutionCandidate(
-                    F=f0, alpha=mrep.alpha[:, c], source="MZeroFormula", point=pt
-                )],
-                f_candidates=[f0],
-                m_norm=m_norm,
-                note="degenerate-branch tensor vanishes"
-                + ("" if consistent[c] else " (forced F consistency flag false)"),
-            )
-        elif c not in resultants:
-            verdict = Verdict(
-                tag=VerdictTag.INCONCLUSIVE,
-                point=pt,
-                m_norm=m_norm,
-                note="degenerate constraint polynomial" if coeff_finite[c] else NOT_FINITE,
-            )
-        else:
-            verdict = _resultant_verdict(resultants[c], found[c], checked.get(c), pt, m_norm)
-        verdicts.append(verdict)
-    return verdicts
+
+def _append_roots(note, nodes, roots, prefix):
+    """Append to the note of each node ``prefix`` and its roots, ``roots``
+    given node by node (``nodes`` ascending), each as ``:.6g`` formats it."""
+    texts = [f"{z:.6g}" for z in roots.tolist()]
+    bounds = [0, *(np.flatnonzero(np.diff(nodes)) + 1).tolist(), len(texts)]
+    for start, stop in zip(bounds, bounds[1:]) if texts else ():
+        note[nodes[start]] += prefix + ", ".join(texts[start:stop])
 
 
 def _coefficient_columns(coeffs, n):
@@ -693,82 +819,144 @@ def _coefficient_columns(coeffs, n):
     return np.array([np.broadcast_to(c, (n,)) for c in coeffs])
 
 
-def _verify_witnesses(structure, values, real):
-    """The reconstructed candidates of real common roots, ``real`` (node ->
-    its roots), verified in one batch of lifts: node -> [(root, alpha,
-    report)], without the roots where P0 vanishes (the formula has no alpha).
-    ``values`` holds the batch's invariants as node arrays, and its points."""
-    cols = np.array([c for c, roots in real.items() for _ in roots], dtype=np.intp)
-    f0 = np.array([f for roots in real.values() for f in roots], dtype=float)
+def _verify_witnesses(structure, values, cols, f0):
+    """The reconstructed candidates of the real common roots ``f0`` of the
+    nodes ``cols`` of a batch, verified in one batch of lifts.
+
+    ``values`` holds the batch's invariants as node arrays, and its points.
+    Returns every root's alpha (2, R), the roots ``keep`` where P0 does not
+    vanish (elsewhere the formula has no alpha), and :func:`_lifted_reports`
+    of those roots: their residual columns and lifted mask.
+    """
     inv = values.take(cols)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         numer, denom = _alpha_parts(inv, f0)
         alpha = np.array(numer) / denom
     keep = np.flatnonzero(~_p0_vanishes(inv, f0, denom))
-    reports = (
-        _lifted_reports(structure, values.point, values.orientation, cols[keep], f0[keep])
-        if keep.size else []
-    )
-    checked = {c: [] for c in real}
-    for i, rep in zip(keep.tolist(), reports):
-        checked[cols[i]].append((float(f0[i]), alpha[:, i], rep))
-    return checked
+    if not keep.size:
+        return alpha, keep, _nan_residuals([], "real", "jet-lift"), np.zeros(0, dtype=bool)
+    lifts, lifted = _lifted_reports(structure, values.point, values.orientation, cols[keep],
+                                    f0[keep])
+    return alpha, keep, lifts, lifted
 
 
-def _resultant_verdict(resultants, roots, checked, pt, m_norm):
-    """The verdict the witness search, the lifts and the resultants give.
+@dataclass
+class VerdictColumns:
+    """The verdicts of N nodes as node columns.
 
-    ``roots`` holds the node's common roots, a
-    :class:`~sfmew.polyalg.CommonRoots`, and ``checked`` the candidates and
-    lifts of its real ones (:func:`_verify_witnesses`).  Without a witness,
-    ``resultants`` carries the gaps up to the first above ``_TOL_RES_HIGH``,
-    else all three.
+    Node ``c`` has the tag ``TAGS[tag[c]]`` and the note ``note[c]``, and
+    ``m_norm[c]`` where ``branch[c]`` holds (elsewhere its verdict's m_norm
+    is None, and ``m_norm[c]`` NaN).  Where ``resultant[c]`` holds it has
+    three resultant reports, ``normalized``, ``scale`` and ``gap`` of shape
+    (3, N) in the order of :data:`RESULTANT_PAIRS`, a gap NaN where no
+    verdict read it (None in its report).  Two tables, in node order, hold
+    the rest: the F candidates ``f_value`` of the nodes ``f_node``, with
+    the candidate 1-forms ``f_alpha`` (2, F) that the nodes tagged
+    ``AdmitsRealCandidate`` and ``MZeroAdmits`` read, and the residual
+    reports ``reports`` of the nodes ``report_node``.
     """
-    if len(roots.real):
-        verified = [(f, alpha, rep) for f, alpha, rep in checked if rep is not None and rep.passed]
-        if verified:
-            return Verdict(
-                tag=VerdictTag.ADMITS,
-                point=pt,
-                resultants=resultants,
-                f_candidates=[f for f, _, _ in verified],
+
+    points: list
+    tag: np.ndarray
+    note: list
+    m_norm: np.ndarray
+    branch: np.ndarray
+    resultant: np.ndarray
+    normalized: np.ndarray
+    scale: np.ndarray
+    gap: np.ndarray
+    f_node: np.ndarray
+    f_value: np.ndarray
+    f_alpha: np.ndarray
+    report_node: np.ndarray
+    reports: ResidualColumns
+
+    @classmethod
+    def joined(cls, parts):
+        """The columns of consecutive batches of nodes as one."""
+        if len(parts) == 1:
+            return parts[0]
+        offsets = np.cumsum([0] + [len(part.points) for part in parts[:-1]])
+        joined = {}
+        for name in (f.name for f in fields(cls)):
+            columns = [getattr(part, name) for part in parts]
+            if name.endswith("_node"):  # node numbers of the batch: of the call
+                columns = [c + offset for c, offset in zip(columns, offsets)]
+            if isinstance(columns[0], list):
+                joined[name] = [item for c in columns for item in c]
+            elif isinstance(columns[0], ResidualColumns):
+                joined[name] = ResidualColumns.joined(columns)
+            else:
+                joined[name] = np.concatenate(columns, axis=-1)
+        return cls(**joined)
+
+    @property
+    def value(self):
+        """The resultant values (3, N), ``normalized * scale`` by its rule."""
+        return ResultantColumns(self.normalized, self.scale).value
+
+    def residual(self):
+        """The smallest max_residual of each node's reports as Python's ``min``
+        takes it, in order (a NaN first value stays, a later NaN is passed
+        over), and the mask of the nodes that have reports."""
+        node, values = self.report_node, self.reports.max_residual
+        out = np.full(len(self.points), np.nan)
+        has = np.zeros(len(self.points), dtype=bool)
+        has[node] = True
+        position = np.arange(node.size) - np.searchsorted(node, node)  # among its node's
+        for k in range(int(position.max(initial=-1)) + 1):
+            at = position == k
+            smaller = values[at] < out[node[at]] if k else np.ones(np.count_nonzero(at), bool)
+            out[node[at][smaller]] = values[at][smaller]
+        return out, has
+
+    def tags(self, nodes=slice(None)):
+        """The tags of the nodes ``nodes`` (a slice), in order."""
+        return [TAGS[t] for t in self.tag[nodes].tolist()]
+
+    def tally(self, nodes=slice(None)):
+        """:func:`tally` of the verdicts of the nodes ``nodes`` (a slice)."""
+        part = np.zeros(len(self.points), dtype=bool)
+        part[nodes] = True
+        admitted = part[self.f_node] & (self.tag[self.f_node] == TAGS.index(VerdictTag.ADMITS))
+        return tally(self.tags(nodes), self.f_value[admitted].tolist())
+
+    def verdicts(self):
+        """The :class:`Verdict` of each node, in order: the one adapter from
+        verdict columns to verdicts."""
+        n = len(self.points)
+        f_bounds = np.searchsorted(self.f_node, np.arange(n + 1)).tolist()
+        r_bounds = np.searchsorted(self.report_node, np.arange(n + 1)).tolist()
+        reports = self.reports.reports()
+        pairs = zip(*(a.T.tolist() for a in (self.normalized, self.scale, self.gap)))
+        verdicts = []
+        for c, (point, tag, m_norm, branch, resultant, (normalized, scale, gap)) in enumerate(
+            zip(self.points, self.tags(), self.m_norm.tolist(), self.branch.tolist(),
+                self.resultant.tolist(), pairs)
+        ):
+            start, stop = f_bounds[c], f_bounds[c + 1]
+            # a verified root's F is a float, and every other one a numpy float
+            fs = list(self.f_value[start:stop])
+            if tag is VerdictTag.ADMITS:
+                fs = [float(f) for f in fs]
+            source = _SOURCES.get(tag)
+            verdicts.append(Verdict(
+                tag=tag,
+                point=point,
+                resultants={
+                    name: ResultantReport(a, b, None if math.isnan(g) else g)
+                    for name, a, b, g in zip(RESULTANT_PAIRS, normalized, scale, gap)
+                } if resultant else {},
+                f_candidates=fs,
                 candidates=[
-                    SolutionCandidate(F=f, alpha=alpha, source="Alpha1Formula", point=pt)
-                    for f, alpha, _ in verified
-                ],
-                residuals=[rep for _, _, rep in verified],
-                m_norm=m_norm,
-                note="verified real common root(s)",
-            )
-        tag, note = VerdictTag.INCONCLUSIVE, "real common roots exist but none verified"
-        multiple = [f"{f:.6g}" for f, _, rep in checked if rep is None]
-        if multiple:
-            note += "; multiple root F = " + ", ".join(multiple) + " has no jet lift"
-        return Verdict(
-            tag=tag,
-            point=pt,
-            resultants=resultants,
-            f_candidates=list(roots.real.roots),
-            residuals=[rep for _, _, rep in checked if rep is not None],
-            m_norm=m_norm,
-            note=note,
-        )
-    if roots.complex:
-        tag = VerdictTag.VANISHING
-        note = "constraints share only complex roots: " + ", ".join(
-            f"{z:.6g}" for z in roots.complex
-        )
-    else:
-        gap = max(rep.gap for rep in resultants.values() if rep.gap is not None)
-        if gap > _TOL_RES_HIGH:
-            tag, note = VerdictTag.OBSTRUCTED, "at least one resultant certified nonzero"
-        elif gap < _TOL_RES_LOW:
-            tag = VerdictTag.INCONCLUSIVE
-            note = "resultants at numerical zero without a common-root witness"
-        else:
-            tag = VerdictTag.OBSTRUCTED
-            note = "no common root; resultants bounded away from numerical zero"
-    return Verdict(tag=tag, point=pt, resultants=resultants, m_norm=m_norm, note=note)
+                    SolutionCandidate(F=f, alpha=self.f_alpha[:, i], source=source, point=point)
+                    for i, f in enumerate(fs, start)
+                ] if source else [],
+                residuals=reports[r_bounds[c] : r_bounds[c + 1]],
+                m_norm=m_norm if branch else None,
+                note=self.note[c],
+            ))
+        return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -823,18 +1011,32 @@ def _format_f_set(values, ndigits=6):
     return "F = " + ", ".join(f"{v:g}" for v in vals)
 
 
-def _histogram(verdicts):
-    """How many of ``verdicts`` carry each tag value, in order of first appearance."""
-    return {tag.value: count for tag, count in Counter([v.tag for v in verdicts]).items()}
+def tally(tags, admitted):
+    """The histogram, the one-line structure-level summary and the flags of
+    verdicts with the tags ``tags``, in order, whose ``AdmitsRealCandidate``
+    verdicts have the F candidates ``admitted``.  The histogram counts each
+    tag, by value, in order of first appearance."""
+    histogram = {tag.value: count for tag, count in Counter(tags).items()}
+    nonflat = len(tags) - histogram.get(VerdictTag.FLAT.value, 0)
+    flags = [
+        f"{tag.value} on {100.0 * (histogram[tag.value] / nonflat):.1f}% of non-flat nodes"
+        for tag in (VerdictTag.OBSTRUCTED, VerdictTag.ADMITS, VerdictTag.VANISHING)
+        if histogram.get(tag.value)
+    ]
+    return histogram, _summary(histogram, admitted), flags
+
+
+def _admitted(verdicts):
+    return [f for v in verdicts if v.tag is VerdictTag.ADMITS for f in v.f_candidates]
 
 
 def summarize(verdicts):
     """One-line structure-level conclusion from pointwise verdicts."""
-    return _summary(_histogram(verdicts), verdicts)
+    return tally([v.tag for v in verdicts], _admitted(verdicts))[1]
 
 
-def _summary(counts, verdicts):
-    """:func:`summarize` of ``verdicts``, whose histogram is ``counts``."""
+def _summary(counts, admitted):
+    """The summary of verdicts whose histogram is ``counts`` (see :func:`tally`)."""
     effective = counts.keys() - {VerdictTag.FLAT.value, VerdictTag.INCONCLUSIVE.value}
     if not effective:
         if counts.get(VerdictTag.FLAT.value):
@@ -843,8 +1045,7 @@ def _summary(counts, verdicts):
     if effective == {VerdictTag.OBSTRUCTED.value}:
         return "OBSTRUCTED"
     if effective == {VerdictTag.ADMITS.value}:
-        fs = [f for v in verdicts if v.tag is VerdictTag.ADMITS for f in v.f_candidates]
-        return f"ADMITS ({_format_f_set(fs)})"
+        return f"ADMITS ({_format_f_set(admitted)})"
     if effective == {VerdictTag.MZERO_ADMITS.value}:
         return "ADMITS (M_ab = 0)"
     if effective == {VerdictTag.VANISHING.value}:
@@ -863,11 +1064,5 @@ def region_report(region, verdicts):
         raise ValueError("region scan needs at least a 2x2 grid")
     nodes = [NodeVerdict(x, y, v) for (x, y), v in zip(region.nodes(), verdicts)]
     verdicts = [n.verdict for n in nodes]
-    histogram = _histogram(verdicts)
-    nonflat = len(nodes) - histogram.get(VerdictTag.FLAT.value, 0)
-    flags = [
-        f"{tag.value} on {100.0 * (histogram[tag.value] / nonflat):.1f}% of non-flat nodes"
-        for tag in (VerdictTag.OBSTRUCTED, VerdictTag.ADMITS, VerdictTag.VANISHING)
-        if histogram.get(tag.value)
-    ]
-    return RegionReport(region, nodes, histogram, _summary(histogram, verdicts), flags)
+    histogram, summary, flags = tally([v.tag for v in verdicts], _admitted(verdicts))
+    return RegionReport(region, nodes, histogram, summary, flags)

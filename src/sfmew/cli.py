@@ -43,7 +43,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.metadata import PackageNotFoundError, version
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,15 +52,13 @@ import numpy as np
 from .analyzer import (
     MODES,
     RESULTANT_PAIRS,
+    TAGS,
     TOL_RESIDUAL,
     RegionSpec,
     SolutionCandidate,
-    VerdictTag,
     check_mode,
-    classify_points,
-    region_report,
-    summarize,
-    verify_candidates,
+    classify_columns,
+    verify_columns,
 )
 from .constraints import NOT_FINITE, coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
 from .expr import ExprError, parse, to_source
@@ -209,10 +206,11 @@ def load_config(path):
 # one walk and without a copy: with ``indent``, ``json`` takes its pure-Python
 # encoder.  A float's text is ``float.__repr__``; report keys are strings.
 # The per-node records of ``analyze`` and ``verify`` are not walked: they are
-# built as one text column per key, straight from the verdicts and residual
-# reports, each float formatted once and its text shared by report.json and
-# grid.csv (``docs/decisions.md`` section 11).  A :class:`_Records` holds
-# the columns, and is laid out where the walk meets it.
+# built as one text column per key, straight from the analyzer's verdict and
+# residual columns, each float formatted once and its text shared by
+# report.json and grid.csv (``docs/decisions.md`` section 11).  A
+# :class:`_Records` holds the text columns, and is laid out where the walk
+# meets it.
 
 
 def _float_text(value, level=0):
@@ -301,9 +299,12 @@ def _json_texts(reprs, table=_NAN_AS_NULL):
     return list(map(table.get, reprs, reprs))
 
 
-def _reprs(values):
-    """``float.__repr__`` of each value, None kept."""
-    return [None if v is None else float.__repr__(v) for v in values]
+def _reprs(values, present=None):
+    """``float.__repr__`` of each value of an array, None where ``present`` does not hold."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if present is None:
+        return texts
+    return [text if there else None for text, there in zip(texts, present.tolist())]
 
 
 def _json_lists(items):
@@ -312,11 +313,8 @@ def _json_lists(items):
 
 
 def _json_complexes(values):
-    """A column of complex numbers, each a {"re", "im"} object."""
-    re, im = (
-        _json_texts(list(map(float.__repr__, part)), _NAN_AS_JSON)
-        for part in ([v.real for v in values], [v.imag for v in values])
-    )
+    """A column of complex numbers, an array, each a {"re", "im"} object."""
+    re, im = (_json_texts(_reprs(part), _NAN_AS_JSON) for part in (values.real, values.imag))
     return lambda level: list(map(_dict_template(("re", "im"), level).__mod__, zip(re, im)))
 
 
@@ -411,7 +409,7 @@ def _metadata(cfg):
     }
 
 
-_TAG_TEXT = {tag: tag.value for tag in VerdictTag}
+_TAG_TEXTS = np.array([tag.value for tag in TAGS], dtype=object)
 # the keys of an ``analyze`` record: a node without resultant reports has the first ones
 _VERDICT_KEYS = ("x", "y", "verdict", "note", "f_candidates", "residual", "m_norm")
 _NODE_KEYS = _VERDICT_KEYS + tuple(
@@ -420,42 +418,42 @@ _NODE_KEYS = _VERDICT_KEYS + tuple(
 _GRID_HEADER = ("x", "y", "verdict", *RESULTANT_PAIRS, "F_candidates", "residual")
 
 
-def _node_records(points, verdicts):
-    """The :class:`_Records` of ``verdicts`` at ``points``, and their rows of
-    ``grid.csv``: there a number is its ``float.__repr__`` (NaN is ``nan``),
-    a missing one is empty, and the candidates are joined by ``;``."""
-    xs, ys = (list(map(float.__repr__, [p[k] for p in points])) for k in (0, 1))
-    tags = list(map(_TAG_TEXT.__getitem__, [v.tag for v in verdicts]))
-    f_candidates = [list(map(float.__repr__, v.f_candidates)) for v in verdicts]
-    residual = _reprs(
-        [min([r.max_residual for r in v.residuals]) if v.residuals else None for v in verdicts]
-    )
-    resultants = [v.resultants for v in verdicts]
-    pairs = []  # per pair, the texts of its normalized resultants, values and gaps
-    for pair in RESULTANT_PAIRS:
-        reports = [r[pair] if r else None for r in resultants]
-        pairs.append([
-            _reprs([None if r is None else r.normalized for r in reports]),
-            _reprs([None if r is None else r.value for r in reports]),
-            _reprs([None if r is None else r.gap for r in reports]),
-        ])
-    records = _Records(
-        _NODE_KEYS,
-        [
-            _json_texts(xs),
-            _json_texts(ys),
-            list(map(_json_str, tags)),
-            list(map(_json_str, [v.note for v in verdicts])),
-            _json_lists([_json_texts(texts) for texts in f_candidates]),
-            _json_texts(residual),
-            _json_texts(_reprs([v.m_norm for v in verdicts])),
-            *(_json_texts(column) for columns in pairs for column in columns),
-        ],
-        [len(_NODE_KEYS) if r else len(_VERDICT_KEYS) for r in resultants],
-    )
-    rows = zip(xs, ys, tags, *(columns[0] for columns in pairs), map(";".join, f_candidates),
-               residual)
-    return records, rows
+def _node_records(columns):
+    """The records of the nodes of ``columns``, a
+    :class:`~sfmew.analyzer.VerdictColumns`, and their rows of ``grid.csv``:
+    there a number is its ``float.__repr__`` (NaN is ``nan``), a missing one
+    is empty, and the candidates are joined by ``;``.  Returns two functions
+    of a slice of the nodes: its :class:`_Records`, and its rows."""
+    n = len(columns.points)
+    xs, ys = (list(map(float.__repr__, [p[k] for p in columns.points])) for k in (0, 1))
+    tags = _TAG_TEXTS[columns.tag].tolist()
+    texts = _reprs(columns.f_value)
+    bounds = np.searchsorted(columns.f_node, np.arange(n + 1)).tolist()
+    f_candidates = [texts[a:b] for a, b in zip(bounds, bounds[1:])]
+    residual = _reprs(*columns.residual())
+    # per pair, the texts of its normalized resultants (None where a node has
+    # none), values and gaps
+    normalized = [_reprs(row, columns.resultant) for row in columns.normalized]
+    pairs = zip(normalized, map(_reprs, columns.value), map(_reprs, columns.gap))
+    json = [
+        _json_texts(xs),
+        _json_texts(ys),
+        list(map(_json_str, tags)),
+        list(map(_json_str, columns.note)),
+        [_json_texts(t) for t in f_candidates],
+        _json_texts(residual),
+        _json_texts(_reprs(columns.m_norm, columns.branch)),
+        *(_json_texts(texts) for pair in pairs for texts in pair),
+    ]
+    cuts = np.where(columns.resultant, len(_NODE_KEYS), len(_VERDICT_KEYS)).tolist()
+    csv_columns = [xs, ys, tags, *normalized, list(map(";".join, f_candidates)), residual]
+
+    def records(nodes):
+        part = [column[nodes] for column in json]
+        part[4] = _json_lists(part[4])  # f_candidates: lists laid out at their level
+        return _Records(_NODE_KEYS, part, cuts[nodes])
+
+    return records, lambda nodes: zip(*(column[nodes] for column in csv_columns))
 
 
 def _grid_csv(rows):
@@ -470,22 +468,21 @@ _RESIDUALS = ("res_alpha_U", "res_alpha_W", "res_tensor", "res_trace", "f_gradie
               "max_residual")
 
 
-def _residual_records(points, reports):
-    """The :class:`_Records` of a ``verify`` call's ``reports`` at ``points``;
-    F is complex in every report of a complex-mode call, and real in every other."""
-    fs = [r.f for r in reports]
-    complex_f = bool(fs) and isinstance(fs[0], complex)
+def _residual_records(columns):
+    """The :class:`_Records` of a ``verify`` call's residual columns, a
+    :class:`~sfmew.analyzer.ResidualColumns`; F is complex in complex mode."""
     keys = ("x", "y", "F", *_RESIDUALS, "passed")
+    f = columns.f
     return _Records(
         keys,
         [
-            *(_json_texts(list(map(float.__repr__, [p[k] for p in points]))) for k in (0, 1)),
-            _json_complexes(fs) if complex_f else _json_texts(list(map(float.__repr__, fs))),
-            *(_json_texts(list(map(float.__repr__, map(attrgetter(name), reports))))
-              for name in _RESIDUALS),
-            ["true" if r.passed else "false" for r in reports],
+            *(_json_texts(list(map(float.__repr__, [p[k] for p in columns.points])))
+              for k in (0, 1)),
+            _json_complexes(f) if np.iscomplexobj(f) else _json_texts(_reprs(f)),
+            *(_json_texts(_reprs(getattr(columns, name))) for name in _RESIDUALS),
+            ["true" if passed else "false" for passed in columns.passed.tolist()],
         ],
-        [len(keys)] * len(reports),
+        [len(keys)] * len(columns.points),
     )
 
 
@@ -538,12 +535,13 @@ def analyze(config_path, out_dir, mode, orientation, points_opt):
     }
     grid = list(cfg.region.nodes()) if cfg.region is not None else []
     with _expression_errors_exit():
-        all_verdicts = classify_points(structure, grid + cfg.points, cfg.orientation)
+        columns = classify_columns(structure, grid + cfg.points, cfg.orientation)
+    records, rows = _node_records(columns)
 
     summary = None
     if cfg.region is not None:
-        grid_verdicts = all_verdicts[: len(grid)]
-        grid_report = region_report(cfg.region, grid_verdicts)
+        part = slice(0, len(grid))
+        histogram, summary, flags = columns.tally(part)
         report["region"] = {
             "xmin": cfg.region.xmin,
             "xmax": cfg.region.xmax,
@@ -552,15 +550,14 @@ def analyze(config_path, out_dir, mode, orientation, points_opt):
             "nx": cfg.region.nx,
             "ny": cfg.region.ny,
         }
-        report["grid"], rows = _node_records(grid, grid_verdicts)
-        report["histogram"] = grid_report.histogram
-        report["flags"] = grid_report.flags
-        (out / "grid.csv").write_text(_grid_csv(rows))
-        summary = grid_report.summary
+        report["grid"] = records(part)
+        report["histogram"] = histogram
+        report["flags"] = flags
+        (out / "grid.csv").write_text(_grid_csv(rows(part)))
 
     if cfg.points:
-        report["points"], _ = _node_records(cfg.points, all_verdicts[len(grid) :])
-        summary = summarize(all_verdicts)
+        report["points"] = records(slice(len(grid), None))
+        summary = columns.tally()[1]
 
     report["summary"] = summary
     (out / "report.json").write_text(_dump_json(report))
@@ -598,15 +595,15 @@ def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
         F=0.0, alpha=np.zeros(2, dtype=complex), source="UserSupplied", alpha_exprs=exprs
     )
     with _expression_errors_exit():
-        reports = verify_candidates(structure, candidate, points, run_mode, cfg.orientation)
-    passed = all(rep.passed for rep in reports)
+        columns = verify_columns(structure, candidate, points, run_mode, cfg.orientation)
+    passed = bool(columns.passed.all())
     payload = {
         "metadata": _metadata(cfg),
         "alpha": [to_source(e) for e in exprs],
         "tol_residual": TOL_RESIDUAL,
-        "max_residual": float(np.max([rep.max_residual for rep in reports])),  # NaN if one is
+        "max_residual": float(np.max(columns.max_residual)),  # NaN if one is
         "passed": passed,
-        "points": _residual_records(points, reports),
+        "points": _residual_records(columns),
     }
     text = _dump_json(payload)
     click.echo(text, nl=False)

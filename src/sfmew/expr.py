@@ -326,14 +326,16 @@ _JET_FUNCS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "ln": jets.ln, 
 
 
 def eval_jet(e, base, order, space=None):
-    """Evaluate an expression as a jet at ``base = (x, y)``, or at each of a
-    list of points ``base`` as node columns.
+    """Evaluate an expression as a jet at ``base = (x, y)``, or on node
+    columns at ``base = (xs, ys)``, two float arrays of the nodes' coordinates.
 
     Subtrees without x and y are folded to constants, so that sums,
     products and quotients with them take the jet's scalar fast path.  The
     result is bit-identical to evaluating every constant as a constant jet:
     ``x / c`` is ``x * (1.0 / c)``, as that jet's reciprocal gives it, and
     the zero coefficients keep the signs that jet arithmetic gives them.
+    A product of two polynomial subtrees sums only the terms whose factors
+    can be nonzero (:func:`~sfmew.jets.poly_product`), with the same bits.
     Node columns are bit-identical to the jets of the points one by one
     (constants are broadcast over the nodes).  Domain failures (ln/sqrt of
     nonpositive values, degenerate division) propagate as the jet errors
@@ -343,13 +345,13 @@ def eval_jet(e, base, order, space=None):
     """
     if space is None:
         space = jet_space(order)
-    if isinstance(base[0], (tuple, list, np.ndarray)):  # a list of points
-        points = [(float(x), float(y)) for x, y in base]
-        ctx = _EvalContext(space, tuple(np.array(axis) for axis in zip(*points)), {})
+    if isinstance(base[0], np.ndarray):  # node arrays
+        ctx = _EvalContext(space, base, {})
         try:
             return _as_jet(_evaluate(e, ctx), ctx)
         except (jets.JetError, ArithmeticError, _PerPoint):
             # point by point: the located error of the first failing point
+            points = zip(base[0].tolist(), base[1].tolist())
             return jets.stack([eval_jet(e, p, order, space) for p in points])
     ctx = _EvalContext(space, (float(base[0]), float(base[1])), {})
     return _as_jet(_evaluate(e, ctx), ctx)
@@ -365,9 +367,21 @@ class _PerPoint(Exception):
     """The nodes of a batch take different paths; evaluate them one by one."""
 
 
+class _Poly(NamedTuple):
+    """The jet of a polynomial subtree, and the polynomial's degree: its
+    coefficients above that degree are zero where all of them are finite."""
+
+    jet: Jet
+    degree: int
+
+
+def _jet(v):
+    return v.jet if isinstance(v, _Poly) else v
+
+
 def _as_jet(v, ctx):
-    if isinstance(v, Jet):
-        return v
+    if not isinstance(v, _Const):
+        return _jet(v)
     nodes = ctx.base[0]
     value = np.full(nodes.shape, v.value) if isinstance(nodes, np.ndarray) else v.value
     const = Jet.constant(ctx.space, value)
@@ -376,7 +390,7 @@ def _as_jet(v, ctx):
 
 
 def _evaluate(node, ctx):
-    """A jet, or a folded constant for a subtree without x and y.
+    """A jet, a :class:`_Poly`, or a folded constant for a subtree without x and y.
 
     A module-level function rather than a recursive closure, which would be
     a reference cycle holding the evaluation's jets until garbage collection.
@@ -386,11 +400,13 @@ def _evaluate(node, ctx):
     if isinstance(node, Var):
         if node.name not in ctx.variables:
             axis = 0 if node.name == "x" else 1
-            ctx.variables[node.name] = Jet.variable(ctx.space, axis, ctx.base[axis])
+            ctx.variables[node.name] = _Poly(Jet.variable(ctx.space, axis, ctx.base[axis]), 1)
         return ctx.variables[node.name]
     if isinstance(node, Neg):
         arg = _evaluate(node.arg, ctx)
-        return -arg if isinstance(arg, Jet) else _Const(-arg.value, -arg.zero)
+        if isinstance(arg, _Const):
+            return _Const(-arg.value, -arg.zero)
+        return _Poly(-arg.jet, arg.degree) if isinstance(arg, _Poly) else -arg
     if isinstance(node, BinOp):
         left, right = _evaluate(node.left, ctx), _evaluate(node.right, ctx)
         try:
@@ -402,9 +418,13 @@ def _evaluate(node, ctx):
         try:
             if isinstance(b, _Const):
                 return _folded(jets.power, b, node.exponent)
-            return jets.power(b, node.exponent)
+            out = jets.power(_jet(b), node.exponent)
         except jets.JetError as err:
             raise _located(err, node.pos, ctx.base) from err
+        # a power of a polynomial is one, its products those of jet arithmetic
+        if isinstance(b, _Poly) and node.exponent >= 0:
+            return _Poly(out, b.degree * node.exponent)
+        return out
     if isinstance(node, Call):
         args = [_evaluate(a, ctx) for a in node.args]
         func = _pow_call if node.func == "pow" else _JET_FUNCS[node.func]
@@ -426,29 +446,39 @@ class _Const(NamedTuple):
 
 
 def _binop(op, left, right):
+    """``left op right``; a :class:`_Poly` where both sides are polynomials,
+    or one is and the other a constant that it is not divided by."""
     if isinstance(left, _Const) and isinstance(right, _Const):
         zero = {"+": left.zero + right.zero, "-": left.zero - right.zero}.get(op, 0.0)
         return _folded(_BINOPS[op], left, right)._replace(zero=zero)
-    if isinstance(left, Jet) and isinstance(right, Jet):
-        return _BINOPS[op](left, right)
-    if op in "+-":
+    degrees = [v.degree if isinstance(v, _Poly) else 0 if isinstance(v, _Const) else None
+               for v in (left, right)]
+    if None in degrees or (op == "/" and not isinstance(right, _Const)):
+        degree = None
+    else:
+        degree = sum(degrees) if op == "*" else max(degrees)
+    if not isinstance(left, _Const) and not isinstance(right, _Const):
+        if op == "*" and degree is not None:
+            return _Poly(jets.poly_product(left.jet, right.jet, tuple(degrees)), degree)
+        out = _BINOPS[op](_jet(left), _jet(right))
+    elif op in "+-":
         # jet +- constant: the constant jet's zeros enter every other coefficient
         c = right if isinstance(right, _Const) else left
         out = _BINOPS[op](_scalar(left), _scalar(right))
         out.vec[1:] += -c.zero if c is right and op == "-" else c.zero
-        return out
-    if op == "/" and isinstance(right, _Const):
-        if right.value == 0.0:
-            raise jets.DegenerateDivision("division by a jet with zero value")
-        out = left * (1.0 / right.value)
     else:
-        out = _BINOPS[op](_scalar(left), _scalar(right))
-    out.vec += 0.0  # a product sums from 0.0, which turns -0.0 into 0.0
-    return out
+        if op == "/" and isinstance(right, _Const):
+            if right.value == 0.0:
+                raise jets.DegenerateDivision("division by a jet with zero value")
+            out = _jet(left) * (1.0 / right.value)
+        else:
+            out = _BINOPS[op](_scalar(left), _scalar(right))
+        out.vec += 0.0  # a product sums from 0.0, which turns -0.0 into 0.0
+    return out if degree is None else _Poly(out, degree)
 
 
 def _scalar(v):
-    return v.value if isinstance(v, _Const) else v
+    return v.value if isinstance(v, _Const) else _jet(v)
 
 
 _BINOPS = {

@@ -122,8 +122,8 @@ class TensorAtPoint:
 
 
 def _frame_jets(structure, base, order, space):
-    """The jet attributes of a frame at ``base``, one point or a list of points
-    (node columns, as :func:`~sfmew.expr.eval_jet` gives them).
+    """The jet attributes of a frame at ``base``, one point or the node arrays
+    (xs, ys) of many (node columns, as :func:`~sfmew.expr.eval_jet` gives them).
 
     The expressions are evaluated in a fixed order, u, P11, P12, P22, and the
     derived jets after them, so the first failure at a point does not depend
@@ -183,7 +183,8 @@ class Frame:
     :meth:`stack` evaluates the jets of many points at once, one node column
     per point; the calculus methods then act on every node at once.  Every
     frame lists its nodes' points in ``points``; a per-point frame is a frame
-    of one node, whose ``point`` is that node's (None on a stack).
+    of one node, whose ``point`` is that node's (None on a stack), and a
+    stack holds its nodes' coordinates as the node arrays ``xy`` = (xs, ys).
     """
 
     # jet attributes, each a jet or nested lists of jets
@@ -218,15 +219,14 @@ class Frame:
         if any(f.structure is not first.structure or f.orientation != first.orientation
                or f.order != first.order for f in frames):
             raise ValueError("stacked frames need the same structure, order and orientation")
-        points = [f.point for f in frames]
+        stacked = cls._like(first, [f.point for f in frames])
         try:
-            columns = _frame_jets(first.structure, points, first.order, first.space)
+            columns = _frame_jets(first.structure, stacked.xy, first.order, first.space)
         except (jets.JetError, ArithmeticError):
             # frame by frame, in node order: raises the first failing point's error
             for f in frames:
                 _frame_jets(f.structure, f.point, f.order, f.space)
             raise
-        stacked = cls._like(first, points)
         stacked.__dict__.update(columns)  # the evaluated columns as they are, no copy
         return stacked
 
@@ -250,6 +250,7 @@ class Frame:
         new.structure, new.order = frame.structure, frame.order
         new.orientation, new.space = frame.orientation, frame.space
         new.point, new.points = None, points
+        new.xy = tuple(np.array(axis) for axis in zip(*points))
         return new
 
     # -- coordinate and covariant derivatives --------------------------------

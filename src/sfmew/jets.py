@@ -54,6 +54,7 @@ __all__ = [
     "cos",
     "power",
     "ipow",
+    "poly_product",
     "release_tables",
     "stack",
     "take",
@@ -103,7 +104,9 @@ class JetSpace:
         "rows",
         "pairs",
         "index",
+        "_degree",
         "_mul",
+        "_sparse",
         "_deriv",
     )
 
@@ -126,11 +129,12 @@ class JetSpace:
         # the product terms (ka, kb) -> out, by degree: those of a truncation
         # order are a prefix, and each output coefficient, whose terms all
         # have its degree, keeps them in enumeration order
-        degree = np.array([i + j for (i, j) in self.pairs])
+        degree = self._degree = np.array([i + j for (i, j) in self.pairs])
         by_degree = np.argsort(degree[mul_a] + degree[mul_b], kind="stable")
         terms = tuple(np.asarray(t, dtype=np.intp)[by_degree] for t in (mul_a, mul_b, mul_out))
         ends = np.searchsorted(degree[terms[2]], np.arange(order + 1), "right")
         self._mul = [tuple(t[:end] for t in terms) for end in ends]
+        self._sparse = {}  # (order, degree of a, degree of b) -> the terms of both degrees
         self._deriv = (self._deriv_tables(0), self._deriv_tables(1))
 
     def _deriv_tables(self, axis):
@@ -145,26 +149,42 @@ class JetSpace:
         fac = np.asarray(fac, dtype=float)
         return np.asarray(src, dtype=np.intp), (fac, fac[:, None])
 
-    def mul_vec(self, a, b, order=None):
+    def mul_vec(self, a, b, order=None, degrees=None):
         """Product coefficients up to ``order``; each sums its terms in
         enumeration order from 0.0.
 
         A coefficient of total degree d <= ``order`` takes the same terms in
         the same order whatever ``order`` is.  ``bincount`` adds the weights
         one by one in the order given, so on node columns, flattened term by
-        term, every column sums its terms as a single jet does.
+        term, every column sums its terms as a single jet does.  With
+        ``degrees`` (da, db), only the terms of a coefficient of ``a`` of
+        degree <= da and one of ``b`` of degree <= db are summed, in the same
+        order (see :func:`poly_product`).
         """
         trunc = self.order if order is None else order
-        mul_a, mul_b, mul_out = self._mul[trunc]
+        terms = self._mul[trunc] if degrees is None else self._sparse_terms(trunc, *degrees)
+        mul_a, mul_b, mul_out = terms
         prod = a[mul_a]
         prod *= b[mul_b]
         rows = self.rows[trunc]
         if prod.ndim == 1:
             return np.bincount(mul_out, weights=prod, minlength=rows)
         n = prod.shape[1]
-        return np.bincount(
-            _column_bins(self, n)[: prod.size], weights=prod.ravel(), minlength=rows * n
-        ).reshape(rows, n)
+        bins = (
+            _column_bins(self, n)[: prod.size] if degrees is None
+            else (mul_out[:, None] * n + np.arange(n)).ravel()
+        )
+        return np.bincount(bins, weights=prod.ravel(), minlength=rows * n).reshape(rows, n)
+
+    def _sparse_terms(self, order, da, db):
+        """The product terms up to ``order`` whose factors have degrees <= da and
+        <= db: a subsequence of the dense terms, so each coefficient keeps its order."""
+        key = (order, da, db)
+        if key not in self._sparse:
+            mul_a, mul_b, mul_out = self._mul[order]
+            keep = (self._degree[mul_a] <= da) & (self._degree[mul_b] <= db)
+            self._sparse[key] = (mul_a[keep], mul_b[keep], mul_out[keep])
+        return self._sparse[key]
 
 
 # the widths of a scan in its two spaces: its batches' widths, at most two as they
@@ -357,6 +377,23 @@ def ipow(x, n):
         return x**n
     with np.errstate(over="ignore"):
         return np.power(x, n)
+
+
+def poly_product(a, b, degrees):
+    """``a * b`` of two jets of one space whose coefficients above the degrees
+    ``degrees`` = (da, db) are zero, polynomials of those degrees.
+
+    Only the terms whose factors can be nonzero are summed, in the order of
+    ``a * b``.  Where every coefficient is finite that keeps every bit: a
+    skipped term is a zero times a finite number, a signed zero, and a sum
+    from 0.0 never is -0.0, so adding one leaves it as it is.  Where a
+    coefficient is not finite a skipped term could be 0 * inf = NaN, and the
+    product is the dense one (``docs/decisions.md`` section 12).
+    """
+    if not (np.isfinite(a.vec).all() and np.isfinite(b.vec).all()):
+        return a * b
+    order = min(a.order, b.order)
+    return Jet(a.space, a.space.mul_vec(a.vec, b.vec, order, degrees), order)
 
 
 def stack(trees):

@@ -10,7 +10,10 @@ it, by that largest magnitude (:func:`_normalized_rows`).
 * Resultant reports of pairs of columns (:func:`column_resultant_reports`)
   come from the Sylvester matrices of the normalized pairs: one stacked
   determinant for all pairs of the same degrees, and the scale that undoes
-  the normalization.
+  the normalization.  They are columns (:class:`ResultantColumns`), as are
+  the common roots (:class:`RootColumns`); the per-column
+  :class:`ResultantReport` and :class:`CommonRoots` are built only where a
+  caller indexes them.
 * The gaps of pairs of columns (:func:`column_gaps`), the smallest singular
   value of the normalized Sylvester matrix over the largest, come from one
   stacked SVD for all pairs of the same degrees.  It is the only SVD here.
@@ -37,11 +40,13 @@ import numpy as np
 __all__ = [
     "RootSet",
     "ResultantReport",
+    "ResultantColumns",
     "ZeroPolynomial",
     "column_resultant_reports",
     "column_gaps",
     "trimmed_degrees",
     "CommonRoots",
+    "RootColumns",
     "column_common_roots",
     "TOL_ROOT",
 ]
@@ -99,8 +104,11 @@ class RootSet:
 
 
 def _scaled(normalized, scale):
-    """``normalized * scale``, and the normalized zero where that is 0 * inf."""
-    return normalized if normalized == 0.0 and math.isinf(scale) else normalized * scale
+    """``normalized * scale``, and the normalized zero where that is 0 * inf; on
+    floats or arrays."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        product = normalized * scale
+    return np.where((normalized == 0.0) & np.isinf(scale), normalized, product)
 
 
 def _sylvester_stack(pc, qc):
@@ -172,7 +180,28 @@ class ResultantReport(NamedTuple):
 
     @property
     def value(self):
+        return float(_scaled(self.normalized, self.scale))
+
+
+@dataclass(frozen=True)
+class ResultantColumns:
+    """The resultant reports of K pairs as columns: ``normalized`` and
+    ``scale``, each of shape (K,), as in :class:`ResultantReport`, and
+    ``value`` their product by its rule.  Indexing gives one column's
+    report, without a gap."""
+
+    normalized: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def value(self):
         return _scaled(self.normalized, self.scale)
+
+    def __len__(self):
+        return self.normalized.size
+
+    def __getitem__(self, c):
+        return ResultantReport(float(self.normalized[c]), float(self.scale[c]))
 
 
 def column_resultant_reports(cp, cq):
@@ -181,15 +210,17 @@ def column_resultant_reports(cp, cq):
     Columns hold coefficients lowest degree first, trimmed and normalized by
     :func:`_normalized_rows`; every trimmed pair needs degrees >= 1.  The
     pairs of the same degrees share one stacked ``det`` of their Sylvester
-    matrices.  Returns a :class:`ResultantReport` per column, without a gap.
+    matrices.  Returns the reports as :class:`ResultantColumns`.
     """
     p_norms, q_norms, groups = _sylvester_groups(cp, cq)
-    reports = [None] * len(p_norms)
+    normalized, scale = np.zeros(len(p_norms)), np.zeros(len(p_norms))
     for m, n, cols, mats in groups:
-        norms = zip(p_norms[cols].tolist(), q_norms[cols].tolist())
-        for c, d, (a, b) in zip(cols.tolist(), np.linalg.det(mats), norms):
-            reports[c] = ResultantReport(float(d), _resultant_scale(a, m, b, n))
-    return reports
+        normalized[cols] = np.linalg.det(mats)
+        scale[cols] = [
+            _resultant_scale(a, m, b, n)
+            for a, b in zip(p_norms[cols].tolist(), q_norms[cols].tolist())
+        ]
+    return ResultantColumns(normalized, scale)
 
 
 def column_gaps(cp, cq):
@@ -200,14 +231,15 @@ def column_gaps(cp, cq):
     Columns are trimmed and normalized as for
     :func:`column_resultant_reports`; the pairs of the same degrees share
     one stacked SVD, which gives each matrix the bits it gets alone.
-    Returns the gaps as a list of floats, one per column.
+    Returns the gaps, of shape (K,); a gap is finite, as the normalized
+    coefficients are.
     """
     p_norms, _, groups = _sylvester_groups(cp, cq)
     gaps = np.zeros(len(p_norms))
     for _, _, cols, mats in groups:
         sv = np.linalg.svd(mats, compute_uv=False)
         gaps[cols] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
-    return gaps.tolist()
+    return gaps
 
 
 class CommonRoots(NamedTuple):
@@ -220,6 +252,37 @@ class CommonRoots(NamedTuple):
 
     real: RootSet
     complex: list
+
+
+@dataclass(frozen=True)
+class RootColumns:
+    """The common roots of K columns, in flat arrays sorted by column.
+
+    The real roots of column ``real_col[i]`` are ``real[i]``, with
+    ``multiplicities[i]`` and ``residuals[i]`` as in :class:`RootSet`,
+    ascending in each column; its complex ones are ``complex[j]`` where
+    ``complex_col[j]`` is that column.  Indexing gives one column's
+    :class:`CommonRoots`.
+    """
+
+    size: int
+    real_col: np.ndarray
+    real: np.ndarray
+    multiplicities: np.ndarray
+    residuals: np.ndarray
+    complex_col: np.ndarray
+    complex: np.ndarray
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, c):
+        if not 0 <= c < self.size:
+            raise IndexError(c)
+        a, b = np.searchsorted(self.real_col, [c, c + 1])
+        real = RootSet(self.real[a:b], self.multiplicities[a:b], self.residuals[a:b])
+        a, b = np.searchsorted(self.complex_col, [c, c + 1])
+        return CommonRoots(real, self.complex[a:b].tolist())
 
 
 def column_common_roots(polys, exclude=None):
@@ -247,8 +310,8 @@ def column_common_roots(polys, exclude=None):
     than ~3e-4 are consequently reported as one root with multiplicity.
 
     Each column goes through the float operations it goes through alone, so
-    its roots do not depend on the other columns.  Returns a
-    :class:`CommonRoots` per column.
+    its roots do not depend on the other columns.  Returns the roots of
+    every column as :class:`RootColumns`.
     """
     width = max(len(c) for c in polys)
     degrees, _, rows = zip(*(_normalized_rows(c, width) for c in polys))
@@ -262,9 +325,11 @@ def column_common_roots(polys, exclude=None):
     if exclude is not None:
         excl_degrees, _, excl_rows = _normalized_rows(exclude, len(exclude))
         excl = (excl_degrees >= 0, excl_rows)
-    real = _real_witnesses(rows, base, roots, valid, excl)
-    cplx = _complex_witnesses(rows, roots, valid, excl)
-    return [CommonRoots(r, c) for r, c in zip(real, cplx)]
+    return RootColumns(
+        len(cols),
+        *_real_witnesses(rows, base, roots, valid, excl),
+        *_complex_witnesses(rows, roots, valid, excl),
+    )
 
 
 def _companion_roots(rows, degrees):
@@ -316,7 +381,8 @@ def _witness_test(rows, col, x, excl):
 
 
 def _real_witnesses(rows, base, roots, valid, excl):
-    """The real common roots of each column, a :class:`RootSet` each."""
+    """The real common roots of each column: the columns, roots, multiplicities
+    and residuals of :class:`RootColumns`."""
     near = valid & (np.abs(roots.imag) <= 3e-4 * (1.0 + np.abs(roots.real)))
     col, pos = np.nonzero(near)  # ascending columns
     t = roots.real[col, pos]
@@ -337,11 +403,7 @@ def _real_witnesses(rows, base, roots, valid, excl):
     keep, values = _witness_test(rows, col, mean, excl)
     keep &= res <= TOL_ROOT
 
-    col, mean, mult, values = col[keep], mean[keep], mult[keep], values[keep]
-    bounds = np.searchsorted(col, np.arange(len(roots) + 1))
-    return [
-        RootSet(mean[a:b], mult[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])
-    ]
+    return col[keep], mean[keep], mult[keep], values[keep]
 
 
 def _cluster_means(t, first, mult):
@@ -378,13 +440,18 @@ def _newton(rows, t0):
 
 
 def _complex_witnesses(rows, roots, valid, excl):
-    """The strictly complex common roots of each column: a list each, one root
-    per conjugate pair, and one per cluster of roots within 1e-6 (relative)."""
+    """The strictly complex common roots of each column, one root per conjugate
+    pair, and one per cluster of roots within 1e-6 (relative): the columns
+    and roots of :class:`RootColumns`."""
     col, pos = np.nonzero(valid & (roots.imag > 1e-7 * (1.0 + np.abs(roots.real))))
     z = roots[col, pos]
     keep, _ = _witness_test(rows, col, z, excl)
-    shared = [[] for _ in roots]
-    for c, z in zip(col[keep].tolist(), z[keep]):
-        if not any(abs(z - w) <= 1e-6 * max(1.0, abs(z)) for w in shared[c]):
-            shared[c].append(complex(z))
-    return shared
+    col, z = col[keep], z[keep]
+    # a column's first root is kept, and each later one unless it lies within
+    # 1e-6 of a root kept before it
+    first = np.searchsorted(col, col)
+    shared = first == np.arange(col.size)
+    for i in np.flatnonzero(~shared).tolist():
+        earlier = z[first[i] : i][shared[first[i] : i]]
+        shared[i] = not any(abs(z[i] - w) <= 1e-6 * max(1.0, abs(z[i])) for w in earlier)
+    return col[shared], z[shared]

@@ -540,6 +540,12 @@ def test_summarize_mixed():
     assert summarize([v1]) == "FLAT"
 
 
+def test_no_points_give_no_verdicts_and_no_columns(spiral_structure):
+    assert analyzer.classify_points(spiral_structure, []) == []
+    with pytest.raises(ValueError, match="at least one point"):
+        analyzer.classify_columns(spiral_structure, [])
+
+
 # -- residuals on node columns -------------------------------------------------
 
 
@@ -647,9 +653,9 @@ def test_column_residuals_are_the_per_node_residuals(data, quadratic_structure):
     method = "jets" if mode == "complex" else "jet-lift"
 
     with mock.patch.object(analyzer, "TOL_RESIDUAL", tol):
-        new = analyzer._residual_reports(
+        new = analyzer._residual_columns(
             frame, PointInvariants(**inv), flat, mode, method, alpha, dalpha, F, grad_F, on_root,
-        )
+        ).reports()
     old = _per_node_residual_reports(
         frame, invs, mode, method, alpha, dalpha, F, grad_F, tol, on_root
     )

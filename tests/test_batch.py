@@ -30,6 +30,7 @@ from sfmew.analyzer import (
     verify_candidate,
     verify_candidates,
 )
+from sfmew.constraints import NOT_FINITE
 from sfmew.expr import parse
 from sfmew.geometry import Frame, MoebiusStructure
 from sfmew.invariants import (
@@ -107,6 +108,46 @@ def test_verdicts_and_invariants_do_not_depend_on_the_batch(
     for node in np.flatnonzero(~field.flat):
         alone = compute_invariants(structure, points[node])
         assert canon(values.node(node)) == canon(alone), node
+
+
+# the base spiral structure with P scaled by 1e150: its invariants at (1, 0) and
+# (0.5, 0.5), and its constraint coefficients at (1e-160, 0), are not all finite
+HUGE_SPIRAL = MoebiusStructure.from_strings(
+    "0", "1e150*x*y", "1e150*(y*y - x*x)/2", "-1e150*x*y"
+)
+HUGE_POINTS = [(1.0, 0.0), (0.5, 0.5), (1e-160, 0.0), (0.0, 0.0), (-0.5, 1.2)]
+ZEROED = [(1.0, 0.0), (-1.6, -1.1)]  # opposite nodes whose branch tensor is made to vanish
+
+
+def _vanishing_at(points):
+    """``InvariantField.m_tensor`` with the norm set to 0 at ``points``."""
+    m_tensor = InvariantField.m_tensor
+
+    def vanishing(field):
+        rep = m_tensor(field)
+        rep.norm[[p in points for p in field.frame.points]] = 0.0
+        return rep
+
+    return vanishing
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_not_finite_and_mzero_nodes_do_not_depend_on_the_batch(data, opposite_structure):
+    # Inconclusive nodes beyond the float range and MZeroAdmits nodes (reached
+    # through a wrapped m_tensor), beside flat and ordinary nodes
+    huge = data.draw(st.booleans())
+    structure, pool = (HUGE_SPIRAL, HUGE_POINTS) if huge else (opposite_structure, POINTS)
+    points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    chunk = data.draw(st.integers(1, 5))
+    with mock.patch.object(InvariantField, "m_tensor", _vanishing_at(ZEROED)):
+        with mock.patch.object(analyzer, "_CHUNK", chunk):
+            batched = classify_points(structure, points)
+        for point, verdict in zip(points, batched):
+            assert canon(verdict) == canon(classify_point(structure, point)), point
+        notes = {v.note for v in classify_points(structure, pool)}
+    assert notes >= ({"invariants are not all finite", NOT_FINITE} if huge else {
+        "degenerate-branch tensor vanishes (forced F consistency flag false)"})
 
 
 # the nodes of the mixed structure: flat, sigma = 0 exactly, sigma < 0 and twice sigma > 0

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from sfmew.analyzer import (
     _TOL_RES_HIGH,
     _TOL_RES_LOW,
     RESULTANT_PAIRS,
+    TAGS,
+    ResidualColumns,
     ResidualReport,
     Verdict,
+    VerdictColumns,
     VerdictTag,
+    classify_points,
 )
 from sfmew.cli import (
     _CONFIG_KEYS,
@@ -27,7 +32,8 @@ from sfmew.cli import (
     _residual_records,
     main,
 )
-from sfmew.polyalg import ResultantReport
+from sfmew.geometry import MoebiusStructure
+from sfmew.polyalg import CommonRoots, ResultantReport, RootSet
 
 SPIRAL = """
 [structure]
@@ -162,6 +168,54 @@ def test_verify_complex_mode(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["points"][0]["F"] == {"re": 0.0, "im": -2.0}
+
+
+def _counting_constructors(monkeypatch):
+    """Count every construction of the analyzer's per-node objects, by class name."""
+    built = Counter()
+
+    def counted(construct, name):
+        def construct_counted(*args, **kwargs):
+            built[name] += 1
+            return construct(*args, **kwargs)
+        return construct_counted
+
+    for cls in (Verdict, ResidualReport, RootSet):  # dataclasses
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__, cls.__name__))
+    for cls in (ResultantReport, CommonRoots):  # named tuples
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted(cls.__new__, cls.__name__)))
+    return built
+
+
+# spiral: Obstructed nodes that read gaps, and the Inconclusive near-flat (0.05, 0),
+# whose spurious roots are lifted; quadratic: verified roots; opposite: complex roots
+PER_NODE_CALLS = [
+    (SPIRAL + REGION + '[points]\npoints = "0.05,0; 1,0"\n', ["analyze"]),
+    (QUADRATIC + REGION + POINTS, ["analyze"]),
+    (OPPOSITE + REGION + POINTS, ["analyze"]),
+    (QUADRATIC + REGION, ["verify", "--alpha", "y", "--alpha", "-x"]),
+    (OPPOSITE + REGION + "[options]\nmode = complex\n",
+     ["verify", "--alpha", "0", "--alpha", "0", "--alpha", "y", "--alpha", "-x"]),
+]
+
+
+def test_analyze_and_verify_build_no_per_node_objects(runner, tmp_path, monkeypatch):
+    # the commands decide and write every node from the analyzer's columns
+    built = _counting_constructors(monkeypatch)
+    for k, (config, args) in enumerate(PER_NODE_CALLS):
+        cfg = write(tmp_path, f"{k}.cfg", config)
+        out = tmp_path / str(k)
+        result = runner.invoke(main, [args[0], "--config", cfg, "--out", str(out), *args[1:]])
+        assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "0" / "report.json").read_text())
+    assert report["points"][0]["verdict"] == "Inconclusive"
+    assert report["points"][0]["residual"] is not None
+    assert not built, built
+    # the count sees the objects where they are built: the verdicts of the API
+    verdicts = classify_points(MoebiusStructure.from_strings("0", "x*y", "(y*y - x*x)/2", "-(x*y)"),
+                               [(0.05, 0.0), (1.0, 0.0)])
+    assert built == {"Verdict": 2, "ResultantReport": 6, "ResidualReport": 2}, built
+    assert [v.tag for v in verdicts] == [VerdictTag.INCONCLUSIVE, VerdictTag.OBSTRUCTED]
 
 
 def test_verify_wrong_component_count(runner, tmp_path):
@@ -716,37 +770,51 @@ _NOTES = st.text() | st.sampled_from(['say "no"', "back\\slash", "F = ±2", "100
 _POINTS = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
 
 
+def _floats(draw, elements, shape):
+    return np.array([draw(elements) for _ in range(math.prod(shape))], dtype=float).reshape(shape)
+
+
 @st.composite
-def _residual_reports(draw, complex_f):
-    values = [draw(_VALUES) for _ in range(6)]
+def _residual_columns(draw, n, complex_f):
+    """Residual columns of ``n`` nodes, F real or complex."""
+    f = _floats(draw, _VALUES, (n,))
     if complex_f:
-        f = complex(draw(_VALUES), draw(_VALUES))
-    else:
-        f = draw(_VALUES)
-    return ResidualReport((0.0, 0.0), "complex" if complex_f else "real", "jets", f, *values,
-                          draw(st.booleans()))
+        f = f.astype(complex)
+        f.imag = _floats(draw, _VALUES, (n,))
+    return ResidualColumns(
+        [draw(_POINTS) for _ in range(n)], "complex" if complex_f else "real", "jets", f,
+        *(_floats(draw, _VALUES, (n,)) for _ in range(6)),
+        np.array([draw(st.booleans()) for _ in range(n)], dtype=bool),
+    )
+
+
+_NORMALIZED = st.sampled_from([0.0, -0.0, 2.5, -1e-300]) | st.floats()
+_SCALES = st.sampled_from([math.inf, 1.0, 1e300]) | st.floats(0.0, allow_infinity=True)
 
 
 @st.composite
-def _resultant_reports(draw):
-    normalized = draw(st.sampled_from([0.0, -0.0, 2.5, -1e-300]) | st.floats())
-    scale = draw(st.sampled_from([math.inf, 1.0, 1e300]) | st.floats(0.0, allow_infinity=True))
-    return ResultantReport(normalized, scale, draw(st.none() | _VALUES))
-
-
-@st.composite
-def _verdicts(draw):
-    resultants = {}
-    if draw(st.booleans()):
-        resultants = {pair: draw(_resultant_reports()) for pair in RESULTANT_PAIRS}
-    return Verdict(
-        tag=draw(st.sampled_from(VerdictTag)),
-        point=(0.0, 0.0),
-        resultants=resultants,
-        f_candidates=draw(st.lists(_VALUES, max_size=3)),
-        residuals=draw(st.lists(_residual_reports(False), max_size=2)),
-        m_norm=draw(st.none() | _VALUES),
-        note=draw(_NOTES),
+def _verdict_columns(draw):
+    """Verdict columns of up to 6 nodes of any tags, each with up to 3 F
+    candidates and up to 2 residual reports."""
+    n = draw(st.integers(0, 6))
+    f_node = np.repeat(np.arange(n), [draw(st.integers(0, 3)) for _ in range(n)])
+    report_node = np.repeat(np.arange(n), [draw(st.integers(0, 2)) for _ in range(n)])
+    pairs = (len(RESULTANT_PAIRS), n)
+    return VerdictColumns(
+        points=[draw(_POINTS) for _ in range(n)],
+        tag=np.array([draw(st.integers(0, len(TAGS) - 1)) for _ in range(n)], dtype=int),
+        note=[draw(_NOTES) for _ in range(n)],
+        m_norm=_floats(draw, _VALUES, (n,)),
+        branch=np.array([draw(st.booleans()) for _ in range(n)], dtype=bool),
+        resultant=np.array([draw(st.booleans()) for _ in range(n)], dtype=bool),
+        normalized=_floats(draw, _NORMALIZED, pairs),
+        scale=_floats(draw, _SCALES, pairs),
+        gap=_floats(draw, _VALUES, pairs),
+        f_node=f_node,
+        f_value=_floats(draw, _VALUES, f_node.shape),
+        f_alpha=_floats(draw, _VALUES, (2,) + f_node.shape),
+        report_node=report_node,
+        reports=draw(_residual_columns(report_node.size, False)),
     )
 
 
@@ -756,33 +824,36 @@ def _nested(value, depth):
     return value
 
 
-@given(nodes=st.lists(st.tuples(_POINTS, _verdicts()), max_size=6), depth=st.integers(0, 3))
+@given(columns=_verdict_columns(), depth=st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
-def test_node_records_are_the_per_node_records_and_csv_rows(nodes, depth):
-    points, verdicts = [p for p, _ in nodes], [v for _, v in nodes]
-    records, rows = _node_records(points, verdicts)
+def test_node_records_are_the_per_node_records_and_csv_rows(columns, depth):
+    # the records and rows of generated verdict columns are those that the old
+    # per-node rule writes of their verdicts
+    nodes = list(zip(columns.points, columns.verdicts()))
+    records, rows = _node_records(columns)
     old = [_old_verdict_record(x, y, v) for (x, y), v in nodes]
-    assert _dump_json(_nested(records, depth)) == (
+    assert _dump_json(_nested(records(slice(None)), depth)) == (
         json.dumps(_jsonable(_nested(old, depth)), indent=2) + "\n"
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "y", "verdict", *RESULTANT_PAIRS, "F_candidates", "residual"])
     writer.writerows([_old_csv_row(x, y, v) for (x, y), v in nodes])
-    assert _grid_csv(rows) == buf.getvalue()
+    assert _grid_csv(rows(slice(None))) == buf.getvalue()
+    # any slice of the nodes, as a call's grid and points take them
+    cut = len(nodes) // 2
+    for part in (slice(0, cut), slice(cut, None)):
+        assert _dump_json(records(part)) == json.dumps(_jsonable(old[part]), indent=2) + "\n"
 
 
-@given(
-    data=st.data(),
-    points=st.lists(_POINTS, max_size=6),
-    complex_f=st.booleans(),
-    depth=st.integers(0, 3),
-)
+@given(data=st.data(), n=st.integers(0, 6), complex_f=st.booleans(), depth=st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_residual_records_are_the_per_node_records(data, points, complex_f, depth):
-    reports = [data.draw(_residual_reports(complex_f)) for _ in points]
-    old = [_old_residual_record(pt, rep) for pt, rep in zip(points, reports)]
-    assert _dump_json(_nested(_residual_records(points, reports), depth)) == (
+def test_residual_records_are_the_per_node_records(data, n, complex_f, depth):
+    # the records of generated residual columns are those that the old per-node
+    # rule writes of their reports
+    columns = data.draw(_residual_columns(n, complex_f))
+    old = [_old_residual_record(rep.point, rep) for rep in columns.reports()]
+    assert _dump_json(_nested(_residual_records(columns), depth)) == (
         json.dumps(_jsonable(_nested(old, depth)), indent=2) + "\n"
     )
 

@@ -1,7 +1,11 @@
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfmew.expr import (
     BinOp,
@@ -250,11 +254,16 @@ NODE_CASES = FOLDING_CASES + [
 NODES = [(0.3, -0.7), (1.2, 0.4), (-0.5, 1e-3), (0.3, 0.5)]
 
 
+def node_arrays(points):
+    """The node arrays (xs, ys) of a batch of points, as a stacked frame holds them."""
+    return tuple(np.array(axis) for axis in zip(*points))
+
+
 @pytest.mark.parametrize("source", NODE_CASES)
 def test_node_columns_are_the_jets_of_the_points(source):
     e = parse(source)
     for order in (0, 4, 6):
-        batch = eval_jet(e, NODES, order)
+        batch = eval_jet(e, node_arrays(NODES), order)
         assert batch.vec.shape == (jet_space(order).size, len(NODES))
         for i, point in enumerate(NODES):
             alone = eval_jet(e, point, order)
@@ -273,7 +282,66 @@ def test_node_column_domain_error_is_that_of_the_first_failing_point(source, bad
     with pytest.raises(jets.JetError) as alone:
         eval_jet(e, bad, 4)
     with pytest.raises(jets.JetError) as batch:
-        eval_jet(e, [(3.0, 0.5), bad, (4.0, -1.0), (-5.0, 2.0), (1.0, 0.0)], 4)
+        eval_jet(e, node_arrays([(3.0, 0.5), bad, (4.0, -1.0), (-5.0, 2.0), (1.0, 0.0)]), 4)
     assert type(batch.value) is type(alone.value)
     assert str(batch.value) == str(alone.value)
     assert batch.value.base == alone.value.base == bad
+
+
+# -- products of polynomial subtrees ----------------------------------------------
+
+# coefficients of every kind: signed zeros, subnormal and tiny, huge, and infinite
+_COEFFS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-300, 1e300, -1e308, math.inf,
+                           -math.inf, 1.0, -2.5]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def polynomials(draw, degree):
+    """A polynomial expression of degree at most ``degree`` in x and y."""
+    kind = draw(st.sampled_from(["leaf", "sum", "product", "neg", "power"]))
+    if kind == "leaf" or (kind == "product" and degree < 2) or (kind == "power" and degree < 2):
+        return draw(st.sampled_from([Var("x"), Var("y")]) if degree else st.nothing()
+                    | _COEFFS.map(Num))
+    if kind == "sum":
+        return BinOp(draw(st.sampled_from("+-")), draw(polynomials(degree - 1)),
+                     draw(polynomials(degree)))
+    if kind == "neg":
+        return Neg(draw(polynomials(degree)))
+    if kind == "power":
+        return Pow(draw(polynomials(1)), draw(st.integers(0, degree)))
+    low = draw(st.integers(1, degree - 1))
+    return BinOp("*", draw(polynomials(low)), draw(polynomials(degree - low)))
+
+
+_BASES = st.sampled_from([0.3, -0.7, 0.0, -0.0, 1e-200, 1e200, -3.0])
+
+
+@given(e=polynomials(3), xs=st.lists(_BASES, min_size=1, max_size=4),
+       ys=st.lists(_BASES, min_size=4, max_size=4), order=st.sampled_from([3, 4, 6]))
+@settings(max_examples=300, deadline=None)
+def test_sparse_polynomial_products_are_the_dense_ones(e, xs, ys, order):
+    # products that skip the terms with a zero factor keep every bit of the dense
+    # products; where a coefficient is not finite they are the dense ones
+    base = (np.array(xs), np.array(ys[: len(xs)]))
+    with np.errstate(all="ignore"):
+        sparse = [eval_jet(e, base, order), eval_jet(e, (xs[0], ys[0]), order)]
+        with mock.patch.object(jets, "poly_product", lambda a, b, degrees: a * b):
+            dense = [eval_jet(e, base, order), eval_jet(e, (xs[0], ys[0]), order)]
+    for got, want in zip(sparse, dense):
+        assert got.vec.tobytes() == want.vec.tobytes(), to_source(e)
+
+
+def test_products_of_polynomial_subtrees_are_sparse():
+    # a product of two polynomial factors takes the sparse product, which on
+    # affine factors sums 9 of the 70 terms of an order-4 product
+    calls, product = [], jets.poly_product
+
+    def recorded(a, b, degrees):
+        calls.append(degrees)
+        return product(a, b, degrees)
+
+    with mock.patch.object(jets, "poly_product", recorded):
+        eval_jet(parse("(0.5)*x*x + (2 - y)*(x + 1) + exp(x)*y + (x*y)^2*x"), (0.3, 0.4), 4)
+    assert calls == [(1, 1), (1, 1), (1, 1), (4, 1)]
+    space = jet_space(4)
+    assert len(space._mul[4][0]) == 70 and len(space._sparse_terms(4, 1, 1)[0]) == 9

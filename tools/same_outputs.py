@@ -32,6 +32,13 @@ records: ``analyze`` on the base spiral structure with P scaled by 1e150
 coefficients are not all finite, with null residuals and m_norm; and
 ``verify --mode complex`` on the base opposite structure with the candidate
 ``HUGE_CANDIDATE``, whose residuals are null where they are NaN (exit 1).
+Two structures take the products of polynomial subtrees that ``eval_jet``
+sums sparsely: ``TREES``, whose expressions mix polynomial and
+non-polynomial subtrees, runs ``analyze`` on the grid plus the near-flat
+points and ``verify`` of ``TREES_CANDIDATE`` on the same points; and
+``HUGE_POLYNOMIAL``, a polynomial structure with the coefficient 1e300,
+runs ``analyze`` on the grid plus ``HUGE_POINTS`` and ``verify`` of
+``INF_CANDIDATE``, one of whose factors has an infinite coefficient.
 The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
@@ -42,8 +49,9 @@ No file holds a reconstructed candidate's alpha, so each interpreter also
 pickles the ``classify_points`` verdicts of the same structures in memory:
 every member on the grid, the near-flat points and the far field (both
 orientations on the member of the overriding calls), the mixed structure
-on the grid, the near-flat points and ``MIXED_NODES``, and the generic one
-on the grid and ``GENERIC_POINTS``.  Their verdicts are compared field by
+on the grid, the near-flat points and ``MIXED_NODES``, the generic one
+on the grid and ``GENERIC_POINTS``, and ``TREES`` and ``HUGE_POLYNOMIAL`` on
+the points of their ``analyze`` calls.  Their verdicts are compared field by
 field, every float by its bits: candidates with their alpha, resultant
 reports and residual reports included.
 Exits 0 when everything is equal, and 1 naming every file that differs and
@@ -105,6 +113,14 @@ HUGE_POINTS = [(1.0, 0.0), (0.5, 0.5), (1e-160, 0.0), (0.0, 0.0)]
 # the base opposite structure, and a complex candidate whose residuals overflow
 OPPOSITE = ("0", "(y*y - x*x)/2", "-(x*y)", "(x*x - y*y)/2")
 HUGE_CANDIDATE = ("1e200*y", "1e200*x", "y", "-x")
+# a trace-free structure whose expressions mix polynomial and non-polynomial
+# subtrees, and a real candidate of the same kind
+TREES = ("0", "exp(0.1*x)*x*y", "x*x/(1 + y*y)", "-(exp(0.1*x)*x*y)")
+TREES_CANDIDATE = ("exp(0.1*x)*x*y + y", "x*x/(1 + y*y) - x")
+# a trace-free polynomial structure with one coefficient near the float's largest,
+# and a candidate whose constant factor 1e300*1e300 is inf
+HUGE_POLYNOMIAL = ("0", "1e300*x*x + x*y", "(y*y - x*x)/2", "-(1e300*x*x + x*y)")
+INF_CANDIDATE = ("1e300*1e300*x*y", "x*y*y")
 
 
 def config_text(sources, grid, points, mode, orientation=None):
@@ -181,6 +197,18 @@ def calls(fam, out):
     (base / "verify.cfg").write_text(config_text(OPPOSITE, 0, HUGE_POINTS, "real"))
     yield base / "verify", ["verify", "--config", str(base / "verify.cfg"), "--mode=complex"] + [
         f"--alpha={a}" for a in HUGE_CANDIDATE]
+    for name, sources, points, candidate in (
+        ("trees", TREES, list(fam.NEAR_FLAT), TREES_CANDIDATE),
+        ("huge-polynomial", HUGE_POLYNOMIAL, HUGE_POINTS, INF_CANDIDATE),
+    ):
+        base = out / name
+        base.mkdir(parents=True)
+        (base / "analyze.cfg").write_text(config_text(sources, GRID, points, "real"))
+        yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
+        (base / "verify.cfg").write_text(
+            config_text(sources, 0, fam.grid_nodes(GRID) + points, "real"))
+        yield base / "verify", ["verify", "--config", str(base / "verify.cfg")] + [
+            f"--alpha={a}" for a in candidate]
 
 
 def scans(fam):
@@ -195,6 +223,8 @@ def scans(fam):
                            member.structure_sources(), points, orientation)
     yield "mixed", MIXED, fam.grid_nodes(GRID) + list(fam.NEAR_FLAT) + MIXED_NODES, 1
     yield "generic", GENERIC, fam.grid_nodes(GRID) + GENERIC_POINTS, 1
+    yield "trees", TREES, fam.grid_nodes(GRID) + list(fam.NEAR_FLAT), 1
+    yield "huge-polynomial", HUGE_POLYNOMIAL, fam.grid_nodes(GRID) + HUGE_POINTS, 1
 
 
 def canon(obj):
