@@ -1039,9 +1039,7 @@ def _summary(counts, admitted):
     """The summary of verdicts whose histogram is ``counts`` (see :func:`tally`)."""
     effective = counts.keys() - {VerdictTag.FLAT.value, VerdictTag.INCONCLUSIVE.value}
     if not effective:
-        if counts.get(VerdictTag.FLAT.value):
-            return "FLAT"
-        return "INCONCLUSIVE"
+        return "FLAT" if counts.keys() == {VerdictTag.FLAT.value} else "INCONCLUSIVE"
     if effective == {VerdictTag.OBSTRUCTED.value}:
         return "OBSTRUCTED"
     if effective == {VerdictTag.ADMITS.value}:

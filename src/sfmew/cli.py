@@ -37,6 +37,7 @@ timestamps); numbers are emitted in round-trip-exact decimal form.
 import configparser
 import csv
 import io
+import json
 import math
 import sys
 from contextlib import contextmanager
@@ -200,71 +201,25 @@ def load_config(path):
 
 # -- report writing ---------------------------------------------------------
 #
-# ``_dump_json(x)`` gives the bytes of ``json.dumps(x, indent=2) + "\n"`` for x
-# with its numpy values read as Python values and a NaN float as null (the
-# parts of a complex number {"re", "im"} are written as json writes them), in
-# one walk and without a copy: with ``indent``, ``json`` takes its pure-Python
-# encoder.  A float's text is ``float.__repr__``; report keys are strings.
-# The per-node records of ``analyze`` and ``verify`` are not walked: they are
-# built as one text column per key, straight from the analyzer's verdict and
-# residual columns, each float formatted once and its text shared by
-# report.json and grid.csv (``docs/decisions.md`` section 11).  A
-# :class:`_Records` holds the text columns, and is laid out where the walk
-# meets it.
-
-
-def _float_text(value, level=0):
-    text = float.__repr__(value)
-    return _NAN_AS_NULL.get(text, text)
-
-
-def _part_text(value):
-    text = float.__repr__(value)
-    return _NAN_AS_JSON.get(text, text)
-
+# ``_dump_json(x)`` is ``json.dumps(_plain(x), indent=2) + "\n"``: ``_plain``
+# copies x with its numpy values read as Python values, a NaN float as null and
+# a complex number as {"re", "im"} (whose NaN parts json writes as NaN).  A
+# float's text is ``float.__repr__``; report keys are strings.  The per-node
+# records of ``analyze`` and ``verify`` are not copied: they are built as one
+# text column per key, straight from the analyzer's verdict and residual
+# columns, each float formatted once and its text shared by report.json and
+# grid.csv (``docs/decisions.md`` section 11).  A :class:`_Records` holds the
+# text columns, and is laid in as the whole report or as a value of its
+# top-level dict, the only places the commands put one.
 
 _NAN_AS_NULL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity", None: "null"}
 _NAN_AS_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _complex_text(value, level):
-    inner = "\n" + "  " * (level + 1)
-    return (
-        "{" + inner + '"re": ' + _part_text(value.real) + "," + inner + '"im": '
-        + _part_text(value.imag) + "\n" + "  " * level + "}"
-    )
-
-
-def _dict_text(value, level, templates=None):
-    """The JSON text of a dict; ``templates`` holds the %-template of each key
-    sequence met so far, which the records of one list share."""
-    if not value:
-        return "{}"
-    keys, templates = tuple(value), {} if templates is None else templates
-    if keys not in templates:
-        templates[keys] = _dict_template(keys, level)
-    level += 1
-    return templates[keys] % tuple(  # _text inlined: this is the writer's inner loop
-        [(_WRITERS.get(type(v)) or _writer_of(v))(v, level) for v in value.values()]
-    )
-
-
 def _dict_template(keys, level):
     inner = "\n" + "  " * (level + 1)
-    fields = []
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"report keys are str, not {type(key).__name__}")
-        fields.append(inner + _json_str(key).replace("%", "%%") + ": %s")
+    fields = [inner + _json_str(key).replace("%", "%%") + ": %s" for key in keys]
     return "{" + ",".join(fields) + "\n" + "  " * level + "}"
-
-
-def _list_text(items, level):
-    templates = {}
-    return _bracketed([
-        _dict_text(v, level + 1, templates) if type(v) is dict else _text(v, level + 1)
-        for v in items
-    ], level)
 
 
 def _bracketed(texts, level):
@@ -318,48 +273,44 @@ def _json_complexes(values):
     return lambda level: list(map(_dict_template(("re", "im"), level).__mod__, zip(re, im)))
 
 
-_WRITERS = {  # by exact type; _writer_of covers subclasses and other numpy types
-    float: _float_text,
-    np.float64: _float_text,
-    int: lambda value, level: int.__repr__(value),
-    bool: lambda value, level: "true" if value else "false",
-    type(None): lambda value, level: "null",
-    str: lambda value, level: _json_str(value),
-    complex: _complex_text,
-    list: _list_text,
-    tuple: _list_text,
-    dict: _dict_text,
-    _Records: _records_text,
-}
-
-
-def _writer_of(value):
+def _plain(value):
+    """The copy of ``value`` that ``json`` writes as the report."""
     if isinstance(value, (bool, np.bool_)):
-        return _WRITERS[bool]
+        return bool(value)
     if isinstance(value, (float, np.floating)):
-        return lambda v, level: _float_text(float(v))
-    if isinstance(value, (int, np.integer)):
-        return lambda v, level: int.__repr__(int(v))
+        value = float(value)
+        return None if math.isnan(value) else value
+    if isinstance(value, np.integer):
+        return int(value)
     if isinstance(value, complex):
-        return _complex_text
-    if isinstance(value, str):
-        return _WRITERS[str]
+        return {"re": value.real, "im": value.imag}
     if isinstance(value, np.ndarray):
-        return lambda v, level: _list_text(v.tolist(), level)
+        return _plain(value.tolist())
+    if isinstance(value, _Records):  # json would write it as a list
+        raise TypeError("records are a report, or a value of its top-level dict")
     if isinstance(value, (list, tuple)):
-        return _list_text
+        return [_plain(v) for v in value]
     if isinstance(value, dict):
-        return _dict_text
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _text(value, level):
-    """The JSON text of ``value``, nested ``level`` deep."""
-    return (_WRITERS.get(type(value)) or _writer_of(value))(value, level)
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys are str, not {type(key).__name__}")
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def _dump_json(data):
-    return _text(data, 0) + "\n"
+    if isinstance(data, _Records):
+        return _records_text(data, 0) + "\n"
+    records = {}
+    if isinstance(data, dict):
+        records = {k: v for k, v in data.items() if isinstance(v, _Records)}
+        data = {k: None if k in records else v for k, v in data.items()}
+    text = json.dumps(_plain(data), indent=2)
+    # json.dumps writes each top-level key, and no other string, two spaces in
+    for key, value in records.items():
+        field = "\n  " + _json_str(key) + ": "
+        text = text.replace(field + "null", field + _records_text(value, 1), 1)
+    return text + "\n"
 
 
 @contextmanager

@@ -50,11 +50,6 @@ class MoebiusStructure:
     def from_strings(cls, u, p11, p12, p22):
         return cls(parse(u), parse(p11), parse(p12), parse(p22))
 
-    def p_component(self, a, b):
-        if a == b:
-            return self.p11 if a == 0 else self.p22
-        return self.p12
-
     def rescaled(self, omega):
         """Structure for the metric ``e^{2 omega} g`` in the same class.
 
@@ -113,12 +108,6 @@ class TensorAtPoint:
     comp: object
     kinds: str = ""
     weight: int = 0
-
-    def component(self, *indices):
-        c = self.comp
-        for i in indices:
-            c = c[i]
-        return c
 
 
 def _frame_jets(structure, base, order, space):

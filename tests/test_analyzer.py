@@ -540,6 +540,15 @@ def test_summarize_mixed():
     assert summarize([v1]) == "FLAT"
 
 
+def test_summary_is_flat_only_where_every_verdict_is_flat(spiral_structure):
+    flat = classify_point(spiral_structure, (0.0, 0.0))
+    undecided = classify_point(spiral_structure, (1e30, 0.0))  # coefficients not finite
+    assert (flat.tag, undecided.tag) == (VerdictTag.FLAT, VerdictTag.INCONCLUSIVE)
+    assert summarize([flat, flat]) == "FLAT"
+    assert summarize([flat, undecided]) == summarize([undecided, flat, flat]) == "INCONCLUSIVE"
+    assert summarize([undecided]) == summarize([]) == "INCONCLUSIVE"
+
+
 def test_no_points_give_no_verdicts_and_no_columns(spiral_structure):
     assert analyzer.classify_points(spiral_structure, []) == []
     with pytest.raises(ValueError, match="at least one point"):

@@ -27,6 +27,7 @@ from sfmew.analyzer import (
 from sfmew.cli import (
     _CONFIG_KEYS,
     _dump_json,
+    _Records,
     _grid_csv,
     _node_records,
     _residual_records,
@@ -447,6 +448,31 @@ def test_analyze_point_with_non_finite_coefficients_is_inconclusive(runner, tmp_
     assert record["note"] == "constraint coefficients are not all finite"
 
 
+HUGE_POLYNOMIAL = """
+[structure]
+u = "0"
+P11 = "1e300*x*x + x*y"
+P12 = "(y*y - x*x)/2"
+P22 = "-(1e300*x*x + x*y)"
+"""
+
+
+@pytest.mark.parametrize("config, points", [
+    (HUGE_POLYNOMIAL + REGION, None),  # the flat origin and 48 nodes without finite invariants
+    (SPIRAL, "1e30,0; 0,0"),  # the flat origin and a node without finite coefficients
+], ids=["grid", "points"])
+def test_analyze_summary_is_flat_only_where_every_node_is_flat(runner, tmp_path, config, points):
+    # one flat node among undecided ones decides nothing
+    args = ["analyze", "--config", write(tmp_path, "s.cfg", config), "--out", str(tmp_path)]
+    result = runner.invoke(main, args + (["--points", points] if points else []))
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    records = report.get("grid") or report["points"]
+    assert Counter(r["verdict"] for r in records).keys() == {"Flat", "Inconclusive"}
+    assert report["summary"] == "INCONCLUSIVE"
+    assert result.output == "INCONCLUSIVE\n"
+
+
 def test_constraints_marks_a_point_with_non_finite_coefficients(runner, tmp_path):
     # as analyze calls such a point Inconclusive: no empty polynomials, no warnings
     cfg = write(tmp_path, "s.cfg", SPIRAL)
@@ -824,7 +850,7 @@ def _nested(value, depth):
     return value
 
 
-@given(columns=_verdict_columns(), depth=st.integers(0, 3))
+@given(columns=_verdict_columns(), depth=st.integers(0, 1))
 @settings(max_examples=150, deadline=None)
 def test_node_records_are_the_per_node_records_and_csv_rows(columns, depth):
     # the records and rows of generated verdict columns are those that the old
@@ -846,7 +872,7 @@ def test_node_records_are_the_per_node_records_and_csv_rows(columns, depth):
         assert _dump_json(records(part)) == json.dumps(_jsonable(old[part]), indent=2) + "\n"
 
 
-@given(data=st.data(), n=st.integers(0, 6), complex_f=st.booleans(), depth=st.integers(0, 3))
+@given(data=st.data(), n=st.integers(0, 6), complex_f=st.booleans(), depth=st.integers(0, 1))
 @settings(max_examples=100, deadline=None)
 def test_residual_records_are_the_per_node_records(data, n, complex_f, depth):
     # the records of generated residual columns are those that the old per-node
@@ -856,6 +882,22 @@ def test_residual_records_are_the_per_node_records(data, n, complex_f, depth):
     assert _dump_json(_nested(_residual_records(columns), depth)) == (
         json.dumps(_jsonable(_nested(old, depth)), indent=2) + "\n"
     )
+
+
+def test_records_are_laid_in_at_the_top_level_only():
+    # records are the report or a value of its top-level dict, whatever else
+    # the report holds under the same key
+    records = _Records(("a", "b"), [["1.0", "2.5"], ["null", "Infinity"]], [2, 1])
+    old = [{"a": 1.0, "b": None}, {"a": 2.5}]
+    assert _dump_json(records) == json.dumps(old, indent=2) + "\n"
+    report = {"x": {"k": None, "y": [None]}, "k": records, "z": "\n  \"k\": null"}
+    expected = {**report, "k": old}
+    assert _dump_json(report) == json.dumps(expected, indent=2) + "\n"
+    # json would write a deeper one as a list of its fields
+    for value in ({"k": {"k": records}}, {"k": [records]}, [records], (records,),
+                  {"k": {"j": {"i": records}}}):
+        with pytest.raises(TypeError, match="records are a report"):
+            _dump_json(value)
 
 
 def test_report_writer_rejects_what_json_rejects_and_keys_that_are_not_str():

@@ -26,10 +26,12 @@ sigma < 0, sigma > 0).  The generic structure (``GENERIC``), whose
 constraints share a real root at isolated points only, runs ``analyze`` on
 the grid plus those points and their neighbours 1e-3 away along each axis:
 a node with a common-root witness next to nodes whose verdicts read their
-Sylvester gaps.  Two calls carry values beyond the float range into their
+Sylvester gaps.  Five calls carry values beyond the float range into their
 records: ``analyze`` on the base spiral structure with P scaled by 1e150
 (``HUGE_SPIRAL``) at ``HUGE_POINTS``, whose invariants or constraint
-coefficients are not all finite, with null residuals and m_norm; and
+coefficients are not all finite, with null residuals and m_norm (and
+``invariants``, ``constraints`` and ``rescale`` at the same points, whose
+records carry Infinity, null, ``"finite": false`` and ``"flat": true``); and
 ``verify --mode complex`` on the base opposite structure with the candidate
 ``HUGE_CANDIDATE``, whose residuals are null where they are NaN (exit 1).
 Two structures take the products of polynomial subtrees that ``eval_jet``
@@ -194,6 +196,9 @@ def calls(fam, out):
     base.mkdir(parents=True)
     (base / "analyze.cfg").write_text(config_text(HUGE_SPIRAL, 0, HUGE_POINTS, "real"))
     yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
+    for command in ("invariants", "constraints"):
+        yield base / command, [command, "--config", str(base / "analyze.cfg")]
+    yield base / "rescale", ["rescale", "--config", str(base / "analyze.cfg"), f"--omega={OMEGA}"]
     (base / "verify.cfg").write_text(config_text(OPPOSITE, 0, HUGE_POINTS, "real"))
     yield base / "verify", ["verify", "--config", str(base / "verify.cfg"), "--mode=complex"] + [
         f"--alpha={a}" for a in HUGE_CANDIDATE]
