@@ -49,12 +49,13 @@ the batch, taken in order (``_RULES``): flat, not finite, M ~ 0, a
 degenerate constraint, a verified real root, a real root, a complex root,
 a certified gap, numerical zero; P0(F) ~ 0 is a mask over the real roots.
 A batch's verdicts are node columns (:class:`VerdictColumns`), from which
-the command line writes its reports; :func:`classify_points` builds a
+the command line writes its reports (its dumps read :func:`scan_invariants`
+and :func:`constraint_columns`); :func:`classify_points` builds a
 :class:`Verdict` per node from them.  Every node goes through the float
 operations it would go through alone, so its verdict does not depend on
-its batch.  A node whose invariants,
-degenerate-branch tensor or constraint coefficients are not all finite
-(beyond the float range) is ``Inconclusive``.
+its batch.  A node whose invariants, degenerate-branch tensor or
+constraint coefficients are not all finite (beyond the float range) is
+``Inconclusive``.
 Frames have the lowest jet order their path reads: 4 in a scan
 (:data:`~sfmew.invariants.SCAN_ORDER`), 5 for the nodes whose roots are
 lifted (:data:`~sfmew.invariants.LIFT_ORDER`), 3 for a closed-form
@@ -131,7 +132,6 @@ __all__ = [
     "verify_candidates",
     "verify_columns",
     "scan_region",
-    "region_report",
     "tally",
 ]
 
@@ -723,12 +723,10 @@ def _classify_chunk(structure, points, orientation):
     mzero = branch_finite & (mrep.norm < _TOL_M * mrep.scale)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # finite or Inconclusive
         f_forced, consistent = f_from_P0_branch(values)
-        coeffs = [_coefficient_columns(fn(values), n) for fn in _COEFFS]
-        p0 = _coefficient_columns(coeffs_P0(values), n)
+    # the mask reads P0 too: at a node with finite invariants it is finite where P1 is
+    (p0, *coeffs), coeff_finite, degrees = constraint_columns(values)
     rest = (finite & ~branch) | (branch_finite & ~mzero)  # decided by P1..P3
-    coeff_finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
-    degrees = [trimmed_degrees(c)[0] for c in coeffs]
-    proper = rest & coeff_finite & (degrees[0] >= 1) & (degrees[1] >= 1) & (degrees[2] >= 1)
+    proper = rest & coeff_finite & (degrees[1:] >= 1).all(axis=0)
     ok = np.flatnonzero(proper)
     normalized, scale, gap = (np.full((len(RESULTANT_PAIRS), n), np.nan) for _ in range(3))
     for k, (i, j) in enumerate(RESULTANT_PAIRS.values()):
@@ -817,6 +815,29 @@ def _append_roots(note, nodes, roots, prefix):
 def _coefficient_columns(coeffs, n):
     """Coefficient list of node arrays (or floats for all nodes) as an array (len, n)."""
     return np.array([np.broadcast_to(c, (n,)) for c in coeffs])
+
+
+def constraint_columns(values):
+    """The coefficients of P0..P3 at the nodes of ``values`` (invariants as node
+    arrays), (len, N) each, an inf or a NaN beyond the float range; the mask
+    of the nodes where all are finite; and their degrees (4, N) by
+    :func:`~sfmew.polyalg.trimmed_degrees`.  A scan decides on these columns."""
+    n = len(values.point)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeffs = [_coefficient_columns(fn(values), n) for fn in (coeffs_P0, *_COEFFS)]
+    finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
+    return coeffs, finite, np.array([trimmed_degrees(c)[0] for c in coeffs])
+
+
+def scan_invariants(structure, points, orientation=1):
+    """Per batch of a scan (:func:`_batches`), the invariants at its ``points`` as
+    node arrays (:meth:`~sfmew.invariants.InvariantField.invariant_values`) and
+    its flat mask; a domain error is the one a point-by-point pass meets first."""
+    fields = (InvariantField([Frame(structure, p, SCAN_ORDER, orientation) for p in points[part]])
+              for part in _batches(len(points)))
+    batches = [(field.invariant_values(), field.flat) for field in fields]
+    jets.release_tables()
+    return batches
 
 
 def _verify_witnesses(structure, values, cols, f0):
@@ -1026,13 +1047,10 @@ def tally(tags, admitted):
     return histogram, _summary(histogram, admitted), flags
 
 
-def _admitted(verdicts):
-    return [f for v in verdicts if v.tag is VerdictTag.ADMITS for f in v.f_candidates]
-
-
 def summarize(verdicts):
     """One-line structure-level conclusion from pointwise verdicts."""
-    return tally([v.tag for v in verdicts], _admitted(verdicts))[1]
+    admitted = [f for v in verdicts if v.tag is VerdictTag.ADMITS for f in v.f_candidates]
+    return tally([v.tag for v in verdicts], admitted)[1]
 
 
 def _summary(counts, admitted):
@@ -1052,15 +1070,11 @@ def _summary(counts, admitted):
 
 
 def scan_region(structure, region, orientation=1):
-    """Classify every grid node; nodes are independent (read-only state)."""
-    return region_report(region, classify_points(structure, list(region.nodes()), orientation))
-
-
-def region_report(region, verdicts):
-    """Histogram, summary and flags of the verdicts of a region's nodes, in node order."""
+    """Classify every grid node, in node order, with the histogram, summary and
+    flags of their verdicts; nodes are independent (read-only state)."""
     if region.nx < 2 or region.ny < 2:
         raise ValueError("region scan needs at least a 2x2 grid")
-    nodes = [NodeVerdict(x, y, v) for (x, y), v in zip(region.nodes(), verdicts)]
-    verdicts = [n.verdict for n in nodes]
-    histogram, summary, flags = tally([v.tag for v in verdicts], _admitted(verdicts))
-    return RegionReport(region, nodes, histogram, summary, flags)
+    nodes = list(region.nodes())
+    columns = classify_columns(structure, nodes, orientation)
+    verdicts = [NodeVerdict(x, y, v) for (x, y), v in zip(nodes, columns.verdicts())]
+    return RegionReport(region, verdicts, *columns.tally())

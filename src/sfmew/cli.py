@@ -32,6 +32,8 @@ Each section and key of a config must be one read here; any other (a typo,
 the problem, and the numerical thresholds are constants of the program.
 Reports are deterministic and byte-stable for a fixed config (no
 timestamps); numbers are emitted in round-trip-exact decimal form.
+Every command takes its points in the analyzer's batches; ``constraints``
+prints the coefficient columns that ``analyze`` decides on.
 """
 
 import configparser
@@ -41,7 +43,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib.metadata import PackageNotFoundError, version
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -59,14 +61,14 @@ from .analyzer import (
     SolutionCandidate,
     check_mode,
     classify_columns,
+    constraint_columns,
+    scan_invariants,
     verify_columns,
 )
-from .constraints import NOT_FINITE, coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3
+from .constraints import NOT_FINITE
 from .expr import ExprError, parse, to_source
 from .geometry import MoebiusStructure
-from .invariants import FlatPoint, compute_invariants
 from .jets import JetError
-from .polyalg import trimmed_degrees
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -332,12 +334,7 @@ def _load_or_exit(config_path, mode, orientation, points_opt):
         click.echo(f"config error: {err}", err=True)
         sys.exit(EXIT_CONFIG)
     with _expression_errors_exit():
-        structure = MoebiusStructure.from_strings(
-            cfg.structure_exprs["u"],
-            cfg.structure_exprs["P11"],
-            cfg.structure_exprs["P12"],
-            cfg.structure_exprs["P22"],
-        )
+        structure = MoebiusStructure.from_strings(*cfg.structure_exprs.values())  # u, P11..P22
     if mode:
         cfg.mode = mode
     if orientation:
@@ -493,14 +490,7 @@ def analyze(config_path, out_dir, mode, orientation, points_opt):
     if cfg.region is not None:
         part = slice(0, len(grid))
         histogram, summary, flags = columns.tally(part)
-        report["region"] = {
-            "xmin": cfg.region.xmin,
-            "xmax": cfg.region.xmax,
-            "ymin": cfg.region.ymin,
-            "ymax": cfg.region.ymax,
-            "nx": cfg.region.nx,
-            "ny": cfg.region.ny,
-        }
+        report["region"] = asdict(cfg.region)
         report["grid"] = records(part)
         report["histogram"] = histogram
         report["flags"] = flags
@@ -569,12 +559,27 @@ def verify(config_path, out_dir, mode, orientation, points_opt, alpha_exprs):
 @_common_options
 def invariants(config_path, out_dir, mode, orientation, points_opt):
     """Dump point invariants as JSON at the configured points."""
+    _dump(config_path, mode, orientation, points_opt, "invariants", _invariant_fields)
+
+
+def _dump(config_path, mode, orientation, points_opt, command, fields):
     cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
-    points = _points_or_exit(cfg, "invariants")
+    points = _points_or_exit(cfg, command)
     with _expression_errors_exit():
-        records = [_invariants_record(structure, pt, cfg.orientation) for pt in points]
+        records = _dump_records(structure, points, cfg.orientation, fields)
     click.echo(_dump_json({"metadata": _metadata(cfg), "points": records}), nl=False)
     sys.exit(EXIT_OK)
+
+
+def _dump_records(structure, points, orientation, fields):
+    """The record of each point, from the invariants ``values`` of its batch as
+    node arrays: ``{"x", "y", "flat": true}`` at a flat point, else with its
+    fields in the list ``fields(values)``."""
+    return [
+        {"x": x, "y": y, "flat": True} if at_flat else {"x": x, "y": y, "flat": False, **f}
+        for values, flat in scan_invariants(structure, points, orientation)
+        for (x, y), at_flat, f in zip(values.point, flat.tolist(), fields(values))
+    ]
 
 
 # the invariants of an ``invariants`` record, in order
@@ -585,54 +590,33 @@ _RECORD_INVARIANTS = (
 )
 
 
-def _invariants_record(structure, pt, orientation):
-    try:
-        inv = compute_invariants(structure, pt, orientation=orientation)
-    except FlatPoint:
-        return {"x": pt[0], "y": pt[1], "flat": True}
-    return {
-        "x": pt[0],
-        "y": pt[1],
-        "flat": False,
-        # (1,2,c) components of the full Cotton-York tensor: rescale-invariant
-        "Y_abc_12": [0.5 * inv.orientation * inv.e2u * y for y in inv.Y],
-        **{name: getattr(inv, name) for name in _RECORD_INVARIANTS},
-    }
+def _invariant_fields(values):
+    """The invariants of each node, with the Cotton-York tensor's components."""
+    return [
+        {
+            # (1,2,c) components of the full Cotton-York tensor: rescale-invariant
+            "Y_abc_12": [0.5 * inv.orientation * inv.e2u * y for y in inv.Y],
+            **{name: getattr(inv, name) for name in _RECORD_INVARIANTS},
+        }
+        for inv in map(values.node, range(len(values.point)))
+    ]
 
 
 @main.command()
 @_common_options
 def constraints(config_path, out_dir, mode, orientation, points_opt):
     """Dump the constraint polynomials P0..P3 as JSON at the configured points."""
-    cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
-    points = _points_or_exit(cfg, "constraints")
-    with _expression_errors_exit():
-        records = [_constraints_record(structure, pt, cfg.orientation) for pt in points]
-    click.echo(_dump_json({"metadata": _metadata(cfg), "points": records}), nl=False)
-    sys.exit(EXIT_OK)
+    _dump(config_path, mode, orientation, points_opt, "constraints", _constraint_fields)
 
 
-_CONSTRAINTS = (("P0", coeffs_P0), ("P1", coeffs_P1), ("P2", coeffs_P2), ("P3", coeffs_P3))
-
-
-def _constraints_record(structure, pt, orientation):
-    try:
-        inv = compute_invariants(structure, pt, orientation=orientation)
-    except FlatPoint:
-        return {"x": pt[0], "y": pt[1], "flat": True}
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below: finite or marked
-        coeffs = [(name, fn(inv)) for name, fn in _CONSTRAINTS]
-    record = {"x": pt[0], "y": pt[1], "flat": False}
-    if not all(np.isfinite(c).all() for _, c in coeffs):
-        return {**record, "finite": False, "note": NOT_FINITE}
-    return {**record, **{name: _trimmed(c) for name, c in coeffs}}
-
-
-def _trimmed(coeffs):
-    """The coefficients up to the polynomial's degree (none for the zero one)."""
-    column = np.asarray(coeffs, dtype=float)[:, None]
-    (degree,), _ = trimmed_degrees(column)
-    return column[: degree + 1, 0]
+def _constraint_fields(values):
+    """P0..P3 up to their degrees (none for a zero one), the columns a scan decides on."""
+    coeffs, finite, degrees = constraint_columns(values)
+    return [
+        {f"P{k}": c[: d + 1, i] for k, (c, d) in enumerate(zip(coeffs, degrees[:, i]))}
+        if finite[i] else {"finite": False, "note": NOT_FINITE}
+        for i in range(finite.size)
+    ]
 
 
 @main.command()
@@ -644,7 +628,7 @@ def rescale(config_path, out_dir, mode, orientation, points_opt, omega):
     with _expression_errors_exit():
         omega_expr = parse(omega)
         rescaled = structure.rescaled(omega_expr)
-        records = [_invariants_record(rescaled, pt, cfg.orientation) for pt in cfg.points or []]
+        records = _dump_records(rescaled, cfg.points, cfg.orientation, _invariant_fields)
     payload = {
         "metadata": _metadata(cfg),
         "omega": to_source(omega_expr),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from sfmew import analyzer
 from sfmew.analyzer import (
     _GAP_ORDER,
     _TOL_RES_HIGH,
@@ -34,6 +35,7 @@ from sfmew.cli import (
     main,
 )
 from sfmew.geometry import MoebiusStructure
+from sfmew.invariants import InvariantField
 from sfmew.polyalg import CommonRoots, ResultantReport, RootSet
 
 SPIRAL = """
@@ -245,6 +247,71 @@ def test_constraints_dump(runner, tmp_path):
     assert payload["points"][0]["P0"] == pytest.approx([-128.0, 0.0, -48.0])
 
 
+@pytest.mark.parametrize("command", ["invariants", "constraints"])
+def test_dump_builds_one_invariant_field_per_batch(runner, tmp_path, monkeypatch, command):
+    # the 441 grid nodes are one batch, as analyze takes them
+    built = Counter()
+    init = InvariantField.__init__
+
+    def counted(field, frame):
+        built["InvariantField"] += 1
+        init(field, frame)
+
+    monkeypatch.setattr(InvariantField, "__init__", counted)
+    cfg = write(tmp_path, "s.cfg", SPIRAL + REGION.replace("= 7", "= 21"))
+    result = runner.invoke(main, [command, "--config", cfg])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)["points"]) == 441
+    assert built == {"InvariantField": 1}, built
+
+
+MIXED = """
+[structure]
+u = "0"
+P11 = "x*y + 0.3*x*x*x"
+P12 = "(y*y - x*x)/2"
+P22 = "-(x*y + 0.3*x*x*x)"
+"""
+# flat, sigma = 0 exactly, sigma < 0 and twice sigma > 0
+MIXED_NODES = "0,0; 0,1; 1,0.5; -1,0.5; -1.2,-0.3"
+# the base spiral structure with P scaled by 1e150: its invariants at (1, 0) and
+# (0.5, 0.5), and its constraint coefficients at (1e-160, 0), are not all finite
+HUGE_SPIRAL = """
+[structure]
+u = "0"
+P11 = "1e150*x*y"
+P12 = "1e150*(y*y - x*x)/2"
+P22 = "-1e150*x*y"
+"""
+HUGE_POINTS = "1,0; 0.5,0.5; 1e-160,0; 0,0; -0.5,1.2"
+
+
+@pytest.mark.parametrize("config, points", [(MIXED, MIXED_NODES), (HUGE_SPIRAL, HUGE_POINTS)],
+                         ids=["mixed", "huge"])
+@pytest.mark.parametrize("args", [["invariants"], ["constraints"], ["rescale", "--omega", "0.1*x"]])
+@pytest.mark.parametrize("chunk", [512, 2])
+def test_dump_records_are_the_records_of_each_point_alone(
+    runner, tmp_path, monkeypatch, config, points, args, chunk
+):
+    cfg = write(tmp_path, "c.cfg", config)
+    tail = "\n  ]\n}\n"
+
+    def records_text(points):
+        result = runner.invoke(main, [args[0], "--config", cfg, "--points", points, *args[1:]])
+        assert result.exit_code == 0, result.output
+        _, _, records = result.output.partition('\n  "points": [\n')
+        assert records.endswith(tail), result.output
+        return records[: -len(tail)]
+
+    alone = [records_text(point) for point in points.split(";")]
+    monkeypatch.setattr(analyzer, "_CHUNK", chunk)
+    assert records_text(points) == ",\n".join(alone)
+    shown = ",".join(alone)
+    assert '"flat": true' in shown and '"flat": false' in shown
+    if config is HUGE_SPIRAL:
+        assert ('"finite": false' if args[0] == "constraints" else "Infinity") in shown
+
+
 def test_rescale_identity(runner, tmp_path):
     cfg = write(tmp_path, "o.cfg", OPPOSITE + POINTS)
     base = runner.invoke(main, ["invariants", "--config", cfg, "--points", "1,0"])
@@ -322,7 +389,10 @@ P22 = "sqrt(y)"
 """
 
 
-@pytest.mark.parametrize("args", [["analyze"], ["verify", "--alpha", "0", "--alpha", "0"]])
+@pytest.mark.parametrize("args", [
+    ["analyze"], ["verify", "--alpha", "0", "--alpha", "0"], ["invariants"], ["constraints"],
+    ["rescale", "--omega", "0"],
+])
 def test_domain_error_is_the_first_failing_points(runner, tmp_path, args):
     # evaluating u over both points first would meet the second point's ln error
     cfg = write(tmp_path, "c.cfg", LN_SQRT)

@@ -18,11 +18,13 @@ from corner to corner.  On the first rescaled member of each family at
 seed 7, ``analyze`` runs once more with a config that sets
 ``orientation = -1``, and ``analyze`` and ``verify`` run with ``--mode``
 and ``--orientation -1`` overriding the config (``verify``'s config names
-the other mode).  No family batch mixes the signs of sigma, so the mixed
-structure (``MIXED``) runs too: ``analyze`` on the grid plus the near-flat
-points, and ``invariants`` and ``constraints`` on the near-flat points, the
-every-55th grid nodes and one node of each kind (sigma = 0 exactly,
-sigma < 0, sigma > 0).  The generic structure (``GENERIC``), whose
+the other mode), and ``invariants`` and ``constraints`` run on the grid,
+the near-flat points and the far field, 495 points in one batch.  No
+family batch mixes the signs of sigma, so the mixed structure (``MIXED``)
+runs too: ``analyze`` on the grid plus the near-flat points, and
+``invariants`` and ``constraints`` on the near-flat points, the every-55th
+grid nodes and one node of each kind (sigma = 0 exactly, sigma < 0,
+sigma > 0).  The generic structure (``GENERIC``), whose
 constraints share a real root at isolated points only, runs ``analyze`` on
 the grid plus those points and their neighbours 1e-3 away along each axis:
 a node with a common-root witness next to nodes whose verdicts read their
@@ -174,6 +176,12 @@ def calls(fam, out):
                     yield base / "analyze-overrides", [
                         "analyze", "--config", str(base / "analyze.cfg"), "--mode=complex",
                         "--orientation=-1"]
+                    # one full-width batch of dumps
+                    wide = fam.grid_nodes(GRID) + list(fam.NEAR_FLAT) + FAR_FIELD
+                    (base / "dump-wide.cfg").write_text(config_text(sources, 0, wide, "real"))
+                    for command in ("invariants", "constraints"):
+                        yield base / f"{command}-wide", [
+                            command, "--config", str(base / "dump-wide.cfg")]
                 points = list(fam.NEAR_FLAT) + fam.grid_nodes(GRID)[::DUMP_STRIDE]
                 (base / "dump.cfg").write_text(config_text(sources, 0, points, "real"))
                 for command in ("invariants", "constraints"):
