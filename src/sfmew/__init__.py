@@ -85,15 +85,15 @@ from .jets import (
     jet_space,
 )
 from .polyalg import (
-    CommonRoots,
+    NormalizedColumns,
     ResultantColumns,
     ResultantReport,
     RootColumns,
-    RootSet,
     ZeroPolynomial,
     column_common_roots,
     column_gaps,
     column_resultant_reports,
+    normalized_columns,
     trimmed_degrees,
 )
 

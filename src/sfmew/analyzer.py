@@ -34,7 +34,8 @@ batch's fixed work as few times as it can, and the widest batch, which sets
 the peak memory, is as narrow as it can be.  Each point gets its own
 :class:`~sfmew.geometry.Frame`; their stack evaluates the structure once on
 the batch, and the invariant chain, the branch tensor, the constraint
-coefficients and the resultant reports run once on it, at one width, indexed
+coefficients (each trimmed and normalized once, :func:`constraint_columns`)
+and the resultant reports run once on it, at one width, indexed
 by the batch's own node numbers: a flat node is a column of NaN, and the
 branch is NaN where sigma is numerically zero.  Every step reads the
 batch's invariants from the chain that computed them; once the node
@@ -106,7 +107,7 @@ from .polyalg import (
     column_common_roots,
     column_gaps,
     column_resultant_reports,
-    trimmed_degrees,
+    normalized_columns,
 )
 
 __all__ = [
@@ -724,16 +725,17 @@ def _classify_chunk(structure, points, orientation):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # finite or Inconclusive
         f_forced, consistent = f_from_P0_branch(values)
     # the mask reads P0 too: at a node with finite invariants it is finite where P1 is
-    (p0, *coeffs), coeff_finite, degrees = constraint_columns(values)
+    _, coeff_finite, (p0, *polys) = constraint_columns(values)
     rest = (finite & ~branch) | (branch_finite & ~mzero)  # decided by P1..P3
-    proper = rest & coeff_finite & (degrees[1:] >= 1).all(axis=0)
+    proper = rest & coeff_finite & np.all([p.degrees >= 1 for p in polys], axis=0)
     ok = np.flatnonzero(proper)
+    ok_polys = [p.take(ok) for p in polys]
     normalized, scale, gap = (np.full((len(RESULTANT_PAIRS), n), np.nan) for _ in range(3))
     for k, (i, j) in enumerate(RESULTANT_PAIRS.values()):
-        reports = column_resultant_reports(coeffs[i][:, ok], coeffs[j][:, ok])
+        reports = column_resultant_reports(ok_polys[i], ok_polys[j])
         normalized[k, ok], scale[k, ok] = reports.normalized, reports.scale
     # one common-root witness search for all of them
-    roots = column_common_roots([c[:, ok] for c in coeffs], p0[:, ok])
+    roots = column_common_roots(ok_polys, p0.take(ok))
     root_node, complex_node = ok[roots.real_col], ok[roots.complex_col]
     has_real, has_complex = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     has_real[root_node], has_complex[complex_node] = True, True
@@ -744,7 +746,7 @@ def _classify_chunk(structure, points, orientation):
         if not todo.size:
             break
         i, j = RESULTANT_PAIRS[name]
-        gaps = column_gaps(coeffs[i][:, todo], coeffs[j][:, todo])
+        gaps = column_gaps(polys[i].take(todo), polys[j].take(todo))
         gap[list(RESULTANT_PAIRS).index(name), todo] = gaps
         todo = todo[~(gaps > _TOL_RES_HIGH)]
     widest = np.fmax.reduce(gap, axis=0)  # the largest gap read, NaN where none is
@@ -820,13 +822,14 @@ def _coefficient_columns(coeffs, n):
 def constraint_columns(values):
     """The coefficients of P0..P3 at the nodes of ``values`` (invariants as node
     arrays), (len, N) each, an inf or a NaN beyond the float range; the mask
-    of the nodes where all are finite; and their degrees (4, N) by
-    :func:`~sfmew.polyalg.trimmed_degrees`.  A scan decides on these columns."""
+    of the nodes where all are finite; and each trimmed and normalized once,
+    as :class:`~sfmew.polyalg.NormalizedColumns`.  A scan decides on these
+    columns."""
     n = len(values.point)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeffs = [_coefficient_columns(fn(values), n) for fn in (coeffs_P0, *_COEFFS)]
     finite = np.all([np.isfinite(c).all(axis=0) for c in coeffs], axis=0)
-    return coeffs, finite, np.array([trimmed_degrees(c)[0] for c in coeffs])
+    return coeffs, finite, [normalized_columns(c) for c in coeffs]
 
 
 def scan_invariants(structure, points, orientation=1):

@@ -211,8 +211,9 @@ def load_config(path):
 # text column per key, straight from the analyzer's verdict and residual
 # columns, each float formatted once and its text shared by report.json and
 # grid.csv (``docs/decisions.md`` section 11).  A :class:`_Records` holds the
-# text columns, and is laid in as the whole report or as a value of its
-# top-level dict, the only places the commands put one.
+# text columns, and is laid in as a value of the report's top-level dict, the
+# only place the commands put one: its records are at level 2 of the report's
+# indentation, and their values at level 3.
 
 _NAN_AS_NULL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity", None: "null"}
 _NAN_AS_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -234,20 +235,18 @@ def _bracketed(texts, level):
 
 class _Records(NamedTuple):
     """Records of one key sequence as text columns, one per key: a column is
-    the JSON text of each record's value, or a function that gives those
-    texts laid out at the level of the values.  Record i has the first
-    ``cuts[i]`` keys."""
+    the JSON text of each record's value, laid out at the level of the
+    values.  Record i has the first ``cuts[i]`` keys."""
 
     keys: tuple
     columns: list
     cuts: list
 
 
-def _records_text(records, level):
-    templates = {n: _dict_template(records.keys[:n], level + 1) for n in set(records.cuts)}
-    columns = [c(level + 2) if callable(c) else c for c in records.columns]
+def _records_text(records):
+    templates = {n: _dict_template(records.keys[:n], 2) for n in set(records.cuts)}
     return _bracketed(
-        [templates[n] % row[:n] for n, row in zip(records.cuts, zip(*columns))], level
+        [templates[n] % row[:n] for n, row in zip(records.cuts, zip(*records.columns))], 1
     )
 
 
@@ -266,13 +265,13 @@ def _reprs(values, present=None):
 
 def _json_lists(items):
     """A column of lists, given by the JSON texts of their items."""
-    return lambda level: [_bracketed(texts, level) for texts in items]
+    return [_bracketed(texts, 3) for texts in items]
 
 
 def _json_complexes(values):
     """A column of complex numbers, an array, each a {"re", "im"} object."""
     re, im = (_json_texts(_reprs(part), _NAN_AS_JSON) for part in (values.real, values.imag))
-    return lambda level: list(map(_dict_template(("re", "im"), level).__mod__, zip(re, im)))
+    return list(map(_dict_template(("re", "im"), 3).__mod__, zip(re, im)))
 
 
 def _plain(value):
@@ -289,7 +288,7 @@ def _plain(value):
     if isinstance(value, np.ndarray):
         return _plain(value.tolist())
     if isinstance(value, _Records):  # json would write it as a list
-        raise TypeError("records are a report, or a value of its top-level dict")
+        raise TypeError("records are a value of the report's top-level dict")
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -301,8 +300,6 @@ def _plain(value):
 
 
 def _dump_json(data):
-    if isinstance(data, _Records):
-        return _records_text(data, 0) + "\n"
     records = {}
     if isinstance(data, dict):
         records = {k: v for k, v in data.items() if isinstance(v, _Records)}
@@ -311,7 +308,7 @@ def _dump_json(data):
     # json.dumps writes each top-level key, and no other string, two spaces in
     for key, value in records.items():
         field = "\n  " + _json_str(key) + ": "
-        text = text.replace(field + "null", field + _records_text(value, 1), 1)
+        text = text.replace(field + "null", field + _records_text(value), 1)
     return text + "\n"
 
 
@@ -388,7 +385,7 @@ def _node_records(columns):
         _json_texts(ys),
         list(map(_json_str, tags)),
         list(map(_json_str, columns.note)),
-        [_json_texts(t) for t in f_candidates],
+        _json_lists([_json_texts(t) for t in f_candidates]),
         _json_texts(residual),
         _json_texts(_reprs(columns.m_norm, columns.branch)),
         *(_json_texts(texts) for pair in pairs for texts in pair),
@@ -397,9 +394,7 @@ def _node_records(columns):
     csv_columns = [xs, ys, tags, *normalized, list(map(";".join, f_candidates)), residual]
 
     def records(nodes):
-        part = [column[nodes] for column in json]
-        part[4] = _json_lists(part[4])  # f_candidates: lists laid out at their level
-        return _Records(_NODE_KEYS, part, cuts[nodes])
+        return _Records(_NODE_KEYS, [column[nodes] for column in json], cuts[nodes])
 
     return records, lambda nodes: zip(*(column[nodes] for column in csv_columns))
 
@@ -611,9 +606,9 @@ def constraints(config_path, out_dir, mode, orientation, points_opt):
 
 def _constraint_fields(values):
     """P0..P3 up to their degrees (none for a zero one), the columns a scan decides on."""
-    coeffs, finite, degrees = constraint_columns(values)
+    coeffs, finite, polys = constraint_columns(values)
     return [
-        {f"P{k}": c[: d + 1, i] for k, (c, d) in enumerate(zip(coeffs, degrees[:, i]))}
+        {f"P{k}": c[: p.degrees[i] + 1, i] for k, (c, p) in enumerate(zip(coeffs, polys))}
         if finite[i] else {"finite": False, "note": NOT_FINITE}
         for i in range(finite.size)
     ]
@@ -625,10 +620,11 @@ def _constraint_fields(values):
 def rescale(config_path, out_dir, mode, orientation, points_opt, omega):
     """Dump the conformally rescaled structure and its invariants."""
     cfg, structure = _load_or_exit(config_path, mode, orientation, points_opt)
+    points = _points_or_exit(cfg, "rescale")
     with _expression_errors_exit():
         omega_expr = parse(omega)
         rescaled = structure.rescaled(omega_expr)
-        records = _dump_records(rescaled, cfg.points, cfg.orientation, _invariant_fields)
+        records = _dump_records(rescaled, points, cfg.orientation, _invariant_fields)
     payload = {
         "metadata": _metadata(cfg),
         "omega": to_source(omega_expr),

@@ -5,28 +5,31 @@ shape (n + 1, K) holds K polynomials, one per node of a scan, and a single
 polynomial is a column of one.  One rule trims a column
 (:func:`trimmed_degrees`): it keeps the coefficients up to the last one
 whose magnitude exceeds 1e-12 times its largest.  One division normalizes
-it, by that largest magnitude (:func:`_normalized_rows`).
+it, by that largest magnitude.  Both happen once per polynomial, in
+:func:`normalized_columns`, whose :class:`NormalizedColumns` (degrees, norms
+and normalized rows, or their :meth:`~NormalizedColumns.take` of some
+columns) every function below takes; none of them trims again.  Each
+returns columns:
 
 * Resultant reports of pairs of columns (:func:`column_resultant_reports`)
   come from the Sylvester matrices of the normalized pairs: one stacked
   determinant for all pairs of the same degrees, and the scale that undoes
-  the normalization.  They are columns (:class:`ResultantColumns`), as are
-  the common roots (:class:`RootColumns`); the per-column
-  :class:`ResultantReport` and :class:`CommonRoots` are built only where a
-  caller indexes them.
+  the normalization, as :class:`ResultantColumns`.
 * The gaps of pairs of columns (:func:`column_gaps`), the smallest singular
   value of the normalized Sylvester matrix over the largest, come from one
   stacked SVD for all pairs of the same degrees.  It is the only SVD here.
 * The common roots of triples of columns (:func:`column_common_roots`) come
   from one stacked eigenvalue solve for all triples whose lowest degree is
-  the same, which gives the real and the complex witnesses.  A root is kept
-  where every normalized polynomial evaluates to at most :data:`TOL_ROOT`
-  there.  Every pair of a triple then has a gap of at most
-  sqrt(m + n) * TOL_ROOT, m and n the pair's degrees (``docs/decisions.md``
-  §8).
+  the same, which gives the real and the complex witnesses as
+  :class:`RootColumns`.  A root is kept where every normalized polynomial
+  evaluates to at most :data:`TOL_ROOT` there.  Every pair of a triple then
+  has a gap of at most sqrt(m + n) * TOL_ROOT, m and n the pair's degrees
+  (``docs/decisions.md`` §8).
 
-This module decides nothing: the analyzer reads the witnesses, and compares
-the gaps of the columns without one with its own thresholds
+A one-column call's columns are that column's answer: ``value[0]`` of its
+resultant, or the ``real``, ``multiplicities`` and ``complex`` roots of its
+triple.  This module decides nothing: the analyzer reads the witnesses, and
+compares the gaps of the columns without one with its own thresholds
 (:mod:`sfmew.analyzer`).
 """
 
@@ -38,14 +41,14 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "RootSet",
     "ResultantReport",
     "ResultantColumns",
     "ZeroPolynomial",
     "column_resultant_reports",
     "column_gaps",
     "trimmed_degrees",
-    "CommonRoots",
+    "NormalizedColumns",
+    "normalized_columns",
     "RootColumns",
     "column_common_roots",
     "TOL_ROOT",
@@ -55,6 +58,8 @@ __all__ = [
 #: lift takes it as the relative size of a numerically zero slope and of a moved root.
 TOL_ROOT = 1e-7
 _TRIM_REL = 1e-12
+# the width of normalized rows: the most coefficients any constraint P_k has (P2's)
+_WIDTH = 11
 
 
 class ZeroPolynomial(Exception):
@@ -76,31 +81,31 @@ def trimmed_degrees(coeffs):
     return degrees, norms
 
 
-def _normalized_rows(coeffs, width):
-    """Degrees (K,), norms (K,) and normalized coefficients (K, width) of the
-    columns of ``coeffs``, trimmed by :func:`trimmed_degrees`, with zeros past
-    each degree."""
+class NormalizedColumns(NamedTuple):
+    """K polynomials trimmed and normalized: their degrees (K,) by
+    :func:`trimmed_degrees`, their norms (K,), the largest magnitudes, and
+    their coefficients divided by their norms as rows (K, width), lowest
+    degree first, with zeros past each degree."""
+
+    degrees: np.ndarray
+    norms: np.ndarray
+    rows: np.ndarray
+
+    def take(self, cols):
+        """The polynomials of the columns ``cols``."""
+        return NormalizedColumns(self.degrees[cols], self.norms[cols], self.rows[cols])
+
+
+def normalized_columns(coeffs):
+    """The polynomials in the columns of ``coeffs``, (n + 1, K) lowest degree
+    first, as :class:`NormalizedColumns`: rows 11 wide, or n + 1 where that is
+    more.  A column's rows read only its own coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
     degrees, norms = trimmed_degrees(coeffs)
-    rows = np.zeros((coeffs.shape[1], width))
+    rows = np.zeros((coeffs.shape[1], max(len(coeffs), _WIDTH)))
     kept = np.arange(len(coeffs))[:, None] <= degrees
     np.divide(coeffs, norms, out=rows.T[: len(coeffs)], where=kept)
-    return degrees, norms, rows
-
-
-@dataclass
-class RootSet:
-    """Real roots sorted ascending, with multiplicities and residuals."""
-
-    roots: np.ndarray
-    multiplicities: np.ndarray
-    residuals: np.ndarray
-
-    def __len__(self):
-        return self.roots.size
-
-    def __iter__(self):
-        return iter(self.roots)
+    return NormalizedColumns(degrees, norms, rows)
 
 
 def _scaled(normalized, scale):
@@ -123,22 +128,20 @@ def _sylvester_stack(pc, qc):
     return mat
 
 
-def _sylvester_groups(cp, cq):
-    """The Sylvester matrices of the normalized pairs in the columns of ``cp``,
-    ``cq``, one stack per pair of degrees; every trimmed pair needs degrees >= 1.
+def _sylvester_groups(p, q):
+    """The Sylvester matrices of the pairs of :class:`NormalizedColumns` ``p``,
+    ``q``, one stack per pair of degrees; every pair needs degrees >= 1.
 
-    Returns the norms of both sides, each of shape (K,), and a list of
-    ``(m, n, cols, matrices)``: the degrees, the columns that have them and
-    the stack of their matrices.
+    Returns a list of ``(m, n, cols, matrices)``: the degrees, the columns
+    that have them and the stack of their matrices.
     """
-    (dp, np_, rp), (dq, nq, rq) = _normalized_rows(cp, len(cp)), _normalized_rows(cq, len(cq))
-    if np.any(dp < 1) or np.any(dq < 1):
+    if np.any(p.degrees < 1) or np.any(q.degrees < 1):
         raise ZeroPolynomial("resultant needs degree >= 1 on both sides")
     groups = []
-    for m, n in sorted(set(zip(dp.tolist(), dq.tolist()))):
-        cols = np.flatnonzero((dp == m) & (dq == n))
-        groups.append((m, n, cols, _sylvester_stack(rp[cols, : m + 1], rq[cols, : n + 1])))
-    return np_, nq, groups
+    for m, n in sorted(set(zip(p.degrees.tolist(), q.degrees.tolist()))):
+        cols = np.flatnonzero((p.degrees == m) & (q.degrees == n))
+        groups.append((m, n, cols, _sylvester_stack(p.rows[cols, : m + 1], q.rows[cols, : n + 1])))
+    return groups
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -187,8 +190,7 @@ class ResultantReport(NamedTuple):
 class ResultantColumns:
     """The resultant reports of K pairs as columns: ``normalized`` and
     ``scale``, each of shape (K,), as in :class:`ResultantReport`, and
-    ``value`` their product by its rule.  Indexing gives one column's
-    report, without a gap."""
+    ``value`` their product by its rule."""
 
     normalized: np.ndarray
     scale: np.ndarray
@@ -197,75 +199,52 @@ class ResultantColumns:
     def value(self):
         return _scaled(self.normalized, self.scale)
 
-    def __len__(self):
-        return self.normalized.size
 
-    def __getitem__(self, c):
-        return ResultantReport(float(self.normalized[c]), float(self.scale[c]))
+def column_resultant_reports(p, q):
+    """Resultant reports of the pairs of polynomials ``p``, ``q``, each
+    :class:`NormalizedColumns` of degrees >= 1.
 
-
-def column_resultant_reports(cp, cq):
-    """Resultant reports of the pairs of polynomials in the columns of ``cp``, ``cq``.
-
-    Columns hold coefficients lowest degree first, trimmed and normalized by
-    :func:`_normalized_rows`; every trimmed pair needs degrees >= 1.  The
-    pairs of the same degrees share one stacked ``det`` of their Sylvester
-    matrices.  Returns the reports as :class:`ResultantColumns`.
+    The pairs of the same degrees share one stacked ``det`` of their
+    Sylvester matrices.  Returns the reports as :class:`ResultantColumns`.
     """
-    p_norms, q_norms, groups = _sylvester_groups(cp, cq)
-    normalized, scale = np.zeros(len(p_norms)), np.zeros(len(p_norms))
-    for m, n, cols, mats in groups:
+    normalized, scale = np.zeros(len(p.norms)), np.zeros(len(p.norms))
+    for m, n, cols, mats in _sylvester_groups(p, q):
         normalized[cols] = np.linalg.det(mats)
         scale[cols] = [
             _resultant_scale(a, m, b, n)
-            for a, b in zip(p_norms[cols].tolist(), q_norms[cols].tolist())
+            for a, b in zip(p.norms[cols].tolist(), q.norms[cols].tolist())
         ]
     return ResultantColumns(normalized, scale)
 
 
-def column_gaps(cp, cq):
-    """Sylvester gaps of the pairs of polynomials in the columns of ``cp``, ``cq``.
+def column_gaps(p, q):
+    """Sylvester gaps of the pairs of polynomials ``p``, ``q``, as for
+    :func:`column_resultant_reports`.
 
     The gap of a pair is the smallest singular value of the Sylvester matrix
-    of the normalized pair over the largest, 0 where the largest is 0.
-    Columns are trimmed and normalized as for
-    :func:`column_resultant_reports`; the pairs of the same degrees share
-    one stacked SVD, which gives each matrix the bits it gets alone.
-    Returns the gaps, of shape (K,); a gap is finite, as the normalized
-    coefficients are.
+    of the normalized pair over the largest, 0 where the largest is 0.  The
+    pairs of the same degrees share one stacked SVD, which gives each matrix
+    the bits it gets alone.  Returns the gaps, of shape (K,); a gap is
+    finite, as the normalized coefficients are.
     """
-    p_norms, _, groups = _sylvester_groups(cp, cq)
-    gaps = np.zeros(len(p_norms))
-    for _, _, cols, mats in groups:
+    gaps = np.zeros(len(p.norms))
+    for _, _, cols, mats in _sylvester_groups(p, q):
         sv = np.linalg.svd(mats, compute_uv=False)
         gaps[cols] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
     return gaps
-
-
-class CommonRoots(NamedTuple):
-    """The roots the polynomials of one column share, minus the excluded ones.
-
-    ``real`` holds the real ones, with multiplicities and the largest
-    normalized value of the polynomials there as residuals; ``complex`` the
-    strictly complex ones, one per conjugate pair (positive imaginary part).
-    """
-
-    real: RootSet
-    complex: list
 
 
 @dataclass(frozen=True)
 class RootColumns:
     """The common roots of K columns, in flat arrays sorted by column.
 
-    The real roots of column ``real_col[i]`` are ``real[i]``, with
-    ``multiplicities[i]`` and ``residuals[i]`` as in :class:`RootSet`,
-    ascending in each column; its complex ones are ``complex[j]`` where
-    ``complex_col[j]`` is that column.  Indexing gives one column's
-    :class:`CommonRoots`.
+    The real roots of column ``real_col[i]`` are ``real[i]``, ascending in
+    each column, with ``multiplicities[i]`` and as ``residuals[i]`` the
+    largest normalized value of the polynomials there; its strictly complex
+    ones are ``complex[j]`` where ``complex_col[j]`` is that column, one per
+    conjugate pair (positive imaginary part).
     """
 
-    size: int
     real_col: np.ndarray
     real: np.ndarray
     multiplicities: np.ndarray
@@ -273,25 +252,13 @@ class RootColumns:
     complex_col: np.ndarray
     complex: np.ndarray
 
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, c):
-        if not 0 <= c < self.size:
-            raise IndexError(c)
-        a, b = np.searchsorted(self.real_col, [c, c + 1])
-        real = RootSet(self.real[a:b], self.multiplicities[a:b], self.residuals[a:b])
-        a, b = np.searchsorted(self.complex_col, [c, c + 1])
-        return CommonRoots(real, self.complex[a:b].tolist())
-
 
 def column_common_roots(polys, exclude=None):
-    """Real and complex roots shared by the polynomials in the columns of ``polys``.
+    """Real and complex roots shared by the polynomials ``polys``.
 
-    ``polys`` holds one array (n_k + 1, K) per polynomial, lowest degree
-    first, column j of each for node j; ``exclude`` (same layout, or None)
-    holds a polynomial whose roots are dropped where its column is not zero.
-    Columns are trimmed and normalized by :func:`_normalized_rows`.  The
+    ``polys`` holds :class:`NormalizedColumns` of K columns per polynomial,
+    column j of each for node j; ``exclude`` (the same, or None) holds a
+    polynomial whose roots are dropped where its column is not zero.  The
     candidates of a column are the roots of its first lowest-degree
     polynomial, companion-matrix eigenvalues from one stacked ``eigvals`` per
     degree.  The same eigenvalues give:
@@ -313,20 +280,17 @@ def column_common_roots(polys, exclude=None):
     its roots do not depend on the other columns.  Returns the roots of
     every column as :class:`RootColumns`.
     """
-    width = max(len(c) for c in polys)
-    degrees, _, rows = zip(*(_normalized_rows(c, width) for c in polys))
-    degrees, rows = np.array(degrees), np.array(rows)  # (k, K) and (k, K, width)
+    degrees = np.array([p.degrees for p in polys])  # (k, K)
     if np.any(degrees < 0):
         raise ZeroPolynomial("common roots of the zero polynomial")
+    rows = np.zeros(degrees.shape + (max(p.rows.shape[1] for p in polys),))  # (k, K, width)
+    for r, p in zip(rows, polys):
+        r[:, : p.rows.shape[1]] = p.rows
     cols = np.arange(degrees.shape[1])
     base = np.argmin(degrees, axis=0)  # the first polynomial of lowest degree
     roots, valid = _companion_roots(rows[base, cols], degrees[base, cols])
-    excl = None
-    if exclude is not None:
-        excl_degrees, _, excl_rows = _normalized_rows(exclude, len(exclude))
-        excl = (excl_degrees >= 0, excl_rows)
+    excl = None if exclude is None else (exclude.degrees >= 0, exclude.rows)
     return RootColumns(
-        len(cols),
         *_real_witnesses(rows, base, roots, valid, excl),
         *_complex_witnesses(rows, roots, valid, excl),
     )

@@ -30,7 +30,7 @@ from sfmew.geometry import Frame, MoebiusStructure as MS, validate
 from sfmew.invariants import CONFORMAL_WEIGHTS, InvariantField, compute_invariants
 from sfmew.polyalg import column_common_roots, column_resultant_reports
 
-from columns import column, trimmed
+from columns import normalized, trimmed
 from oracles import fd_partial, random_expression
 
 
@@ -82,14 +82,14 @@ def test_criterion_1_spiral_reproduction(spiral_structure):
         assert np.allclose(got_p2, c * expected_p2[: got_p2.size], rtol=1e-6,
                            atol=1e-6 * np.max(np.abs(got_p2)))
 
-        (res13,) = column_resultant_reports(column(p1), column(p3))
+        res13 = column_resultant_reports(normalized(p1), normalized(p3))
         closed = (
             2.0**142
             * 3**10
             * r**44
             * (2**4 * 3**2 * 7**2 * r**8 + 2**2 * 7**2 * 59 * 251 * r**4 - 3**2 * 131)
         )
-        assert abs(res13.value) == pytest.approx(closed, rel=1e-4)
+        assert abs(res13.value[0]) == pytest.approx(closed, rel=1e-4)
 
     grid = scan_region(spiral_structure, RegionSpec(-2, 2, -2, 2, 21, 21))
     assert grid.summary == "OBSTRUCTED"
@@ -125,11 +125,11 @@ def test_criterion_1_spiral_p2_display_verbatim(spiral_structure):
 def test_criterion_2_quadratic_reproduction(quadratic_structure):
     start = time.perf_counter()
     inv = compute_invariants(quadratic_structure, (1.0, 0.0))
-    (found,) = column_common_roots(
-        [column(coeffs_P1(inv)), column(coeffs_P2(inv)), column(coeffs_P3(inv))],
-        exclude=column(coeffs_P0(inv)),
+    found = column_common_roots(
+        [normalized(coeffs_P1(inv)), normalized(coeffs_P2(inv)), normalized(coeffs_P3(inv))],
+        exclude=normalized(coeffs_P0(inv)),
     )
-    assert sorted(found.real.roots) == pytest.approx([-2.0, 2.0], abs=1e-9)
+    assert sorted(found.real) == pytest.approx([-2.0, 2.0], abs=1e-9)
 
     rng = np.random.default_rng(2024)
     for _ in range(6):
@@ -188,7 +188,7 @@ def test_criterion_3_opposite_reproduction(opposite_structure):
     }
     pairs = {("s1", "s2"): (s1, s2), ("s1", "s3"): (s1, s3), ("s2", "s3"): (s2, s3)}
     for key, (a, b) in pairs.items():
-        got = abs(column_resultant_reports(column(a), column(b))[0].value)
+        got = abs(column_resultant_reports(normalized(a), normalized(b)).value[0])
         assert got == pytest.approx(abs(closed[key]), rel=1e-4), key
 
     rng = np.random.default_rng(7)
@@ -340,7 +340,8 @@ def test_criterion_5_kernel_oracles():
             p_coeffs = npoly.polymul(p_coeffs, [-root, 1.0])
         for root in qr:
             q_coeffs = npoly.polymul(q_coeffs, [-root, 1.0])
-        got = column_resultant_reports(column(lp * p_coeffs), column(lq * q_coeffs))[0].value
+        got = column_resultant_reports(normalized(lp * p_coeffs),
+                                       normalized(lq * q_coeffs)).value[0]
         oracle = lp**dq * lq**dp * np.prod(pr[:, None] - qr[None, :])
         assert abs(got) == pytest.approx(abs(oracle), rel=1e-8)
         checked += 1

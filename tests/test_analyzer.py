@@ -38,7 +38,7 @@ from sfmew.invariants import (
 )
 from sfmew.jets import Jet, jet_space
 
-from columns import column, trimmed
+from columns import normalized, trimmed
 from seed7 import (
     MEMBER_NODES,
     OPPOSITE_7_MEMBERS,
@@ -283,10 +283,10 @@ def test_classify_opposite_vanishing_with_deflated_resultants(opposite_structure
     s3, rem3 = npoly.polydiv(p3, shared)
     for p, rem in ((p1, rem1), (p2, rem2), (p3, rem3)):
         assert np.max(np.abs(rem)) < 1e-7 * np.max(np.abs(p))
-    s1, s2, s3 = column(s1 / rho**2), column(s2 / rho**3), column(s3 / rho**2)
-    res12 = abs(column_resultant_reports(s1, s2)[0].value)
-    res13 = abs(column_resultant_reports(s1, s3)[0].value)
-    res23 = abs(column_resultant_reports(s2, s3)[0].value)
+    s1, s2, s3 = normalized(s1 / rho**2), normalized(s2 / rho**3), normalized(s3 / rho**2)
+    res12 = abs(column_resultant_reports(s1, s2).value[0])
+    res13 = abs(column_resultant_reports(s1, s3).value[0])
+    res23 = abs(column_resultant_reports(s2, s3).value[0])
     closed12 = abs(
         1076168025.0
         / 67108864.0

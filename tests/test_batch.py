@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sfmew import analyzer, geometry, jets
+from sfmew import analyzer, geometry, jets, polyalg
 from sfmew.analyzer import (
     SolutionCandidate,
     alpha_from_F,
@@ -41,9 +41,9 @@ from sfmew.invariants import (
     compute_invariants,
 )
 from sfmew.jets import DomainError
-from sfmew.polyalg import column_common_roots
+from sfmew.polyalg import column_common_roots, normalized_columns
 
-from columns import column
+from columns import normalized
 from seed7 import (
     MEMBER_NODES,
     OPPOSITE_7_MEMBERS,
@@ -408,12 +408,32 @@ def test_common_roots_of_a_column_do_not_depend_on_the_batch(cases):
         for k, c in enumerate(polys):
             columns[k][: len(c), j] = c
     excluded = np.array([p0 for _, p0 in cases]).T
-    batched = column_common_roots(columns, excluded)
-    for (polys, p0_col), found in zip(cases, batched):
-        # the same call on a column of one
-        (alone,) = column_common_roots([column(c) for c in polys], column(p0_col))
-        assert canon(found.real) == canon(alone.real)
-        assert canon(found.complex) == canon(alone.complex)
+    batched = column_common_roots([normalized_columns(c) for c in columns],
+                                  normalized_columns(excluded))
+    for j, (polys, p0_col) in enumerate(cases):
+        # column j's slice of the batch is the same call on a column of one
+        alone = column_common_roots([normalized(c) for c in polys], normalized(p0_col))
+        real, complex_ = batched.real_col == j, batched.complex_col == j
+        for name in ("real", "multiplicities", "residuals"):
+            assert canon(getattr(batched, name)[real]) == canon(getattr(alone, name))
+        assert canon(batched.complex[complex_]) == canon(alone.complex)
+
+
+@pytest.mark.parametrize("name", ["spiral-1", "quadratic-1", "opposite-1"])
+def test_a_batch_trims_each_constraint_once(name, monkeypatch):
+    # one batch of the seed-7 member's grid and near-flat nodes trims P0..P3
+    # once each: the resultants, the root search and the gaps read those columns
+    trim, calls = polyalg.trimmed_degrees, []
+
+    def counted(coeffs):
+        calls.append(coeffs.shape)
+        return trim(coeffs)
+
+    for module in (polyalg, analyzer):
+        monkeypatch.setattr(module, "trimmed_degrees", counted, raising=False)
+    assert len(analyzer._batches(len(MEMBER_NODES))) == 1
+    analyzer.classify_columns(SEED7[name], MEMBER_NODES)
+    assert len(calls) == 4
 
 
 NARROW_CHUNK = 256  # a width below the module's, at which 447 or 453 points take two batches

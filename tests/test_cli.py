@@ -36,7 +36,7 @@ from sfmew.cli import (
 )
 from sfmew.geometry import MoebiusStructure
 from sfmew.invariants import InvariantField
-from sfmew.polyalg import CommonRoots, ResultantReport, RootSet
+from sfmew.polyalg import ResultantReport
 
 SPIRAL = """
 [structure]
@@ -183,10 +183,10 @@ def _counting_constructors(monkeypatch):
             return construct(*args, **kwargs)
         return construct_counted
 
-    for cls in (Verdict, ResidualReport, RootSet):  # dataclasses
+    for cls in (Verdict, ResidualReport):  # dataclasses
         monkeypatch.setattr(cls, "__init__", counted(cls.__init__, cls.__name__))
-    for cls in (ResultantReport, CommonRoots):  # named tuples
-        monkeypatch.setattr(cls, "__new__", staticmethod(counted(cls.__new__, cls.__name__)))
+    monkeypatch.setattr(ResultantReport, "__new__",  # a named tuple
+                        staticmethod(counted(ResultantReport.__new__, "ResultantReport")))
     return built
 
 
@@ -323,6 +323,22 @@ def test_rescale_identity(runner, tmp_path):
     inv1 = json.loads(rescaled.output)["points"][0]
     for key in ("rho", "sigma", "tau", "ell", "mu", "phi"):
         assert inv1[key] == pytest.approx(inv0[key], abs=1e-12)
+
+
+def test_rescale_takes_the_region_as_the_other_dumps_do(runner, tmp_path):
+    # on a config with a region only, rescale by omega = 0 dumps the records of
+    # the region's nodes that invariants dumps; with neither section it exits 2
+    cfg = write(tmp_path, "s.cfg", SPIRAL + REGION.replace("= 7", "= 2"))
+    base = runner.invoke(main, ["invariants", "--config", cfg])
+    rescaled = runner.invoke(main, ["rescale", "--config", cfg, "--omega", "0"])
+    assert base.exit_code == rescaled.exit_code == 0, rescaled.output
+    records = json.loads(rescaled.output)["points"]
+    assert len(records) == 4
+    assert records == json.loads(base.output)["points"]
+    cfg = write(tmp_path, "n.cfg", SPIRAL)
+    result = runner.invoke(main, ["rescale", "--config", cfg, "--omega", "0"])
+    assert result.exit_code == 2, result.output
+    assert "config error: rescale needs [points] or [region]" in result.output
 
 
 def test_rescale_cotton_tensor_invariant(runner, tmp_path):
@@ -914,22 +930,21 @@ def _verdict_columns(draw):
     )
 
 
-def _nested(value, depth):
-    for _ in range(depth):
-        value = {"k": value}
-    return value
+def _nested(value):
+    """The report that holds ``value`` as the value of its one top-level key."""
+    return {"k": value}
 
 
-@given(columns=_verdict_columns(), depth=st.integers(0, 1))
+@given(columns=_verdict_columns())
 @settings(max_examples=150, deadline=None)
-def test_node_records_are_the_per_node_records_and_csv_rows(columns, depth):
+def test_node_records_are_the_per_node_records_and_csv_rows(columns):
     # the records and rows of generated verdict columns are those that the old
     # per-node rule writes of their verdicts
     nodes = list(zip(columns.points, columns.verdicts()))
     records, rows = _node_records(columns)
     old = [_old_verdict_record(x, y, v) for (x, y), v in nodes]
-    assert _dump_json(_nested(records(slice(None)), depth)) == (
-        json.dumps(_jsonable(_nested(old, depth)), indent=2) + "\n"
+    assert _dump_json(_nested(records(slice(None)))) == (
+        json.dumps(_jsonable(_nested(old)), indent=2) + "\n"
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -939,34 +954,36 @@ def test_node_records_are_the_per_node_records_and_csv_rows(columns, depth):
     # any slice of the nodes, as a call's grid and points take them
     cut = len(nodes) // 2
     for part in (slice(0, cut), slice(cut, None)):
-        assert _dump_json(records(part)) == json.dumps(_jsonable(old[part]), indent=2) + "\n"
+        assert _dump_json(_nested(records(part))) == (
+            json.dumps(_jsonable(_nested(old[part])), indent=2) + "\n"
+        )
 
 
-@given(data=st.data(), n=st.integers(0, 6), complex_f=st.booleans(), depth=st.integers(0, 1))
+@given(data=st.data(), n=st.integers(0, 6), complex_f=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_residual_records_are_the_per_node_records(data, n, complex_f, depth):
+def test_residual_records_are_the_per_node_records(data, n, complex_f):
     # the records of generated residual columns are those that the old per-node
     # rule writes of their reports
     columns = data.draw(_residual_columns(n, complex_f))
     old = [_old_residual_record(rep.point, rep) for rep in columns.reports()]
-    assert _dump_json(_nested(_residual_records(columns), depth)) == (
-        json.dumps(_jsonable(_nested(old, depth)), indent=2) + "\n"
+    assert _dump_json(_nested(_residual_records(columns))) == (
+        json.dumps(_jsonable(_nested(old)), indent=2) + "\n"
     )
 
 
 def test_records_are_laid_in_at_the_top_level_only():
-    # records are the report or a value of its top-level dict, whatever else
-    # the report holds under the same key
+    # records are a value of the report's top-level dict, whatever else the
+    # report holds under the same key
     records = _Records(("a", "b"), [["1.0", "2.5"], ["null", "Infinity"]], [2, 1])
     old = [{"a": 1.0, "b": None}, {"a": 2.5}]
-    assert _dump_json(records) == json.dumps(old, indent=2) + "\n"
+    assert _dump_json({"k": records}) == json.dumps({"k": old}, indent=2) + "\n"
     report = {"x": {"k": None, "y": [None]}, "k": records, "z": "\n  \"k\": null"}
     expected = {**report, "k": old}
     assert _dump_json(report) == json.dumps(expected, indent=2) + "\n"
-    # json would write a deeper one as a list of its fields
-    for value in ({"k": {"k": records}}, {"k": [records]}, [records], (records,),
+    # json would write records elsewhere as a list of their fields
+    for value in (records, {"k": {"k": records}}, {"k": [records]}, [records], (records,),
                   {"k": {"j": {"i": records}}}):
-        with pytest.raises(TypeError, match="records are a report"):
+        with pytest.raises(TypeError, match="records are a value of the report's top-level"):
             _dump_json(value)
 
 

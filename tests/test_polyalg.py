@@ -21,10 +21,11 @@ from sfmew.polyalg import (
     column_common_roots,
     column_gaps,
     column_resultant_reports,
+    normalized_columns,
     trimmed_degrees,
 )
 
-from columns import column
+from columns import column, normalized
 from seed7 import MEMBER_NODES, OPPOSITE_7_MEMBERS, QUADRATIC_7_MEMBERS, SPIRAL_7_MEMBERS
 
 
@@ -36,19 +37,19 @@ def poly_from_roots(roots, lc=1.0):
 
 
 def resultant(p, q):
-    """The resultant report of one pair: a column of one each."""
-    return column_resultant_reports(column(p), column(q))[0]
+    """The resultant reports of one pair: columns of one."""
+    return column_resultant_reports(normalized(p), normalized(q))
 
 
 def gap(p, q):
-    """The Sylvester gap of one pair: a column of one each."""
-    return column_gaps(column(p), column(q))[0]
+    """The Sylvester gap of one pair."""
+    return column_gaps(normalized(p), normalized(q))[0]
 
 
 def common_roots(polys, exclude=None):
-    """The common roots of one triple (or of one polynomial): a column of one each."""
-    excl = None if exclude is None else column(exclude)
-    return column_common_roots([column(p) for p in polys], excl)[0]
+    """The common roots of one triple (or of one polynomial): columns of one."""
+    excl = None if exclude is None else normalized(exclude)
+    return column_common_roots([normalized(p) for p in polys], excl)
 
 
 def constraint_roots(inv):
@@ -65,12 +66,12 @@ def test_poly_trims_trailing_noise():
 def test_resultant_linear_pair():
     # Res(t - a, t - b) = a - b in the canonical row layout
     res = resultant([-3.0, 1.0], [-1.0, 1.0])
-    assert res.value == pytest.approx(2.0)
+    assert res.value[0] == pytest.approx(2.0)
 
 
 def test_resultant_shared_root_is_zero():
     res = resultant([-1.0, 0.0, 1.0], [-1.0, 1.0])
-    assert abs(res.value) < 1e-12
+    assert abs(res.value[0]) < 1e-12
 
 
 def test_resultant_rejects_degenerate_inputs():
@@ -102,28 +103,28 @@ def test_resultant_against_root_product_oracle():
         lp, lq = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
         p, q = poly_from_roots(pr, lp), poly_from_roots(qr, lq)
         oracle = lp**dq * lq**dp * np.prod(pr[:, None] - qr[None, :])
-        got = resultant(p, q).value
+        got = resultant(p, q).value[0]
         assert abs(got) == pytest.approx(abs(oracle), rel=1e-8)
         checked += 1
 
 
 def test_real_roots_simple_quadratics():
     rs = common_roots([[-16.0, 0.0, 9.0]]).real
-    assert rs.roots == pytest.approx([-4.0 / 3.0, 4.0 / 3.0])
-    assert common_roots([[4.0, 0.0, 1.0]]).real.roots.size == 0  # t^2 + 4
+    assert rs == pytest.approx([-4.0 / 3.0, 4.0 / 3.0])
+    assert common_roots([[4.0, 0.0, 1.0]]).real.size == 0  # t^2 + 4
 
 
 def test_real_roots_quadratic_structure_p3(quadratic_structure):
     inv = compute_invariants(quadratic_structure, (1.0, 0.0))
     rs = common_roots([coeffs_P3(inv)]).real
-    assert rs.roots == pytest.approx([-2.0, -4.0 / 3.0, 0.0, 4.0 / 3.0, 2.0], abs=1e-9)
+    assert rs == pytest.approx([-2.0, -4.0 / 3.0, 0.0, 4.0 / 3.0, 2.0], abs=1e-9)
 
 
 def test_real_roots_multiplicity_cluster():
     # (t - 1)^3 (t + 2)
     p = npoly.polymul(npoly.polymul([-1, 1], npoly.polymul([-1, 1], [-1, 1])), [2, 1])
-    rs = common_roots([p]).real
-    assert rs.roots == pytest.approx([-2.0, 1.0], abs=1e-4)
+    rs = common_roots([p])
+    assert rs.real == pytest.approx([-2.0, 1.0], abs=1e-4)
     assert list(rs.multiplicities) == [1, 3]
 
 
@@ -133,22 +134,22 @@ def test_real_roots_recovers_shifted_factor():
         c = rng.uniform(-10, 10)
         q = poly_from_roots(rng.uniform(12, 20, 2))  # Q(c) != 0 by placement
         rs = common_roots([npoly.polymul([-c, 1.0], q)]).real
-        assert np.min(np.abs(rs.roots - c)) < 1e-9 * max(1.0, abs(c))
+        assert np.min(np.abs(rs - c)) < 1e-9 * max(1.0, abs(c))
 
 
 def test_common_real_roots_with_exclusion(quadratic_structure, opposite_structure,
                                           spiral_structure):
     inv = compute_invariants(quadratic_structure, (1.0, 0.0))
     rs = constraint_roots(inv).real
-    assert rs.roots == pytest.approx([-2.0, 2.0], abs=1e-9)
+    assert rs == pytest.approx([-2.0, 2.0], abs=1e-9)
 
     inv = compute_invariants(opposite_structure, (1.0, 0.0))
     rs = constraint_roots(inv).real
-    assert rs.roots.size == 0
+    assert rs.size == 0
 
     inv = compute_invariants(spiral_structure, (1.0, 0.0))
     rs = constraint_roots(inv).real
-    assert rs.roots.size == 0
+    assert rs.size == 0
 
 
 def test_common_complex_roots(opposite_structure):
@@ -181,14 +182,14 @@ def test_resultant_root_duality():
     p = npoly.polymul(base, [3.0, 1.0])
     q = npoly.polymul(base, [-7.0, 1.0])
     assert gap(p, q) < 1e-12
-    assert abs(resultant(p, q).value) < 1e-10
+    assert abs(resultant(p, q).value[0]) < 1e-10
 
 
 def test_resultant_report_gap_separates_scales(spiral_structure):
     # tiny normalized determinant with a healthy gap: genuinely nonzero
     inv = compute_invariants(spiral_structure, (0.5, 0.0))
     rep = resultant(coeffs_P1(inv), coeffs_P3(inv))
-    assert abs(rep.normalized) < 1e-8  # determinant alone looks tiny
+    assert abs(rep.normalized[0]) < 1e-8  # determinant alone looks tiny
     assert gap(coeffs_P1(inv), coeffs_P3(inv)) > 1e-10  # but the matrix is far from singular
 
 
@@ -196,16 +197,17 @@ def test_resultant_scale_beyond_the_float_range_is_inf():
     # scale = |P|^deg(Q) |Q|^deg(P); 1e200^2 * 1e200 overflows, and so did
     # Python's ** (OverflowError) before
     rep = resultant([-1e200, 1e200], [-4e200, 0.0, 1e200])
-    assert rep.scale == np.inf
-    assert rep.value == -np.inf  # normalized: Res(t - 1, t^2/4 - 1) = -3/4
-    assert rep.normalized == pytest.approx(-0.75)
+    assert rep.scale[0] == np.inf
+    assert rep.value[0] == -np.inf  # normalized: Res(t - 1, t^2/4 - 1) = -3/4
+    assert rep.normalized[0] == pytest.approx(-0.75)
     assert gap([-1e200, 1e200], [-4e200, 0.0, 1e200]) > 1e-5
     # a power that overflows in a finite product; finite scales keep their bits
-    assert resultant([1e200, 1e200], [1e-200, 0.0, 1e-200]).scale == (
+    assert resultant([1e200, 1e200], [1e-200, 0.0, 1e-200]).scale[0] == (
         pytest.approx(1e200, rel=1e-12)
     )
-    finite = column_resultant_reports(np.array([[3.0], [-2.0]]), np.array([[0.5], [1.5], [7.0]]))
-    assert finite[0].scale == 3.0 ** 2 * 7.0 ** 1
+    finite = column_resultant_reports(normalized_columns(np.array([[3.0], [-2.0]])),
+                                      normalized_columns(np.array([[0.5], [1.5], [7.0]])))
+    assert finite.scale[0] == 3.0 ** 2 * 7.0 ** 1
 
 
 def test_resultant_value_at_a_zero_determinant_with_inf_scale_is_zero(spiral_structure):
@@ -305,12 +307,12 @@ def test_a_kept_common_root_bounds_every_pairs_gap(polys):
     """At a kept root z every normalized P_k(z) is at most TOL_ROOT, so the
     Sylvester matrix of each pair maps (z^(m+n-1), ..., 1) to at most
     sqrt(m + n) TOL_ROOT times its length: the gap is at most that."""
-    cols = [column(p) for p in polys]
-    roots = column_common_roots(cols)[0]
-    assume(len(roots.real) or roots.complex)
+    polys = [normalized(p) for p in polys]
+    roots = column_common_roots(polys)
+    assume(roots.real.size or roots.complex.size)
     for i, j in RESULTANT_PAIRS.values():
-        m, n = trimmed_degrees(cols[i])[0][0], trimmed_degrees(cols[j])[0][0]
-        assert column_gaps(cols[i], cols[j])[0] <= math.sqrt(m + n) * TOL_ROOT
+        m, n = polys[i].degrees[0], polys[j].degrees[0]
+        assert column_gaps(polys[i], polys[j])[0] <= math.sqrt(m + n) * TOL_ROOT
 
 
 _SEED7 = {"spiral": SPIRAL_7_MEMBERS, "quadratic": QUADRATIC_7_MEMBERS,
@@ -324,11 +326,12 @@ def test_no_witnessed_node_of_a_family_member_has_a_certifying_gap(family, k):
     field = InvariantField([Frame(_SEED7[family][k], p, SCAN_ORDER) for p in MEMBER_NODES])
     nodes = np.flatnonzero(~field.flat)
     vals, n = field.invariant_values().take(nodes), nodes.size
-    coeffs = [_coefficient_columns(fn(vals), n) for fn in (coeffs_P1, coeffs_P2, coeffs_P3)]
-    roots = column_common_roots(coeffs, _coefficient_columns(coeffs_P0(vals), n))
-    witnessed = [c for c, r in enumerate(roots) if len(r.real) or r.complex]
+    p0, *polys = (normalized_columns(_coefficient_columns(fn(vals), n))
+                  for fn in (coeffs_P0, coeffs_P1, coeffs_P2, coeffs_P3))
+    roots = column_common_roots(polys, p0)
+    witnessed = np.union1d(roots.real_col, roots.complex_col)
     for i, j in RESULTANT_PAIRS.values():
-        gaps = column_gaps(coeffs[i][:, witnessed], coeffs[j][:, witnessed])
+        gaps = column_gaps(polys[i].take(witnessed), polys[j].take(witnessed))
         assert not any(g >= _TOL_RES_HIGH for g in gaps)
     if family != "spiral":  # every node but the flat origin has a witness
         assert len(witnessed) == n == len(MEMBER_NODES) - 1
