@@ -45,7 +45,11 @@ The nodes with constraints of degree >= 1 go through one common-root
 witness search for the batch (:func:`~sfmew.polyalg.column_common_roots`),
 which gives their real and complex witnesses from the same eigenvalues;
 the nodes without a witness then take their gaps, one pair at a time for
-the batch (:func:`~sfmew.polyalg.column_gaps`).  Every rule is a mask over
+the batch (:func:`~sfmew.polyalg.column_gaps`).  Where a batch has both
+such nodes and real roots to lift, the first pair's SVDs run on a worker
+thread while the calling thread takes the resultant reports and lifts the
+roots, and the calling thread joins it before it goes on
+(``docs/decisions.md`` §13).  Every rule is a mask over
 the batch, taken in order (``_RULES``): flat, not finite, M ~ 0, a
 degenerate constraint, a verified real root, a real root, a complex root,
 a certified gap, numerical zero; P0(F) ~ 0 is a mask over the real roots.
@@ -68,9 +72,12 @@ F <- F - P_k(F) / P_k'(F) in jet arithmetic doubles the number of exact
 Taylor orders.  It is lifted with each constraint P_k of which F0 is a
 simple root, and the best lift kept; the roots of a batch are lifted
 together, on one order-5 invariant chain over new frames of their nodes,
-from which their residuals read the invariants too; each (node, root)
-column takes those frames' jets truncated to order 1, all the residuals
-read.
+from which their residuals read the invariants too.  The coefficient jets
+of P1..P3 are computed once, at those nodes; a lift batch of at most
+``_CHUNK // 3`` roots then lifts every (constraint, root) column at once,
+on the coefficient lists zero-padded to P2's 11: one Horner, one Newton
+and one residual pass, each column taking those frames' jets truncated to
+order 1, all the residuals read.
 The candidate alpha then follows as a jet from the reconstruction formula,
 so nabla alpha and nabla F are exact.  A root that
 is simple in no constraint has no such lift and stays unverified.
@@ -88,6 +95,7 @@ batch of one node.  Everything here is deterministic and side-effect free.
 """
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, fields
 from enum import Enum
@@ -105,8 +113,8 @@ from .polyalg import (
     ResultantColumns,
     ResultantReport,
     column_common_roots,
-    column_gaps,
     column_resultant_reports,
+    gap_stacks,
     normalized_columns,
 )
 
@@ -460,11 +468,12 @@ def verify_columns(structure, candidate, points, mode="real", orientation=1):
     return ResidualColumns.joined(parts) if parts else _nan_residuals([], mode, "jets")
 
 
-def _batches(n):
-    """The fewest slices of at most ``_CHUNK`` items that cover ``range(n)`` in
-    order, their widths differing by at most 1: the widest batch sets the
-    peak memory, so 1025 items go as 342 + 342 + 341, not 512 + 512 + 1."""
-    count = -(-n // _CHUNK)
+def _batches(n, width=None):
+    """The fewest slices of at most ``width`` items (``_CHUNK`` by default) that
+    cover ``range(n)`` in order, their widths differing by at most 1: the
+    widest batch sets the peak memory, so 1025 items go as 342 + 342 + 341,
+    not 512 + 512 + 1."""
+    count = -(-n // (_CHUNK if width is None else width))
     width, wider = divmod(n, count) if count else (0, 0)
     bounds = [k * width + min(k, wider) for k in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
@@ -560,15 +569,18 @@ def _lifted_reports(structure, points, orientation, cols, roots):
 
     Root ``roots[i]`` belongs to the point ``points[cols[i]]`` of
     ``structure`` (with ``orientation``), which is not flat; all roots are
-    lifted together, one node column each, on an invariant chain of order
-    ``LIFT_ORDER`` over new frames of their points, and their residuals read
-    the invariants of that chain.  Raises
-    :class:`~sfmew.invariants.FlatPoint` where the points are flat.  A root
-    is lifted with every constraint of which it is a simple root, and the
-    lift kept that passes, else the first with the smallest residual: near
-    flat points one constraint can have its roots far less accurate than
-    another.  A lift fails when it moves F by more than
-    :data:`~sfmew.polyalg.TOL_ROOT` (relative): f0 is then no root,
+    lifted together on an invariant chain of order ``LIFT_ORDER`` over new
+    frames of their points, and their residuals read the invariants of that
+    chain.  Raises :class:`~sfmew.invariants.FlatPoint` where the points are
+    flat.  A root is lifted with every constraint of which it is a simple
+    root, and the lift kept that passes, else the first with the smallest
+    residual: near flat points one constraint can have its roots far less
+    accurate than another.  The coefficient jets of P1..P3 are computed once,
+    at the nodes; each lift batch (:func:`_lift_batch`) then lifts every
+    (constraint, root) column of its roots in one pass, at most ``_CHUNK``
+    columns, so ``_CHUNK // 3`` roots (one below a width of 3), in the
+    fewest batches of :func:`_batches`.  A lift fails when it moves F by more
+    than :data:`~sfmew.polyalg.TOL_ROOT` (relative): f0 is then no root,
     whatever root it leads to.  Returns the residuals of every root as
     :class:`ResidualColumns`, and the mask of the roots that are simple in
     some constraint; the others have NaN residuals and fail.
@@ -577,38 +589,108 @@ def _lifted_reports(structure, points, orientation, cols, roots):
     field = InvariantField([Frame(structure, points[c], LIFT_ORDER, orientation) for c in nodes])
     frame, jinv, roots = field.frame, field.invariant_jets(), np.asarray(roots, dtype=float)
     del field  # the lifts read its invariant jets and its frame only
-    parts = [_lift_batch(frame, jinv, cols[part], roots[part]) for part in _batches(len(roots))]
+    coeffs = _coefficient_jets(jinv)
+    parts = [_lift_batch(frame, jinv, coeffs, cols[part], roots[part])
+             for part in _batches(len(roots), max(1, _CHUNK // len(_COEFFS)))]
     return (ResidualColumns.joined([lifts for lifts, _ in parts]),
             np.concatenate([lifted for _, lifted in parts]))
 
 
-def _lift_batch(frame, jinv, cols, f0):
-    # the residuals read the frame's values, and Gamma times jets of order 0
-    jinv, frame = jinv.take(cols), frame.take(cols, order=1)
-    best = _nan_residuals(frame.points, "real", "jet-lift")
-    lifted = np.zeros(f0.size, dtype=bool)
-    for coeffs_of in _COEFFS:
-        coeffs = coeffs_of(jinv)
-        p, dp = _horner(coeffs, f0)
-        sel = np.flatnonzero(_is_simple(coeffs, f0, dp))
-        if not sel.size:
-            continue
-        if sel.size == f0.size:
-            F = _lift_root(coeffs, f0, p, dp)
-            lifts = _lift_residuals(frame, jinv, f0, F)
-        else:  # columns are independent: P(f0) and P'(f0) at ``sel`` keep their bits
-            F = _lift_root(jets.take(coeffs, sel), f0[sel], *jets.take([p, dp], sel))
-            lifts = _lift_residuals(frame.take(sel), jinv.take(sel), f0[sel], F)
+class _CoefficientJets(NamedTuple):
+    """The coefficient jets of P1..P3 at U nodes, as one array ``vecs`` of shape
+    (11, rows, 3, U): each constraint's coefficients, lowest degree first,
+    zero-padded to P2's 11, and stacked constraint-major, as jets of the
+    space ``space`` at the order ``order``.  Constraint k has ``lengths[k]``
+    coefficients."""
+
+    lengths: tuple
+    vecs: np.ndarray
+    space: object
+    order: int
+
+    def padded(self, cols):
+        """The padded coefficient jets at the (constraint, node) columns of the
+        nodes ``cols``, constraint-major: 3 * len(cols) columns."""
+        flat = (np.arange(len(self.lengths))[:, None] * self.vecs.shape[-1] + cols).ravel()
+        vecs = self.vecs.reshape(self.vecs.shape[:2] + (-1,))[:, :, flat]
+        return [jets.Jet(self.space, vec, self.order) for vec in vecs]
+
+    def values(self, k, cols):
+        """Constraint k's coefficient values at the nodes ``cols``, unpadded."""
+        return list(self.vecs[: self.lengths[k], 0, k][:, cols])
+
+
+def _coefficient_jets(jinv):
+    """The :class:`_CoefficientJets` of the invariant jets ``jinv``; a float
+    coefficient (a literal 0.0) is a constant jet, as the padding is."""
+    lists = [coeffs_of(jinv) for coeffs_of in _COEFFS]
+    jet_coeffs = [c for coeffs in lists for c in coeffs if isinstance(c, jets.Jet)]
+    order, first = min(c.order for c in jet_coeffs), jet_coeffs[0]
+    vecs = np.zeros((max(map(len, lists)), first.space.rows[order], len(lists),
+                     first.vec.shape[1]))
+    for k, coeffs in enumerate(lists):
+        for i, c in enumerate(coeffs):
+            if isinstance(c, jets.Jet):
+                vecs[i, :, k] = jets.truncate(c, order).vec
+            else:
+                vecs[i, 0, k] = c
+    return _CoefficientJets(tuple(map(len, lists)), vecs, first.space, order)
+
+
+def _lift_batch(frame, jinv, coeffs, cols, f0):
+    """The best lift of each root ``f0`` of the nodes ``cols``, from the
+    :class:`_CoefficientJets` ``coeffs``: one pass over every (constraint,
+    root) column (:func:`_lift_columns`), one residual pass, and the lift
+    kept chosen constraint by constraint, by masks, as
+    :func:`_lifted_reports` states."""
+    k, r = len(coeffs.lengths), f0.size
+    sel, F = _lift_columns(coeffs, cols, f0)
+    best = _nan_residuals([frame.points[c] for c in cols.tolist()], "real", "jet-lift")
+    lifted = np.zeros(r, dtype=bool)
+    if not sel.size:
+        return best, lifted
+    constraint, root = np.divmod(sel, r)
+    at = cols[root]
+    lifts = _lift_residuals(frame.take(at, order=1), jinv.take(at), f0[root], F)
+    for c in range(k):
+        on = constraint == c
+        rows = root[on]
         # a lift replaces the one kept where it passes and that one fails, or
         # where both pass or fail and its residual is smaller
-        passed, kept = lifts.passed, best.passed[sel]
-        better = ~lifted[sel] | (passed & ~kept) | (
-            (passed == kept) & (lifts.max_residual < best.max_residual[sel])
+        passed, kept = lifts.passed[on], best.passed[rows]
+        better = ~lifted[rows] | (passed & ~kept) | (
+            (passed == kept) & (lifts.max_residual[on] < best.max_residual[rows])
         )
         for column, new in zip(best[3:], lifts[3:]):
-            column[sel[better]] = new[better]
-        lifted[sel] = True
+            column[rows[better]] = new[on][better]
+        lifted[rows] = True
     return best, lifted
+
+
+def _lift_columns(coeffs, cols, f0):
+    """The (constraint, root) columns, constraint-major, in which a root ``f0``
+    of the nodes ``cols`` is simple, and their lifts F: one Horner and one
+    Newton on every column.
+
+    Each column takes its constraint's coefficients zero-padded to P2's 11,
+    which keeps every bit of its lift: a padded term changes only the sign
+    of a zero, which the jet products, summed from +0.0, never pass on
+    (``docs/decisions.md`` §13).  Whether a root is simple is read on the
+    unpadded coefficients, where no padded term 0 * |f0|^i can be NaN.
+    """
+    r = f0.size
+    padded, t = coeffs.padded(cols), np.tile(f0, len(coeffs.lengths))
+    p, dp = _horner(padded, t)
+    simple = np.concatenate([
+        _is_simple(coeffs.values(k, cols), f0, dp.value[k * r : (k + 1) * r])
+        for k in range(len(coeffs.lengths))
+    ])
+    sel = np.flatnonzero(simple)
+    if not sel.size:
+        return sel, None
+    if sel.size < simple.size:  # columns are independent: each keeps its bits
+        padded, p, dp = jets.take([padded, p, dp], sel)
+    return sel, _lift_root(padded, t[sel], p, dp)
 
 
 def _lift_residuals(frame, jinv, f0, F):
@@ -730,27 +812,36 @@ def _classify_chunk(structure, points, orientation):
     proper = rest & coeff_finite & np.all([p.degrees >= 1 for p in polys], axis=0)
     ok = np.flatnonzero(proper)
     ok_polys = [p.take(ok) for p in polys]
-    normalized, scale, gap = (np.full((len(RESULTANT_PAIRS), n), np.nan) for _ in range(3))
-    for k, (i, j) in enumerate(RESULTANT_PAIRS.values()):
-        reports = column_resultant_reports(ok_polys[i], ok_polys[j])
-        normalized[k, ok], scale[k, ok] = reports.normalized, reports.scale
     # one common-root witness search for all of them
     roots = column_common_roots(ok_polys, p0.take(ok))
     root_node, complex_node = ok[roots.real_col], ok[roots.complex_col]
     has_real, has_complex = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     has_real[root_node], has_complex[complex_node] = True, True
     # Sylvester gaps where no witness decides, up to the first that certifies a
-    # resultant nonzero; a witness bounds every gap far below that (decisions §8)
+    # resultant nonzero; a witness bounds every gap far below that (decisions §8).
+    # Where there are roots to lift too, the first pair's SVDs run on a worker
+    # thread while this one takes the resultant reports and lifts (decisions §13)
     todo = np.flatnonzero(proper & ~has_real & ~has_complex)
+    first = _gap_stacks(polys, _GAP_ORDER[0], todo) if todo.size else None
+    worker = _Worker(first.singular_values) if first is not None and root_node.size else None
+    try:
+        normalized, scale, gap = (np.full((len(RESULTANT_PAIRS), n), np.nan) for _ in range(3))
+        for k, (i, j) in enumerate(RESULTANT_PAIRS.values()):
+            reports = column_resultant_reports(ok_polys[i], ok_polys[j])
+            normalized[k, ok], scale[k, ok] = reports.normalized, reports.scale
+        alpha, keep, lifts, lifted = _verify_witnesses(structure, values, root_node, roots.real)
+    finally:
+        if worker is not None:
+            worker.join()
     for name in _GAP_ORDER:
         if not todo.size:
             break
-        i, j = RESULTANT_PAIRS[name]
-        gaps = column_gaps(polys[i].take(todo), polys[j].take(todo))
+        stacks = _gap_stacks(polys, name, todo) if first is None else first
+        gaps = stacks.gaps(stacks.singular_values() if worker is None else worker.result())
+        first = worker = None
         gap[list(RESULTANT_PAIRS).index(name), todo] = gaps
         todo = todo[~(gaps > _TOL_RES_HIGH)]
     widest = np.fmax.reduce(gap, axis=0)  # the largest gap read, NaN where none is
-    alpha, keep, lifts, lifted = _verify_witnesses(structure, values, root_node, roots.real)
     passed = np.zeros(root_node.size, dtype=bool)
     passed[keep] = lifts.passed
     admits = np.zeros(n, dtype=bool)
@@ -803,6 +894,39 @@ def _classify_chunk(structure, points, orientation):
         report_node=root_node[keep[on_verdict]],
         reports=lifts.take(on_verdict),
     )
+
+
+def _gap_stacks(polys, name, nodes):
+    """The Sylvester stacks of the pair ``name`` of the constraints ``polys``
+    (P1..P3 as :class:`~sfmew.polyalg.NormalizedColumns`) at ``nodes``."""
+    i, j = RESULTANT_PAIRS[name]
+    return gap_stacks(polys[i].take(nodes), polys[j].take(nodes))
+
+
+class _Worker(threading.Thread):
+    """A call of ``fn`` on a thread of its own, started at once.
+
+    The calling thread must join it before it returns, so that no worker
+    outlives the call that started it; :meth:`result` joins it and gives
+    ``fn``'s value, or raises its exception on the calling thread.
+    """
+
+    def __init__(self, fn):
+        super().__init__(name="sfmew-gaps", daemon=True)
+        self._fn, self._value, self._error = fn, None, None
+        self.start()
+
+    def run(self):
+        try:
+            self._value = self._fn()
+        except BaseException as error:  # raised again by result(), on the calling thread
+            self._error = error
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 def _append_roots(note, nodes, roots, prefix):

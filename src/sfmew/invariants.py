@@ -443,16 +443,19 @@ class InvariantField:
 
         Holds what the constraint coefficients and the reconstruction
         formula read, so that both can be differentiated; vectors are lists
-        of jets and :meth:`PointInvariants.take` picks nodes.  ``m``,
-        ``psi`` and ``k`` are left NaN.
+        of jets and :meth:`PointInvariants.take` picks nodes.  Every jet is
+        truncated to the order k - 4 of dL, the coefficients' order, which is
+        all that they and the formula take: the scalars and vectors as the
+        contractions, so that no product runs at an order no reader takes.
+        ``m``, ``psi`` and ``k`` are left NaN.
         """
         self.require_not_flat()
         low = self.frame.order - 4  # the order of dL: the coefficients' order
         return PointInvariants(
             point=self.frame.points,
             orientation=self.frame.orientation,
-            **{name: getattr(self, name) for name in _SCALARS},
-            **{name: list(getattr(self, name)) for name in _VECTORS},
+            **{name: jets.truncate(getattr(self, name), low) for name in _SCALARS},
+            **{name: jets.truncate(list(getattr(self, name)), low) for name in _VECTORS},
             **{
                 name: _dot_jets(*jets.truncate([a, b], low)) if m is None
                 else _quad_jets(*jets.truncate([a, m, b], low))

@@ -18,6 +18,8 @@ returns columns:
 * The gaps of pairs of columns (:func:`column_gaps`), the smallest singular
   value of the normalized Sylvester matrix over the largest, come from one
   stacked SVD for all pairs of the same degrees.  It is the only SVD here.
+  :func:`gap_stacks` builds the stacks apart from their SVDs, so that a
+  caller can run those on a thread of its own (:class:`GapStacks`).
 * The common roots of triples of columns (:func:`column_common_roots`) come
   from one stacked eigenvalue solve for all triples whose lowest degree is
   the same, which gives the real and the complex witnesses as
@@ -46,6 +48,8 @@ __all__ = [
     "ZeroPolynomial",
     "column_resultant_reports",
     "column_gaps",
+    "GapStacks",
+    "gap_stacks",
     "trimmed_degrees",
     "NormalizedColumns",
     "normalized_columns",
@@ -225,13 +229,41 @@ def column_gaps(p, q):
     of the normalized pair over the largest, 0 where the largest is 0.  The
     pairs of the same degrees share one stacked SVD, which gives each matrix
     the bits it gets alone.  Returns the gaps, of shape (K,); a gap is
-    finite, as the normalized coefficients are.
+    finite, as the normalized coefficients are.  It is
+    :func:`gap_stacks`, then their singular values and gaps.
     """
-    gaps = np.zeros(len(p.norms))
-    for _, _, cols, mats in _sylvester_groups(p, q):
-        sv = np.linalg.svd(mats, compute_uv=False)
-        gaps[cols] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
-    return gaps
+    stacks = gap_stacks(p, q)
+    return stacks.gaps(stacks.singular_values())
+
+
+class GapStacks(NamedTuple):
+    """The Sylvester matrices of the K pairs of :func:`column_gaps`, one stack
+    per pair of degrees: ``cols`` holds the pairs of each stack, and
+    ``matrices`` the stacks."""
+
+    size: int
+    cols: list
+    matrices: list
+
+    def singular_values(self):
+        """The singular values of every stack, in order: one ``np.linalg.svd``
+        call per stack and nothing else, so that it can run on a thread of
+        its own while another thread runs Python code."""
+        return [np.linalg.svd(mats, compute_uv=False) for mats in self.matrices]
+
+    def gaps(self, singular_values):
+        """The gaps of the K pairs, (K,), from :meth:`singular_values`."""
+        gaps = np.zeros(self.size)
+        for cols, sv in zip(self.cols, singular_values):
+            gaps[cols] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+        return gaps
+
+
+def gap_stacks(p, q):
+    """The Sylvester stacks of the pairs of polynomials ``p``, ``q`` whose gaps
+    :func:`column_gaps` gives, as :class:`GapStacks`."""
+    groups = _sylvester_groups(p, q)
+    return GapStacks(len(p.norms), [g[2] for g in groups], [g[3] for g in groups])
 
 
 @dataclass(frozen=True)

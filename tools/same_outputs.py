@@ -43,6 +43,10 @@ points and ``verify`` of ``TREES_CANDIDATE`` on the same points; and
 ``HUGE_POLYNOMIAL``, a polynomial structure with the coefficient 1e300,
 runs ``analyze`` on the grid plus ``HUGE_POINTS`` and ``verify`` of
 ``INF_CANDIDATE``, one of whose factors has an infinite coefficient.
+``analyze`` also runs on four rescaled quadratic structures at one
+near-flat point each (``NEAR_FLAT_QUADRATIC``, as in
+``tests/test_analyzer.py``), whose written residuals are those of the
+lift that the best of three constraints gives.
 The calls run
 once with this tree's ``src`` and once with ``PARENT_SRC`` (the ``src``
 directory of another checkout), each in a fresh interpreter, and every
@@ -54,10 +58,10 @@ pickles the ``classify_points`` verdicts of the same structures in memory:
 every member on the grid, the near-flat points and the far field (both
 orientations on the member of the overriding calls), the mixed structure
 on the grid, the near-flat points and ``MIXED_NODES``, the generic one
-on the grid and ``GENERIC_POINTS``, and ``TREES`` and ``HUGE_POLYNOMIAL`` on
-the points of their ``analyze`` calls.  Their verdicts are compared field by
-field, every float by its bits: candidates with their alpha, resultant
-reports and residual reports included.
+on the grid and ``GENERIC_POINTS``, and ``TREES``, ``HUGE_POLYNOMIAL`` and
+``NEAR_FLAT_QUADRATIC`` on the points of their ``analyze`` calls.  Their
+verdicts are compared field by field, every float by its bits: candidates
+with their alpha, resultant reports and residual reports included.
 Exits 0 when everything is equal, and 1 naming every file that differs and
 the first verdict that differs.
 Reads ``perfbench/families.py`` and writes nothing under ``perfbench/``.
@@ -121,6 +125,50 @@ HUGE_CANDIDATE = ("1e200*y", "1e200*x", "y", "-x")
 # subtrees, and a real candidate of the same kind
 TREES = ("0", "exp(0.1*x)*x*y", "x*x/(1 + y*y)", "-(exp(0.1*x)*x*y)")
 TREES_CANDIDATE = ("exp(0.1*x)*x*y + y", "x*x/(1 + y*y) - x")
+# the quadratic structure rescaled by four omegas, each at a near-flat point, where
+# P3's roots lose digits and a lift with P1 or P2 is the one that passes: their
+# residual reports are the ones that the best-of-three choice decides
+NEAR_FLAT_QUADRATIC = [
+    ((0.0, 1e-3), (
+        "0.0 + (-0.0853)*x + (-0.0241)*y + (-0.0028000000000000004)*x*x + (0.0119)*x*y"
+        " + (-0.0228)*y*y",
+        "0.00894764 + (0.0007644700000000002)*x + (-0.0021140300000000002)*y"
+        " + (0.499944875)*x*x + (0.000476)*x*y + (-0.500968875)*y*y",
+        "-0.00984427 + (-0.00088011)*x + (0.0036028900000000005)*y"
+        " + (-6.664000000000001e-05)*x*x + (1.00039697)*x*y + (-0.00054264)*y*y",
+        "0.04225236 + (-0.0007644700000000002)*x + (0.0021140300000000002)*y"
+        " + (-0.499944875)*x*x + (-0.000476)*x*y + (0.500968875)*y*y",
+    )),
+    ((1e-3, 0.0), (
+        "0.0 + (0.0644)*x + (-0.0971)*y + (-0.0477)*x*x + (0.0095)*x*y"
+        " + (0.0015000000000000013)*y*y",
+        "0.092759475 + (-0.00522131)*x + (0.0009031000000000002)*y"
+        " + (0.504505455)*x*x + (-0.0009348)*x*y + (-0.499959375)*y*y",
+        "-0.01575324 + (0.009875140000000001)*x + (-0.0007292499999999999)*y"
+        " + (-0.0009063)*x*x + (0.99980405)*x*y + (2.8500000000000025e-05)*y*y",
+        "-0.0003594750000000019 + (0.00522131)*x + (-0.0009031000000000002)*y"
+        " + (-0.504505455)*x*x + (0.0009348)*x*y + (0.499959375)*y*y",
+    )),
+    ((1e-3, 0.0), (
+        "0.0 + (0.0452)*x + (-0.0789)*y + (0.0287)*x*x + (0.0224)*x*y + (0.0307)*y*y",
+        "-0.059491085 + (0.00436184)*x + (0.00585694)*y + (0.5013965)*x*x"
+        " + (-8.960000000000001e-05)*x*y + (-0.5016341)*y*y",
+        "-0.02596628 + (-0.0035163800000000004)*x + (0.0010079199999999998)*y"
+        " + (0.00128576)*x*x + (1.00402612)*x*y + (0.00137536)*y*y",
+        "-0.059308915000000004 + (-0.00436184)*x + (-0.00585694)*y + (-0.5013965)*x*x"
+        " + (8.960000000000001e-05)*x*y + (0.5016341)*y*y",
+    )),
+    ((7.071e-4, 7.071e-4), (
+        "0.0 + (-0.0615)*x + (0.0993)*y + (0.0286)*x*x + (0.0266)*x*y"
+        " + (0.030600000000000002)*y*y",
+        "-0.06023912 + (-0.00615918)*x + (-0.007713060000000001)*y + (0.50128214)*x*x"
+        " + (-0.00010639999999999998)*x*y + (-0.50151894)*y*y",
+        "-0.03270695 + (0.00404406)*x + (-0.0011224200000000003)*y + (0.00152152)*x*x"
+        " + (1.0042082)*x*y + (0.00162792)*y*y",
+        "-0.058160880000000005 + (0.00615918)*x + (0.007713060000000001)*y"
+        " + (-0.50128214)*x*x + (0.00010639999999999998)*x*y + (0.50151894)*y*y",
+    )),
+]
 # a trace-free polynomial structure with one coefficient near the float's largest,
 # and a candidate whose constant factor 1e300*1e300 is inf
 HUGE_POLYNOMIAL = ("0", "1e300*x*x + x*y", "(y*y - x*x)/2", "-(1e300*x*x + x*y)")
@@ -210,6 +258,11 @@ def calls(fam, out):
     (base / "verify.cfg").write_text(config_text(OPPOSITE, 0, HUGE_POINTS, "real"))
     yield base / "verify", ["verify", "--config", str(base / "verify.cfg"), "--mode=complex"] + [
         f"--alpha={a}" for a in HUGE_CANDIDATE]
+    for k, (point, sources) in enumerate(NEAR_FLAT_QUADRATIC):
+        base = out / "near-flat-quadratic" / str(k)
+        base.mkdir(parents=True)
+        (base / "analyze.cfg").write_text(config_text(sources, 0, [point], "real"))
+        yield base / "analyze", ["analyze", "--config", str(base / "analyze.cfg")]
     for name, sources, points, candidate in (
         ("trees", TREES, list(fam.NEAR_FLAT), TREES_CANDIDATE),
         ("huge-polynomial", HUGE_POLYNOMIAL, HUGE_POINTS, INF_CANDIDATE),
@@ -238,6 +291,8 @@ def scans(fam):
     yield "generic", GENERIC, fam.grid_nodes(GRID) + GENERIC_POINTS, 1
     yield "trees", TREES, fam.grid_nodes(GRID) + list(fam.NEAR_FLAT), 1
     yield "huge-polynomial", HUGE_POLYNOMIAL, fam.grid_nodes(GRID) + HUGE_POINTS, 1
+    for k, (point, sources) in enumerate(NEAR_FLAT_QUADRATIC):
+        yield f"near-flat-quadratic {k}", sources, [point], 1
 
 
 def canon(obj):
